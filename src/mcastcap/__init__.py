@@ -38,7 +38,7 @@ from .packing import (
     max_integer_packing,
     verify_packing,
 )
-from .strength import TerminalPartition, edge_strength
+from .strength import TerminalPartition, edge_strength, verify_partition
 from .bounds import (
     BoundValue,
     Decomposition3,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UndefinedGain
+from .errors import CertificateError, UndefinedGain
 from .connectivity import terminal_connectivity
 from .multigraph import Multigraph, Rate, TerminalSet
 from .packing import fractional_capacity_lp
@@ -154,12 +154,16 @@ def corollary2_gain_bound(a: int) -> BoundValue:
 
 
 def gamma_bracket(g: Multigraph, a: TerminalSet) -> GammaBracket:
-    """Certified interval around the coding capacity: LP rate <= gamma <= min(lambda, eta)."""
+    """Certified interval around the coding capacity: LP rate <= gamma <= min(lambda, eta).
+
+    2-block partitions give lambda exactly, so eta <= lambda and the upper end is eta.
+    """
     lam = terminal_connectivity(g, a)
     if lam == 1:
         one = Fraction(1)
         return GammaBracket(one, one, True)
     lower, _ = fractional_capacity_lp(g, a)
     eta, _ = edge_strength(g, a)
-    upper = min(Fraction(lam), eta)
-    return GammaBracket(lower, upper, lower == upper)
+    if not eta <= lam:
+        raise CertificateError(f"edge strength {eta} exceeds connectivity {lam}")
+    return GammaBracket(lower, eta, lower == eta)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: analyze, bounds, pack, split, strength, gen, selftest.
-Exit codes: 0 ok, 1 selftest failure, 2 input error, 3 resource limit.
+Exit codes: 0 ok, 1 selftest failure, 2 input error, 3 resource limit,
+4 certificate failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from . import bounds as bnd
 from .connectivity import terminal_connectivity
 from .errors import (
     BridgeBetweenTerminals,
+    CertificateError,
     McastcapError,
     TooManyTrees,
     TooManyVertices,
@@ -44,7 +46,7 @@ from .packing import (
     verify_packing,
 )
 from .splitting import eliminate_relays, lift_packing
-from .strength import edge_strength
+from .strength import edge_strength, verify_partition
 
 
 @dataclass
@@ -145,18 +147,27 @@ def analyze_instance(
     report.num_edges = len(core.edges)
 
     k, int_packing = max_integer_packing(core, a)
-    assert verify_packing(core, a, int_packing)
+    if not verify_packing(core, a, int_packing):
+        raise CertificateError("integer packing failed verification")
     half, half_packing = half_integer_capacity(core, a)
-    assert verify_packing(core, a, half_packing)
+    if not verify_packing(core, a, half_packing):
+        raise CertificateError("half-integer packing failed verification")
     lp, lp_packing = fractional_capacity_lp(core, a)
-    assert verify_packing(core, a, lp_packing)
-    eta, _ = edge_strength(core, a)
+    if not verify_packing(core, a, lp_packing):
+        raise CertificateError("fractional packing failed verification")
+    eta, witness = edge_strength(core, a)
+    if not verify_partition(core, a, eta, witness):
+        raise CertificateError("edge strength witness failed verification")
+    # 2-block partitions give lambda(A) exactly, so eta <= lambda and eta is
+    # the bracket's upper end
+    if not eta <= lam:
+        raise CertificateError(f"edge strength {eta} exceeds connectivity {lam}")
 
     report.k_int = k
     report.half_rate = half
     report.lp_rate = lp
     report.eta = eta
-    report.bracket = bnd.GammaBracket(lp, min(Fraction(lam), eta), lp == min(Fraction(lam), eta))
+    report.bracket = bnd.GammaBracket(lp, eta, lp == eta)
 
     na = len(a.members)
     rows: list[tuple[str, str]] = []
@@ -177,7 +188,7 @@ def analyze_instance(
 
     if via_splitting:
         # Splitting preserves every terminal min-cut but can strictly lose
-        # packing value, so only the lower-bound chain is asserted: the
+        # packing value, so only the lower-bound chain is checked: the
         # lifted packing must verify on the base graph, stay within the
         # direct LP rate, and dominate the general floor bound.
         split_g, history, scale = eliminate_relays(core, a)
@@ -194,13 +205,15 @@ def analyze_instance(
             "lifted_verifies": lifted_ok,
             "lp_rate": str(lp_split / scale),
         }
-        assert lifted_ok, "lifted packing failed verification"
-        assert len(lifted.trees) == len(packed.trees)
-        assert split_rate <= lp, "lifted rate is achievable, so bounded by the LP"
+        if not lifted_ok:
+            raise CertificateError("lifted packing failed verification")
+        if len(lifted.trees) != len(packed.trees):
+            raise CertificateError("lifting changed the number of trees")
+        if not split_rate <= lp:
+            raise CertificateError("lifted rate exceeds the LP rate")
         floor_bound = (scale * na * lam - na + 2) // (2 * (na - 1))
-        assert Fraction(floor_bound, scale) <= split_rate, (
-            "splitting route fell below the guaranteed tree count"
-        )
+        if not Fraction(floor_bound, scale) <= split_rate:
+            raise CertificateError("splitting route fell below the guaranteed tree count")
     return report
 
 
@@ -284,7 +297,8 @@ def _cmd_pack(args) -> int:
     else:
         r, p = fractional_capacity_lp(g, a)
         head = {"mode": "frac", "value": str(r)}
-    assert verify_packing(g, a, p)
+    if not verify_packing(g, a, p):
+        raise CertificateError(f"{args.mode} packing failed verification")
     print(json.dumps({**head, "packing": _packing_to_dict(p)}, indent=2))
     return 0
 
@@ -318,6 +332,8 @@ def _cmd_strength(args) -> int:
     g, a = _read_instance(args.file)
     validate(g, a)
     eta, witness = edge_strength(g, a)
+    if not verify_partition(g, a, eta, witness):
+        raise CertificateError("edge strength witness failed verification")
     print(
         json.dumps(
             {
@@ -492,6 +508,9 @@ def main(argv=None) -> int:
     except (TooManyTrees, TooManyVertices) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except CertificateError as exc:
+        print(f"certificate failure: {exc}", file=sys.stderr)
+        return 4
     except (OSError, McastcapError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import Disconnected, SameVertex, UnknownVertex
+from .errors import CertificateError, Disconnected, SameVertex, UnknownVertex
 from .multigraph import Multigraph, TerminalSet, components
 
 
@@ -69,7 +69,8 @@ def max_flow(g: Multigraph, u: str, v: str) -> tuple[int, CutCertificate]:
     side = frozenset(parent)
     crossing = tuple(sorted(e.id for e in g.edges if (e.u in side) != (e.v in side)))
     cut_cap = sum(g.edge(i).cap for i in crossing)
-    assert cut_cap == value, "max-flow value must equal its cut certificate"
+    if cut_cap != value:
+        raise CertificateError(f"max-flow value {value} differs from its cut {cut_cap}")
     return value, CutCertificate(value, side, crossing)
 
 

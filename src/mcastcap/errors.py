@@ -83,3 +83,7 @@ class BadSlot(McastcapError):
 
 class Underconnected(McastcapError):
     """Randomly generated instance has terminal connectivity below 2."""
+
+
+class CertificateError(McastcapError):
+    """A computed result failed its independent certificate check: a bug, not bad input."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import InvalidPacking, TooManyTrees
+from .errors import CertificateError, InvalidPacking, TooManyTrees
 from .multigraph import Edge, Multigraph, Rate, TerminalSet, scale_capacities
 
 DEFAULT_TREE_LIMIT = 5000
@@ -381,7 +381,8 @@ def fractional_capacity_lp(
     opt, y = _lp_max_total(trees, [r[0] for r in reps], caps)
     solution = [(trees[j], y[j]) for j in range(len(trees)) if y[j] > 0]
     packing = _expand_packing(g, solution, classes)
-    assert packing.rate == opt
+    if packing.rate != opt:
+        raise CertificateError(f"packing rate {packing.rate} differs from LP optimum {opt}")
     return opt, packing
 
 

@@ -1,18 +1,30 @@
 """Edge strength: the partition upper bound on coding capacity.
 
 eta(G, A) = min over partitions P of V with a terminal in every block of
-(crossing capacity of P) / (|P| - 1).  Exact enumeration: partition the
-terminals first, then assign each relay to an existing block (a fresh block
-would be terminal-free).
+(crossing capacity of P) / (|P| - 1).
+
+The search is exact.  It partitions the terminals first, in the order of
+``_terminal_partitions``, then assigns each relay (in sorted order) to one
+of the existing blocks, since a fresh block would be terminal-free.  The
+crossing of a terminal partition splits into a fixed part (terminal-terminal
+edges), a per-relay cost ``row[b]`` (the relay's capacity to terminals
+outside block b) and the relay-relay edges cut by the assignment.
+Relay-relay edges only add, so ``cur + suffix[r]``, where ``suffix[r]`` sums
+the row minima of the relays not yet placed, bounds every completion from
+below.  A branch is pruned when that bound is strictly above the incumbent,
+and a whole terminal partition is skipped when ``fixed + suffix[0]`` is.
+All comparisons are integer cross-multiplications.  The prune is strict, so
+every partition that ties the incumbent reaches the leaf, and the witness is
+the least minimizer in the order of the sorted tuple of sorted blocks,
+whatever the search order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .errors import TooManyVertices
+from .errors import CertificateError, TooManyVertices
 from .multigraph import Multigraph, Rate, TerminalSet, components
 
 MAX_VERTICES = 12
@@ -27,10 +39,10 @@ class TerminalPartition:
         return len(self.blocks)
 
 
-def _terminal_partitions(terms: list[str]):
+def _terminal_partitions(terms: list):
     """Set partitions of the terminal list, blocks in canonical order."""
 
-    def rec(i: int, blocks: list[list[str]]):
+    def rec(i: int, blocks: list[list]):
         if i == len(terms):
             yield [list(b) for b in blocks]
             return
@@ -46,7 +58,8 @@ def _terminal_partitions(terms: list[str]):
     yield from rec(0, [])
 
 
-def _crossing_capacity(g: Multigraph, block_of: dict[str, int]) -> int:
+def _crossing_capacity(g: Multigraph, blocks) -> int:
+    block_of = {v: i for i, b in enumerate(blocks) for v in b}
     return sum(e.cap for e in g.edges if block_of[e.u] != block_of[e.v])
 
 
@@ -70,29 +83,108 @@ def edge_strength(
         )
     terms = sorted(a.members)
     relays = sorted(g.vertices - a.members)
-    best: Fraction | None = None
-    best_key = None
-    best_partition = None
-    for tblocks in _terminal_partitions(terms):
+    t_index = {t: i for i, t in enumerate(terms)}
+    r_index = {r: i for i, r in enumerate(relays)}
+    nr = len(relays)
+    tt: dict[tuple[int, int], int] = {}
+    rt: list[dict[int, int]] = [{} for _ in relays]
+    rr: list[dict[int, int]] = [{} for _ in relays]  # relay -> earlier relays
+    for e in g.edges:
+        if e.u == e.v:  # a self-loop never crosses
+            continue
+        if e.u in t_index and e.v in t_index:
+            pair = (t_index[e.u], t_index[e.v])
+            tt[pair] = tt.get(pair, 0) + e.cap
+        elif e.u in t_index or e.v in t_index:
+            t, r = (e.u, e.v) if e.u in t_index else (e.v, e.u)
+            row = rt[r_index[r]]
+            row[t_index[t]] = row.get(t_index[t], 0) + e.cap
+        else:
+            lo, hi = sorted((r_index[e.u], r_index[e.v]))
+            rr[hi][lo] = rr[hi].get(lo, 0) + e.cap
+    tt_edges = list(tt.items())
+    rt_edges = [list(row.items()) for row in rt]
+    rt_total = [sum(row.values()) for row in rt]
+    rr_edges = [list(row.items()) for row in rr]
+
+    best_num = best_den = None  # incumbent value best_num / best_den
+    best_key = None  # sorted tuple of sorted blocks of the incumbent
+    for tblocks in _terminal_partitions(list(range(len(terms)))):
         nb = len(tblocks)
         if nb < 2:
             continue
-        for assignment in product(range(nb), repeat=len(relays)):
-            blocks = [list(b) for b in tblocks]
-            for r, bi in zip(relays, assignment):
-                blocks[bi].append(r)
-            block_of = {v: i for i, b in enumerate(blocks) for v in b}
-            if connected_blocks_only and not _blocks_connected(
-                g, [frozenset(b) for b in blocks]
-            ):
-                continue
-            value = Fraction(_crossing_capacity(g, block_of), nb - 1)
+        den = nb - 1
+        block_of = [0] * len(terms)
+        for bi, b in enumerate(tblocks):
+            for t in b:
+                block_of[t] = bi
+        fixed = sum(c for (i, j), c in tt_edges if block_of[i] != block_of[j])
+        rows = []
+        for r in range(nr):
+            into = [0] * nb
+            for t, c in rt_edges[r]:
+                into[block_of[t]] += c
+            rows.append([rt_total[r] - x for x in into])
+        suffix = [0] * (nr + 1)
+        for r in range(nr - 1, -1, -1):
+            suffix[r] = suffix[r + 1] + min(rows[r])
+        if best_num is not None and (fixed + suffix[0]) * best_den > best_num * den:
+            continue
+        assign = [0] * nr
+
+        def leaf(cur: int) -> None:
+            nonlocal best_num, best_den, best_key
+            if best_num is not None:
+                lhs, rhs = cur * best_den, best_num * den
+                if lhs > rhs:
+                    return
+            blocks = [[terms[t] for t in b] for b in tblocks]
+            for r in range(nr):
+                blocks[assign[r]].append(relays[r])
             key = tuple(sorted(tuple(sorted(b)) for b in blocks))
-            if best is None or value < best or (value == best and key < best_key):
-                best, best_key = value, key
-                best_partition = TerminalPartition(
-                    tuple(frozenset(b) for b in sorted(blocks, key=lambda b: sorted(b))),
-                    _crossing_capacity(g, block_of),
-                )
-    assert best is not None and best_partition is not None
-    return best, best_partition
+            if best_num is not None and lhs == rhs and key >= best_key:
+                return
+            if connected_blocks_only and not _blocks_connected(g, blocks):
+                return
+            best_num, best_den, best_key = cur, den, key
+
+        def place(r: int, cur: int) -> None:
+            if r == nr:
+                leaf(cur)
+                return
+            row, back = rows[r], rr_edges[r]
+            for b in range(nb):
+                step = row[b] + sum(c for s, c in back if assign[s] != b)
+                lower = cur + step + suffix[r + 1]
+                if best_num is not None and lower * best_den > best_num * den:
+                    continue
+                assign[r] = b
+                place(r + 1, cur + step)
+
+        place(0, fixed)
+    if best_key is None:
+        raise CertificateError("edge strength search found no partition")
+    return Fraction(best_num, best_den), TerminalPartition(
+        tuple(frozenset(b) for b in best_key), best_num
+    )
+
+
+def verify_partition(
+    g: Multigraph, a: TerminalSet, eta: Rate, partition: TerminalPartition
+) -> bool:
+    """Certificate check: ``partition`` is terminal-covering and attains ``eta``.
+
+    The blocks must be disjoint, cover the vertex set, number at least two
+    and each hold a terminal; the crossing recomputed from the edges must
+    equal the recorded one, and eta = crossing / (blocks - 1).
+    """
+    blocks = partition.blocks
+    if sum(len(b) for b in blocks) != len(g.vertices):
+        return False
+    if frozenset().union(*blocks) != g.vertices:
+        return False
+    if len(blocks) < 2 or not all(b & a.members for b in blocks):
+        return False
+    if _crossing_capacity(g, blocks) != partition.crossing:
+        return False
+    return eta == Fraction(partition.crossing, len(blocks) - 1)

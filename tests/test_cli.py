@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,3 +141,35 @@ class TestErrors:
             "sinks": ["zz"],
         }))
         assert main(["analyze", str(path)]) == 2
+
+
+# Runs under ``python -O``, which strips asserts: the certificate checks must
+# still refuse a result whose verifier (replaced here by one that always
+# fails) rejects it.
+_FAILING_VERIFIER = """
+import sys
+from mcastcap import cli
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+setattr(cli, sys.argv[1], lambda *args: False)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+class TestCertificateChecks:
+    @pytest.mark.parametrize("verifier, command", [
+        ("verify_packing", "analyze"),
+        ("verify_packing", "pack"),
+        ("verify_partition", "analyze"),
+        ("verify_partition", "strength"),
+    ])
+    def test_checks_survive_optimize(self, cycle_file, verifier, command):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _FAILING_VERIFIER, verifier, command, cycle_file],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "certificate failure" in proc.stderr

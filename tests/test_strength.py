@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,8 +11,10 @@ from mcastcap import (
     fractional_capacity_lp,
     sample_instances,
     scale_capacities,
+    verify_partition,
 )
 from mcastcap.errors import TooManyVertices
+from mcastcap.strength import TerminalPartition
 
 
 def triangle():
@@ -68,3 +71,128 @@ class TestProperties:
         for n in (2, 3, 5):
             scaled_eta, _ = edge_strength(scale_capacities(g, n), a)
             assert scaled_eta == n * eta
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in _set_partitions(rest):
+        yield [[first]] + p
+        for i in range(len(p)):
+            yield p[:i] + [[first] + p[i]] + p[i + 1:]
+
+
+def _connected(g, block):
+    block = set(block)
+    seen, stack = set(), [next(iter(block))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        for e in g.edges:
+            if v in (e.u, e.v) and e.u in block and e.v in block:
+                stack.append(e.v if v == e.u else e.u)
+    return seen == block
+
+
+def _oracle_strength(g, a):
+    """Least (crossing/(|P|-1), sorted blocks, crossing) over every partition
+    of V with >= 2 blocks and a terminal in each: over all of them, and over
+    those whose blocks are connected."""
+    best = best_conn = None
+    terms = a.members
+    for p in _set_partitions(sorted(g.vertices)):
+        if len(p) < 2 or not all(terms.intersection(b) for b in p):
+            continue
+        block_of = {v: i for i, b in enumerate(p) for v in b}
+        crossing = sum(e.cap for e in g.edges if block_of[e.u] != block_of[e.v])
+        cand = (Fraction(crossing, len(p) - 1), tuple(sorted(tuple(sorted(b)) for b in p)), crossing)
+        if best is None or cand < best:
+            best = cand
+        if (best_conn is None or cand < best_conn) and all(_connected(g, b) for b in p):
+            best_conn = cand
+    return best, best_conn
+
+
+def _assert_matches_oracle(g, a):
+    for conn, (value, key, crossing) in zip((False, True), _oracle_strength(g, a)):
+        eta, witness = edge_strength(g, a, connected_blocks_only=conn)
+        assert eta == value
+        assert witness.blocks == tuple(frozenset(b) for b in key)
+        assert witness.crossing == crossing
+
+
+def _small_connected_multigraphs(max_n=5, max_cap=6):
+    for n in range(2, max_n + 1):
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(combinations(names, 2))
+
+        def caps(i, remaining):
+            if i == len(pairs):
+                yield ()
+                return
+            for c in range(remaining + 1):
+                for tail in caps(i + 1, remaining - c):
+                    yield (c,) + tail
+
+        for vec in caps(0, max_cap):
+            triples = [(u, v, c) for (u, v), c in zip(pairs, vec) if c]
+            g = Multigraph.build(names, triples)
+            if len(triples) >= n - 1 and _connected(g, names):
+                yield g, names
+
+
+class TestOracle:
+    def test_small_multigraphs(self):
+        count = 0
+        for g, names in _small_connected_multigraphs():
+            n = len(names)
+            # relays sorting before, between and after the terminals
+            terminal_sets = {(0, n - 1), tuple(range(n))}
+            if n >= 4:
+                terminal_sets.add((1, 2, n - 1))
+            for ts in sorted(terminal_sets):
+                _assert_matches_oracle(g, TerminalSet(names[ts[0]], tuple(names[i] for i in ts[1:])))
+                count += 1
+        assert count > 1000
+
+    def test_sample_instances_parallel_and_scaled(self):
+        for g, a in sample_instances(6, 7, 6, 3, seed=402):
+            e = g.edges[0]
+            parallel = g.add_edge(e.u, e.v, 2)
+            _assert_matches_oracle(parallel, a)
+            _assert_matches_oracle(scale_capacities(g, 3), a)
+
+    def test_cycle_family(self):
+        for na in range(3, 8):
+            for slots in ((), (0,), (0, 2), (1, 1)):
+                if na <= max(slots, default=0):
+                    continue
+                g, a = example2_instance(na, slots)
+                _assert_matches_oracle(g, a)
+
+
+class TestVerifyPartition:
+    def test_accepts_witnesses(self):
+        for g, a in [triangle(), example2_instance(5, (0, 2)), *sample_instances(4, 7, 5, 3, seed=403)]:
+            eta, witness = edge_strength(g, a)
+            assert verify_partition(g, a, eta, witness)
+
+    def test_rejects_bad_certificates(self):
+        g, a = triangle()
+        eta, witness = edge_strength(g, a)
+        s, r1, r2 = (frozenset({v}) for v in ("s", "r1", "r2"))
+        assert not verify_partition(g, a, eta + 1, witness)
+        assert not verify_partition(g, a, eta, TerminalPartition(witness.blocks, 4))
+        assert not verify_partition(g, a, eta, TerminalPartition((s, r1), 3))  # misses r2
+        assert not verify_partition(g, a, eta, TerminalPartition((s, r1, r2, r2), 3))  # overlap
+        assert not verify_partition(g, a, 0, TerminalPartition((s | r1 | r2,), 0))  # one block
+        relay = Multigraph.build(
+            ["s", "r1", "r2", "x"],
+            [("s", "r1", 1), ("r1", "r2", 1), ("r2", "s", 1), ("s", "x", 1), ("x", "r1", 1)],
+        )
+        bad = TerminalPartition((s, r1, r2, frozenset({"x"})), 5)  # terminal-free block
+        assert not verify_partition(relay, a, Fraction(5, 3), bad)
