@@ -16,7 +16,8 @@ and a whole terminal partition is skipped when ``fixed + suffix[0]`` is.
 All comparisons are integer cross-multiplications.  The prune is strict, so
 every partition that ties the incumbent reaches the leaf, and the witness is
 the least minimizer in the order of the sorted tuple of sorted blocks,
-whatever the search order.
+whatever the search order.  ``connected_blocks_only`` filters leaves only,
+so the bound holds for it too.
 """
 
 from __future__ import annotations
@@ -109,6 +110,39 @@ def edge_strength(
 
     best_num = best_den = None  # incumbent value best_num / best_den
     best_key = None  # sorted tuple of sorted blocks of the incumbent
+    assign = [0] * nr  # block of each placed relay on the current search path
+
+    # leaf() and place() read tblocks, nb, den, rows and suffix of the
+    # terminal partition being searched
+    def leaf(cur: int) -> None:
+        nonlocal best_num, best_den, best_key
+        if best_num is not None:
+            lhs, rhs = cur * best_den, best_num * den
+            if lhs > rhs:
+                return
+        blocks = [[terms[t] for t in b] for b in tblocks]
+        for r in range(nr):
+            blocks[assign[r]].append(relays[r])
+        key = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        if best_num is not None and lhs == rhs and key >= best_key:
+            return
+        if connected_blocks_only and not _blocks_connected(g, blocks):
+            return
+        best_num, best_den, best_key = cur, den, key
+
+    def place(r: int, cur: int) -> None:
+        if r == nr:
+            leaf(cur)
+            return
+        row, back = rows[r], rr_edges[r]
+        for b in range(nb):
+            step = row[b] + sum(c for s, c in back if assign[s] != b)
+            lower = cur + step + suffix[r + 1]
+            if best_num is not None and lower * best_den > best_num * den:
+                continue
+            assign[r] = b
+            place(r + 1, cur + step)
+
     for tblocks in _terminal_partitions(list(range(len(terms)))):
         nb = len(tblocks)
         if nb < 2:
@@ -130,37 +164,6 @@ def edge_strength(
             suffix[r] = suffix[r + 1] + min(rows[r])
         if best_num is not None and (fixed + suffix[0]) * best_den > best_num * den:
             continue
-        assign = [0] * nr
-
-        def leaf(cur: int) -> None:
-            nonlocal best_num, best_den, best_key
-            if best_num is not None:
-                lhs, rhs = cur * best_den, best_num * den
-                if lhs > rhs:
-                    return
-            blocks = [[terms[t] for t in b] for b in tblocks]
-            for r in range(nr):
-                blocks[assign[r]].append(relays[r])
-            key = tuple(sorted(tuple(sorted(b)) for b in blocks))
-            if best_num is not None and lhs == rhs and key >= best_key:
-                return
-            if connected_blocks_only and not _blocks_connected(g, blocks):
-                return
-            best_num, best_den, best_key = cur, den, key
-
-        def place(r: int, cur: int) -> None:
-            if r == nr:
-                leaf(cur)
-                return
-            row, back = rows[r], rr_edges[r]
-            for b in range(nb):
-                step = row[b] + sum(c for s, c in back if assign[s] != b)
-                lower = cur + step + suffix[r + 1]
-                if best_num is not None and lower * best_den > best_num * den:
-                    continue
-                assign[r] = b
-                place(r + 1, cur + step)
-
         place(0, fixed)
     if best_key is None:
         raise CertificateError("edge strength search found no partition")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -73,15 +74,18 @@ class TestProperties:
             assert scaled_eta == n * eta
 
 
-def _set_partitions(items):
+@cache
+def _set_partitions(items: tuple) -> list:
+    """Every set partition of ``items`` (shared between callers: do not mutate)."""
     if not items:
-        yield []
-        return
+        return [[]]
     first, rest = items[0], items[1:]
+    out = []
     for p in _set_partitions(rest):
-        yield [[first]] + p
+        out.append([[first]] + p)
         for i in range(len(p)):
-            yield p[:i] + [[first] + p[i]] + p[i + 1:]
+            out.append(p[:i] + [[first] + p[i]] + p[i + 1:])
+    return out
 
 
 def _connected(g, block):
@@ -104,7 +108,7 @@ def _oracle_strength(g, a):
     those whose blocks are connected."""
     best = best_conn = None
     terms = a.members
-    for p in _set_partitions(sorted(g.vertices)):
+    for p in _set_partitions(tuple(sorted(g.vertices))):
         if len(p) < 2 or not all(terms.intersection(b) for b in p):
             continue
         block_of = {v: i for i, b in enumerate(p) for v in b}
@@ -123,6 +127,7 @@ def _assert_matches_oracle(g, a):
         assert eta == value
         assert witness.blocks == tuple(frozenset(b) for b in key)
         assert witness.crossing == crossing
+        assert verify_partition(g, a, eta, witness)
 
 
 def _small_connected_multigraphs(max_n=5, max_cap=6):
@@ -176,11 +181,7 @@ class TestOracle:
 
 
 class TestVerifyPartition:
-    def test_accepts_witnesses(self):
-        for g, a in [triangle(), example2_instance(5, (0, 2)), *sample_instances(4, 7, 5, 3, seed=403)]:
-            eta, witness = edge_strength(g, a)
-            assert verify_partition(g, a, eta, witness)
-
+    # every witness in TestOracle is also checked to verify
     def test_rejects_bad_certificates(self):
         g, a = triangle()
         eta, witness = edge_strength(g, a)
