@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 selftest failure, 2 input error, 3 resource limit,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -449,7 +450,9 @@ def _cmd_selftest(args) -> int:
 # -- entry point -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="mcastcap",
         description="Exact routing-capacity analysis for undirected multicast networks",

@@ -1,12 +1,18 @@
 """Exact max-flow / min-cut on undirected multigraphs.
 
-Each undirected edge of capacity c admits up to c units of net flow in either
-direction; augmenting-path search on the signed net flow preserves Menger
-equivalence exactly.  All values are integers.
+One augmenting-path kernel, ``pair_flow``, serves every flow in the package.
+It runs on vertex-pair capacities (``adj[x][y]`` sums all x-y edges, stored
+both ways), so a bundle of parallel edges is one residual entry; an
+undirected pair of capacity c carries up to c units of net flow either way.
+A flow may be stopped at a target value: callers that only ask whether a cut
+reaches the target pay for no more.  A flow not stopped is maximum, and its
+residual-reachable set is the unique minimal source side of a minimum cut,
+whichever augmenting paths were found.  All values are integers.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -14,12 +20,62 @@ from itertools import combinations
 from .errors import CertificateError, Disconnected, SameVertex, UnknownVertex
 from .multigraph import Multigraph, TerminalSet, components
 
+PairCapacities = dict[str, dict[str, int]]
+
 
 @dataclass(frozen=True)
 class CutCertificate:
     value: int
     side: frozenset[str]
     crossing: tuple[int, ...]
+
+
+def pair_capacities(g: Multigraph) -> PairCapacities:
+    """Summed capacity of every adjacent vertex pair, in both directions."""
+    adj: PairCapacities = {v: {} for v in g.vertices}
+    for e in g.edges:
+        adj[e.u][e.v] = adj[e.u].get(e.v, 0) + e.cap
+        adj[e.v][e.u] = adj[e.v].get(e.u, 0) + e.cap
+    return adj
+
+
+def cut_capacity(adj: PairCapacities, side: frozenset[str]) -> int:
+    """Total capacity of the pairs with exactly one vertex in ``side``."""
+    return sum(c for x in side for y, c in adj[x].items() if y not in side)
+
+
+def pair_flow(
+    adj: PairCapacities, s: str, t: str, limit: int | None = None
+) -> tuple[int, frozenset[str] | None]:
+    """Flow from s to t, stopped once it reaches ``limit``: min(limit, λ).
+
+    Returns ``(limit, None)`` when stopped, else ``(λ, side)`` with ``side``
+    the vertices reachable from s in the residual graph of a maximum flow.
+    """
+    res = {x: dict(nbrs) for x, nbrs in adj.items()}
+    stop = math.inf if limit is None else limit
+    value = 0
+    while value < stop:
+        parent = {s: s}
+        q = deque([s])
+        while q and t not in parent:
+            x = q.popleft()
+            for y, c in res[x].items():
+                if c > 0 and y not in parent:
+                    parent[y] = x
+                    q.append(y)
+        if t not in parent:
+            return value, frozenset(parent)
+        path, y = [], t
+        while y != s:
+            path.append((parent[y], y))
+            y = parent[y]
+        aug = min(stop - value, *(res[x][y] for x, y in path))
+        for x, y in path:
+            res[x][y] -= aug
+            res[y][x] += aug
+        value += aug
+    return value, None
 
 
 def max_flow(g: Multigraph, u: str, v: str) -> tuple[int, CutCertificate]:
@@ -31,47 +87,12 @@ def max_flow(g: Multigraph, u: str, v: str) -> tuple[int, CutCertificate]:
     if u == v:
         raise SameVertex("max_flow endpoints must differ")
 
-    inc: dict[str, list] = {w: [] for w in g.vertices}
-    for e in g.edges:
-        inc[e.u].append(e)
-        inc[e.v].append(e)
-    # net[e.id] in [-cap, cap]: positive means flow in the u->v direction of the edge record
-    net: dict[int, int] = {e.id: 0 for e in g.edges}
-
-    def residual(e, tail: str) -> int:
-        return e.cap - net[e.id] if tail == e.u else e.cap + net[e.id]
-
-    value = 0
-    while True:
-        parent: dict[str, tuple] = {u: None}
-        q = deque([u])
-        while q and v not in parent:
-            x = q.popleft()
-            for e in inc[x]:
-                y = e.other(x)
-                if y not in parent and residual(e, x) > 0:
-                    parent[y] = (x, e)
-                    q.append(y)
-        if v not in parent:
-            break
-        # bottleneck along the path
-        path = []
-        y = v
-        while parent[y] is not None:
-            x, e = parent[y]
-            path.append((x, e))
-            y = x
-        aug = min(residual(e, x) for x, e in path)
-        for x, e in path:
-            net[e.id] += aug if x == e.u else -aug
-        value += aug
-
-    side = frozenset(parent)
-    crossing = tuple(sorted(e.id for e in g.edges if (e.u in side) != (e.v in side)))
-    cut_cap = sum(g.edge(i).cap for i in crossing)
+    value, side = pair_flow(pair_capacities(g), u, v)
+    crossing = [e for e in g.edges if (e.u in side) != (e.v in side)]
+    cut_cap = sum(e.cap for e in crossing)
     if cut_cap != value:
         raise CertificateError(f"max-flow value {value} differs from its cut {cut_cap}")
-    return value, CutCertificate(value, side, crossing)
+    return value, CutCertificate(value, side, tuple(sorted(e.id for e in crossing)))
 
 
 def terminal_connectivity(g: Multigraph, a: TerminalSet) -> int:
@@ -114,6 +135,3 @@ def is_cut_edge(g: Multigraph, eid: int) -> bool:
     comps = components(g, without_edges=frozenset((eid,)))
     return not any(e.u in c and e.v in c for c in comps)
 
-
-def bridges(g: Multigraph) -> list[int]:
-    return [e.id for e in g.edges if is_cut_edge(g, e.id)]

@@ -75,16 +75,10 @@ class Multigraph:
                 return e
         raise UnknownEdge(f"no edge with id {eid}")
 
-    def has_edge(self, eid: int) -> bool:
-        return any(e.id == eid for e in self.edges)
-
     def incident(self, v: str) -> list[Edge]:
         if v not in self.vertices:
             raise UnknownVertex(f"no vertex {v!r}")
         return [e for e in self.edges if e.touches(v)]
-
-    def neighbors(self, v: str) -> set[str]:
-        return {e.other(v) for e in self.incident(v)}
 
     def next_id(self) -> int:
         return max((e.id for e in self.edges), default=-1) + 1

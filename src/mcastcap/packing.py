@@ -13,11 +13,11 @@ every returned packing verifies against the original graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .connectivity import PairCapacities, pair_flow
 from .errors import CertificateError, InvalidPacking, TooManyTrees
 from .multigraph import Edge, Multigraph, Rate, TerminalSet, scale_capacities
 
@@ -279,39 +279,16 @@ def _mincut_lower_estimate(
     """min over sinks of the source-sink min cut under residual capacities.
 
     Any k edge-disjoint A-Steiner trees give k edge-disjoint source-sink
-    paths, so this is an admissible upper bound for branch and bound.
+    paths, so this is an admissible upper bound for branch and bound.  The
+    running minimum stops each later flow early.
     """
+    adj: PairCapacities = {}
+    for rid, u, v, _ in reps:
+        adj.setdefault(u, {})[v] = res[rid]
+        adj.setdefault(v, {})[u] = res[rid]
     best = None
     for sink in sinks:
-        flow = 0
-        net = {rid: 0 for rid, _, _, _ in reps}
-        inc: dict[str, list] = {}
-        for rid, u, v, _ in reps:
-            inc.setdefault(u, []).append((rid, v, 1))
-            inc.setdefault(v, []).append((rid, u, -1))
-        while True:
-            parent = {source: None}
-            q = deque([source])
-            while q and sink not in parent:
-                x = q.popleft()
-                for rid, y, sgn in inc.get(x, ()):
-                    if y not in parent and res[rid] - sgn * net[rid] > 0:
-                        parent[y] = (x, rid, sgn)
-                        q.append(y)
-            if sink not in parent:
-                break
-            path = []
-            y = sink
-            while parent[y] is not None:
-                path.append(parent[y])
-                y = parent[y][0]
-            aug = min(res[rid] - sgn * net[rid] for _, rid, sgn in path)
-            for _, rid, sgn in path:
-                net[rid] += sgn * aug
-            flow += aug
-            if best is not None and flow >= best:
-                break
-        best = flow if best is None else min(best, flow)
+        best, _ = pair_flow(adj, source, sink, best)
         if best == 0:
             return 0
     return best

@@ -5,14 +5,23 @@ All splitting operations work on the unit-edge view (every capacity 1); callers
 expand with ``Multigraph.unit_form()`` first.  Relay elimination output stays in
 unit form so that histories reference concrete unit edges; ``aggregated()``
 re-forms capacities for presentation.
+
+A complete splitting at pivot x computes the cut value and certified
+minimal source side of every pair of V - x once: each split it takes keeps
+all of them, so they are the targets for the whole search.  Splitting never
+raises a cut, so a flow on the split graph stopped at its target decides a
+pair.  Reaching it proves the value unchanged, and the target's side must
+then cut exactly that capacity (the split-cut certificate); falling short,
+its own residual cut must carry its value, and the candidate is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
+    CertificateError,
     CutEdgeAtPivot,
     DegreeThree,
     InvalidGraph,
@@ -21,7 +30,7 @@ from .errors import (
     SameEdge,
     SearchExhausted,
 )
-from .connectivity import all_pairs_connectivity, is_cut_edge
+from .connectivity import PairCapacities, cut_capacity, is_cut_edge, pair_capacities, pair_flow
 from .multigraph import Edge, Multigraph, TerminalSet, degree, scale_capacities
 
 
@@ -88,34 +97,66 @@ def split_off(
     return out, SplitEvent(x, e_id, r, f_id, t, nid)
 
 
+def _checked_flow(adj: PairCapacities, s: str, t: str, limit: int | None = None):
+    """``pair_flow`` whose cut, when the flow is maximum, must carry its value."""
+    value, side = pair_flow(adj, s, t, limit)
+    if side is not None and cut_capacity(adj, side) != value:
+        raise CertificateError(f"flow value {value} from {s!r} to {t!r} differs from its cut")
+    return value, side
+
+
+def _cut_targets(g: Multigraph, x: str) -> list[tuple[str, str, int, frozenset[str]]]:
+    """Cut value and certified minimal source side of every pair of V - x."""
+    adj = pair_capacities(g)
+    pairs = combinations(sorted(g.vertices - {x}), 2)
+    return [(u, v, *_checked_flow(adj, u, v)) for u, v in pairs]
+
+
+def _keeps_targets(split: Multigraph, targets) -> bool:
+    """True iff the split graph keeps every target cut value; stops at the
+    first pair that falls short."""
+    adj = pair_capacities(split)
+    for u, v, target, side in targets:
+        if _checked_flow(adj, u, v, target)[1] is not None:
+            return False
+        if cut_capacity(adj, side) != target:
+            raise CertificateError(f"target side of {u!r}-{v!r} does not cut {target} after the split")
+    return True
+
+
 def is_admissible(g: Multigraph, e_id: int, f_id: int, pivot: str | None = None) -> bool:
     """True iff splitting preserves every pairwise min-cut among V - pivot."""
-    e, f = g.edge(e_id), g.edge(f_id)
-    x = _resolve_pivot(g, e, f, pivot)
-    others = g.vertices - {x}
-    if len(others) < 2:
-        return True
-    split, _ = split_off(g, e_id, f_id, pivot=x)
-    before = all_pairs_connectivity(g, others)
-    after = all_pairs_connectivity(split, others)
-    return before == after
+    split, ev = split_off(g, e_id, f_id, pivot=pivot)
+    return _keeps_targets(split, _cut_targets(g, ev.pivot))
 
 
 def _complete_splitting_search(
     g: Multigraph, x: str, allow_leftover: bool
 ) -> tuple[Multigraph, list[SplitEvent]] | None:
     """Backtrack over pairings of the edges incident to x, splitting each
-    admissible pair in sequence, until at most ``allow_leftover`` edge remains."""
-    remaining = sorted(e.id for e in g.incident(x))
+    admissible pair in sequence, until at most ``allow_leftover`` edge remains.
+
+    Candidates with the same far endpoint give the same split up to edge
+    ids, so each level checks one per far endpoint.
+    """
+    far = {e.id: e.other(x) for e in g.incident(x)}
+    remaining = sorted(far)
     stop = 1 if allow_leftover and len(remaining) % 2 == 1 else 0
+    targets = _cut_targets(g, x)
 
     def rec(cur: Multigraph, rem: list[int]):
         if len(rem) <= stop:
             return cur, []
         e_id = rem[0]
+        admissible: dict[str, bool] = {}
         for f_id in rem[1:]:
-            if is_admissible(cur, e_id, f_id, pivot=x):
-                nxt, ev = split_off(cur, e_id, f_id, pivot=x)
+            t = far[f_id]
+            if admissible.get(t) is False:
+                continue
+            nxt, ev = split_off(cur, e_id, f_id, pivot=x)
+            if t not in admissible:
+                admissible[t] = _keeps_targets(nxt, targets)
+            if admissible[t]:
                 sub = rec(nxt, [i for i in rem if i not in (e_id, f_id)])
                 if sub is not None:
                     return sub[0], [ev] + sub[1]

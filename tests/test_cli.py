@@ -38,6 +38,12 @@ class TestAnalyze:
         assert main(["analyze", cycle_file, "--via-splitting"]) == 0
         assert "via splitting" in capsys.readouterr().out
 
+    def test_splitting_flag_does_not_persist(self, cycle_file, capsys):
+        assert main(["analyze", cycle_file, "--format", "structured", "--via-splitting"]) == 0
+        assert "via_splitting" in capsys.readouterr().out
+        assert main(["analyze", cycle_file, "--format", "structured"]) == 0
+        assert "via_splitting" not in capsys.readouterr().out
+
     def test_deterministic(self, cycle_file, capsys):
         main(["analyze", cycle_file, "--format", "structured"])
         first = capsys.readouterr().out
@@ -144,16 +150,38 @@ class TestErrors:
 
 
 # Runs under ``python -O``, which strips asserts: the certificate checks must
-# still refuse a result whose verifier (replaced here by one that always
-# fails) rejects it.
-_FAILING_VERIFIER = """
+# still refuse a result when a function they rely on is replaced, as one
+# module sees it, by a faulty one.  argv: ``module.function``, the fault,
+# then the mcastcap arguments.
+_FAULTY_FUNCTION = """
+import importlib
 import sys
 from mcastcap import cli
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-setattr(cli, sys.argv[1], lambda *args: False)
-sys.exit(cli.main(sys.argv[2:]))
+
+def over_report(original):
+    def faulty(*args):
+        value, side = original(*args)
+        return value + 1, side
+    return faulty
+
+FAULTS = {"fail": lambda original: lambda *args: False, "over-report": over_report}
+module_name, name = sys.argv[1].rsplit(".", 1)
+module = importlib.import_module(f"mcastcap.{module_name}")
+setattr(module, name, FAULTS[sys.argv[2]](getattr(module, name)))
+sys.exit(cli.main(sys.argv[3:]))
 """
+
+
+def _run_faulty(function, fault, *argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", _FAULTY_FUNCTION, function, fault, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 class TestCertificateChecks:
@@ -164,12 +192,13 @@ class TestCertificateChecks:
         ("verify_partition", "strength"),
     ])
     def test_checks_survive_optimize(self, cycle_file, verifier, command):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", _FAILING_VERIFIER, verifier, command, cycle_file],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_faulty(f"cli.{verifier}", "fail", command, cycle_file)
+        assert proc.returncode == 4, proc.stderr
+        assert "certificate failure" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["split"], ["analyze", "--via-splitting"]])
+    def test_split_certificate_survives_optimize(self, cycle_file, argv):
+        # the flow kernel over-reports only inside the splitting search
+        proc = _run_faulty("splitting.pair_flow", "over-report", argv[0], cycle_file, *argv[1:])
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure" in proc.stderr

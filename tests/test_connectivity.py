@@ -12,6 +12,7 @@ from mcastcap import (
     max_flow,
     terminal_connectivity,
 )
+from mcastcap.connectivity import pair_capacities, pair_flow
 from mcastcap.errors import Disconnected, SameVertex, UnknownVertex
 from mcastcap.multigraph import components
 
@@ -40,6 +41,21 @@ def brute_min_cut(g, u, v):
         if not any(u in c and v in c for c in comps):
             best = len(removed) if best is None else min(best, len(removed))
     return best if best is not None else 0
+
+
+def brute_minimal_side(g, u, v):
+    """Exhaustive oracle: the intersection of the source sides of all minimum
+    u-v cuts, over every vertex set containing u and not v."""
+    others = sorted(g.vertices - {u, v})
+    best, sides = None, []
+    for mask in range(1 << len(others)):
+        side = frozenset([u, *(others[i] for i in range(len(others)) if mask >> i & 1)])
+        cap = sum(e.cap for e in g.edges if (e.u in side) != (e.v in side))
+        if best is None or cap < best:
+            best, sides = cap, [side]
+        elif cap == best:
+            sides.append(side)
+    return frozenset.intersection(*sides)
 
 
 class TestMaxFlow:
@@ -155,5 +171,15 @@ def small_multigraphs(draw):
 @given(small_multigraphs())
 def test_max_flow_matches_exhaustive_oracle(g):
     verts = sorted(g.vertices)
+    adj = pair_capacities(g)
     for u, v in combinations(verts, 2):
-        assert max_flow(g, u, v)[0] == brute_min_cut(g, u, v)
+        lam, cert = max_flow(g, u, v)
+        assert lam == brute_min_cut(g, u, v)
+        assert cert.side == brute_minimal_side(g, u, v)
+        assert cert.crossing == tuple(
+            sorted(e.id for e in g.edges if (e.u in cert.side) != (e.v in cert.side))
+        )
+        # a stop value at or below the cut is reached; one above it is not
+        for k in range(lam + 2):
+            expected = (k, None) if k <= lam else (lam, cert.side)
+            assert pair_flow(adj, u, v, k) == expected

@@ -10,17 +10,79 @@ from mcastcap import (
     find_disjoint_admissible_pairs,
     fractional_capacity_lp,
     is_admissible,
+    is_cut_edge,
     lift_packing,
     max_integer_packing,
     sample_instances,
+    scale_capacities,
     split_off,
     suitable_complete_splitting,
     terminal_connectivity,
     verify_packing,
 )
 from mcastcap.connectivity import all_pairs_connectivity
-from mcastcap.errors import CutEdgeAtPivot, NotIncident, OddDegree, SameEdge
+from mcastcap.errors import (
+    CertificateError,
+    CutEdgeAtPivot,
+    NotIncident,
+    OddDegree,
+    SameEdge,
+    SearchExhausted,
+)
+from mcastcap.multigraph import degree
 from mcastcap.packing import SteinerPacking, SteinerTree
+from mcastcap.splitting import _keeps_targets
+
+
+def k4_with_relay(k):
+    """K4 on source s, sinks t1 and t2 and relay x, capacities times k."""
+    g = Multigraph.build(
+        ["s", "t1", "t2", "x"],
+        [("s", "t1", 1), ("s", "t2", 1), ("t1", "t2", 1), ("x", "s", 1), ("x", "t1", 1), ("x", "t2", 1)],
+    )
+    return scale_capacities(g, k), TerminalSet("s", ("t1", "t2"))
+
+
+def scaled_samples():
+    """Sample instances and their capacity x2 and x4 copies (parallel classes
+    of 2 and 4 unit edges after expansion)."""
+    base = list(sample_instances(6, 7, 4, 3, seed=3))
+    return base + [(scale_capacities(g, k), a) for k in (2, 4) for g, a in base]
+
+
+def reference_search(g, x, allow_leftover):
+    """The pairing backtrack that accepts a split when all_pairs_connectivity
+    among V - x is unchanged: the search before cut targets were reused."""
+    others = g.vertices - {x}
+    rem = sorted(e.id for e in g.incident(x))
+    stop = 1 if allow_leftover and len(rem) % 2 == 1 else 0
+
+    def rec(cur, rem):
+        if len(rem) <= stop:
+            return cur, []
+        for f_id in rem[1:]:
+            split, ev = split_off(cur, rem[0], f_id, pivot=x)
+            if all_pairs_connectivity(split, others) == all_pairs_connectivity(cur, others):
+                sub = rec(split, [i for i in rem if i not in (rem[0], f_id)])
+                if sub is not None:
+                    return sub[0], [ev, *sub[1]]
+        if stop and len(rem) % 2 == 1:
+            return rec(cur, rem[1:])
+        return None
+
+    return rec(g, rem)
+
+
+def reference_eliminate_relays(g, a):
+    relays = sorted(g.vertices - a.members)
+    scale = 2 if any(degree(g, x) % 2 for x in relays) else 1
+    cur, _ = scale_capacities(g, scale).unit_form()
+    events = []
+    for x in relays:
+        cur, evs = reference_search(cur, x, allow_leftover=False)
+        cur = cur.without_vertices((x,))
+        events += evs
+    return cur, tuple(events), tuple(relays), scale
 
 
 def theta():
@@ -77,8 +139,15 @@ class TestAdmissibility:
     def test_theta_pair_admissible(self):
         assert is_admissible(theta(), 0, 2, pivot="x")
 
+    def test_target_side_must_cut_its_value(self):
+        # the split theta still joins s and t by a flow of 1, but {s} cuts 2
+        split, _ = split_off(theta(), 0, 2, pivot="x")
+        assert _keeps_targets(split, [("s", "t", 2, frozenset({"s"}))])
+        with pytest.raises(CertificateError):
+            _keeps_targets(split, [("s", "t", 1, frozenset({"s"}))])
+
     def test_admissible_split_preserves_cuts_on_samples(self):
-        for g, a in sample_instances(5, 6, 4, 3, seed=10):
+        for g, a in [*sample_instances(5, 6, 4, 3, seed=10), *scaled_samples()]:
             unit, _ = g.unit_form()
             for x in sorted(unit.vertices - a.members)[:2]:
                 inc = [e.id for e in unit.incident(x)]
@@ -105,6 +174,21 @@ class TestDisjointPairs:
         assert len(pairs) == 2
         used = {i for p in pairs for i in p}
         assert used == {0, 1, 2, 3}
+
+    def test_matches_reference_search(self):
+        for g, a in sample_instances(8, 7, 5, 3, seed=5):
+            unit, _ = g.unit_form()
+            for x in sorted(unit.vertices - a.members):
+                if degree(unit, x) == 3 or any(is_cut_edge(unit, e.id) for e in unit.incident(x)):
+                    continue
+                expected = reference_search(unit, x, allow_leftover=True)
+                if expected is None:
+                    # Mader's theorem guarantees no pairing once an odd degree reaches 3
+                    with pytest.raises(SearchExhausted):
+                        find_disjoint_admissible_pairs(unit, x)
+                else:
+                    pairs = find_disjoint_admissible_pairs(unit, x)
+                    assert pairs == [(ev.e_id, ev.f_id) for ev in expected[1]]
 
     def test_cut_edge_at_pivot(self):
         # degree-4 pivot on a triangle with a doubled edge, plus c hanging
@@ -174,6 +258,16 @@ class TestEliminateRelays:
         assert out.vertices == a.members
         after = all_pairs_connectivity(out, a.members)
         assert after == {k: 2 * v for k, v in before.items()}
+
+    def test_matches_reference_search(self):
+        cases = [*sample_instances(8, 7, 5, 3, seed=5), *scaled_samples(), k4_with_relay(4)]
+        for g, a in cases:
+            out, hist, scale = eliminate_relays(g, a)
+            ref_out, ref_events, ref_pivots, ref_scale = reference_eliminate_relays(g, a)
+            assert hist.events == ref_events
+            assert hist.deleted_pivots == ref_pivots
+            assert out.edges == ref_out.edges
+            assert scale == ref_scale
 
     def test_replay_round_trip(self):
         for g, a in sample_instances(5, 7, 5, 3, seed=77):
