@@ -12,10 +12,6 @@ from fractions import Fraction
 from mcastcap import (
     example2_instance,
     example2_routing_scheme,
-    fractional_capacity_lp,
-    half_integer_capacity,
-    max_integer_packing,
-    terminal_connectivity,
     verify_routing_scheme,
 )
 from mcastcap.cli import analyze_instance

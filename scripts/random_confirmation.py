@@ -16,6 +16,7 @@ from mcastcap import (
     half_integer_capacity,
     max_integer_packing,
     sample_instances,
+    solve_tree_lp,
     terminal_connectivity,
 )
 
@@ -36,9 +37,10 @@ def main() -> None:
     ):
         lam = terminal_connectivity(g, a)
         na = len(a.members)
-        k, _ = max_integer_packing(g, a)
-        half, _ = half_integer_capacity(g, a)
-        lp, _ = fractional_capacity_lp(g, a)
+        tree_lp = solve_tree_lp(g, a)
+        k, _ = max_integer_packing(g, a, lp=tree_lp)
+        half, _ = half_integer_capacity(g, a, lp=tree_lp)
+        lp, _ = fractional_capacity_lp(g, a, lp=tree_lp)
         floor_half = Fraction((2 * na * lam - na + 2) // (2 * (na - 1)), 2)
         if not (Fraction(k) <= half <= lp and half >= floor_half):
             violations += 1

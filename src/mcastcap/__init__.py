@@ -32,10 +32,12 @@ from .splitting import (
 from .packing import (
     SteinerPacking,
     SteinerTree,
+    TreeLP,
     enumerate_steiner_trees,
     fractional_capacity_lp,
     half_integer_capacity,
     max_integer_packing,
+    solve_tree_lp,
     verify_packing,
 )
 from .strength import TerminalPartition, edge_strength, verify_partition

@@ -20,8 +20,7 @@ from .errors import (
     BridgeBetweenTerminals,
     CertificateError,
     McastcapError,
-    TooManyTrees,
-    TooManyVertices,
+    ResourceLimit,
 )
 from .instances import (
     example2_instance,
@@ -44,6 +43,7 @@ from .packing import (
     fractional_capacity_lp,
     half_integer_capacity,
     max_integer_packing,
+    solve_tree_lp,
     verify_packing,
 )
 from .splitting import eliminate_relays, lift_packing
@@ -147,13 +147,14 @@ def analyze_instance(
     report.num_vertices = len(core.vertices)
     report.num_edges = len(core.edges)
 
-    k, int_packing = max_integer_packing(core, a)
+    tree_lp = solve_tree_lp(core, a)
+    k, int_packing = max_integer_packing(core, a, lp=tree_lp)
     if not verify_packing(core, a, int_packing):
         raise CertificateError("integer packing failed verification")
-    half, half_packing = half_integer_capacity(core, a)
+    half, half_packing = half_integer_capacity(core, a, lp=tree_lp)
     if not verify_packing(core, a, half_packing):
         raise CertificateError("half-integer packing failed verification")
-    lp, lp_packing = fractional_capacity_lp(core, a)
+    lp, lp_packing = fractional_capacity_lp(core, a, lp=tree_lp)
     if not verify_packing(core, a, lp_packing):
         raise CertificateError("fractional packing failed verification")
     eta, witness = edge_strength(core, a)
@@ -193,10 +194,11 @@ def analyze_instance(
         # lifted packing must verify on the base graph, stay within the
         # direct LP rate, and dominate the general floor bound.
         split_g, history, scale = eliminate_relays(core, a)
-        k_split, packed = max_integer_packing(split_g, a)
+        split_lp = solve_tree_lp(split_g, a)
+        k_split, packed = max_integer_packing(split_g, a, lp=split_lp)
         lifted = lift_packing(history, packed)
         lifted_ok = verify_packing(history.base, a, lifted)
-        lp_split, _ = fractional_capacity_lp(split_g, a)
+        lp_split, _ = fractional_capacity_lp(split_g, a, lp=split_lp)
         split_rate = Fraction(k_split, scale)
         report.via_splitting = {
             "scale": scale,
@@ -415,9 +417,10 @@ def _selftest_packing() -> list[str]:
     failures = []
     for i, (g, a) in enumerate(sample_instances(15, 6, 5, 3, seed=2000)):
         lam = terminal_connectivity(g, a)
-        k, _ = max_integer_packing(g, a)
-        half, _ = half_integer_capacity(g, a)
-        lp, _ = fractional_capacity_lp(g, a)
+        tree_lp = solve_tree_lp(g, a)
+        k, _ = max_integer_packing(g, a, lp=tree_lp)
+        half, _ = half_integer_capacity(g, a, lp=tree_lp)
+        lp, _ = fractional_capacity_lp(g, a, lp=tree_lp)
         eta, _ = edge_strength(g, a)
         if not (k <= half <= lp <= min(Fraction(lam), eta)):
             failures.append(f"packing instance {i}: sandwich violated")
@@ -508,7 +511,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TooManyTrees, TooManyVertices) as exc:
+    except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except CertificateError as exc:

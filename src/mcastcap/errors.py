@@ -56,8 +56,11 @@ class OddDegree(McastcapError):
 class SearchExhausted(McastcapError):
     """Backtracking found no complete admissible splitting.
 
-    Existence is guaranteed for even-degree pivots with no incident cut-edge,
-    so hitting this error indicates a bug; the message carries a diagnostic dump.
+    Mader's theorem guarantees a complete splitting only at an even-degree
+    pivot with no incident cut-edge; there, hitting this error indicates a
+    bug.  At an odd-degree pivot it guarantees one admissible pair (degree
+    not 3), not floor(d/2) disjoint ones, so the search may exhaust.  The
+    message carries a diagnostic dump.
     """
 
 
@@ -65,12 +68,20 @@ class InvalidPacking(McastcapError):
     pass
 
 
-class TooManyTrees(McastcapError):
+class ResourceLimit(McastcapError):
+    """An exact search would exceed a named size limit; raised before the work."""
+
+
+class TooManyTrees(ResourceLimit):
     """Minimal Steiner tree enumeration exceeded the requested limit."""
 
 
-class TooManyVertices(McastcapError):
+class TooManyVertices(ResourceLimit):
     """Instance too large for exhaustive partition enumeration."""
+
+
+class SearchTooDeep(ResourceLimit):
+    """The packing branch and bound would aim for more trees than its limit."""
 
 
 class UndefinedGain(McastcapError):

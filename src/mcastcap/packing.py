@@ -1,14 +1,23 @@
 """Exact Steiner tree packing.
 
-Enumerates edge-minimal A-Steiner trees, computes the maximum number of
-edge-disjoint trees (branch and bound), the half-integer rate (pack the
-doubled graph, halve), and the fractional routing capacity as an exact
-rational LP over the enumerated trees (dense simplex, Bland's rule).
+Enumerates edge-minimal A-Steiner trees and packs them three ways: the
+maximum number of edge-disjoint trees (branch and bound), the half-integer
+rate, and the fractional routing capacity as an exact rational LP over the
+enumerated trees (dense simplex, Bland's rule).
 
 Parallel edges are collapsed to one class per vertex pair for the solvers
 (a tree never uses two parallel copies and the copies are interchangeable);
 solutions are expanded back onto concrete edge ids before being returned, so
 every returned packing verifies against the original graph.
+
+All three packings use the same trees on the same classes, so one
+``solve_tree_lp`` per graph (one enumeration, one simplex) serves them all;
+each solver takes it as ``lp=`` or makes its own.  The half-integer packing
+runs the integer branch and bound on doubled class capacities with the goal
+floor(2 * LP optimum), exact because the LP scales linearly, then expands
+onto the doubled graph and halves.  The branch and bound keeps its path on
+an explicit stack; a goal above ``MAX_PACKED_TREES`` raises SearchTooDeep
+before the search starts.
 """
 
 from __future__ import annotations
@@ -18,10 +27,15 @@ from fractions import Fraction
 from math import lcm
 
 from .connectivity import PairCapacities, pair_flow
-from .errors import CertificateError, InvalidPacking, TooManyTrees
+from .errors import CertificateError, SearchTooDeep, TooManyTrees
 from .multigraph import Edge, Multigraph, Rate, TerminalSet, scale_capacities
 
 DEFAULT_TREE_LIMIT = 5000
+# Largest goal, floor(factor * LP optimum), the branch and bound may search
+# for: its depth, and on fat instances its time, grow with the goal.  Every
+# goal below 1000 is admitted, so every search that fits in the interpreter's
+# default 1000-frame stack when written recursively still runs.
+MAX_PACKED_TREES = 999
 
 
 @dataclass(frozen=True)
@@ -143,32 +157,6 @@ def enumerate_steiner_trees(
     ]
 
 
-# -- parallel-class collapse ----------------------------------------------
-
-
-def _collapse(g: Multigraph) -> tuple[list[tuple[int, str, str, int]], dict[int, list[Edge]]]:
-    groups: dict[frozenset[str], list[Edge]] = {}
-    for e in g.edges:
-        groups.setdefault(frozenset((e.u, e.v)), []).append(e)
-    reps = []
-    classes: dict[int, list[Edge]] = {}
-    for es in groups.values():
-        es.sort(key=lambda e: e.id)
-        rep = es[0]
-        reps.append((rep.id, rep.u, rep.v, sum(e.cap for e in es)))
-        classes[rep.id] = es
-    reps.sort(key=lambda r: r[0])
-    return reps, classes
-
-
-def _collapsed_trees(g: Multigraph, a: TerminalSet, limit: int):
-    reps, classes = _collapse(g)
-    edges = [(i, u, v) for i, u, v, _ in reps]
-    trees = _minimal_trees(g.vertices, edges, a.members, limit)
-    caps = {i: c for i, _, _, c in reps}
-    return trees, reps, classes, caps
-
-
 # -- exact rational simplex ------------------------------------------------
 
 
@@ -224,17 +212,70 @@ def _lp_max_total(
     return z[-1], y
 
 
+# -- one solve per graph ---------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class TreeLP:
+    """The tree-packing LP of one graph and terminal set, solved once.
+
+    ``classes`` is ``graph.aggregated()``: one edge per parallel class, keyed
+    by the smallest id in the class, and ``members`` maps each class to its
+    edge ids in ascending order.  ``trees`` are the minimal A-Steiner trees
+    over the classes, and ``opt`` and ``y`` the LP optimum and a primal
+    solution (one entry per tree).  Every packing of the graph is a packing
+    of these trees, so the integer, half-integer and fractional solvers all
+    take this one enumeration and one simplex.
+    """
+
+    graph: Multigraph
+    terminals: TerminalSet
+    classes: Multigraph
+    members: dict[int, tuple[int, ...]]
+    trees: tuple[frozenset[int], ...]
+    opt: Fraction
+    y: tuple[Fraction, ...]
+
+
+def solve_tree_lp(g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT) -> TreeLP:
+    """Enumerate the minimal trees over g's parallel classes and solve their LP.
+
+    More than ``limit`` trees raise TooManyTrees.
+    """
+    classes = g.aggregated()
+    class_of = {frozenset((e.u, e.v)): e.id for e in classes.edges}
+    members: dict[int, list[int]] = {}
+    for e in sorted(g.edges, key=lambda e: e.id):
+        members.setdefault(class_of[frozenset((e.u, e.v))], []).append(e.id)
+    trees = _minimal_trees(g.vertices, [(e.id, e.u, e.v) for e in classes.edges], a.members, limit)
+    caps = {e.id: e.cap for e in classes.edges}
+    opt, y = _lp_max_total(trees, [e.id for e in classes.edges], caps)
+    return TreeLP(
+        g, a, classes, {c: tuple(ids) for c, ids in members.items()}, tuple(trees), opt, tuple(y)
+    )
+
+
+def _solved_for(g: Multigraph, a: TerminalSet, limit: int, lp: TreeLP | None) -> TreeLP:
+    """The given solve, checked to be of (g, a), or a new one."""
+    if lp is None:
+        return solve_tree_lp(g, a, limit)
+    if lp.graph != g or lp.terminals != a:
+        raise ValueError("the tree LP was solved for another graph or terminal set")
+    return lp
+
+
 # -- expansion back onto concrete edges ------------------------------------
 
 
 def _expand_packing(
     g: Multigraph,
     solution: list[tuple[frozenset[int], Fraction]],
-    classes: dict[int, list[Edge]],
+    members: dict[int, tuple[int, ...]],
 ) -> SteinerPacking:
     """Distribute class multiplicities over concrete parallel copies so every
-    edge id's load stays within its own capacity."""
-    used: dict[int, Fraction] = {e.id: Fraction(0) for e in g.edges}
+    edge id's load stays within its own capacity in g."""
+    by_id = {e.id: e for e in g.edges}
+    used: dict[int, Fraction] = {eid: Fraction(0) for eid in by_id}
     slices: dict[frozenset[int], Fraction] = {}
     tree_vertices: dict[frozenset[int], frozenset[str]] = {}
     for rep_set, mult in solution:
@@ -243,10 +284,10 @@ def _expand_packing(
             pick: dict[int, Edge] = {}
             amount = m
             for rid in sorted(rep_set):
-                for e in classes[rid]:
-                    room = e.cap - used[e.id]
+                for eid in members[rid]:
+                    room = by_id[eid].cap - used[eid]
                     if room > 0:
-                        pick[rid] = e
+                        pick[rid] = by_id[eid]
                         if room < amount:
                             amount = room
                         break
@@ -271,7 +312,7 @@ def _expand_packing(
 
 
 def _mincut_lower_estimate(
-    reps: list[tuple[int, str, str, int]],
+    classes: tuple[Edge, ...],
     res: dict[int, int],
     source: str,
     sinks: tuple[str, ...],
@@ -283,9 +324,9 @@ def _mincut_lower_estimate(
     running minimum stops each later flow early.
     """
     adj: PairCapacities = {}
-    for rid, u, v, _ in reps:
-        adj.setdefault(u, {})[v] = res[rid]
-        adj.setdefault(v, {})[u] = res[rid]
+    for e in classes:
+        adj.setdefault(e.u, {})[e.v] = res[e.id]
+        adj.setdefault(e.v, {})[e.u] = res[e.id]
     best = None
     for sink in sinks:
         best, _ = pair_flow(adj, source, sink, best)
@@ -294,73 +335,96 @@ def _mincut_lower_estimate(
     return best
 
 
-def max_integer_packing(
-    g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT
-) -> tuple[int, SteinerPacking]:
-    """Exact maximum number of edge-disjoint A-Steiner trees, with certificate.
+def _branch_and_bound(
+    lp: TreeLP, factor: int, stage: str
+) -> tuple[int, list[tuple[frozenset[int], Fraction]]]:
+    """Most trees of ``lp.trees`` that fit in ``factor`` times the class
+    capacities (a tree may repeat), as the count and (tree, multiplicity) pairs.
 
-    Depth-first branch and bound over minimal trees (smallest first), pruned
-    by a residual min-cut bound and by the LP optimum.
+    Depth-first over the trees, smallest first, on an explicit stack of the
+    next tree to try at each open node.  A node is pruned when its count plus
+    the residual min-cut bound cannot beat the best found, and the search
+    stops once it reaches floor(factor * LP optimum), which bounds every
+    packing because the LP optimum scales linearly with the capacities.
     """
-    trees, reps, classes, caps = _collapsed_trees(g, a, limit)
-    lp_opt, _ = _lp_max_total(trees, [r[0] for r in reps], caps)
-    ub_global = int(lp_opt)  # floor
-    tree_lists = [sorted(t) for t in trees]
+    goal = int(factor * lp.opt)  # floor
+    if goal > MAX_PACKED_TREES:
+        raise SearchTooDeep(
+            f"{stage} branch and bound would search for {goal} trees, more than "
+            f"the limit MAX_PACKED_TREES = {MAX_PACKED_TREES}"
+        )
+    classes = lp.classes.edges
+    source, sinks = lp.terminals.source, lp.terminals.sinks
+    tree_lists = [sorted(t) for t in lp.trees]
+    res = {e.id: factor * e.cap for e in classes}
 
-    best = 0
-    best_sol: list[int] = []
-
-    def dfs(start: int, res: dict[int, int], count: int, chosen: list[int]) -> bool:
-        nonlocal best, best_sol
-        if count > best:
-            best, best_sol = count, list(chosen)
-            if best >= ub_global:
-                return True
-        ub = count + _mincut_lower_estimate(reps, res, a.source, a.sinks)
-        if ub <= best:
-            return False
-        for j in range(start, len(tree_lists)):
-            tl = tree_lists[j]
-            if all(res[rid] >= 1 for rid in tl):
-                for rid in tl:
-                    res[rid] -= 1
-                chosen.append(j)
-                done = dfs(j, res, count + 1, chosen)
-                chosen.pop()
-                for rid in tl:
+    best, best_sol = 0, []
+    chosen: list[int] = []
+    end = len(tree_lists)
+    # next tree to try at each open node on the path; a pruned node gets end
+    todo = [0 if _mincut_lower_estimate(classes, res, source, sinks) > 0 else end]
+    while todo:
+        j = todo[-1]
+        while j < end and not all(res[rid] >= 1 for rid in tree_lists[j]):
+            j += 1
+        if j == end:
+            todo.pop()
+            if chosen:
+                for rid in tree_lists[chosen.pop()]:
                     res[rid] += 1
-                if done:
-                    return True
-        return False
+            continue
+        todo[-1] = j + 1
+        for rid in tree_lists[j]:
+            res[rid] -= 1
+        chosen.append(j)
+        if len(chosen) > best:
+            best, best_sol = len(chosen), list(chosen)
+            if best >= goal:
+                break
+        bound = len(chosen) + _mincut_lower_estimate(classes, res, source, sinks)
+        todo.append(j if bound > best else end)
 
-    dfs(0, dict(caps), 0, [])
     counts: dict[int, int] = {}
     for j in best_sol:
         counts[j] = counts.get(j, 0) + 1
-    solution = [(trees[j], Fraction(c)) for j, c in sorted(counts.items())]
-    return best, _expand_packing(g, solution, classes)
+    return best, [(lp.trees[j], Fraction(c)) for j, c in sorted(counts.items())]
+
+
+def max_integer_packing(
+    g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT, *, lp: TreeLP | None = None
+) -> tuple[int, SteinerPacking]:
+    """Exact maximum number of edge-disjoint A-Steiner trees, with certificate.
+
+    ``lp`` is a solve of (g, a) to reuse; without it one is made.
+    """
+    lp = _solved_for(g, a, limit, lp)
+    k, solution = _branch_and_bound(lp, 1, "integer")
+    return k, _expand_packing(g, solution, lp.members)
 
 
 def half_integer_capacity(
-    g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT
+    g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT, *, lp: TreeLP | None = None
 ) -> tuple[Rate, SteinerPacking]:
-    """Pack the capacity-doubled graph, divide by 2."""
-    k2, packed = max_integer_packing(scale_capacities(g, 2), a, limit)
+    """Pack the same trees in doubled capacities, expand onto the doubled
+    graph and halve.  ``lp`` is a solve of (g, a) to reuse."""
+    lp = _solved_for(g, a, limit, lp)
+    k2, solution = _branch_and_bound(lp, 2, "half-integer")
+    packed = _expand_packing(scale_capacities(g, 2), solution, lp.members)
     trees = tuple((t, mult / 2) for t, mult in packed.trees)
     return Fraction(k2, 2), SteinerPacking(trees, 2, Fraction(k2, 2))
 
 
 def fractional_capacity_lp(
-    g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT
+    g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT, *, lp: TreeLP | None = None
 ) -> tuple[Rate, SteinerPacking]:
-    """Exact fractional routing capacity: LP optimum over minimal trees."""
-    trees, reps, classes, caps = _collapsed_trees(g, a, limit)
-    opt, y = _lp_max_total(trees, [r[0] for r in reps], caps)
-    solution = [(trees[j], y[j]) for j in range(len(trees)) if y[j] > 0]
-    packing = _expand_packing(g, solution, classes)
-    if packing.rate != opt:
-        raise CertificateError(f"packing rate {packing.rate} differs from LP optimum {opt}")
-    return opt, packing
+    """Exact fractional routing capacity: LP optimum over minimal trees.
+    ``lp`` is a solve of (g, a) to reuse."""
+    lp = _solved_for(g, a, limit, lp)
+    solution = [(t, y) for t, y in zip(lp.trees, lp.y) if y > 0]
+    packing = _expand_packing(g, solution, lp.members)
+    if packing.rate != lp.opt:
+        raise CertificateError(f"packing rate {packing.rate} differs from LP optimum {lp.opt}")
+    return lp.opt, packing
 
 
 def verify_packing(g: Multigraph, a: TerminalSet, p: SteinerPacking) -> bool:

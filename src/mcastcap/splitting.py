@@ -179,8 +179,9 @@ def _check_pivot(g: Multigraph, x: str) -> None:
 def find_disjoint_admissible_pairs(g: Multigraph, x: str) -> list[tuple[int, int]]:
     """floor(d(x)/2) pairwise-disjoint admissible pairs at x, in split order.
 
-    Existence is guaranteed for connected graphs with no cut-edge at x and
-    d(x) != 3; exhausting the search therefore signals a bug.
+    With no cut-edge at x, Mader's theorem guarantees them for even d(x), a
+    complete splitting; for odd d(x) != 3 it guarantees only one admissible
+    pair, and the search may exhaust (SearchExhausted) on a correct graph.
     """
     if not g.is_unit():
         raise InvalidGraph("splitting requires the unit-edge view")
@@ -190,8 +191,9 @@ def find_disjoint_admissible_pairs(g: Multigraph, x: str) -> list[tuple[int, int
     _check_pivot(g, x)
     found = _complete_splitting_search(g, x, allow_leftover=True)
     if found is None:
+        note = " (odd degree: only one pair is guaranteed)" if d % 2 else ""
         raise SearchExhausted(
-            f"no complete admissible splitting at {x!r}; graph dump: "
+            f"no {d // 2} disjoint admissible pairs at {x!r} of degree {d}{note}; graph dump: "
             f"vertices={sorted(g.vertices)} edges={[(e.id, e.u, e.v) for e in g.edges]}"
         )
     return [(ev.e_id, ev.f_id) for ev in found[1]]

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from mcastcap import dump_instance, example2_instance
+from mcastcap import Multigraph, TerminalSet, dump_instance, example2_instance, scale_capacities
 from mcastcap.cli import main
 
 
@@ -147,6 +148,22 @@ class TestErrors:
             "sinks": ["zz"],
         }))
         assert main(["analyze", str(path)]) == 2
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["pack", "--mode", "half"]])
+    def test_packing_depth_limit(self, tmp_path, capsys, argv):
+        # K4 + relay x200: the half-integer search would aim for 1000 trees
+        g = Multigraph.build(
+            ["s", "t1", "t2", "x"],
+            [("s", "t1", 1), ("s", "t2", 1), ("t1", "t2", 1), ("x", "s", 1), ("x", "t1", 1), ("x", "t2", 1)],
+        )
+        path = tmp_path / "k4x200.json"
+        path.write_text(dump_instance(scale_capacities(g, 200), TerminalSet("s", ("t1", "t2"))))
+        start = time.perf_counter()
+        assert main([argv[0], str(path), *argv[1:]]) == 3
+        assert time.perf_counter() - start < 20
+        err = capsys.readouterr().err
+        assert "resource limit: half-integer" in err
+        assert "1000 trees" in err and "MAX_PACKED_TREES = 999" in err
 
 
 # Runs under ``python -O``, which strips asserts: the certificate checks must

@@ -18,8 +18,11 @@ from mcastcap import (
     terminal_connectivity,
     verify_packing,
 )
-from mcastcap.errors import TooManyTrees
-from mcastcap.packing import SteinerPacking, SteinerTree
+from mcastcap import packing
+from mcastcap.cli import analyze_instance
+from mcastcap.errors import ResourceLimit, SearchTooDeep, TooManyTrees, TooManyVertices
+from mcastcap.multigraph import Edge, scale_capacities
+from mcastcap.packing import MAX_PACKED_TREES, SteinerPacking, SteinerTree, solve_tree_lp
 
 
 def triangle():
@@ -228,3 +231,118 @@ def test_lp_dominates_half_and_integer_on_random_instances(seed):
     half, _ = half_integer_capacity(g, a)
     lp, _ = fractional_capacity_lp(g, a)
     assert Fraction(k) <= half <= lp
+
+
+def with_parallel_edge(g):
+    """g with one more unit edge parallel to its first edge."""
+    e = g.edges[0]
+    return Multigraph(g.vertices, g.edges + (Edge(max(x.id for x in g.edges) + 1, e.u, e.v, 1),))
+
+
+def varied_samples():
+    """Sample instances, copies with an added parallel edge, and x3 copies."""
+    base = list(sample_instances(10, 7, 4, 3, seed=11)) + list(sample_instances(3, 8, 5, 4, seed=4))
+    return (
+        base
+        + [(with_parallel_edge(g), a) for g, a in base]
+        + [(scale_capacities(g, 3), a) for g, a in base]
+    )
+
+
+def reference_half_integer(g, a):
+    """The half-integer packing as a plain integer packing of the doubled
+    graph, halved: what the shared factor-2 search must reproduce."""
+    k2, packed = max_integer_packing(scale_capacities(g, 2), a)
+    return Fraction(k2, 2), [(t, mult / 2) for t, mult in packed.trees]
+
+
+def k4_with_relay(k):
+    g = Multigraph.build(
+        ["s", "t1", "t2", "x"],
+        [("s", "t1", 1), ("s", "t2", 1), ("t1", "t2", 1), ("x", "s", 1), ("x", "t1", 1), ("x", "t2", 1)],
+    )
+    return scale_capacities(g, k), TerminalSet("s", ("t1", "t2"))
+
+
+class TestSharedSolve:
+    @pytest.mark.parametrize("via_splitting, solves", [(False, 1), (True, 2)])
+    def test_one_solve_per_distinct_graph(self, monkeypatch, via_splitting, solves):
+        calls = {"_minimal_trees": 0, "_lp_max_total": 0}
+        for name in calls:
+            original = getattr(packing, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(packing, name, counted)
+        instances = [example2_instance(5, (0, 2))] + list(sample_instances(3, 7, 4, 3, seed=11))
+        for g, a in instances:
+            for name in calls:
+                calls[name] = 0
+            analyze_instance(g, a, via_splitting=via_splitting)
+            assert calls == {"_minimal_trees": solves, "_lp_max_total": solves}
+
+    def test_half_integer_matches_doubled_graph_reference(self):
+        for g, a in varied_samples():
+            value, p = half_integer_capacity(g, a)
+            want_value, want_trees = reference_half_integer(g, a)
+            assert value == want_value
+            assert list(p.trees) == want_trees
+            assert p.rate == want_value and p.denominator == 2
+
+    def test_shared_solve_gives_identical_results(self):
+        for g, a in varied_samples():
+            lp = solve_tree_lp(g, a)
+            for solve in (max_integer_packing, half_integer_capacity, fractional_capacity_lp):
+                assert solve(g, a, lp=lp) == solve(g, a)
+
+    def test_solve_for_another_graph_rejected(self):
+        g, a = example2_instance(4, (0,))
+        lp = solve_tree_lp(g, a)
+        others = [
+            (scale_capacities(g, 2), a),
+            (with_parallel_edge(g), a),
+            (g, TerminalSet(a.sinks[0], (a.source, *a.sinks[1:]))),
+        ]
+        for solve in (max_integer_packing, half_integer_capacity, fractional_capacity_lp):
+            for other_g, other_a in others:
+                with pytest.raises(ValueError):
+                    solve(other_g, other_a, lp=lp)
+
+    def test_solve_holds_classes_and_optimum(self):
+        g, a = example2_instance(4, (0,))
+        g = with_parallel_edge(g)
+        lp = solve_tree_lp(g, a)
+        assert lp.classes == g.aggregated()
+        by_id = {e.id: e for e in g.edges}
+        assert sorted(i for ids in lp.members.values() for i in ids) == sorted(by_id)
+        for c, ids in lp.members.items():
+            assert list(ids) == sorted(ids) and ids[0] == c
+            assert all({by_id[i].u, by_id[i].v} == {by_id[c].u, by_id[c].v} for i in ids)
+        assert sum(lp.y) == lp.opt == fractional_capacity_lp(g, a)[0]
+
+
+class TestDepthGuard:
+    def test_resource_errors_share_a_base(self):
+        for error in (TooManyTrees, TooManyVertices, SearchTooDeep):
+            assert issubclass(error, ResourceLimit)
+
+    def test_goal_above_limit_refused_before_search(self, monkeypatch):
+        g, a = k4_with_relay(200)
+        lp = solve_tree_lp(g, a)
+        assert int(lp.opt) <= MAX_PACKED_TREES < int(2 * lp.opt)
+        monkeypatch.setattr(packing, "_mincut_lower_estimate", None)  # never reached
+        with pytest.raises(SearchTooDeep, match=r"half-integer .* 1000 trees.* MAX_PACKED_TREES = 999"):
+            half_integer_capacity(g, a, lp=lp)
+
+    def test_largest_admitted_instances_pack(self):
+        # K4 + relay x100 aims for 500 half-integer trees
+        g, a = k4_with_relay(100)
+        value, p = half_integer_capacity(g, a)
+        assert value == 250 and verify_packing(g, a, p)
+        # 990 trees deep: the search keeps its path on a list, not on the
+        # interpreter stack
+        g = Multigraph.build(["s", "t"], [("s", "t", 495)])
+        value, p = half_integer_capacity(g, TerminalSet("s", ("t",)))
+        assert value == 495 and p.trees[0][1] == 495

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -183,12 +184,26 @@ class TestDisjointPairs:
                     continue
                 expected = reference_search(unit, x, allow_leftover=True)
                 if expected is None:
-                    # Mader's theorem guarantees no pairing once an odd degree reaches 3
+                    # at an odd degree Mader's theorem guarantees one pair only
                     with pytest.raises(SearchExhausted):
                         find_disjoint_admissible_pairs(unit, x)
                 else:
                     pairs = find_disjoint_admissible_pairs(unit, x)
                     assert pairs == [(ev.e_id, ev.f_id) for ev in expected[1]]
+
+    def test_odd_degree_may_exhaust(self):
+        # Regression: degree-5 relays with no disjoint pairing.  Mader's
+        # theorem promises one admissible pair at an odd degree other than 3,
+        # not floor(d/2) disjoint ones, so exhaustion here is not a bug.
+        instances = list(sample_instances(8, 7, 5, 3, seed=5))
+        for (g, _), x in ((instances[6], "v3"), (instances[7], "v5")):
+            unit, _ = g.unit_form()
+            assert degree(unit, x) == 5
+            assert not any(is_cut_edge(unit, e.id) for e in unit.incident(x))
+            with pytest.raises(SearchExhausted, match="odd degree: only one pair is guaranteed"):
+                find_disjoint_admissible_pairs(unit, x)
+            inc = [e.id for e in unit.incident(x)]
+            assert any(is_admissible(unit, e, f, x) for e, f in combinations(inc, 2))
 
     def test_cut_edge_at_pivot(self):
         # degree-4 pivot on a triangle with a doubled edge, plus c hanging
