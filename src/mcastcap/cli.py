@@ -43,6 +43,7 @@ from .packing import (
     fractional_capacity_lp,
     half_integer_capacity,
     max_integer_packing,
+    search_goal,
     solve_tree_lp,
     verify_packing,
 )
@@ -148,6 +149,9 @@ def analyze_instance(
     report.num_edges = len(core.edges)
 
     tree_lp = solve_tree_lp(core, a)
+    # refuse a goal past the limit before either search spends time on it
+    for factor, stage in ((1, "integer"), (2, "half-integer")):
+        search_goal(tree_lp, factor, stage)
     k, int_packing = max_integer_packing(core, a, lp=tree_lp)
     if not verify_packing(core, a, int_packing):
         raise CertificateError("integer packing failed verification")

@@ -84,6 +84,10 @@ class SearchTooDeep(ResourceLimit):
     """The packing branch and bound would aim for more trees than its limit."""
 
 
+class TooManyPartitions(ResourceLimit):
+    """The edge-strength search would visit more terminal partitions than its limit."""
+
+
 class UndefinedGain(McastcapError):
     """Gain bound denominator is zero at this connectivity."""
 

@@ -188,6 +188,21 @@ def components(g: Multigraph, without_edges: frozenset[int] = frozenset()) -> li
     return comps
 
 
+def edge_component(edge_ids, ends: dict[int, tuple[str, str]], start: str) -> set[str]:
+    """Vertices reached from ``start`` over the edge ids; ``ends`` maps each
+    id to its endpoints.  Used to check trees, which have few edges."""
+    comp = {start}
+    changed = True
+    while changed:
+        changed = False
+        for eid in edge_ids:
+            u, v = ends[eid]
+            if (u in comp) != (v in comp):
+                comp.update((u, v))
+                changed = True
+    return comp
+
+
 def validate(g: Multigraph, a: TerminalSet) -> None:
     """Check all structural invariants and that the terminals are connected.
 

@@ -2,8 +2,14 @@
 
 Enumerates edge-minimal A-Steiner trees and packs them three ways: the
 maximum number of edge-disjoint trees (branch and bound), the half-integer
-rate, and the fractional routing capacity as an exact rational LP over the
-enumerated trees (dense simplex, Bland's rule).
+rate, and the fractional routing capacity as an exact LP over the
+enumerated trees (dense simplex with Bland's rule, pivoted in integer
+arithmetic over one shared denominator).
+
+A minimal tree is a spanning tree of A plus a relay subset in which every
+relay has degree at least 2; the spanning-tree search cuts a branch as soon
+as some relay can no longer reach that degree, so it only builds minimal
+trees.
 
 Parallel edges are collapsed to one class per vertex pair for the solvers
 (a tree never uses two parallel copies and the copies are interchangeable);
@@ -28,7 +34,7 @@ from math import lcm
 
 from .connectivity import PairCapacities, pair_flow
 from .errors import CertificateError, SearchTooDeep, TooManyTrees
-from .multigraph import Edge, Multigraph, Rate, TerminalSet, scale_capacities
+from .multigraph import Edge, Multigraph, Rate, TerminalSet, edge_component, scale_capacities
 
 DEFAULT_TREE_LIMIT = 5000
 # Largest goal, floor(factor * LP optimum), the branch and bound may search
@@ -57,13 +63,33 @@ class SteinerPacking:
 # -- spanning / Steiner tree enumeration -----------------------------------
 
 
-def _spanning_trees(nodes: list[str], edges: list[tuple[int, str, str]], emit) -> None:
-    """Enumerate spanning trees of (nodes, edges) via include/exclude search
-    with a reachability prune; each tree is emitted once as a list of edge ids."""
+def _spanning_trees(
+    nodes: list[str], edges: list[tuple[int, str, str]], relays: list[str], emit
+) -> None:
+    """Enumerate the spanning trees of (nodes, edges) in which every relay
+    has degree at least 2, each emitted once as a list of edge ids.
+
+    Include/exclude search over the edges in order.  A branch is cut when
+    some relay's chosen plus undecided edges fall below 2, or when the
+    undecided edges can no longer connect the components.
+    """
     n = len(nodes)
     if n == 0:
         return
     idx = {v: i for i, v in enumerate(nodes)}
+    ends = [(idx[u], idx[v]) for _, u, v in edges]
+    # need[x]: chosen edges relay x still lacks (0 for terminals); slack[x]:
+    # chosen plus undecided edges at x, less 2 for a relay
+    need = [0] * n
+    for r in relays:
+        need[idx[r]] = 2
+    slack = [-k for k in need]
+    for u, v in ends:
+        slack[u] += 1
+        slack[v] += 1
+    if min(slack) < 0:
+        return
+    short = len(relays)  # relays with need > 0
 
     def find(parent: list[int], a: int) -> int:
         while parent[a] != a:
@@ -72,14 +98,16 @@ def _spanning_trees(nodes: list[str], edges: list[tuple[int, str, str]], emit) -
         return a
 
     def rec(i: int, parent: list[int], ncomp: int, chosen: list[int]) -> None:
+        nonlocal short
         if ncomp == 1:
-            emit(list(chosen))
+            if short == 0:
+                emit(list(chosen))
             return
         # feasibility: remaining edges must be able to merge all components
         probe = parent.copy()
         c = ncomp
-        for eid, u, v in edges[i:]:
-            ru, rv = find(probe, idx[u]), find(probe, idx[v])
+        for u, v in ends[i:]:
+            ru, rv = find(probe, u), find(probe, v)
             if ru != rv:
                 probe[ru] = rv
                 c -= 1
@@ -87,15 +115,28 @@ def _spanning_trees(nodes: list[str], edges: list[tuple[int, str, str]], emit) -
                     break
         if c != 1:
             return
-        eid, u, v = edges[i]
-        ru, rv = find(parent, idx[u]), find(parent, idx[v])
+        u, v = ends[i]
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             p2 = parent.copy()
             p2[ru] = rv
-            chosen.append(eid)
+            chosen.append(edges[i][0])
+            for x in (u, v):
+                need[x] -= 1
+                if need[x] == 0:
+                    short -= 1
             rec(i + 1, p2, ncomp - 1, chosen)
+            for x in (u, v):
+                if need[x] == 0:
+                    short += 1
+                need[x] += 1
             chosen.pop()
-        rec(i + 1, parent, ncomp, chosen)
+        slack[u] -= 1
+        slack[v] -= 1
+        if slack[u] >= 0 and slack[v] >= 0:
+            rec(i + 1, parent, ncomp, chosen)
+        slack[u] += 1
+        slack[v] += 1
 
     rec(0, list(range(n)), n, [])
 
@@ -115,27 +156,19 @@ def _minimal_trees(
     (R a relay subset) in which every relay is an internal vertex."""
     relays = sorted(vertex_set - terminals)
     out: list[frozenset[int]] = []
+
+    def keep(tree: list[int]) -> None:
+        out.append(frozenset(tree))
+        if len(out) > limit:
+            raise TooManyTrees(f"more than {limit} minimal Steiner trees; raise the limit")
+
     for sub in _relay_subsets(relays):
         nodes = sorted(terminals) + sub
         node_set = set(nodes)
         sub_edges = [(i, u, v) for i, u, v in edges if u in node_set and v in node_set]
         if len(sub_edges) < len(nodes) - 1:
             continue
-        trees_here: list[list[int]] = []
-        _spanning_trees(nodes, sub_edges, trees_here.append)
-        by_id = {i: (u, v) for i, u, v in sub_edges}
-        for t in trees_here:
-            deg: dict[str, int] = {}
-            for eid in t:
-                u, v = by_id[eid]
-                deg[u] = deg.get(u, 0) + 1
-                deg[v] = deg.get(v, 0) + 1
-            if all(deg.get(r, 0) >= 2 for r in sub):
-                out.append(frozenset(t))
-                if len(out) > limit:
-                    raise TooManyTrees(
-                        f"more than {limit} minimal Steiner trees; raise the limit"
-                    )
+        _spanning_trees(nodes, sub_edges, sub, keep)
     out.sort(key=lambda t: (len(t), tuple(sorted(t))))
     return out
 
@@ -157,7 +190,7 @@ def enumerate_steiner_trees(
     ]
 
 
-# -- exact rational simplex ------------------------------------------------
+# -- exact simplex in integer arithmetic -----------------------------------
 
 
 def _lp_max_total(
@@ -165,51 +198,59 @@ def _lp_max_total(
 ) -> tuple[Fraction, list[Fraction]]:
     """max sum(y) s.t. for each row e: sum_{col containing e} y_col <= caps[e], y >= 0.
 
-    Dense tableau simplex over Fractions with Bland's rule (no cycling).
+    Dense tableau simplex with Bland's rule (no cycling), pivoted without
+    fractions (Edmonds 1967; Bareiss 1968): the tableau is integer over one
+    shared positive denominator ``d``, and a pivot on ``p`` at (r, c) maps
+    each row i != r to (p * row_i - a_ic * row_r) / d, an exact division,
+    then sets d = p.  Signs and ratio comparisons are those of the rational
+    tableau, so the pivots are the same.
     """
     m, n = len(row_ids), len(cols)
     row_index = {rid: i for i, rid in enumerate(row_ids)}
-    zero, one = Fraction(0), Fraction(1)
     tab = []
     for i, rid in enumerate(row_ids):
-        row = [zero] * (n + m + 1)
-        row[n + i] = one
-        row[-1] = Fraction(caps[rid])
+        row = [0] * (n + m + 1)
+        row[n + i] = 1
+        row[-1] = caps[rid]
         tab.append(row)
     for j, col in enumerate(cols):
         for rid in col:
-            tab[row_index[rid]][j] = one
-    z = [-one] * n + [zero] * (m + 1)
+            tab[row_index[rid]][j] = 1
+    z = [-1] * n + [0] * (m + 1)
+    d = 1
     basis = list(range(n, n + m))
     while True:
         enter = next((j for j in range(n + m) if z[j] < 0), None)
         if enter is None:
             break
-        leave, best = None, None
+        leave = None
         for i in range(m):
-            aij = tab[i][enter]
-            if aij > 0:
-                ratio = tab[i][-1] / aij
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # b_i / a_i against b_leave / a_leave, both a positive
+                lhs, rhs = tab[i][-1] * tab[leave][enter], tab[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise AssertionError("tree-packing LP cannot be unbounded")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
         prow = tab[leave]
+        p = prow[enter]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
+            if i != leave:
                 f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [x - f * y for x, y in zip(z, prow)]
+                tab[i] = [(p * x - f * y) // d for x, y in zip(tab[i], prow)]
+        f = z[enter]
+        z = [(p * x - f * y) // d for x, y in zip(z, prow)]
+        d = p
         basis[leave] = enter
-    y = [zero] * n
+    y = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            y[b] = tab[i][-1]
-    return z[-1], y
+            y[b] = Fraction(tab[i][-1], d)
+    return Fraction(z[-1], d), y
 
 
 # -- one solve per graph ---------------------------------------------------
@@ -335,6 +376,19 @@ def _mincut_lower_estimate(
     return best
 
 
+def search_goal(lp: TreeLP, factor: int, stage: str) -> int:
+    """floor(factor * LP optimum), the most trees a packing in ``factor``
+    times the capacities can hold; above ``MAX_PACKED_TREES`` it raises
+    SearchTooDeep naming ``stage``."""
+    goal = int(factor * lp.opt)  # floor
+    if goal > MAX_PACKED_TREES:
+        raise SearchTooDeep(
+            f"{stage} branch and bound would search for {goal} trees, more than "
+            f"the limit MAX_PACKED_TREES = {MAX_PACKED_TREES}"
+        )
+    return goal
+
+
 def _branch_and_bound(
     lp: TreeLP, factor: int, stage: str
 ) -> tuple[int, list[tuple[frozenset[int], Fraction]]]:
@@ -347,12 +401,7 @@ def _branch_and_bound(
     stops once it reaches floor(factor * LP optimum), which bounds every
     packing because the LP optimum scales linearly with the capacities.
     """
-    goal = int(factor * lp.opt)  # floor
-    if goal > MAX_PACKED_TREES:
-        raise SearchTooDeep(
-            f"{stage} branch and bound would search for {goal} trees, more than "
-            f"the limit MAX_PACKED_TREES = {MAX_PACKED_TREES}"
-        )
+    goal = search_goal(lp, factor, stage)
     classes = lp.classes.edges
     source, sinks = lp.terminals.source, lp.terminals.sinks
     tree_lists = [sorted(t) for t in lp.trees]
@@ -431,6 +480,7 @@ def verify_packing(g: Multigraph, a: TerminalSet, p: SteinerPacking) -> bool:
     """Certificate check: valid A-Steiner trees, loads within capacities."""
     try:
         by_id = {e.id: e for e in g.edges}
+        ends = {e.id: (e.u, e.v) for e in g.edges}
         load: dict[int, Fraction] = {eid: Fraction(0) for eid in by_id}
         total = Fraction(0)
         for tree, mult in p.trees:
@@ -447,7 +497,7 @@ def verify_packing(g: Multigraph, a: TerminalSet, p: SteinerPacking) -> bool:
                 return False
             if len(tree.edge_ids) != len(vs) - 1:
                 return False
-            if _component_size(tree.edge_ids, by_id, next(iter(vs))) != len(vs):
+            if len(edge_component(tree.edge_ids, ends, next(iter(vs)))) != len(vs):
                 return False
             total += mult
         if total != p.rate:
@@ -455,16 +505,3 @@ def verify_packing(g: Multigraph, a: TerminalSet, p: SteinerPacking) -> bool:
         return all(load[eid] <= by_id[eid].cap for eid in load)
     except KeyError:
         return False
-
-
-def _component_size(edge_ids, by_id, start: str) -> int:
-    comp = {start}
-    changed = True
-    while changed:
-        changed = False
-        for eid in edge_ids:
-            e = by_id[eid]
-            if (e.u in comp) != (e.v in comp):
-                comp.update((e.u, e.v))
-                changed = True
-    return len(comp)

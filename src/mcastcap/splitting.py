@@ -31,7 +31,7 @@ from .errors import (
     SearchExhausted,
 )
 from .connectivity import PairCapacities, cut_capacity, is_cut_edge, pair_capacities, pair_flow
-from .multigraph import Edge, Multigraph, TerminalSet, degree, scale_capacities
+from .multigraph import Edge, Multigraph, TerminalSet, degree, edge_component, scale_capacities
 
 
 @dataclass(frozen=True)
@@ -287,10 +287,10 @@ def lift_packing(history: SplitHistory, packing):
             if w not in edge_set:
                 continue
             edge_set.discard(w)
-            comp_r = _tree_component(edge_set, endpoint, ev.r)
+            comp_r = edge_component(edge_set, endpoint, ev.r)
             if ev.pivot in comp_r:
                 edge_set.add(ev.f_id)  # pivot on r-side: bridge to t
-            elif ev.pivot in _tree_component(edge_set, endpoint, ev.t):
+            elif ev.pivot in edge_component(edge_set, endpoint, ev.t):
                 edge_set.add(ev.e_id)  # pivot on t-side: bridge to r
             else:
                 edge_set.add(ev.e_id)
@@ -301,19 +301,3 @@ def lift_packing(history: SplitHistory, packing):
         vs = frozenset(v for eid in edge_set for v in endpoint[eid])
         out.append((SteinerTree(frozenset(edge_set), vs), mult))
     return SteinerPacking(tuple(out), packing.denominator, packing.rate)
-
-
-def _tree_component(edge_set: set[int], endpoint: dict[int, tuple[str, str]], start: str) -> set[str]:
-    comp = {start}
-    changed = True
-    while changed:
-        changed = False
-        for eid in edge_set:
-            u, v = endpoint[eid]
-            if u in comp and v not in comp:
-                comp.add(v)
-                changed = True
-            elif v in comp and u not in comp:
-                comp.add(u)
-                changed = True
-    return comp

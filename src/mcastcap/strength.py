@@ -25,10 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificateError, TooManyVertices
+from .errors import CertificateError, TooManyPartitions, TooManyVertices
 from .multigraph import Multigraph, Rate, TerminalSet, components
 
 MAX_VERTICES = 12
+# Most terminal partitions, Bell(|A|), the search may visit: it visits each
+# one.  Bell(11) = 678570 is admitted (about 4 s); Bell(12) = 4213597 is not.
+MAX_TERMINAL_PARTITIONS = 10**6
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,17 @@ def _terminal_partitions(terms: list):
     yield from rec(0, [])
 
 
+def _bell(k: int) -> int:
+    """Number of set partitions of k items, by the Bell triangle."""
+    row = [1]
+    for _ in range(k - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
 def _crossing_capacity(g: Multigraph, blocks) -> int:
     block_of = {v: i for i, b in enumerate(blocks) for v in b}
     return sum(e.cap for e in g.edges if block_of[e.u] != block_of[e.v])
@@ -81,6 +95,13 @@ def edge_strength(
     if len(g.vertices) > MAX_VERTICES:
         raise TooManyVertices(
             f"strength enumeration limited to {MAX_VERTICES} vertices"
+        )
+    partitions = _bell(len(a.members))
+    if partitions > MAX_TERMINAL_PARTITIONS:
+        raise TooManyPartitions(
+            f"edge strength search would visit {partitions} terminal partitions "
+            f"(Bell({len(a.members)})), more than the limit "
+            f"MAX_TERMINAL_PARTITIONS = {MAX_TERMINAL_PARTITIONS}"
         )
     terms = sorted(a.members)
     relays = sorted(g.vertices - a.members)

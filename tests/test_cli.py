@@ -165,6 +165,18 @@ class TestErrors:
         assert "resource limit: half-integer" in err
         assert "1000 trees" in err and "MAX_PACKED_TREES = 999" in err
 
+    def test_strength_partition_limit(self, tmp_path, capsys):
+        names = [f"v{i:02d}" for i in range(12)]
+        g = Multigraph.build(names, [(names[i], names[(i + 1) % 12], 1) for i in range(12)])
+        path = tmp_path / "cycle12.json"
+        path.write_text(dump_instance(g, TerminalSet(names[0], tuple(names[1:]))))
+        start = time.perf_counter()
+        assert main(["strength", str(path)]) == 3
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert "resource limit: edge strength" in err
+        assert "4213597 terminal partitions" in err and "MAX_TERMINAL_PARTITIONS = 1000000" in err
+
 
 # Runs under ``python -O``, which strips asserts: the certificate checks must
 # still refuse a result when a function they rely on is replaced, as one

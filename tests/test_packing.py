@@ -20,9 +20,17 @@ from mcastcap import (
 )
 from mcastcap import packing
 from mcastcap.cli import analyze_instance
-from mcastcap.errors import ResourceLimit, SearchTooDeep, TooManyTrees, TooManyVertices
-from mcastcap.multigraph import Edge, scale_capacities
+from mcastcap.errors import (
+    ResourceLimit,
+    SearchTooDeep,
+    TooManyPartitions,
+    TooManyTrees,
+    TooManyVertices,
+)
+from mcastcap.multigraph import Edge, prune_to_core, scale_capacities
 from mcastcap.packing import MAX_PACKED_TREES, SteinerPacking, SteinerTree, solve_tree_lp
+from mcastcap.splitting import eliminate_relays
+from test_strength import _small_connected_multigraphs
 
 
 def triangle():
@@ -325,7 +333,7 @@ class TestSharedSolve:
 
 class TestDepthGuard:
     def test_resource_errors_share_a_base(self):
-        for error in (TooManyTrees, TooManyVertices, SearchTooDeep):
+        for error in (TooManyTrees, TooManyVertices, SearchTooDeep, TooManyPartitions):
             assert issubclass(error, ResourceLimit)
 
     def test_goal_above_limit_refused_before_search(self, monkeypatch):
@@ -335,6 +343,21 @@ class TestDepthGuard:
         monkeypatch.setattr(packing, "_mincut_lower_estimate", None)  # never reached
         with pytest.raises(SearchTooDeep, match=r"half-integer .* 1000 trees.* MAX_PACKED_TREES = 999"):
             half_integer_capacity(g, a, lp=lp)
+
+    def test_analyze_checks_both_goals_before_searching(self, monkeypatch):
+        calls = []
+        original = packing._mincut_lower_estimate
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(packing, "_mincut_lower_estimate", counted)
+        with pytest.raises(SearchTooDeep, match=r"half-integer .* 1000 trees.* MAX_PACKED_TREES = 999"):
+            analyze_instance(*k4_with_relay(200))
+        assert calls == []
+        report = analyze_instance(*k4_with_relay(100))
+        assert report.k_int == report.half_rate == 250 and calls
 
     def test_largest_admitted_instances_pack(self):
         # K4 + relay x100 aims for 500 half-integer trees
@@ -346,3 +369,131 @@ class TestDepthGuard:
         g = Multigraph.build(["s", "t"], [("s", "t", 495)])
         value, p = half_integer_capacity(g, TerminalSet("s", ("t",)))
         assert value == 495 and p.trees[0][1] == 495
+
+
+def oracle_steiner_trees(g, a):
+    """Independent oracle: every edge subset that forms a tree containing the
+    terminals whose leaves are all terminals, in the enumeration's order."""
+    ends = {e.id: (e.u, e.v) for e in g.edges}
+    ids = sorted(ends)
+    out = []
+    for size in range(1, len(ids) + 1):
+        for sub in combinations(ids, size):
+            vs = {v for eid in sub for v in ends[eid]}
+            if len(vs) != size + 1 or not a.members <= vs:
+                continue
+            deg = {v: 0 for v in vs}
+            for eid in sub:
+                for v in ends[eid]:
+                    deg[v] += 1
+            if any(d == 1 and v not in a.members for v, d in deg.items()):
+                continue
+            # size + 1 vertices and size edges: a tree iff connected
+            reached, stack = set(), [next(iter(vs))]
+            while stack:
+                v = stack.pop()
+                if v not in reached:
+                    reached.add(v)
+                    stack.extend(w for eid in sub for w in ends[eid] if v in ends[eid])
+            if reached == vs:
+                out.append(SteinerTree(frozenset(sub), frozenset(vs)))
+    out.sort(key=SteinerTree.sort_key)
+    return out
+
+
+class TestEnumerationOracle:
+    def test_small_multigraphs(self):
+        count = 0
+        seen = set()
+        for g, names in _small_connected_multigraphs():
+            # capacities do not change the trees: one graph per edge set
+            edges = tuple((e.id, e.u, e.v) for e in g.edges)
+            if edges in seen:
+                continue
+            seen.add(edges)
+            n = len(names)
+            terminal_sets = {(0, n - 1), tuple(range(n))}
+            if n >= 4:
+                terminal_sets.add((1, 2, n - 1))
+            for ts in sorted(terminal_sets):
+                a = TerminalSet(names[ts[0]], tuple(names[i] for i in ts[1:]))
+                # distinct edge ids give distinct trees
+                for graph in (g, with_parallel_edge(g)):
+                    want = oracle_steiner_trees(graph, a)
+                    assert enumerate_steiner_trees(graph, a) == want
+                    assert enumerate_steiner_trees(graph, a, limit=len(want)) == want
+                    with pytest.raises(TooManyTrees):
+                        enumerate_steiner_trees(graph, a, limit=len(want) - 1)
+                    count += 1
+        assert count > 1000
+
+
+def reference_lp(cols, row_ids, caps):
+    """The tree-packing LP on a Fraction tableau: Bland's rule, the ratio
+    test's ties broken by the smaller basis index."""
+    m, n = len(row_ids), len(cols)
+    row_index = {rid: i for i, rid in enumerate(row_ids)}
+    zero, one = Fraction(0), Fraction(1)
+    tab = []
+    for i, rid in enumerate(row_ids):
+        row = [zero] * (n + m + 1)
+        row[n + i] = one
+        row[-1] = Fraction(caps[rid])
+        tab.append(row)
+    for j, col in enumerate(cols):
+        for rid in col:
+            tab[row_index[rid]][j] = one
+    z = [-one] * n + [zero] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        enter = next((j for j in range(n + m) if z[j] < 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        prow = tab[leave]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
+        f = z[enter]
+        z = [x - f * y for x, y in zip(z, prow)]
+        basis[leave] = enter
+    y = [zero] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            y[b] = tab[i][-1]
+    return z[-1], y
+
+
+def assert_matches_reference_lp(g, a):
+    lp = solve_tree_lp(g, a)
+    caps = {e.id: e.cap for e in lp.classes.edges}
+    opt, y = reference_lp(list(lp.trees), [e.id for e in lp.classes.edges], caps)
+    assert (lp.opt, list(lp.y)) == (opt, y)
+    assert all(v >= 0 for v in lp.y) and sum(lp.y) == lp.opt
+    load = {c: sum((v for t, v in zip(lp.trees, lp.y) if c in t), Fraction(0)) for c in caps}
+    assert all(load[c] <= caps[c] for c in caps)
+
+
+class TestReferenceSimplex:
+    def test_samples_cycles_and_their_split_graphs(self):
+        cores = varied_samples() + [example2_instance(na, (0, 2) if na > 3 else (0,)) for na in range(3, 8)]
+        for g, a in cores:
+            split_g, _, _ = eliminate_relays(prune_to_core(g, a), a)
+            assert_matches_reference_lp(g, a)
+            assert_matches_reference_lp(split_g, a)
+
+    def test_small_multigraphs(self):
+        # capacities up to 8 on four vertices give ratio ties between basis
+        # rows where the tie-break decides the witness (46 of these LPs)
+        for g, names in _small_connected_multigraphs(max_n=4, max_cap=8):
+            n = len(names)
+            for ts in ((0, n - 1), tuple(range(n))):
+                assert_matches_reference_lp(g, TerminalSet(names[ts[0]], tuple(names[i] for i in ts[1:])))

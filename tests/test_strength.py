@@ -14,7 +14,8 @@ from mcastcap import (
     scale_capacities,
     verify_partition,
 )
-from mcastcap.errors import TooManyVertices
+from mcastcap import strength
+from mcastcap.errors import TooManyPartitions, TooManyVertices
 from mcastcap.strength import TerminalPartition
 
 
@@ -51,6 +52,22 @@ class TestEdgeStrength:
         g = Multigraph.build(names, [(names[i], names[(i + 1) % 13], 1) for i in range(13)])
         with pytest.raises(TooManyVertices):
             edge_strength(g, TerminalSet("v0", ("v1", "v2")))
+
+    def test_terminal_partition_limit(self, monkeypatch):
+        # 12 terminals: Bell(12) = 4213597 terminal partitions, refused before
+        # the first one is generated
+        names = [f"v{i:02d}" for i in range(12)]
+        g = Multigraph.build(names, [(names[i], names[(i + 1) % 12], 1) for i in range(12)])
+        calls = []
+        monkeypatch.setattr(strength, "_terminal_partitions", lambda terms: calls.append(terms))
+        with pytest.raises(
+            TooManyPartitions,
+            match=r"edge strength .* 4213597 terminal partitions .* MAX_TERMINAL_PARTITIONS = 1000000",
+        ):
+            edge_strength(g, TerminalSet(names[0], tuple(names[1:])))
+        assert calls == []
+        # every terminal count up to 11 is admitted
+        assert strength._bell(11) <= strength.MAX_TERMINAL_PARTITIONS < strength._bell(12)
 
 
 class TestProperties:
