@@ -10,11 +10,11 @@ import argparse
 from fractions import Fraction
 
 from mcastcap import (
+    analyze_instance,
     example2_instance,
     example2_routing_scheme,
     verify_routing_scheme,
 )
-from mcastcap.cli import analyze_instance
 
 
 def main() -> None:

@@ -1,24 +1,16 @@
 #!/usr/bin/env python3
 """Confirm the closed-form lower bounds on a stream of random instances.
 
-Draws seeded random multigraphs, computes the exact integer, half-integer,
-and fractional packing rates, and checks each against the guaranteed floors
-for its terminal connectivity.  Prints a summary histogram of the observed
-LP-to-floor slack.
+Draws seeded random multigraphs, analyses each with ``analyze_instance``
+(exact integer, half-integer and fractional packing rates), and checks them
+against the guaranteed half-integer floor for its terminal connectivity.
+Prints a summary histogram of the observed LP-to-floor slack.
 """
 
 import argparse
 from collections import Counter
-from fractions import Fraction
 
-from mcastcap import (
-    fractional_capacity_lp,
-    half_integer_capacity,
-    max_integer_packing,
-    sample_instances,
-    solve_tree_lp,
-    terminal_connectivity,
-)
+from mcastcap import analyze_instance, sample_instances, theorem3_lower_bound
 
 
 def main() -> None:
@@ -35,17 +27,12 @@ def main() -> None:
     for g, a in sample_instances(
         args.count, args.vertices, args.extra_edges, args.terminals, seed=args.seed
     ):
-        lam = terminal_connectivity(g, a)
-        na = len(a.members)
-        tree_lp = solve_tree_lp(g, a)
-        k, _ = max_integer_packing(g, a, lp=tree_lp)
-        half, _ = half_integer_capacity(g, a, lp=tree_lp)
-        lp, _ = fractional_capacity_lp(g, a, lp=tree_lp)
-        floor_half = Fraction((2 * na * lam - na + 2) // (2 * (na - 1)), 2)
-        if not (Fraction(k) <= half <= lp and half >= floor_half):
+        r = analyze_instance(g, a)
+        floor_half, _ = theorem3_lower_bound(r.lam, r.num_terminals)
+        if not (r.k_int <= r.half_rate <= r.lp_rate and r.half_rate >= floor_half):
             violations += 1
-            print(f"VIOLATION: lambda={lam} k={k} half={half} lp={lp}")
-        slack[lp - floor_half] += 1
+            print(f"VIOLATION: lambda={r.lam} k={r.k_int} half={r.half_rate} lp={r.lp_rate}")
+        slack[r.lp_rate - floor_half] += 1
 
     print(f"checked {args.count} instances "
           f"(|V|<={args.vertices}, |A|={args.terminals}): {violations} violations")

@@ -23,7 +23,6 @@ from .splitting import (
     SplitEvent,
     SplitHistory,
     eliminate_relays,
-    find_disjoint_admissible_pairs,
     is_admissible,
     lift_packing,
     split_off,
@@ -65,5 +64,6 @@ from .instances import (
     verify_routing_scheme,
     verify_routing_scheme_report,
 )
+from .analysis import CapacityReport, analyze_instance
 
 __version__ = "0.1.0"

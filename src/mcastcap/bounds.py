@@ -153,6 +153,29 @@ def corollary2_gain_bound(a: int) -> BoundValue:
     return BoundValue(Fraction(2 * (a - 1), a), limit=True)
 
 
+# (``analyze`` label, ``bounds`` label) of each row; the three-terminal rows first
+_BOUND_LABELS = (
+    ("3-terminal integer lower bound", "pi_i lower bound (3 terminals)"),
+    ("3-terminal half-integer lower bound", "pi_1/2 lower bound (3 terminals)"),
+    ("3-terminal fractional lower bound", "pi_f lower bound (3 terminals)"),
+    ("3-terminal gain bound (integer)", "G_i upper bound"),
+    ("3-terminal gain bound (half-integer)", "G_1/2 upper bound"),
+    ("3-terminal gain bound (fractional)", "G_f upper bound"),
+    ("general half-integer lower bound", "pi_1/2 lower bound (general)"),
+    ("general fractional lower bound", "pi_f lower bound (general)"),
+    ("general fractional gain bound", "G_f upper bound (general)"),
+)
+
+
+def bound_table(lam: int, a: int) -> list[tuple[str, str, int | Rate | BoundValue]]:
+    """The closed-form bounds that apply at connectivity ``lam >= 2`` and ``a``
+    terminals, as (``analyze`` label, ``bounds`` label, value) rows: Theorem 1
+    and Corollary 1 when a = 3, then Theorem 3 and Corollary 2."""
+    values = [*theorem1_lower_bounds(lam), *corollary1_gain_bounds(lam)] if a == 3 else []
+    values += [*theorem3_lower_bound(lam, a), corollary2_gain_bound(a)]
+    return [(*labels, v) for labels, v in zip(_BOUND_LABELS[-len(values):], values)]
+
+
 def gamma_bracket(g: Multigraph, a: TerminalSet) -> GammaBracket:
     """Certified interval around the coding capacity: LP rate <= gamma <= min(lambda, eta).
 

@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing and output.  The analysis
+itself is ``analysis.analyze_instance``.
 
 Subcommands: analyze, bounds, pack, split, strength, gen, selftest.
 Exit codes: 0 ok, 1 selftest failure, 2 input error, 3 resource limit,
@@ -11,17 +12,11 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bounds as bnd
-from .connectivity import terminal_connectivity
-from .errors import (
-    BridgeBetweenTerminals,
-    CertificateError,
-    McastcapError,
-    ResourceLimit,
-)
+from .analysis import analyze_instance
+from .errors import CertificateError, McastcapError, ResourceLimit
 from .instances import (
     example2_instance,
     example2_routing_scheme,
@@ -31,7 +26,6 @@ from .instances import (
 )
 from .multigraph import (
     Multigraph,
-    Rate,
     TerminalSet,
     dump_instance,
     load_instance,
@@ -43,185 +37,10 @@ from .packing import (
     fractional_capacity_lp,
     half_integer_capacity,
     max_integer_packing,
-    search_goal,
-    solve_tree_lp,
     verify_packing,
 )
-from .splitting import eliminate_relays, lift_packing
+from .splitting import eliminate_relays
 from .strength import edge_strength, verify_partition
-
-
-@dataclass
-class CapacityReport:
-    num_vertices: int
-    num_edges: int
-    num_terminals: int
-    lam: int
-    short_circuit: bool = False  # lambda(A) == 1: capacity is 1 outright
-    k_int: int | None = None
-    half_rate: Rate | None = None
-    lp_rate: Rate | None = None
-    eta: Rate | None = None
-    bracket: "bnd.GammaBracket | None" = None
-    bound_rows: list[tuple[str, str]] = field(default_factory=list)
-    via_splitting: dict | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "vertices": self.num_vertices,
-            "edges": self.num_edges,
-            "terminals": self.num_terminals,
-            "terminal_connectivity": self.lam,
-        }
-        if self.short_circuit:
-            d["capacity"] = "1"
-            d["note"] = "terminal connectivity 1: routing and coding capacity are both 1"
-            return d
-        d.update(
-            {
-                "integer_packing": self.k_int,
-                "half_integer_rate": str(self.half_rate),
-                "fractional_rate": str(self.lp_rate),
-                "edge_strength": str(self.eta),
-                "bracket": {
-                    "lower": str(self.bracket.lower),
-                    "upper": str(self.bracket.upper),
-                    "tight": self.bracket.tight,
-                },
-                "bounds": [{"name": n, "value": v} for n, v in self.bound_rows],
-            }
-        )
-        if self.via_splitting is not None:
-            d["via_splitting"] = self.via_splitting
-        return d
-
-    def to_text(self, decimal: bool = False) -> str:
-        def fmt(x) -> str:
-            s = str(x)
-            if decimal and isinstance(x, Fraction):
-                s += f" ({float(x):.6f})"
-            return s
-
-        lines = [
-            f"instance: |V|={self.num_vertices} |E|={self.num_edges} "
-            f"|A|={self.num_terminals} lambda(A)={self.lam}"
-        ]
-        if self.short_circuit:
-            lines.append("terminal connectivity 1: gamma = pi = 1")
-            return "\n".join(lines)
-        lines += [
-            f"integer packing k        = {self.k_int}",
-            f"half-integer rate        = {fmt(self.half_rate)}",
-            f"fractional rate (LP)     = {fmt(self.lp_rate)}",
-            f"edge strength eta        = {fmt(self.eta)}",
-            f"gamma bracket            = [{fmt(self.bracket.lower)}, {fmt(self.bracket.upper)}]"
-            + ("  (tight)" if self.bracket.tight else ""),
-        ]
-        if self.bound_rows:
-            lines.append("bound table:")
-            for name, value in self.bound_rows:
-                lines.append(f"  {name:<42} {value}")
-        if self.via_splitting is not None:
-            v = self.via_splitting
-            lines.append(
-                f"via splitting: scale={v['scale']} packed={v['packed_trees']} "
-                f"rate={v['rate']} lifted_ok={v['lifted_verifies']}"
-            )
-        return "\n".join(lines)
-
-
-def analyze_instance(
-    g: Multigraph, a: TerminalSet, via_splitting: bool = False
-) -> CapacityReport:
-    validate(g, a)
-    lam = terminal_connectivity(g, a)
-    report = CapacityReport(
-        num_vertices=len(g.vertices),
-        num_edges=len(g.edges),
-        num_terminals=len(a.members),
-        lam=lam,
-    )
-    if lam == 1:
-        report.short_circuit = True
-        return report
-    core = prune_to_core(g, a)
-    report.num_vertices = len(core.vertices)
-    report.num_edges = len(core.edges)
-
-    tree_lp = solve_tree_lp(core, a)
-    # refuse a goal past the limit before either search spends time on it
-    for factor, stage in ((1, "integer"), (2, "half-integer")):
-        search_goal(tree_lp, factor, stage)
-    k, int_packing = max_integer_packing(core, a, lp=tree_lp)
-    if not verify_packing(core, a, int_packing):
-        raise CertificateError("integer packing failed verification")
-    half, half_packing = half_integer_capacity(core, a, lp=tree_lp)
-    if not verify_packing(core, a, half_packing):
-        raise CertificateError("half-integer packing failed verification")
-    lp, lp_packing = fractional_capacity_lp(core, a, lp=tree_lp)
-    if not verify_packing(core, a, lp_packing):
-        raise CertificateError("fractional packing failed verification")
-    eta, witness = edge_strength(core, a)
-    if not verify_partition(core, a, eta, witness):
-        raise CertificateError("edge strength witness failed verification")
-    # 2-block partitions give lambda(A) exactly, so eta <= lambda and eta is
-    # the bracket's upper end
-    if not eta <= lam:
-        raise CertificateError(f"edge strength {eta} exceeds connectivity {lam}")
-
-    report.k_int = k
-    report.half_rate = half
-    report.lp_rate = lp
-    report.eta = eta
-    report.bracket = bnd.GammaBracket(lp, eta, lp == eta)
-
-    na = len(a.members)
-    rows: list[tuple[str, str]] = []
-    if na == 3:
-        i_lb, h_lb, f_lb = bnd.theorem1_lower_bounds(lam)
-        rows.append(("3-terminal integer lower bound", str(i_lb)))
-        rows.append(("3-terminal half-integer lower bound", str(h_lb)))
-        rows.append(("3-terminal fractional lower bound", str(f_lb)))
-        gi, gh, gf = bnd.corollary1_gain_bounds(lam)
-        rows.append(("3-terminal gain bound (integer)", str(gi)))
-        rows.append(("3-terminal gain bound (half-integer)", str(gh)))
-        rows.append(("3-terminal gain bound (fractional)", str(gf)))
-    h_ex, f_lim = bnd.theorem3_lower_bound(lam, na)
-    rows.append(("general half-integer lower bound", str(h_ex)))
-    rows.append(("general fractional lower bound", str(f_lim)))
-    rows.append(("general fractional gain bound", str(bnd.corollary2_gain_bound(na))))
-    report.bound_rows = rows
-
-    if via_splitting:
-        # Splitting preserves every terminal min-cut but can strictly lose
-        # packing value, so only the lower-bound chain is checked: the
-        # lifted packing must verify on the base graph, stay within the
-        # direct LP rate, and dominate the general floor bound.
-        split_g, history, scale = eliminate_relays(core, a)
-        split_lp = solve_tree_lp(split_g, a)
-        k_split, packed = max_integer_packing(split_g, a, lp=split_lp)
-        lifted = lift_packing(history, packed)
-        lifted_ok = verify_packing(history.base, a, lifted)
-        lp_split, _ = fractional_capacity_lp(split_g, a, lp=split_lp)
-        split_rate = Fraction(k_split, scale)
-        report.via_splitting = {
-            "scale": scale,
-            "packed_trees": k_split,
-            "lifted_trees": len(lifted.trees),
-            "rate": str(split_rate),
-            "lifted_verifies": lifted_ok,
-            "lp_rate": str(lp_split / scale),
-        }
-        if not lifted_ok:
-            raise CertificateError("lifted packing failed verification")
-        if len(lifted.trees) != len(packed.trees):
-            raise CertificateError("lifting changed the number of trees")
-        if not split_rate <= lp:
-            raise CertificateError("lifted rate exceeds the LP rate")
-        floor_bound = (scale * na * lam - na + 2) // (2 * (na - 1))
-        if not Fraction(floor_bound, scale) <= split_rate:
-            raise CertificateError("splitting route fell below the guaranteed tree count")
-    return report
 
 
 # -- subcommands -----------------------------------------------------------
@@ -261,24 +80,7 @@ def _cmd_bounds(args) -> int:
     if lam == 1:
         print("terminal connectivity 1: gamma = pi = 1")
         return 0
-    rows = []
-    if na == 3:
-        i_lb, h_lb, f_lb = bnd.theorem1_lower_bounds(lam)
-        gi, gh, gf = bnd.corollary1_gain_bounds(lam)
-        rows += [
-            ("pi_i lower bound (3 terminals)", str(i_lb)),
-            ("pi_1/2 lower bound (3 terminals)", str(h_lb)),
-            ("pi_f lower bound (3 terminals)", str(f_lb)),
-            ("G_i upper bound", str(gi)),
-            ("G_1/2 upper bound", str(gh)),
-            ("G_f upper bound", str(gf)),
-        ]
-    h_ex, f_lim = bnd.theorem3_lower_bound(lam, na)
-    rows += [
-        ("pi_1/2 lower bound (general)", str(h_ex)),
-        ("pi_f lower bound (general)", str(f_lim)),
-        ("G_f upper bound (general)", str(bnd.corollary2_gain_bound(na))),
-    ]
+    rows = [(name, str(value)) for _, name, value in bnd.bound_table(lam, na)]
     dec3 = bnd.decompose3(lam)
     decg = bnd.decompose_general(lam, na)
     rows += [
@@ -420,15 +222,10 @@ def _selftest_splitting() -> list[str]:
 def _selftest_packing() -> list[str]:
     failures = []
     for i, (g, a) in enumerate(sample_instances(15, 6, 5, 3, seed=2000)):
-        lam = terminal_connectivity(g, a)
-        tree_lp = solve_tree_lp(g, a)
-        k, _ = max_integer_packing(g, a, lp=tree_lp)
-        half, _ = half_integer_capacity(g, a, lp=tree_lp)
-        lp, _ = fractional_capacity_lp(g, a, lp=tree_lp)
-        eta, _ = edge_strength(g, a)
-        if not (k <= half <= lp <= min(Fraction(lam), eta)):
+        r = analyze_instance(g, a)
+        if not (r.k_int <= r.half_rate <= r.lp_rate <= min(r.lam, r.eta)):
             failures.append(f"packing instance {i}: sandwich violated")
-        if k < (6 * lam - 3) // 8:
+        if r.k_int < bnd.theorem1_lower_bounds(r.lam)[0]:
             failures.append(f"packing instance {i}: 3-terminal bound violated")
     return failures
 

@@ -45,10 +45,6 @@ class CutEdgeAtPivot(McastcapError):
     """A cut-edge is incident to the splitting pivot."""
 
 
-class DegreeThree(McastcapError):
-    """Pivot has unit-edge degree 3; disjoint admissible pairing is not guaranteed."""
-
-
 class OddDegree(McastcapError):
     """Pivot has odd unit-edge degree; scale capacities by 2 first."""
 
@@ -56,11 +52,9 @@ class OddDegree(McastcapError):
 class SearchExhausted(McastcapError):
     """Backtracking found no complete admissible splitting.
 
-    Mader's theorem guarantees a complete splitting only at an even-degree
-    pivot with no incident cut-edge; there, hitting this error indicates a
-    bug.  At an odd-degree pivot it guarantees one admissible pair (degree
-    not 3), not floor(d/2) disjoint ones, so the search may exhaust.  The
-    message carries a diagnostic dump.
+    Mader's theorem guarantees a complete splitting at an even-degree pivot
+    with no incident cut-edge, the only pivot searched, so hitting this error
+    indicates a bug.  The message carries a diagnostic dump.
     """
 
 

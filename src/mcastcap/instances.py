@@ -61,16 +61,6 @@ def example2_instance(
     return g, terminals
 
 
-def _segment_edges(g: Multigraph, order: list[str]) -> list[tuple[int, str, str]]:
-    """Edges of the cycle in traversal order, oriented along the traversal."""
-    out = []
-    for i in range(len(order)):
-        u, v = order[i], order[(i + 1) % len(order)]
-        e = next(e for e in g.edges if {e.u, e.v} == {u, v})
-        out.append((e.id, u, v))
-    return out
-
-
 def example2_routing_scheme(
     a: int, relay_slots: tuple[int, ...] = ()
 ) -> RoutingScheme:
@@ -82,26 +72,14 @@ def example2_routing_scheme(
     of a terminal-to-terminal segment carries that segment's symbols.
     Edge ids match ``example2_instance(a, relay_slots)``.
     """
-    g, terminals = example2_instance(a, relay_slots)
-    # rebuild insertion order (terminals and relays interleave deterministically)
-    order: list[str] = []
-    per_gap: dict[int, int] = {}
-    for s in relay_slots:
-        per_gap[s] = per_gap.get(s, 0) + 1
-    relay_no = 0
-    for i in range(a):
-        order.append(f"v{i}")
-        for _ in range(per_gap.get(i, 0)):
-            relay_no += 1
-            order.append(f"x{relay_no}")
-    cycle = _segment_edges(g, order)
-
-    # group cycle edges into segments between consecutive terminals
+    g, _ = example2_instance(a, relay_slots)
+    # group the cycle edges into segments between consecutive terminals:
+    # example2_instance builds them in traversal order, oriented along it
     segments: list[list[tuple[int, str, str]]] = []
     current: list[tuple[int, str, str]] = []
-    for eid, u, v in cycle:
-        current.append((eid, u, v))
-        if v.startswith("v"):
+    for e in g.edges:
+        current.append((e.id, e.u, e.v))
+        if e.v.startswith("v"):
             segments.append(current)
             current = []
     # segments[i] runs v_i -> v_{i+1}; the last runs v_{a-1} -> v_0
@@ -208,22 +186,3 @@ def sample_instances(
         except Underconnected:
             pass
         s += 1
-
-
-def example1_placeholder() -> tuple[Multigraph, TerminalSet]:
-    """A small demo instance: terminal connectivity 3, three sinks,
-    fractional rate >= 4/3.
-    """
-    # K4 on the terminals with a relay subdividing one edge
-    vs = ["s", "r1", "r2", "r3", "x"]
-    triples = [
-        ("s", "r1", 1),
-        ("s", "r2", 1),
-        ("s", "x", 1),
-        ("x", "r3", 1),
-        ("r1", "r2", 1),
-        ("r1", "r3", 1),
-        ("r2", "r3", 1),
-    ]
-    g = Multigraph.build(vs, triples)
-    return g, TerminalSet("s", ("r1", "r2", "r3"))

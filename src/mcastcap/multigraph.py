@@ -150,15 +150,9 @@ class Multigraph:
         return Multigraph(self.vertices, tuple(out))
 
 
-def degree(g: Multigraph, v: str, raw: bool = False) -> int:
-    """Unit-edge degree of ``v``: a capacity-c edge contributes c.
-
-    With ``raw=True`` counts incident edge records instead.
-    """
-    inc = g.incident(v)
-    if raw:
-        return len(inc)
-    return sum(e.cap for e in inc)
+def degree(g: Multigraph, v: str) -> int:
+    """Unit-edge degree of ``v``: a capacity-c edge contributes c."""
+    return sum(e.cap for e in g.incident(v))
 
 
 def components(g: Multigraph, without_edges: frozenset[int] = frozenset()) -> list[frozenset[str]]:
@@ -295,8 +289,9 @@ def load_instance(text: str) -> tuple[Multigraph, TerminalSet]:
     """Parse the JSON interchange format.
 
     ``{"vertices": [...], "edges": [[u, v, cap], ...], "source": s, "sinks": [...]}``
-    Duplicate triples denote parallel edges.  Rejects self-loops and
-    nonpositive capacities.
+    Duplicate triples denote parallel edges.  Rejects self-loops,
+    nonpositive capacities and duplicate vertex names; names are coerced
+    with ``str``, so ``1`` and ``"1"`` are the same name.
     """
     try:
         obj = json.loads(text)
@@ -311,6 +306,9 @@ def load_instance(text: str) -> tuple[Multigraph, TerminalSet]:
         sinks = [str(s) for s in obj["sinks"]]
     except (KeyError, TypeError) as exc:
         raise InvalidGraph(f"missing or malformed field: {exc}") from exc
+    if len(set(vertices)) != len(vertices):
+        dup = next(v for i, v in enumerate(vertices) if v in vertices[:i])
+        raise InvalidGraph(f"duplicate vertex {dup!r} (names are compared as strings)")
     triples = []
     for t in raw_edges:
         if not (isinstance(t, (list, tuple)) and len(t) == 3):

@@ -296,10 +296,10 @@ def solve_tree_lp(g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT
     )
 
 
-def _solved_for(g: Multigraph, a: TerminalSet, limit: int, lp: TreeLP | None) -> TreeLP:
+def _solved_for(g: Multigraph, a: TerminalSet, lp: TreeLP | None) -> TreeLP:
     """The given solve, checked to be of (g, a), or a new one."""
     if lp is None:
-        return solve_tree_lp(g, a, limit)
+        return solve_tree_lp(g, a)
     if lp.graph != g or lp.terminals != a:
         raise ValueError("the tree LP was solved for another graph or terminal set")
     return lp
@@ -440,23 +440,23 @@ def _branch_and_bound(
 
 
 def max_integer_packing(
-    g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT, *, lp: TreeLP | None = None
+    g: Multigraph, a: TerminalSet, *, lp: TreeLP | None = None
 ) -> tuple[int, SteinerPacking]:
     """Exact maximum number of edge-disjoint A-Steiner trees, with certificate.
 
     ``lp`` is a solve of (g, a) to reuse; without it one is made.
     """
-    lp = _solved_for(g, a, limit, lp)
+    lp = _solved_for(g, a, lp)
     k, solution = _branch_and_bound(lp, 1, "integer")
     return k, _expand_packing(g, solution, lp.members)
 
 
 def half_integer_capacity(
-    g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT, *, lp: TreeLP | None = None
+    g: Multigraph, a: TerminalSet, *, lp: TreeLP | None = None
 ) -> tuple[Rate, SteinerPacking]:
     """Pack the same trees in doubled capacities, expand onto the doubled
     graph and halve.  ``lp`` is a solve of (g, a) to reuse."""
-    lp = _solved_for(g, a, limit, lp)
+    lp = _solved_for(g, a, lp)
     k2, solution = _branch_and_bound(lp, 2, "half-integer")
     packed = _expand_packing(scale_capacities(g, 2), solution, lp.members)
     trees = tuple((t, mult / 2) for t, mult in packed.trees)
@@ -464,11 +464,11 @@ def half_integer_capacity(
 
 
 def fractional_capacity_lp(
-    g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT, *, lp: TreeLP | None = None
+    g: Multigraph, a: TerminalSet, *, lp: TreeLP | None = None
 ) -> tuple[Rate, SteinerPacking]:
     """Exact fractional routing capacity: LP optimum over minimal trees.
     ``lp`` is a solve of (g, a) to reuse."""
-    lp = _solved_for(g, a, limit, lp)
+    lp = _solved_for(g, a, lp)
     solution = [(t, y) for t, y in zip(lp.trees, lp.y) if y > 0]
     packing = _expand_packing(g, solution, lp.members)
     if packing.rate != lp.opt:

@@ -23,7 +23,6 @@ from itertools import combinations
 from .errors import (
     CertificateError,
     CutEdgeAtPivot,
-    DegreeThree,
     InvalidGraph,
     NotIncident,
     OddDegree,
@@ -130,22 +129,18 @@ def is_admissible(g: Multigraph, e_id: int, f_id: int, pivot: str | None = None)
     return _keeps_targets(split, _cut_targets(g, ev.pivot))
 
 
-def _complete_splitting_search(
-    g: Multigraph, x: str, allow_leftover: bool
-) -> tuple[Multigraph, list[SplitEvent]] | None:
+def _complete_splitting_search(g: Multigraph, x: str) -> tuple[Multigraph, list[SplitEvent]] | None:
     """Backtrack over pairings of the edges incident to x, splitting each
-    admissible pair in sequence, until at most ``allow_leftover`` edge remains.
+    admissible pair in sequence, until no edge remains.
 
     Candidates with the same far endpoint give the same split up to edge
     ids, so each level checks one per far endpoint.
     """
     far = {e.id: e.other(x) for e in g.incident(x)}
-    remaining = sorted(far)
-    stop = 1 if allow_leftover and len(remaining) % 2 == 1 else 0
     targets = _cut_targets(g, x)
 
     def rec(cur: Multigraph, rem: list[int]):
-        if len(rem) <= stop:
+        if not rem:
             return cur, []
         e_id = rem[0]
         admissible: dict[str, bool] = {}
@@ -160,43 +155,15 @@ def _complete_splitting_search(
                 sub = rec(nxt, [i for i in rem if i not in (e_id, f_id)])
                 if sub is not None:
                     return sub[0], [ev] + sub[1]
-        if stop and len(rem) % 2 == 1:
-            # designate e_id as the single unpaired edge
-            sub = rec(cur, rem[1:])
-            if sub is not None:
-                return sub
         return None
 
-    return rec(g, remaining)
+    return rec(g, sorted(far))
 
 
 def _check_pivot(g: Multigraph, x: str) -> None:
     for e in g.incident(x):
         if is_cut_edge(g, e.id):
             raise CutEdgeAtPivot(f"cut-edge {e.id} incident to pivot {x!r}")
-
-
-def find_disjoint_admissible_pairs(g: Multigraph, x: str) -> list[tuple[int, int]]:
-    """floor(d(x)/2) pairwise-disjoint admissible pairs at x, in split order.
-
-    With no cut-edge at x, Mader's theorem guarantees them for even d(x), a
-    complete splitting; for odd d(x) != 3 it guarantees only one admissible
-    pair, and the search may exhaust (SearchExhausted) on a correct graph.
-    """
-    if not g.is_unit():
-        raise InvalidGraph("splitting requires the unit-edge view")
-    d = degree(g, x)
-    if d == 3:
-        raise DegreeThree(f"pivot {x!r} has degree 3")
-    _check_pivot(g, x)
-    found = _complete_splitting_search(g, x, allow_leftover=True)
-    if found is None:
-        note = " (odd degree: only one pair is guaranteed)" if d % 2 else ""
-        raise SearchExhausted(
-            f"no {d // 2} disjoint admissible pairs at {x!r} of degree {d}{note}; graph dump: "
-            f"vertices={sorted(g.vertices)} edges={[(e.id, e.u, e.v) for e in g.edges]}"
-        )
-    return [(ev.e_id, ev.f_id) for ev in found[1]]
 
 
 def suitable_complete_splitting(g: Multigraph, x: str) -> tuple[Multigraph, SplitHistory]:
@@ -210,7 +177,7 @@ def suitable_complete_splitting(g: Multigraph, x: str) -> tuple[Multigraph, Spli
     if d % 2 == 1:
         raise OddDegree(f"pivot {x!r} has odd degree {d}; scale capacities by 2 first")
     _check_pivot(g, x)
-    found = _complete_splitting_search(g, x, allow_leftover=False)
+    found = _complete_splitting_search(g, x)
     if found is None:
         raise SearchExhausted(
             f"no suitable complete splitting at {x!r}; graph dump: "

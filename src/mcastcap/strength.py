@@ -16,8 +16,7 @@ and a whole terminal partition is skipped when ``fixed + suffix[0]`` is.
 All comparisons are integer cross-multiplications.  The prune is strict, so
 every partition that ties the incumbent reaches the leaf, and the witness is
 the least minimizer in the order of the sorted tuple of sorted blocks,
-whatever the search order.  ``connected_blocks_only`` filters leaves only,
-so the bound holds for it too.
+whatever the search order.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError, TooManyPartitions, TooManyVertices
-from .multigraph import Multigraph, Rate, TerminalSet, components
+from .multigraph import Multigraph, Rate, TerminalSet
 
 MAX_VERTICES = 12
 # Most terminal partitions, Bell(|A|), the search may visit: it visits each
@@ -78,19 +77,11 @@ def _crossing_capacity(g: Multigraph, blocks) -> int:
     return sum(e.cap for e in g.edges if block_of[e.u] != block_of[e.v])
 
 
-def _blocks_connected(g: Multigraph, blocks) -> bool:
-    return all(len(components(g.restrict(b))) == 1 for b in blocks)
-
-
-def edge_strength(
-    g: Multigraph, a: TerminalSet, connected_blocks_only: bool = False
-) -> tuple[Rate, TerminalPartition]:
+def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartition]:
     """Exact minimum of crossing/(blocks-1) over terminal-covering partitions.
 
     The witness is the lexicographically least minimizer (blocks compared as
-    sorted tuples of sorted vertex lists).  With ``connected_blocks_only``
-    the enumeration is restricted to partitions whose blocks induce connected
-    subgraphs; the minimum is unchanged.
+    sorted tuples of sorted vertex lists).
     """
     if len(g.vertices) > MAX_VERTICES:
         raise TooManyVertices(
@@ -146,8 +137,6 @@ def edge_strength(
             blocks[assign[r]].append(relays[r])
         key = tuple(sorted(tuple(sorted(b)) for b in blocks))
         if best_num is not None and lhs == rhs and key >= best_key:
-            return
-        if connected_blocks_only and not _blocks_connected(g, blocks):
             return
         best_num, best_den, best_key = cur, den, key
 

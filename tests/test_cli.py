@@ -129,6 +129,11 @@ class TestSelftest:
     def test_examples_scope(self, capsys):
         assert main(["selftest", "examples"]) == 0
 
+    @pytest.mark.parametrize("scope", ["splitting", "packing"])
+    def test_pipeline_scopes(self, capsys, scope):
+        assert main(["selftest", scope]) == 0
+        assert capsys.readouterr().out == f"selftest {scope}: ok\n"
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -136,8 +141,19 @@ class TestErrors:
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("not json at all")
-        assert main(["analyze", str(path)]) == 2
+        duplicate = {"vertices": ["a", "a", "b", "c"], "edges": [["a", "b", 1], ["b", "c", 1], ["c", "a", 1]],
+                     "source": "a", "sinks": ["b", "c"]}
+        # 1 and "1" are the same name once coerced to a string
+        coerced = {"vertices": [1, "1", "b"], "edges": [[1, "b", 1], ["1", "b", 1]],
+                   "source": "1", "sinks": ["b"]}
+        for text, message in [
+            ("not json at all", "malformed JSON"),
+            (json.dumps(duplicate), "duplicate vertex 'a'"),
+            (json.dumps(coerced), "duplicate vertex '1'"),
+        ]:
+            path.write_text(text)
+            assert main(["analyze", str(path)]) == 2
+            assert f"input error: {message}" in capsys.readouterr().err
 
     def test_bad_terminals(self, tmp_path, capsys):
         path = tmp_path / "bad2.json"
@@ -203,14 +219,18 @@ sys.exit(cli.main(sys.argv[3:]))
 """
 
 
-def _run_faulty(function, fault, *argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_python(*argv):
+    """Run a Python process that imports the package from this checkout's ``src``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run(
-        [sys.executable, "-O", "-c", _FAULTY_FUNCTION, function, fault, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def _run_faulty(function, fault, *argv):
+    return _run_python("-O", "-c", _FAULTY_FUNCTION, function, fault, *argv)
 
 
 class TestCertificateChecks:
@@ -221,7 +241,9 @@ class TestCertificateChecks:
         ("verify_partition", "strength"),
     ])
     def test_checks_survive_optimize(self, cycle_file, verifier, command):
-        proc = _run_faulty(f"cli.{verifier}", "fail", command, cycle_file)
+        # analyze runs its checks in the analysis module, the other commands in cli
+        module = "analysis" if command == "analyze" else "cli"
+        proc = _run_faulty(f"{module}.{verifier}", "fail", command, cycle_file)
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure" in proc.stderr
 
@@ -231,3 +253,14 @@ class TestCertificateChecks:
         proc = _run_faulty("splitting.pair_flow", "over-report", argv[0], cycle_file, *argv[1:])
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure" in proc.stderr
+
+
+def test_scripts_run_clean():
+    out = ""
+    for script, *args in (["random_confirmation.py", "--count", "5"],
+                          ["cycle_family_sweep.py", "--max-terminals", "5"]):
+        proc = _run_python(str(ROOT / "scripts" / script), *args)
+        assert proc.returncode == 0, proc.stderr
+        out += proc.stdout
+    assert "0 violations" in out
+    assert "BAD" not in out

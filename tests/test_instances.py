@@ -15,7 +15,6 @@ from mcastcap import (
     verify_routing_scheme_report,
 )
 from mcastcap.errors import BadSlot, Underconnected
-from mcastcap.instances import example1_placeholder
 
 
 def has_link(g, u, v):
@@ -170,11 +169,3 @@ def _ok(n, m, t, s):
         return True
     except Underconnected:
         return False
-
-
-class TestPlaceholder:
-    def test_wellformed(self):
-        g, a = example1_placeholder()
-        assert terminal_connectivity(g, a) == 3
-        lp, _ = fractional_capacity_lp(g, a)
-        assert lp >= Fraction(4, 3)

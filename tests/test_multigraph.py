@@ -84,7 +84,6 @@ class TestDegree:
     def test_capacity_weighting(self):
         g = Multigraph.build(["a", "b"], [("a", "b", 3)])
         assert degree(g, "a") == 3
-        assert degree(g, "a", raw=True) == 1
 
     def test_isolated(self):
         g = Multigraph.build(["a", "b", "c"], [("a", "b", 1)])
@@ -166,8 +165,16 @@ class TestInterchange:
             )
 
     def test_rejects_garbage(self):
-        with pytest.raises(InvalidGraph):
-            load_instance("not json at all")
+        for text, message in [
+            ("not json at all", "malformed JSON"),
+            ('{"vertices": ["a", "a", "b", "c"], "edges": [["a", "b", 1], ["b", "c", 1], ["c", "a", 1]],'
+             ' "source": "a", "sinks": ["b", "c"]}', "duplicate vertex 'a'"),
+            # 1 and "1" are the same name once coerced to a string
+            ('{"vertices": [1, "1", "b"], "edges": [[1, "b", 1], ["1", "b", 1]],'
+             ' "source": "1", "sinks": ["b"]}', "duplicate vertex '1'"),
+        ]:
+            with pytest.raises(InvalidGraph, match=message):
+                load_instance(text)
 
 
 class TestUnitForm:

@@ -8,7 +8,6 @@ from mcastcap import (
     TerminalSet,
     eliminate_relays,
     example2_instance,
-    find_disjoint_admissible_pairs,
     fractional_capacity_lp,
     is_admissible,
     is_cut_edge,
@@ -28,7 +27,6 @@ from mcastcap.errors import (
     NotIncident,
     OddDegree,
     SameEdge,
-    SearchExhausted,
 )
 from mcastcap.multigraph import degree
 from mcastcap.packing import SteinerPacking, SteinerTree
@@ -51,15 +49,14 @@ def scaled_samples():
     return base + [(scale_capacities(g, k), a) for k in (2, 4) for g, a in base]
 
 
-def reference_search(g, x, allow_leftover):
+def reference_search(g, x):
     """The pairing backtrack that accepts a split when all_pairs_connectivity
     among V - x is unchanged: the search before cut targets were reused."""
     others = g.vertices - {x}
     rem = sorted(e.id for e in g.incident(x))
-    stop = 1 if allow_leftover and len(rem) % 2 == 1 else 0
 
     def rec(cur, rem):
-        if len(rem) <= stop:
+        if not rem:
             return cur, []
         for f_id in rem[1:]:
             split, ev = split_off(cur, rem[0], f_id, pivot=x)
@@ -67,8 +64,6 @@ def reference_search(g, x, allow_leftover):
                 sub = rec(split, [i for i in rem if i not in (rem[0], f_id)])
                 if sub is not None:
                     return sub[0], [ev, *sub[1]]
-        if stop and len(rem) % 2 == 1:
-            return rec(cur, rem[1:])
         return None
 
     return rec(g, rem)
@@ -80,7 +75,7 @@ def reference_eliminate_relays(g, a):
     cur, _ = scale_capacities(g, scale).unit_form()
     events = []
     for x in relays:
-        cur, evs = reference_search(cur, x, allow_leftover=False)
+        cur, evs = reference_search(cur, x)
         cur = cur.without_vertices((x,))
         events += evs
     return cur, tuple(events), tuple(relays), scale
@@ -162,58 +157,15 @@ class TestAdmissibility:
                         )
                         assert adm == same
 
-
-class TestDisjointPairs:
-    def test_degree_two_relay(self):
-        g, _ = example2_instance(4, (1,))
-        pairs = find_disjoint_admissible_pairs(g, "x1")
-        inc = {e.id for e in g.incident("x1")}
-        assert len(pairs) == 1 and set(pairs[0]) == inc
-
-    def test_theta_pivot(self):
-        pairs = find_disjoint_admissible_pairs(theta(), "x")
-        assert len(pairs) == 2
-        used = {i for p in pairs for i in p}
-        assert used == {0, 1, 2, 3}
-
-    def test_matches_reference_search(self):
-        for g, a in sample_instances(8, 7, 5, 3, seed=5):
-            unit, _ = g.unit_form()
-            for x in sorted(unit.vertices - a.members):
-                if degree(unit, x) == 3 or any(is_cut_edge(unit, e.id) for e in unit.incident(x)):
-                    continue
-                expected = reference_search(unit, x, allow_leftover=True)
-                if expected is None:
-                    # at an odd degree Mader's theorem guarantees one pair only
-                    with pytest.raises(SearchExhausted):
-                        find_disjoint_admissible_pairs(unit, x)
-                else:
-                    pairs = find_disjoint_admissible_pairs(unit, x)
-                    assert pairs == [(ev.e_id, ev.f_id) for ev in expected[1]]
-
-    def test_odd_degree_may_exhaust(self):
-        # Regression: degree-5 relays with no disjoint pairing.  Mader's
-        # theorem promises one admissible pair at an odd degree other than 3,
-        # not floor(d/2) disjoint ones, so exhaustion here is not a bug.
+    def test_degree_five_pivot_has_admissible_pair(self):
+        # Mader's theorem promises one admissible pair at an odd degree other than 3
         instances = list(sample_instances(8, 7, 5, 3, seed=5))
         for (g, _), x in ((instances[6], "v3"), (instances[7], "v5")):
             unit, _ = g.unit_form()
             assert degree(unit, x) == 5
             assert not any(is_cut_edge(unit, e.id) for e in unit.incident(x))
-            with pytest.raises(SearchExhausted, match="odd degree: only one pair is guaranteed"):
-                find_disjoint_admissible_pairs(unit, x)
             inc = [e.id for e in unit.incident(x)]
             assert any(is_admissible(unit, e, f, x) for e, f in combinations(inc, 2))
-
-    def test_cut_edge_at_pivot(self):
-        # degree-4 pivot on a triangle with a doubled edge, plus c hanging
-        # off x by a single bridge
-        g = Multigraph.build(
-            ["a", "b", "x", "c"],
-            [("a", "b", 1), ("b", "x", 1), ("x", "a", 1), ("x", "a", 1), ("x", "c", 1)],
-        )
-        with pytest.raises(CutEdgeAtPivot):
-            find_disjoint_admissible_pairs(g, "x")
 
 
 class TestCompleteSplitting:
@@ -228,6 +180,16 @@ class TestCompleteSplitting:
             frozenset(p): 2 for p in (("s", "a"), ("s", "b"), ("a", "b"))
         }
         assert hist.replay().edges == out.edges
+
+    def test_cut_edge_at_pivot(self):
+        # degree-4 pivot on a triangle with a doubled edge, plus c hanging
+        # off x by a single bridge
+        g = Multigraph.build(
+            ["a", "b", "x", "c"],
+            [("a", "b", 1), ("b", "x", 1), ("x", "a", 1), ("x", "a", 1), ("x", "c", 1)],
+        )
+        with pytest.raises(CutEdgeAtPivot):
+            suitable_complete_splitting(g, "x")
 
     def test_theta_pivot_yields_parallel_edges(self):
         out, _ = suitable_complete_splitting(theta(), "x")

@@ -77,12 +77,6 @@ class TestProperties:
             lp, _ = fractional_capacity_lp(g, a)
             assert lp <= eta
 
-    def test_connected_blocks_mode_agrees(self):
-        for g, a in sample_instances(6, 6, 4, 3, seed=401):
-            free, _ = edge_strength(g, a)
-            conn, _ = edge_strength(g, a, connected_blocks_only=True)
-            assert free == conn
-
     def test_scaling(self):
         g, a = triangle()
         eta, _ = edge_strength(g, a)
@@ -121,9 +115,8 @@ def _connected(g, block):
 
 def _oracle_strength(g, a):
     """Least (crossing/(|P|-1), sorted blocks, crossing) over every partition
-    of V with >= 2 blocks and a terminal in each: over all of them, and over
-    those whose blocks are connected."""
-    best = best_conn = None
+    of V with >= 2 blocks and a terminal in each."""
+    best = None
     terms = a.members
     for p in _set_partitions(tuple(sorted(g.vertices))):
         if len(p) < 2 or not all(terms.intersection(b) for b in p):
@@ -133,18 +126,16 @@ def _oracle_strength(g, a):
         cand = (Fraction(crossing, len(p) - 1), tuple(sorted(tuple(sorted(b)) for b in p)), crossing)
         if best is None or cand < best:
             best = cand
-        if (best_conn is None or cand < best_conn) and all(_connected(g, b) for b in p):
-            best_conn = cand
-    return best, best_conn
+    return best
 
 
 def _assert_matches_oracle(g, a):
-    for conn, (value, key, crossing) in zip((False, True), _oracle_strength(g, a)):
-        eta, witness = edge_strength(g, a, connected_blocks_only=conn)
-        assert eta == value
-        assert witness.blocks == tuple(frozenset(b) for b in key)
-        assert witness.crossing == crossing
-        assert verify_partition(g, a, eta, witness)
+    value, key, crossing = _oracle_strength(g, a)
+    eta, witness = edge_strength(g, a)
+    assert eta == value
+    assert witness.blocks == tuple(frozenset(b) for b in key)
+    assert witness.crossing == crossing
+    assert verify_partition(g, a, eta, witness)
 
 
 def _small_connected_multigraphs(max_n=5, max_cap=6):
