@@ -14,7 +14,6 @@ from .packing import (
     fractional_capacity_lp,
     half_integer_capacity,
     max_integer_packing,
-    search_goal,
     solve_tree_lp,
     verify_packing,
 )
@@ -120,15 +119,15 @@ def analyze_instance(
     report.num_edges = len(core.edges)
 
     tree_lp = solve_tree_lp(core, a)
-    # refuse a goal past the limit before either search spends time on it
-    for factor, stage in ((1, "integer"), (2, "half-integer")):
-        search_goal(tree_lp, factor, stage)
-    k, int_packing = max_integer_packing(core, a, lp=tree_lp)
-    if not verify_packing(core, a, int_packing):
-        raise CertificateError("integer packing failed verification")
+    # the half-integer goal floor(2 * LP) is at least the integer goal
+    # floor(LP), so running it first refuses a goal past the limit before
+    # either search spends time on it
     half, half_packing = half_integer_capacity(core, a, lp=tree_lp)
     if not verify_packing(core, a, half_packing):
         raise CertificateError("half-integer packing failed verification")
+    k, int_packing = max_integer_packing(core, a, lp=tree_lp)
+    if not verify_packing(core, a, int_packing):
+        raise CertificateError("integer packing failed verification")
     lp, lp_packing = fractional_capacity_lp(core, a, lp=tree_lp)
     if not verify_packing(core, a, lp_packing):
         raise CertificateError("fractional packing failed verification")

@@ -30,7 +30,6 @@ from .multigraph import (
     dump_instance,
     load_instance,
     prune_to_core,
-    validate,
 )
 from .packing import (
     SteinerPacking,
@@ -96,7 +95,6 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_pack(args) -> int:
     g, a = _read_instance(args.file)
-    validate(g, a)
     if args.mode == "int":
         k, p = max_integer_packing(g, a)
         head = {"mode": "int", "value": str(k)}
@@ -114,7 +112,6 @@ def _cmd_pack(args) -> int:
 
 def _cmd_split(args) -> int:
     g, a = _read_instance(args.file)
-    validate(g, a)
     core = prune_to_core(g, a)
     split_g, history, scale = eliminate_relays(core, a)
     out = {
@@ -139,7 +136,6 @@ def _cmd_split(args) -> int:
 
 def _cmd_strength(args) -> int:
     g, a = _read_instance(args.file)
-    validate(g, a)
     eta, witness = edge_strength(g, a)
     if not verify_partition(g, a, eta, witness):
         raise CertificateError("edge strength witness failed verification")

@@ -96,8 +96,9 @@ def max_flow(g: Multigraph, u: str, v: str) -> tuple[int, CutCertificate]:
 
 
 def terminal_connectivity(g: Multigraph, a: TerminalSet) -> int:
-    """Minimum pairwise min-cut over unordered terminal pairs."""
-    return min(max_flow(g, x, y)[0] for x, y in combinations(a.ordered(), 2))
+    """Minimum pairwise min-cut over terminal pairs, from the source's flows
+    alone: every x-y cut separates s from x or y, so λ(x, y) ≥ min(λ(s, x), λ(s, y))."""
+    return min(max_flow(g, a.source, t)[0] for t in a.sinks)
 
 
 def all_pairs_connectivity(g: Multigraph, vertices) -> dict[frozenset[str], int]:

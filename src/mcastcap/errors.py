@@ -49,15 +49,6 @@ class OddDegree(McastcapError):
     """Pivot has odd unit-edge degree; scale capacities by 2 first."""
 
 
-class SearchExhausted(McastcapError):
-    """Backtracking found no complete admissible splitting.
-
-    Mader's theorem guarantees a complete splitting at an even-degree pivot
-    with no incident cut-edge, the only pivot searched, so hitting this error
-    indicates a bug.  The message carries a diagnostic dump.
-    """
-
-
 class InvalidPacking(McastcapError):
     pass
 

@@ -58,9 +58,6 @@ class TerminalSet:
     def members(self) -> frozenset[str]:
         return frozenset((self.source, *self.sinks))
 
-    def ordered(self) -> tuple[str, ...]:
-        return (self.source, *self.sinks)
-
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -285,13 +282,20 @@ def prune_to_core(g: Multigraph, a: TerminalSet) -> Multigraph:
 # -- interchange format ----------------------------------------------------
 
 
+def _name(value) -> str:
+    """A vertex name from JSON: a string, or an integer taken as its digits."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise InvalidGraph(f"vertex name must be a string or an integer: {value!r}")
+
+
 def load_instance(text: str) -> tuple[Multigraph, TerminalSet]:
     """Parse the JSON interchange format.
 
     ``{"vertices": [...], "edges": [[u, v, cap], ...], "source": s, "sinks": [...]}``
     Duplicate triples denote parallel edges.  Rejects self-loops,
-    nonpositive capacities and duplicate vertex names; names are coerced
-    with ``str``, so ``1`` and ``"1"`` are the same name.
+    nonpositive capacities and duplicate vertex names.  Names are strings or
+    integers, coerced with ``str``, so ``1`` and ``"1"`` are the same name.
     """
     try:
         obj = json.loads(text)
@@ -300,20 +304,23 @@ def load_instance(text: str) -> tuple[Multigraph, TerminalSet]:
     if not isinstance(obj, dict):
         raise InvalidGraph("instance must be a JSON object")
     try:
-        vertices = [str(v) for v in obj["vertices"]]
-        raw_edges = obj["edges"]
-        source = str(obj["source"])
-        sinks = [str(s) for s in obj["sinks"]]
-    except (KeyError, TypeError) as exc:
-        raise InvalidGraph(f"missing or malformed field: {exc}") from exc
+        arrays = {key: obj[key] for key in ("vertices", "edges", "sinks")}
+        source = _name(obj["source"])
+    except KeyError as exc:
+        raise InvalidGraph(f"missing field: {exc}") from exc
+    for key, value in arrays.items():
+        if not isinstance(value, list):
+            raise InvalidGraph(f"{key!r} must be a JSON array: {value!r}")
+    vertices = [_name(v) for v in arrays["vertices"]]
+    sinks = [_name(s) for s in arrays["sinks"]]
     if len(set(vertices)) != len(vertices):
         dup = next(v for i, v in enumerate(vertices) if v in vertices[:i])
         raise InvalidGraph(f"duplicate vertex {dup!r} (names are compared as strings)")
     triples = []
-    for t in raw_edges:
-        if not (isinstance(t, (list, tuple)) and len(t) == 3):
+    for t in arrays["edges"]:
+        if not (isinstance(t, list) and len(t) == 3):
             raise InvalidGraph(f"edge entry must be a [u, v, cap] triple: {t!r}")
-        u, v, cap = str(t[0]), str(t[1]), t[2]
+        u, v, cap = _name(t[0]), _name(t[1]), t[2]
         if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
             raise InvalidGraph(f"capacity must be a positive integer: {t!r}")
         if u == v:

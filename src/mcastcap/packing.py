@@ -38,9 +38,11 @@ from .multigraph import Edge, Multigraph, Rate, TerminalSet, edge_component, sca
 
 DEFAULT_TREE_LIMIT = 5000
 # Largest goal, floor(factor * LP optimum), the branch and bound may search
-# for: its depth, and on fat instances its time, grow with the goal.  Every
-# goal below 1000 is admitted, so every search that fits in the interpreter's
-# default 1000-frame stack when written recursively still runs.
+# for.  The search keeps its path on a list, so this bounds time, not stack
+# depth: on fat instances the time grows faster than the goal (K4 + relay
+# with capacities x100, half-integer goal 500: about 4 s; x199, goal 995:
+# about 14 s; 2-core x86 VM, Python 3.11), and a larger goal is refused
+# before the search starts.
 MAX_PACKED_TREES = 999
 
 
@@ -278,17 +280,18 @@ class TreeLP:
     y: tuple[Fraction, ...]
 
 
-def solve_tree_lp(g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT) -> TreeLP:
+def solve_tree_lp(g: Multigraph, a: TerminalSet) -> TreeLP:
     """Enumerate the minimal trees over g's parallel classes and solve their LP.
 
-    More than ``limit`` trees raise TooManyTrees.
+    More than ``DEFAULT_TREE_LIMIT`` trees raise TooManyTrees.
     """
     classes = g.aggregated()
     class_of = {frozenset((e.u, e.v)): e.id for e in classes.edges}
     members: dict[int, list[int]] = {}
     for e in sorted(g.edges, key=lambda e: e.id):
         members.setdefault(class_of[frozenset((e.u, e.v))], []).append(e.id)
-    trees = _minimal_trees(g.vertices, [(e.id, e.u, e.v) for e in classes.edges], a.members, limit)
+    class_edges = [(e.id, e.u, e.v) for e in classes.edges]
+    trees = _minimal_trees(g.vertices, class_edges, a.members, DEFAULT_TREE_LIMIT)
     caps = {e.id: e.cap for e in classes.edges}
     opt, y = _lp_max_total(trees, [e.id for e in classes.edges], caps)
     return TreeLP(
@@ -376,19 +379,6 @@ def _mincut_lower_estimate(
     return best
 
 
-def search_goal(lp: TreeLP, factor: int, stage: str) -> int:
-    """floor(factor * LP optimum), the most trees a packing in ``factor``
-    times the capacities can hold; above ``MAX_PACKED_TREES`` it raises
-    SearchTooDeep naming ``stage``."""
-    goal = int(factor * lp.opt)  # floor
-    if goal > MAX_PACKED_TREES:
-        raise SearchTooDeep(
-            f"{stage} branch and bound would search for {goal} trees, more than "
-            f"the limit MAX_PACKED_TREES = {MAX_PACKED_TREES}"
-        )
-    return goal
-
-
 def _branch_and_bound(
     lp: TreeLP, factor: int, stage: str
 ) -> tuple[int, list[tuple[frozenset[int], Fraction]]]:
@@ -399,9 +389,16 @@ def _branch_and_bound(
     next tree to try at each open node.  A node is pruned when its count plus
     the residual min-cut bound cannot beat the best found, and the search
     stops once it reaches floor(factor * LP optimum), which bounds every
-    packing because the LP optimum scales linearly with the capacities.
+    packing because the LP optimum scales linearly with the capacities.  A
+    goal above ``MAX_PACKED_TREES`` raises SearchTooDeep naming ``stage``
+    before the search starts.
     """
-    goal = search_goal(lp, factor, stage)
+    goal = int(factor * lp.opt)  # floor
+    if goal > MAX_PACKED_TREES:
+        raise SearchTooDeep(
+            f"{stage} branch and bound would search for {goal} trees, more than "
+            f"the limit MAX_PACKED_TREES = {MAX_PACKED_TREES}"
+        )
     classes = lp.classes.edges
     source, sinks = lp.terminals.source, lp.terminals.sinks
     tree_lists = [sorted(t) for t in lp.trees]

@@ -8,11 +8,35 @@ re-forms capacities for presentation.
 
 A complete splitting at pivot x computes the cut value and certified
 minimal source side of every pair of V - x once: each split it takes keeps
-all of them, so they are the targets for the whole search.  Splitting never
-raises a cut, so a flow on the split graph stopped at its target decides a
-pair.  Reaching it proves the value unchanged, and the target's side must
-then cut exactly that capacity (the split-cut certificate); falling short,
-its own residual cut must carry its value, and the candidate is refused.
+all of them, so they are the targets for the whole splitting.  Splitting
+never raises a cut, so a flow on the split graph stopped at its target
+decides a pair.  Reaching it proves the value unchanged, and the target's
+side must then cut exactly that capacity (the split-cut certificate);
+falling short, its own residual cut must carry its value, and the candidate
+is refused.
+
+A complete splitting needs no backtracking.  The pivot has even degree and
+no cut-edge when the splitting starts, and:
+
+- Mader's theorem (W. Mader, *A reduction method for edge-connectivity in
+  graphs*, 1978; A. Frank, *On a theorem of Mader*, 1992): a pivot of
+  degree other than 3 with no cut-edge has an admissible pair.
+- An admissible split keeps the pivot free of cut-edges.  Suppose edge xc
+  became one.  The degree of x stays even, so x keeps another edge xd, and
+  d lies on x's side of that cut: λ(c, d) ≤ 1 after the split.  Before the
+  split, every c-d cut crossed xc or xd, and a cut crossed by one edge
+  alone would have made that edge a cut-edge, so λ(c, d) was at least 2.
+  The split lowered λ(c, d) and was not admissible.
+- So a complete admissible splitting remains after every admissible
+  split.  Splitting never raises a cut, so splitting any of its pairs
+  first leaves every cut between its values before and after the whole
+  splitting, which are equal: the pair holding the smallest remaining edge
+  is admissible.
+
+Taking the first admissible partner of the smallest edge, one split after
+another, therefore never gets stuck, and it takes the same path as a
+backtracking search over pairings in the same order.  A missing partner is
+a bug and raises CertificateError.
 """
 
 from __future__ import annotations
@@ -24,13 +48,14 @@ from .errors import (
     CertificateError,
     CutEdgeAtPivot,
     InvalidGraph,
+    InvalidPacking,
     NotIncident,
     OddDegree,
     SameEdge,
-    SearchExhausted,
 )
 from .connectivity import PairCapacities, cut_capacity, is_cut_edge, pair_capacities, pair_flow
 from .multigraph import Edge, Multigraph, TerminalSet, degree, edge_component, scale_capacities
+from .packing import SteinerPacking, SteinerTree
 
 
 @dataclass(frozen=True)
@@ -129,63 +154,43 @@ def is_admissible(g: Multigraph, e_id: int, f_id: int, pivot: str | None = None)
     return _keeps_targets(split, _cut_targets(g, ev.pivot))
 
 
-def _complete_splitting_search(g: Multigraph, x: str) -> tuple[Multigraph, list[SplitEvent]] | None:
-    """Backtrack over pairings of the edges incident to x, splitting each
-    admissible pair in sequence, until no edge remains.
-
-    Candidates with the same far endpoint give the same split up to edge
-    ids, so each level checks one per far endpoint.
-    """
-    far = {e.id: e.other(x) for e in g.incident(x)}
-    targets = _cut_targets(g, x)
-
-    def rec(cur: Multigraph, rem: list[int]):
-        if not rem:
-            return cur, []
-        e_id = rem[0]
-        admissible: dict[str, bool] = {}
-        for f_id in rem[1:]:
-            t = far[f_id]
-            if admissible.get(t) is False:
-                continue
-            nxt, ev = split_off(cur, e_id, f_id, pivot=x)
-            if t not in admissible:
-                admissible[t] = _keeps_targets(nxt, targets)
-            if admissible[t]:
-                sub = rec(nxt, [i for i in rem if i not in (e_id, f_id)])
-                if sub is not None:
-                    return sub[0], [ev] + sub[1]
-        return None
-
-    return rec(g, sorted(far))
-
-
-def _check_pivot(g: Multigraph, x: str) -> None:
-    for e in g.incident(x):
-        if is_cut_edge(g, e.id):
-            raise CutEdgeAtPivot(f"cut-edge {e.id} incident to pivot {x!r}")
-
-
 def suitable_complete_splitting(g: Multigraph, x: str) -> tuple[Multigraph, SplitHistory]:
     """Isolate x by admissible splits only, then delete it.
 
-    Preserves every pairwise min-cut among V - x exactly.
+    Preserves every pairwise min-cut among V - x exactly.  Splits the
+    smallest remaining edge at x with its first admissible partner, which
+    always exists (module docstring).
     """
     if not g.is_unit():
         raise InvalidGraph("splitting requires the unit-edge view")
     d = degree(g, x)
     if d % 2 == 1:
         raise OddDegree(f"pivot {x!r} has odd degree {d}; scale capacities by 2 first")
-    _check_pivot(g, x)
-    found = _complete_splitting_search(g, x)
-    if found is None:
-        raise SearchExhausted(
-            f"no suitable complete splitting at {x!r}; graph dump: "
-            f"vertices={sorted(g.vertices)} edges={[(e.id, e.u, e.v) for e in g.edges]}"
-        )
-    final, events = found
-    final = final.without_vertices((x,))
-    return final, SplitHistory(g, tuple(events), (x,))
+    far = {e.id: e.other(x) for e in g.incident(x)}
+    for e_id in far:
+        if is_cut_edge(g, e_id):
+            raise CutEdgeAtPivot(f"cut-edge {e_id} incident to pivot {x!r}")
+    targets = _cut_targets(g, x)
+    cur, events, rem = g, [], sorted(far)
+    while rem:
+        e_id, refused = rem[0], set()
+        for f_id in rem[1:]:
+            # candidates with the same far endpoint give the same split up to edge ids
+            if far[f_id] in refused:
+                continue
+            split, ev = split_off(cur, e_id, f_id, pivot=x)
+            if _keeps_targets(split, targets):
+                break
+            refused.add(far[f_id])
+        else:
+            raise CertificateError(
+                f"no admissible partner for edge {e_id} at pivot {x!r}, "
+                "though Mader's theorem promises one"
+            )
+        cur = split
+        events.append(ev)
+        rem = [i for i in rem[1:] if i != f_id]
+    return cur.without_vertices((x,)), SplitHistory(g, tuple(events), (x,))
 
 
 def eliminate_relays(
@@ -231,9 +236,6 @@ def lift_packing(history: SplitHistory, packing):
     two components of T - w.  Cardinality, multiplicities and disjointness are
     preserved; the output packs the base graph of the history.
     """
-    from .packing import SteinerPacking, SteinerTree  # local import to avoid a cycle
-    from .errors import InvalidPacking
-
     # reconstruct per-stage endpoint info by replaying forward
     endpoint: dict[int, tuple[str, str]] = {e.id: (e.u, e.v) for e in history.base.edges}
     for ev in history.events:

@@ -146,10 +146,22 @@ class TestErrors:
         # 1 and "1" are the same name once coerced to a string
         coerced = {"vertices": [1, "1", "b"], "edges": [[1, "b", 1], ["1", "b", 1]],
                    "source": "1", "sinks": ["b"]}
+        triangle = {"vertices": ["a", "b", "c"], "edges": [["a", "b", 1], ["b", "c", 1], ["c", "a", 1]],
+                    "source": "a", "sinks": ["b", "c"]}
         for text, message in [
             ("not json at all", "malformed JSON"),
             (json.dumps(duplicate), "duplicate vertex 'a'"),
             (json.dumps(coerced), "duplicate vertex '1'"),
+            # names are strings or integers, lists are JSON arrays
+            (json.dumps({**triangle, "vertices": ["a", "b", "c", None]}),
+             "vertex name must be a string or an integer: None"),
+            (json.dumps({**triangle, "sinks": ["b", True]}),
+             "vertex name must be a string or an integer: True"),
+            (json.dumps({**triangle, "edges": [["a", 1.5, 1]]}),
+             "vertex name must be a string or an integer: 1.5"),
+            (json.dumps({**triangle, "source": {"x": 1}}),
+             "vertex name must be a string or an integer: {'x': 1}"),
+            (json.dumps({**triangle, "sinks": "bc"}), "'sinks' must be a JSON array: 'bc'"),
         ]:
             path.write_text(text)
             assert main(["analyze", str(path)]) == 2
@@ -253,6 +265,28 @@ class TestCertificateChecks:
         proc = _run_faulty("splitting.pair_flow", "over-report", argv[0], cycle_file, *argv[1:])
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["split"], ["analyze", "--via-splitting"]])
+    def test_missing_split_partner_is_a_certificate_failure(self, cycle_file, argv):
+        # Mader's theorem promises an admissible partner, so a refused one is a bug
+        proc = _run_faulty("splitting._keeps_targets", "fail", argv[0], cycle_file, *argv[1:])
+        assert proc.returncode == 4, proc.stderr
+        assert "certificate failure: no admissible partner" in proc.stderr
+
+
+def test_long_splitting_runs_in_a_shallow_stack():
+    # K4 + relay x100: 150 splits at one pivot under a 100-frame stack
+    proc = _run_python("-c", (
+        "import sys\n"
+        "from mcastcap import Multigraph, TerminalSet, eliminate_relays, scale_capacities\n"
+        "g = Multigraph.build(['s', 't1', 't2', 'x'], [('s', 't1', 1), ('s', 't2', 1),"
+        " ('t1', 't2', 1), ('x', 's', 1), ('x', 't1', 1), ('x', 't2', 1)])\n"
+        "sys.setrecursionlimit(100)\n"
+        "out, hist, scale = eliminate_relays(scale_capacities(g, 100), TerminalSet('s', ('t1', 't2')))\n"
+        "print(len(hist.events), scale, hist.replay() == out)\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "150 1 True\n"
 
 
 def test_scripts_run_clean():

@@ -172,6 +172,10 @@ def small_multigraphs(draw):
 def test_max_flow_matches_exhaustive_oracle(g):
     verts = sorted(g.vertices)
     adj = pair_capacities(g)
+    # flows from the source alone give the minimum over all terminal pairs
+    assert terminal_connectivity(g, TerminalSet(verts[-1], tuple(verts[:-1]))) == min(
+        brute_min_cut(g, u, v) for u, v in combinations(verts, 2)
+    )
     for u, v in combinations(verts, 2):
         lam, cert = max_flow(g, u, v)
         assert lam == brute_min_cut(g, u, v)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -172,8 +174,21 @@ class TestInterchange:
             # 1 and "1" are the same name once coerced to a string
             ('{"vertices": [1, "1", "b"], "edges": [[1, "b", 1], ["1", "b", 1]],'
              ' "source": "1", "sinks": ["b"]}', "duplicate vertex '1'"),
+            # names are strings or integers, lists are JSON arrays
+            ('{"vertices": [null, "a", "b"], "edges": [["a", "b", 1]], "source": "a", "sinks": ["b"]}',
+             "vertex name must be a string or an integer: None"),
+            ('{"vertices": ["a", "b"], "edges": [["a", "b", 1]], "source": "a", "sinks": [true]}',
+             "vertex name must be a string or an integer: True"),
+            ('{"vertices": ["a", "b"], "edges": [["a", 1.5, 1]], "source": "a", "sinks": ["b"]}',
+             "vertex name must be a string or an integer: 1.5"),
+            ('{"vertices": ["a", "b"], "edges": [["a", "b", 1]], "source": {"x": 1}, "sinks": ["b"]}',
+             "vertex name must be a string or an integer: {'x': 1}"),
+            ('{"vertices": ["a", "b", "c"], "edges": [["a", "b", 1], ["b", "c", 1]], "source": "a",'
+             ' "sinks": "bc"}', "'sinks' must be a JSON array: 'bc'"),
+            ('{"vertices": "ab", "edges": [], "source": "a", "sinks": ["b"]}',
+             "'vertices' must be a JSON array: 'ab'"),
         ]:
-            with pytest.raises(InvalidGraph, match=message):
+            with pytest.raises(InvalidGraph, match=re.escape(message)):
                 load_instance(text)
 
 

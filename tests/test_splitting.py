@@ -237,7 +237,8 @@ class TestEliminateRelays:
         assert after == {k: 2 * v for k, v in before.items()}
 
     def test_matches_reference_search(self):
-        cases = [*sample_instances(8, 7, 5, 3, seed=5), *scaled_samples(), k4_with_relay(4)]
+        cases = [*sample_instances(8, 7, 5, 3, seed=5), *scaled_samples(),
+                 *(k4_with_relay(k) for k in (4, 8, 16))]
         for g, a in cases:
             out, hist, scale = eliminate_relays(g, a)
             ref_out, ref_events, ref_pivots, ref_scale = reference_eliminate_relays(g, a)
