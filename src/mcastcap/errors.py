@@ -54,7 +54,7 @@ class InvalidPacking(McastcapError):
 
 
 class ResourceLimit(McastcapError):
-    """An exact search would exceed a named size limit; raised before the work."""
+    """An exact search would exceed, or has used up, a named size limit."""
 
 
 class TooManyTrees(ResourceLimit):
@@ -65,8 +65,8 @@ class TooManyVertices(ResourceLimit):
     """Instance too large for exhaustive partition enumeration."""
 
 
-class SearchTooDeep(ResourceLimit):
-    """The packing branch and bound would aim for more trees than its limit."""
+class SearchTooLarge(ResourceLimit):
+    """The packing branch and bound used its node budget without a proved optimum."""
 
 
 class TooManyPartitions(ResourceLimit):

@@ -21,9 +21,18 @@ All three packings use the same trees on the same classes, so one
 each solver takes it as ``lp=`` or makes its own.  The half-integer packing
 runs the integer branch and bound on doubled class capacities with the goal
 floor(2 * LP optimum), exact because the LP scales linearly, then expands
-onto the doubled graph and halves.  The branch and bound keeps its path on
-an explicit stack; a goal above ``MAX_PACKED_TREES`` raises SearchTooDeep
-before the search starts.
+onto the doubled graph and halves.
+
+The branch and bound keeps its path on an explicit stack and is seeded from
+the LP vertex: floor(factor * y_j) copies of each tree j are a packing of
+s trees, so the search starts with s - 1 as the count to beat (not with the
+rounded packing itself).  The witness is the depth-first first node that
+reaches the optimum k >= s; every node on its path has a bound of at least
+k, above s - 1 and above every count found before it, so the seeded and the
+unseeded search prune none of them and return the same packing.  The search
+makes at most ``MAX_SEARCH_NODES`` bound evaluations.  If they run out and
+s reaches the goal floor(factor * LP optimum), the rounded packing is
+returned, proved optimal by the LP bound; otherwise SearchTooLarge is raised.
 """
 
 from __future__ import annotations
@@ -33,17 +42,13 @@ from fractions import Fraction
 from math import lcm
 
 from .connectivity import PairCapacities, pair_flow
-from .errors import CertificateError, SearchTooDeep, TooManyTrees
+from .errors import CertificateError, SearchTooLarge, TooManyTrees
 from .multigraph import Edge, Multigraph, Rate, TerminalSet, edge_component, scale_capacities
 
 DEFAULT_TREE_LIMIT = 5000
-# Largest goal, floor(factor * LP optimum), the branch and bound may search
-# for.  The search keeps its path on a list, so this bounds time, not stack
-# depth: on fat instances the time grows faster than the goal (K4 + relay
-# with capacities x100, half-integer goal 500: about 4 s; x199, goal 995:
-# about 14 s; 2-core x86 VM, Python 3.11), and a larger goal is refused
-# before the search starts.
-MAX_PACKED_TREES = 999
+# Bound evaluations (min-cut flows at a node) one branch and bound may make,
+# about 0.7 s at some 36 us each (2-core x86 VM, Python 3.11).
+MAX_SEARCH_NODES = 20_000
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,10 @@ def _minimal_trees(
     def keep(tree: list[int]) -> None:
         out.append(frozenset(tree))
         if len(out) > limit:
-            raise TooManyTrees(f"more than {limit} minimal Steiner trees; raise the limit")
+            name = "DEFAULT_TREE_LIMIT" if limit == DEFAULT_TREE_LIMIT else "limit"
+            raise TooManyTrees(
+                f"tree enumeration found more than {name} = {limit} minimal Steiner trees"
+            )
 
     for sub in _relay_subsets(relays):
         nodes = sorted(terminals) + sub
@@ -317,37 +325,46 @@ def _expand_packing(
     members: dict[int, tuple[int, ...]],
 ) -> SteinerPacking:
     """Distribute class multiplicities over concrete parallel copies so every
-    edge id's load stays within its own capacity in g."""
+    edge id's load stays within its own capacity in g.
+
+    Each piece of a tree takes, in every class, the first copy with room
+    left.  Room only shrinks, so a per-class cursor never moves backwards.
+    Amounts are integers in units of 1/scale, scale the lcm of the
+    multiplicities' denominators.
+    """
+    scale = lcm(1, *(mult.denominator for _, mult in solution))
     by_id = {e.id: e for e in g.edges}
-    used: dict[int, Fraction] = {eid: Fraction(0) for eid in by_id}
-    slices: dict[frozenset[int], Fraction] = {}
+    room = {e.id: e.cap * scale for e in g.edges}
+    cursor = dict.fromkeys(members, 0)
+    slices: dict[frozenset[int], int] = {}
     tree_vertices: dict[frozenset[int], frozenset[str]] = {}
     for rep_set, mult in solution:
-        m = mult
+        rids = sorted(rep_set)
+        m = mult.numerator * (scale // mult.denominator)
         while m > 0:
-            pick: dict[int, Edge] = {}
+            picks = []
             amount = m
-            for rid in sorted(rep_set):
-                for eid in members[rid]:
-                    room = by_id[eid].cap - used[eid]
-                    if room > 0:
-                        pick[rid] = by_id[eid]
-                        if room < amount:
-                            amount = room
-                        break
-                else:
+            for rid in rids:
+                ids, i = members[rid], cursor[rid]
+                while i < len(ids) and room[ids[i]] == 0:
+                    i += 1
+                if i == len(ids):
                     raise AssertionError("parallel-class capacity accounting broken")
-            for e in pick.values():
-                used[e.id] += amount
-            key = frozenset(e.id for e in pick.values())
-            slices[key] = slices.get(key, Fraction(0)) + amount
-            tree_vertices[key] = frozenset(v for e in pick.values() for v in (e.u, e.v))
+                cursor[rid] = i
+                picks.append(ids[i])
+                amount = min(amount, room[ids[i]])
+            for eid in picks:
+                room[eid] -= amount
+            key = frozenset(picks)
+            slices[key] = slices.get(key, 0) + amount
+            if key not in tree_vertices:
+                tree_vertices[key] = frozenset(v for eid in picks for v in (by_id[eid].u, by_id[eid].v))
             m -= amount
     trees = tuple(
-        (SteinerTree(k, tree_vertices[k]), v)
+        (SteinerTree(k, tree_vertices[k]), Fraction(v, scale))
         for k, v in sorted(slices.items(), key=lambda kv: tuple(sorted(kv[0])))
     )
-    rate = sum((v for _, v in trees), Fraction(0))
+    rate = Fraction(sum(slices.values()), scale)
     denom = lcm(1, *(v.denominator for _, v in trees)) if trees else 1
     return SteinerPacking(trees, denom, rate)
 
@@ -386,29 +403,30 @@ def _branch_and_bound(
     capacities (a tree may repeat), as the count and (tree, multiplicity) pairs.
 
     Depth-first over the trees, smallest first, on an explicit stack of the
-    next tree to try at each open node.  A node is pruned when its count plus
-    the residual min-cut bound cannot beat the best found, and the search
-    stops once it reaches floor(factor * LP optimum), which bounds every
-    packing because the LP optimum scales linearly with the capacities.  A
-    goal above ``MAX_PACKED_TREES`` raises SearchTooDeep naming ``stage``
-    before the search starts.
+    next tree to try at each open node.  The LP-rounded packing has
+    s = sum floor(factor * y_j) trees, so the incumbent bound starts at s - 1.
+    A node is pruned when its count plus the residual min-cut bound cannot
+    beat the best found, and the search stops once it reaches
+    floor(factor * LP optimum), which bounds every packing because the LP
+    optimum scales linearly with the capacities.  After ``MAX_SEARCH_NODES``
+    bound evaluations it returns the rounded packing if s reaches that goal,
+    and otherwise raises SearchTooLarge naming ``stage``.
     """
     goal = int(factor * lp.opt)  # floor
-    if goal > MAX_PACKED_TREES:
-        raise SearchTooDeep(
-            f"{stage} branch and bound would search for {goal} trees, more than "
-            f"the limit MAX_PACKED_TREES = {MAX_PACKED_TREES}"
-        )
+    rounded = [int(factor * y) for y in lp.y]  # floor
+    s = sum(rounded)
     classes = lp.classes.edges
     source, sinks = lp.terminals.source, lp.terminals.sinks
     tree_lists = [sorted(t) for t in lp.trees]
     res = {e.id: factor * e.cap for e in classes}
 
-    best, best_sol = 0, []
+    # a packing of s trees exists, so the search finds one of more than s - 1
+    best, best_sol = max(s - 1, 0), []
     chosen: list[int] = []
     end = len(tree_lists)
     # next tree to try at each open node on the path; a pruned node gets end
-    todo = [0 if _mincut_lower_estimate(classes, res, source, sinks) > 0 else end]
+    todo = [0 if _mincut_lower_estimate(classes, res, source, sinks) > best else end]
+    nodes = 1
     while todo:
         j = todo[-1]
         while j < end and not all(res[rid] >= 1 for rid in tree_lists[j]):
@@ -427,6 +445,15 @@ def _branch_and_bound(
             best, best_sol = len(chosen), list(chosen)
             if best >= goal:
                 break
+        if nodes == MAX_SEARCH_NODES:
+            if s < goal:
+                raise SearchTooLarge(
+                    f"{stage} branch and bound used {nodes} nodes, the budget "
+                    f"MAX_SEARCH_NODES = {MAX_SEARCH_NODES}, and its LP-rounded "
+                    f"packing of {s} trees is short of the goal of {goal}"
+                )
+            return s, [(t, Fraction(c)) for t, c in zip(lp.trees, rounded) if c]
+        nodes += 1
         bound = len(chosen) + _mincut_lower_estimate(classes, res, source, sinks)
         todo.append(j if bound > best else end)
 

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from mcastcap import Multigraph, TerminalSet, dump_instance, example2_instance, scale_capacities
+from mcastcap import (
+    Multigraph,
+    TerminalSet,
+    dump_instance,
+    example2_instance,
+    packing,
+    sample_instances,
+    scale_capacities,
+)
 from mcastcap.cli import main
 
 
@@ -135,6 +143,13 @@ class TestSelftest:
         assert capsys.readouterr().out == f"selftest {scope}: ok\n"
 
 
+# commands that print the half-integer rate, and the output key that holds it
+HALF_RATE_COMMANDS = [
+    (["analyze", "--format", "structured"], "half_integer_rate"),
+    (["pack", "--mode", "half"], "value"),
+]
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/file.json"]) == 2
@@ -178,8 +193,21 @@ class TestErrors:
         assert main(["analyze", str(path)]) == 2
 
     @pytest.mark.parametrize("argv", [["analyze"], ["pack", "--mode", "half"]])
-    def test_packing_depth_limit(self, tmp_path, capsys, argv):
-        # K4 + relay x200: the half-integer search would aim for 1000 trees
+    def test_packing_depth_limit(self, tmp_path, capsys, monkeypatch, argv):
+        # the second n=10 sample draw: the half-integer search needs 8 bound
+        # evaluations, and rounding the LP vertex gives 3 of the 5 trees
+        g, a = list(sample_instances(5, 10, 10, 4, 0))[1]
+        path = tmp_path / "draw2.json"
+        path.write_text(dump_instance(g, a))
+        monkeypatch.setattr(packing, "MAX_SEARCH_NODES", 4)
+        assert main([argv[0], str(path), *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert "resource limit: half-integer branch and bound used 4 nodes" in err
+        assert "MAX_SEARCH_NODES = 4" in err and "3 trees is short of the goal of 5" in err
+
+    @pytest.mark.parametrize("argv, key", HALF_RATE_COMMANDS)
+    def test_huge_capacities_pack(self, tmp_path, capsys, argv, key):
+        # K4 + relay x200: the half-integer search aims for 1000 trees
         g = Multigraph.build(
             ["s", "t1", "t2", "x"],
             [("s", "t1", 1), ("s", "t2", 1), ("t1", "t2", 1), ("x", "s", 1), ("x", "t1", 1), ("x", "t2", 1)],
@@ -187,11 +215,32 @@ class TestErrors:
         path = tmp_path / "k4x200.json"
         path.write_text(dump_instance(scale_capacities(g, 200), TerminalSet("s", ("t1", "t2"))))
         start = time.perf_counter()
-        assert main([argv[0], str(path), *argv[1:]]) == 3
-        assert time.perf_counter() - start < 20
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        assert time.perf_counter() - start < 10
+        assert json.loads(capsys.readouterr().out)[key] == "500"
+
+    @pytest.mark.parametrize("argv, key", HALF_RATE_COMMANDS)
+    def test_budget_ends_search_the_rounding_solves(self, tmp_path, capsys, argv, key):
+        # the x3 copy of the second n=10 sample draw: rounding the LP vertex
+        # reaches the goal, but the depth-first search alone takes 453395
+        # nodes at factor 1 and did not finish in 7 minutes at factor 2
+        g, a = list(sample_instances(5, 10, 10, 4, 0))[1]
+        path = tmp_path / "draw2x3.json"
+        path.write_text(dump_instance(scale_capacities(g, 3), a))
+        start = time.perf_counter()
+        # exit 0 also means the packing passed verify_packing
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        assert time.perf_counter() - start < 60
+        assert json.loads(capsys.readouterr().out)[key] == "8"
+
+    def test_tree_limit(self, tmp_path, capsys):
+        names = [f"v{i}" for i in range(8)]
+        g = Multigraph.build(names, [(u, v, 1) for i, u in enumerate(names) for v in names[i + 1:]])
+        path = tmp_path / "k8.json"
+        path.write_text(dump_instance(g, TerminalSet(names[0], tuple(names[1:]))))
+        assert main(["analyze", str(path)]) == 3
         err = capsys.readouterr().err
-        assert "resource limit: half-integer" in err
-        assert "1000 trees" in err and "MAX_PACKED_TREES = 999" in err
+        assert "resource limit: tree enumeration found more than DEFAULT_TREE_LIMIT = 5000 minimal Steiner trees" in err
 
     def test_strength_partition_limit(self, tmp_path, capsys):
         names = [f"v{i:02d}" for i in range(12)]

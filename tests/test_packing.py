@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,13 +23,13 @@ from mcastcap import packing
 from mcastcap.cli import analyze_instance
 from mcastcap.errors import (
     ResourceLimit,
-    SearchTooDeep,
+    SearchTooLarge,
     TooManyPartitions,
     TooManyTrees,
     TooManyVertices,
 )
 from mcastcap.multigraph import Edge, prune_to_core, scale_capacities
-from mcastcap.packing import MAX_PACKED_TREES, SteinerPacking, SteinerTree, solve_tree_lp
+from mcastcap.packing import SteinerPacking, SteinerTree, solve_tree_lp
 from mcastcap.splitting import eliminate_relays
 from test_strength import _small_connected_multigraphs
 
@@ -331,44 +332,176 @@ class TestSharedSolve:
         assert sum(lp.y) == lp.opt == fractional_capacity_lp(g, a)[0]
 
 
+def counted_bound_evaluations(monkeypatch):
+    """Count the branch and bound's min-cut bound evaluations from now on."""
+    calls = []
+    original = packing._mincut_lower_estimate
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(packing, "_mincut_lower_estimate", counted)
+    return calls
+
+
 class TestDepthGuard:
     def test_resource_errors_share_a_base(self):
-        for error in (TooManyTrees, TooManyVertices, SearchTooDeep, TooManyPartitions):
+        for error in (TooManyTrees, TooManyVertices, SearchTooLarge, TooManyPartitions):
             assert issubclass(error, ResourceLimit)
 
-    def test_goal_above_limit_refused_before_search(self, monkeypatch):
-        g, a = k4_with_relay(200)
+    def test_budget_exhausted_short_of_goal_refused(self, monkeypatch):
+        # the second n=10 sample draw: the LP-rounded packing has 3 of the 5
+        # half-integer trees
+        g, a = list(sample_instances(5, 10, 10, 4, 0))[1]
         lp = solve_tree_lp(g, a)
-        assert int(lp.opt) <= MAX_PACKED_TREES < int(2 * lp.opt)
-        monkeypatch.setattr(packing, "_mincut_lower_estimate", None)  # never reached
-        with pytest.raises(SearchTooDeep, match=r"half-integer .* 1000 trees.* MAX_PACKED_TREES = 999"):
+        assert sum(int(2 * y) for y in lp.y) == 3 < int(2 * lp.opt) == 5
+        assert half_integer_capacity(g, a, lp=lp)[0] == Fraction(5, 2)  # 8 nodes
+        monkeypatch.setattr(packing, "MAX_SEARCH_NODES", 4)
+        calls = counted_bound_evaluations(monkeypatch)
+        with pytest.raises(
+            SearchTooLarge,
+            match=r"half-integer branch and bound used 4 nodes, the budget MAX_SEARCH_NODES = 4, "
+            r"and its LP-rounded packing of 3 trees is short of the goal of 5",
+        ):
             half_integer_capacity(g, a, lp=lp)
+        assert len(calls) == 4
 
-    def test_analyze_checks_both_goals_before_searching(self, monkeypatch):
-        calls = []
-        original = packing._mincut_lower_estimate
+    def test_budget_exhausted_at_goal_returns_rounded_packing(self, monkeypatch):
+        g, a = k4_with_relay(16)
+        lp = solve_tree_lp(g, a)
+        monkeypatch.setattr(packing, "MAX_SEARCH_NODES", 10)
+        calls = counted_bound_evaluations(monkeypatch)
+        for factor, solve in ((1, max_integer_packing), (2, half_integer_capacity)):
+            calls.clear()
+            # floor(factor * y_j) copies of tree j
+            rounded = [(t, Fraction(int(factor * y))) for t, y in zip(lp.trees, lp.y) if int(factor * y)]
+            assert packing._branch_and_bound(lp, factor, "test") == (factor * 40, rounded)
+            assert len(calls) == 10
+            value, p = solve(g, a, lp=lp)
+            assert value == p.rate == 40 and verify_packing(g, a, p)
 
-        def counted(*args):
-            calls.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(packing, "_mincut_lower_estimate", counted)
-        with pytest.raises(SearchTooDeep, match=r"half-integer .* 1000 trees.* MAX_PACKED_TREES = 999"):
-            analyze_instance(*k4_with_relay(200))
-        assert calls == []
-        report = analyze_instance(*k4_with_relay(100))
-        assert report.k_int == report.half_rate == 250 and calls
+    def test_seeded_search_walks_straight_to_the_goal(self, monkeypatch):
+        calls = counted_bound_evaluations(monkeypatch)
+        g, a = k4_with_relay(16)
+        value, p = half_integer_capacity(g, a)
+        # the root and one evaluation per tree up to the goal of 80
+        assert value == 40 and verify_packing(g, a, p) and len(calls) <= 81
+        # half-integer goal 1000
+        calls.clear()
+        report = analyze_instance(*k4_with_relay(200))
+        assert report.k_int == report.half_rate == 500
+        assert len(calls) <= 501 + 1001
 
     def test_largest_admitted_instances_pack(self):
-        # K4 + relay x100 aims for 500 half-integer trees
-        g, a = k4_with_relay(100)
+        # K4 + relay x1000 aims for 5000 half-integer trees
+        g, a = k4_with_relay(1000)
         value, p = half_integer_capacity(g, a)
-        assert value == 250 and verify_packing(g, a, p)
+        assert value == 2500 and verify_packing(g, a, p)
         # 990 trees deep: the search keeps its path on a list, not on the
         # interpreter stack
         g = Multigraph.build(["s", "t"], [("s", "t", 495)])
         value, p = half_integer_capacity(g, TerminalSet("s", ("t",)))
         assert value == 495 and p.trees[0][1] == 495
+
+
+def reference_branch_and_bound(lp, factor):
+    """The unseeded branch and bound, with no node budget: the search starts
+    from an incumbent of 0 trees."""
+    goal = int(factor * lp.opt)
+    classes = lp.classes.edges
+    source, sinks = lp.terminals.source, lp.terminals.sinks
+    tree_lists = [sorted(t) for t in lp.trees]
+    res = {e.id: factor * e.cap for e in classes}
+    best, best_sol = 0, []
+    chosen = []
+    end = len(tree_lists)
+    todo = [0 if packing._mincut_lower_estimate(classes, res, source, sinks) > 0 else end]
+    while todo:
+        j = todo[-1]
+        while j < end and not all(res[rid] >= 1 for rid in tree_lists[j]):
+            j += 1
+        if j == end:
+            todo.pop()
+            if chosen:
+                for rid in tree_lists[chosen.pop()]:
+                    res[rid] += 1
+            continue
+        todo[-1] = j + 1
+        for rid in tree_lists[j]:
+            res[rid] -= 1
+        chosen.append(j)
+        if len(chosen) > best:
+            best, best_sol = len(chosen), list(chosen)
+            if best >= goal:
+                break
+        bound = len(chosen) + packing._mincut_lower_estimate(classes, res, source, sinks)
+        todo.append(j if bound > best else end)
+    counts = {}
+    for j in best_sol:
+        counts[j] = counts.get(j, 0) + 1
+    return best, [(lp.trees[j], Fraction(c)) for j, c in sorted(counts.items())]
+
+
+def reference_expand_packing(g, solution, members):
+    """Expansion in Fractions, rescanning each class's copies for every piece."""
+    by_id = {e.id: e for e in g.edges}
+    used = {eid: Fraction(0) for eid in by_id}
+    slices, tree_vertices = {}, {}
+    for rep_set, mult in solution:
+        m = mult
+        while m > 0:
+            pick, amount = {}, m
+            for rid in sorted(rep_set):
+                for eid in members[rid]:
+                    room = by_id[eid].cap - used[eid]
+                    if room > 0:
+                        pick[rid] = by_id[eid]
+                        amount = min(amount, room)
+                        break
+            for e in pick.values():
+                used[e.id] += amount
+            key = frozenset(e.id for e in pick.values())
+            slices[key] = slices.get(key, Fraction(0)) + amount
+            tree_vertices[key] = frozenset(v for e in pick.values() for v in (e.u, e.v))
+            m -= amount
+    trees = tuple(
+        (SteinerTree(k, tree_vertices[k]), v)
+        for k, v in sorted(slices.items(), key=lambda kv: tuple(sorted(kv[0])))
+    )
+    rate = sum((v for _, v in trees), Fraction(0))
+    denom = lcm(1, *(v.denominator for _, v in trees)) if trees else 1
+    return SteinerPacking(trees, denom, rate)
+
+
+def assert_matches_unseeded_search(g, a):
+    lp = solve_tree_lp(g, a)
+    for factor in (1, 2):
+        got = packing._branch_and_bound(lp, factor, "test")
+        assert got == reference_branch_and_bound(lp, factor)
+        scaled = scale_capacities(g, factor)
+        assert packing._expand_packing(scaled, got[1], lp.members) == reference_expand_packing(
+            scaled, got[1], lp.members
+        )
+    solution = [(t, y) for t, y in zip(lp.trees, lp.y) if y > 0]
+    assert packing._expand_packing(g, solution, lp.members) == reference_expand_packing(
+        g, solution, lp.members
+    )
+
+
+class TestSeededSearchOracle:
+    def test_small_multigraphs(self):
+        for g, names in _small_connected_multigraphs():
+            n = len(names)
+            for ts in ((0, n - 1), tuple(range(n))):
+                assert_matches_unseeded_search(g, TerminalSet(names[ts[0]], tuple(names[i] for i in ts[1:])))
+
+    def test_benchmark_samples_and_their_split_graphs(self):
+        for g, a in list(sample_instances(20, 8, 6, 3, 0)) + list(sample_instances(5, 10, 10, 4, 0)):
+            core = prune_to_core(g, a)
+            assert_matches_unseeded_search(core, a)
+            assert_matches_unseeded_search(with_parallel_edge(core), a)
+            assert_matches_unseeded_search(eliminate_relays(core, a)[0], a)
 
 
 def oracle_steiner_trees(g, a):
