@@ -15,6 +15,17 @@ side must then cut exactly that capacity (the split-cut certificate);
 falling short, its own residual cut must carry its value, and the candidate
 is refused.
 
+Only the pairs on a maximum spanning tree of the targets are checked:
+n - 2 of the C(n - 1, 2) pairs of V - x.  In any graph
+λ(s, t) ≥ min(λ(s, w), λ(w, t)), so λ(s, t) is at least the least λ of the
+pairs along any path from s to t.  Before the split, that makes target(s, t)
+at least the least target on the tree path; the cycle property of a maximum
+spanning tree makes every target on that path at least target(s, t).  So
+the least target on the tree path is target(s, t).  A split that keeps every
+tree pair at its target therefore leaves every λ'(s, t) at least target(s, t),
+and splitting never raises a cut: it keeps every target, and the decision is
+the one a check of every pair makes.
+
 A complete splitting needs no backtracking.  The pivot has even degree and
 no cut-edge when the splitting starts, and:
 
@@ -41,6 +52,7 @@ a bug and raises CertificateError.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -130,10 +142,21 @@ def _checked_flow(adj: PairCapacities, s: str, t: str, limit: int | None = None)
 
 
 def _cut_targets(g: Multigraph, x: str) -> list[tuple[str, str, int, frozenset[str]]]:
-    """Cut value and certified minimal source side of every pair of V - x."""
+    """Cut value and certified minimal source side of the pairs of V - x on a
+    maximum spanning tree of their cut values (module docstring)."""
     adj = pair_capacities(g)
     pairs = combinations(sorted(g.vertices - {x}), 2)
-    return [(u, v, *_checked_flow(adj, u, v)) for u, v in pairs]
+    targets = [(u, v, *_checked_flow(adj, u, v)) for u, v in pairs]
+    comp = {v: v for v in g.vertices}  # Kruskal: tree component of each vertex
+    tree = []
+    for u, v, target, side in sorted(targets, key=lambda p: -p[2]):
+        cu, cv = comp[u], comp[v]
+        if cu != cv:
+            tree.append((u, v, target, side))
+            for w, c in comp.items():
+                if c == cv:
+                    comp[w] = cu
+    return tree
 
 
 def _keeps_targets(split: Multigraph, targets) -> bool:
@@ -167,8 +190,10 @@ def suitable_complete_splitting(g: Multigraph, x: str) -> tuple[Multigraph, Spli
     if d % 2 == 1:
         raise OddDegree(f"pivot {x!r} has odd degree {d}; scale capacities by 2 first")
     far = {e.id: e.other(x) for e in g.incident(x)}
-    for e_id in far:
-        if is_cut_edge(g, e_id):
+    copies = Counter(far.values())
+    for e_id, y in far.items():
+        # a unit edge with a parallel copy is never a cut-edge
+        if copies[y] == 1 and is_cut_edge(g, e_id):
             raise CutEdgeAtPivot(f"cut-edge {e_id} incident to pivot {x!r}")
     targets = _cut_targets(g, x)
     cur, events, rem = g, [], sorted(far)

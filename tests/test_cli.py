@@ -112,6 +112,16 @@ class TestStrength:
         assert d["eta"] == "5/4"
         assert len(d["witness"]["blocks"]) == 5
 
+    def test_largest_admitted_search(self, tmp_path, capsys):
+        # 11 terminals, Bell(11) = 678570 terminal partitions, and a relay
+        assert main(["gen", "example2", "--terminals", "11", "--relays", "0"]) == 0
+        path = tmp_path / "cycle11.json"
+        path.write_text(capsys.readouterr().out)
+        assert main(["strength", str(path)]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["eta"] == "11/10"
+        assert len(d["witness"]["blocks"]) == 11
+
 
 class TestGen:
     def test_example2_round_trip(self, tmp_path, capsys):

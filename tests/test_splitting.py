@@ -30,6 +30,7 @@ from mcastcap.errors import (
 )
 from mcastcap.multigraph import degree
 from mcastcap.packing import SteinerPacking, SteinerTree
+from mcastcap import splitting
 from mcastcap.splitting import _keeps_targets
 
 
@@ -255,6 +256,48 @@ class TestEliminateRelays:
             assert sorted(replayed.edges, key=lambda e: e.id) == sorted(
                 out.edges, key=lambda e: e.id
             )
+
+
+def bench_samples():
+    return [*sample_instances(20, 8, 6, 3, 0), *sample_instances(5, 10, 10, 4, 0)]
+
+
+class TestTreeTargets:
+    def test_tree_pairs_decide_like_all_pairs(self, monkeypatch):
+        # every candidate split that relay elimination checks, with the graph
+        # and pivot its cut targets were computed on
+        checked, pivot = [], {}
+        cut_targets, keeps_targets = splitting._cut_targets, splitting._keeps_targets
+
+        def record_targets(g, x):
+            pivot.update(g=g, x=x)
+            return cut_targets(g, x)
+
+        def record_check(split, targets):
+            kept = keeps_targets(split, targets)
+            checked.append((pivot["g"], pivot["x"], split, kept))
+            return kept
+
+        monkeypatch.setattr(splitting, "_cut_targets", record_targets)
+        monkeypatch.setattr(splitting, "_keeps_targets", record_check)
+        for g, a in [*bench_samples(), *scaled_samples()]:
+            eliminate_relays(g, a)
+        assert any(kept for *_, kept in checked) and not all(kept for *_, kept in checked)
+        before = {}
+        for g, x, split, kept in checked:
+            others = g.vertices - {x}
+            if (g, x) not in before:
+                before[g, x] = all_pairs_connectivity(g, others)
+            assert kept == (all_pairs_connectivity(split, others) == before[g, x])
+
+    def test_fewer_flows_than_all_pairs(self, monkeypatch):
+        calls = []
+        flow = splitting.pair_flow
+        monkeypatch.setattr(splitting, "pair_flow", lambda *args: calls.append(args) or flow(*args))
+        for g, a in sample_instances(20, 8, 6, 3, 0):
+            eliminate_relays(g, a)
+        # checking every pair of V - x took 3729 flows here
+        assert len(calls) < 3729
 
 
 class TestLiftPacking:

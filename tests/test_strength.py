@@ -53,19 +53,27 @@ class TestEdgeStrength:
         with pytest.raises(TooManyVertices):
             edge_strength(g, TerminalSet("v0", ("v1", "v2")))
 
-    def test_terminal_partition_limit(self, monkeypatch):
+    def test_terminal_partition_limit(self):
         # 12 terminals: Bell(12) = 4213597 terminal partitions, refused before
-        # the first one is generated
+        # the search reads a single edge
         names = [f"v{i:02d}" for i in range(12)]
         g = Multigraph.build(names, [(names[i], names[(i + 1) % 12], 1) for i in range(12)])
-        calls = []
-        monkeypatch.setattr(strength, "_terminal_partitions", lambda terms: calls.append(terms))
+        reads = []
+
+        class Watched:
+            vertices = g.vertices
+
+            @property
+            def edges(self):
+                reads.append("edges")
+                return g.edges
+
         with pytest.raises(
             TooManyPartitions,
             match=r"edge strength .* 4213597 terminal partitions .* MAX_TERMINAL_PARTITIONS = 1000000",
         ):
-            edge_strength(g, TerminalSet(names[0], tuple(names[1:])))
-        assert calls == []
+            edge_strength(Watched(), TerminalSet(names[0], tuple(names[1:])))
+        assert reads == []
         # every terminal count up to 11 is admitted
         assert strength._bell(11) <= strength.MAX_TERMINAL_PARTITIONS < strength._bell(12)
 
@@ -186,6 +194,134 @@ class TestOracle:
                     continue
                 g, a = example2_instance(na, slots)
                 _assert_matches_oracle(g, a)
+
+
+def _reference_edge_strength(g, a):
+    """The search before the incremental recursion: every terminal partition
+    is generated as a copy and its relay rows and bounds are set up from
+    scratch; the relay assignment search is the same."""
+
+    def terminal_partitions(terms):
+        def rec(i, blocks):
+            if i == len(terms):
+                yield [list(b) for b in blocks]
+                return
+            for b in blocks:
+                b.append(terms[i])
+                yield from rec(i + 1, blocks)
+                b.pop()
+            blocks.append([terms[i]])
+            yield from rec(i + 1, blocks)
+            blocks.pop()
+
+        yield from rec(0, [])
+
+    terms = sorted(a.members)
+    relays = sorted(g.vertices - a.members)
+    t_index = {t: i for i, t in enumerate(terms)}
+    r_index = {r: i for i, r in enumerate(relays)}
+    nr = len(relays)
+    tt = {}
+    rt = [{} for _ in relays]
+    rr = [{} for _ in relays]
+    for e in g.edges:
+        if e.u == e.v:
+            continue
+        if e.u in t_index and e.v in t_index:
+            pair = (t_index[e.u], t_index[e.v])
+            tt[pair] = tt.get(pair, 0) + e.cap
+        elif e.u in t_index or e.v in t_index:
+            t, r = (e.u, e.v) if e.u in t_index else (e.v, e.u)
+            row = rt[r_index[r]]
+            row[t_index[t]] = row.get(t_index[t], 0) + e.cap
+        else:
+            lo, hi = sorted((r_index[e.u], r_index[e.v]))
+            rr[hi][lo] = rr[hi].get(lo, 0) + e.cap
+    rt_total = [sum(row.values()) for row in rt]
+    best = None  # (num, den, key)
+    assign = [0] * nr
+
+    def place(r, cur, tblocks, rows, suffix, den):
+        nonlocal best
+        if r == nr:
+            if best is not None and cur * best[1] > best[0] * den:
+                return
+            blocks = [[terms[t] for t in b] for b in tblocks]
+            for q in range(nr):
+                blocks[assign[q]].append(relays[q])
+            key = tuple(sorted(tuple(sorted(b)) for b in blocks))
+            if best is not None and cur * best[1] == best[0] * den and key >= best[2]:
+                return
+            best = (cur, den, key)
+            return
+        for b in range(len(tblocks)):
+            step = rows[r][b] + sum(c for q, c in rr[r].items() if assign[q] != b)
+            if best is not None and (cur + step + suffix[r + 1]) * best[1] > best[0] * den:
+                continue
+            assign[r] = b
+            place(r + 1, cur + step, tblocks, rows, suffix, den)
+
+    for tblocks in terminal_partitions(list(range(len(terms)))):
+        if len(tblocks) < 2:
+            continue
+        den = len(tblocks) - 1
+        block_of = {t: bi for bi, b in enumerate(tblocks) for t in b}
+        fixed = sum(c for (i, j), c in tt.items() if block_of[i] != block_of[j])
+        rows = []
+        for r in range(nr):
+            into = [0] * len(tblocks)
+            for t, c in rt[r].items():
+                into[block_of[t]] += c
+            rows.append([rt_total[r] - x for x in into])
+        suffix = [0] * (nr + 1)
+        for r in range(nr - 1, -1, -1):
+            suffix[r] = suffix[r + 1] + min(rows[r])
+        if best is not None and (fixed + suffix[0]) * best[1] > best[0] * den:
+            continue
+        place(0, fixed, tblocks, rows, suffix, den)
+    num, den, key = best
+    return Fraction(num, den), key, num
+
+
+class TestIncrementalSearch:
+    """The incremental recursion and its partial-partition prune return the
+    (eta, blocks, crossing) of the search that set up every terminal
+    partition from scratch, on instances too large for the flat oracle."""
+
+    @staticmethod
+    def _with_copies(g, a):
+        e = g.edges[0]
+        return [(g, a), (scale_capacities(g, 3), a), (g.add_edge(e.u, e.v, 2), a)]
+
+    @staticmethod
+    def _assert_matches_reference(g, a):
+        value, key, crossing = _reference_edge_strength(g, a)
+        eta, witness = edge_strength(g, a)
+        assert eta == value
+        assert witness.blocks == tuple(frozenset(b) for b in key)
+        assert witness.crossing == crossing
+
+    def test_cycle_family(self):
+        for na in range(3, 10):
+            for slots in ((), (0,), (0, 2), (1, 1)):
+                if na <= max(slots, default=0):
+                    continue
+                for g, a in self._with_copies(*example2_instance(na, slots)):
+                    self._assert_matches_reference(g, a)
+
+    def test_sample_instances(self):
+        for g, a in [*sample_instances(20, 8, 6, 3, 0), *sample_instances(5, 10, 10, 4, 0)]:
+            for copy in self._with_copies(g, a):
+                self._assert_matches_reference(*copy)
+
+    def test_zero_strength_ties(self):
+        # three components: every partition that keeps each one whole crosses
+        # nothing, and the least of them is reached after the first zero, so
+        # only a strict prune of partial partitions keeps it
+        g = Multigraph.build(list("abcdef"), [("a", "b", 1), ("c", "d", 1), ("e", "f", 1)])
+        a = TerminalSet("a", tuple("cdef"))
+        self._assert_matches_reference(g, a)
+        _assert_matches_oracle(g, a)
 
 
 class TestVerifyPartition:
