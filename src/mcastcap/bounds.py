@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificateError, UndefinedGain
+from .errors import CertificateError
 from .connectivity import terminal_connectivity
 from .multigraph import Multigraph, Rate, TerminalSet
 from .packing import fractional_capacity_lp
@@ -65,13 +65,9 @@ def corollary1_gain_bounds(lam: int) -> tuple[Rate, Rate, BoundValue]:
     """3-terminal coding gain upper bounds."""
     if lam < 2:
         raise ValueError("connectivity must be >= 2")
-    d_int = (6 * lam - 3) // 8
-    d_half = (12 * lam - 3) // 8
-    if d_int == 0 or d_half == 0:
-        raise UndefinedGain(f"gain denominator vanishes at connectivity {lam}")
     return (
-        Fraction(lam, d_int),
-        Fraction(2 * lam, d_half),
+        Fraction(lam, (6 * lam - 3) // 8),
+        Fraction(2 * lam, (12 * lam - 3) // 8),
         BoundValue(Fraction(4, 3), limit=True),
     )
 

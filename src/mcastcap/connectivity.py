@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CertificateError, Disconnected, SameVertex, UnknownVertex
-from .multigraph import Multigraph, TerminalSet, components
+from .multigraph import Multigraph, TerminalSet, _find_bridge_sides, components
 
 PairCapacities = dict[str, dict[str, int]]
 
@@ -130,9 +130,4 @@ def is_cut_edge(g: Multigraph, eid: int) -> bool:
     An edge of capacity >= 2 is never a cut-edge in unit-edge form: parallel
     copies remain.
     """
-    e = g.edge(eid)
-    if e.cap >= 2:
-        return False
-    comps = components(g, without_edges=frozenset((eid,)))
-    return not any(e.u in c and e.v in c for c in comps)
-
+    return _find_bridge_sides(g, g.edge(eid)) is not None

@@ -73,10 +73,6 @@ class TooManyPartitions(ResourceLimit):
     """The edge-strength search would visit more terminal partitions than its limit."""
 
 
-class UndefinedGain(McastcapError):
-    """Gain bound denominator is zero at this connectivity."""
-
-
 class BadSlot(McastcapError):
     """Relay slot index outside the cycle's gap range."""
 

@@ -247,36 +247,24 @@ def prune_to_core(g: Multigraph, a: TerminalSet) -> Multigraph:
 
     Raises BridgeBetweenTerminals when a cut-edge separates two terminals
     (then the terminal connectivity is 1 and the capacity is 1 outright).
+    One pass suffices: deleting a terminal-free side makes no new cut-edge.
     Idempotent; preserves every pairwise terminal min-cut.
     """
     terms = a.members
-    cur = g
-    # drop whole components that carry no terminal
-    keep = frozenset().union(*(c for c in components(cur) if c & terms)) if cur.vertices else frozenset()
-    cur = cur.restrict(keep)
-    while True:
-        removed = False
-        terminal_bridge = False
-        for e in sorted(cur.edges, key=lambda e: e.id):
-            sides = _find_bridge_sides(cur, e)
-            if sides is None:
-                continue
-            side_u, side_v = sides
-            if not (side_u & terms):
-                cur = cur.restrict(cur.vertices - side_u)
-                removed = True
-                break
-            if not (side_v & terms):
-                cur = cur.restrict(cur.vertices - side_v)
-                removed = True
-                break
-            terminal_bridge = True
-        if not removed:
-            if terminal_bridge:
-                raise BridgeBetweenTerminals(
-                    "a cut-edge separates two terminals: terminal connectivity is 1"
-                )
-            return cur
+    keep = frozenset().union(*(c for c in components(g) if c & terms))
+    core = g.restrict(keep)
+    drop: set[str] = set()
+    for e in core.edges:
+        sides = _find_bridge_sides(core, e)
+        if sides is None:
+            continue
+        free = [side for side in sides if not side & terms]
+        if not free:
+            raise BridgeBetweenTerminals(
+                "a cut-edge separates two terminals: terminal connectivity is 1"
+            )
+        drop |= free[0]
+    return core.restrict(keep - drop)
 
 
 # -- interchange format ----------------------------------------------------

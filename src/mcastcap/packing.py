@@ -245,7 +245,7 @@ def _lp_max_total(
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            raise AssertionError("tree-packing LP cannot be unbounded")
+            raise CertificateError("tree-packing LP cannot be unbounded")
         prow = tab[leave]
         p = prow[enter]
         for i in range(m):
@@ -349,7 +349,7 @@ def _expand_packing(
                 while i < len(ids) and room[ids[i]] == 0:
                     i += 1
                 if i == len(ids):
-                    raise AssertionError("parallel-class capacity accounting broken")
+                    raise CertificateError("parallel-class capacity accounting broken")
                 cursor[rid] = i
                 picks.append(ids[i])
                 amount = min(amount, room[ids[i]])

@@ -7,24 +7,27 @@ unit form so that histories reference concrete unit edges; ``aggregated()``
 re-forms capacities for presentation.
 
 A complete splitting at pivot x computes the cut value and certified
-minimal source side of every pair of V - x once: each split it takes keeps
-all of them, so they are the targets for the whole splitting.  Splitting
-never raises a cut, so a flow on the split graph stopped at its target
-decides a pair.  Reaching it proves the value unchanged, and the target's
-side must then cut exactly that capacity (the split-cut certificate);
-falling short, its own residual cut must carry its value, and the candidate
-is refused.
+minimal source side of n - 2 pairs of V - x once, n = |V|: each split it
+takes keeps all of them, so they are the targets for the whole splitting.
+Splitting never raises a cut, so a flow on the split graph stopped at its
+target decides a pair.  Reaching it proves the value unchanged, and the
+target's side must then cut exactly that capacity (the split-cut
+certificate); falling short, its own residual cut must carry its value, and
+the candidate is refused.
 
-Only the pairs on a maximum spanning tree of the targets are checked:
-n - 2 of the C(n - 1, 2) pairs of V - x.  In any graph
+The pairs are the edges of Gusfield's equivalent-flow tree on V - x
+(D. Gusfield, *Very simple methods for all pairs network flow analysis*,
+SIAM J. Comput. 1990), with every cut taken in the whole graph.  Each
+vertex after the first, in sorted order, takes one flow to its tree parent
+t, and every later vertex still hanging off t that lies on its side of
+that cut moves under it.  By Gusfield's theorem λ(s, t) is the least target
+on the tree path from s to t, for every pair of V - x.  In any graph
 λ(s, t) ≥ min(λ(s, w), λ(w, t)), so λ(s, t) is at least the least λ of the
-pairs along any path from s to t.  Before the split, that makes target(s, t)
-at least the least target on the tree path; the cycle property of a maximum
-spanning tree makes every target on that path at least target(s, t).  So
-the least target on the tree path is target(s, t).  A split that keeps every
-tree pair at its target therefore leaves every λ'(s, t) at least target(s, t),
-and splitting never raises a cut: it keeps every target, and the decision is
-the one a check of every pair makes.
+pairs along any path from s to t.  A split that keeps every tree pair at
+its target therefore leaves every λ'(s, t) at least the least target on
+the tree path, which is λ(s, t), and splitting never raises a cut: it
+keeps every λ(s, t), and the decision is the one a check of all
+C(n - 1, 2) pairs makes.
 
 A complete splitting needs no backtracking.  The pivot has even degree and
 no cut-edge when the splitting starts, and:
@@ -54,7 +57,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
     CertificateError,
@@ -142,20 +144,19 @@ def _checked_flow(adj: PairCapacities, s: str, t: str, limit: int | None = None)
 
 
 def _cut_targets(g: Multigraph, x: str) -> list[tuple[str, str, int, frozenset[str]]]:
-    """Cut value and certified minimal source side of the pairs of V - x on a
-    maximum spanning tree of their cut values (module docstring)."""
+    """Cut value and certified minimal source side of the n - 2 pairs of
+    Gusfield's equivalent-flow tree over V - x (module docstring)."""
     adj = pair_capacities(g)
-    pairs = combinations(sorted(g.vertices - {x}), 2)
-    targets = [(u, v, *_checked_flow(adj, u, v)) for u, v in pairs]
-    comp = {v: v for v in g.vertices}  # Kruskal: tree component of each vertex
+    nodes = sorted(g.vertices - {x})
+    parent = {u: nodes[0] for u in nodes[1:]}
     tree = []
-    for u, v, target, side in sorted(targets, key=lambda p: -p[2]):
-        cu, cv = comp[u], comp[v]
-        if cu != cv:
-            tree.append((u, v, target, side))
-            for w, c in comp.items():
-                if c == cv:
-                    comp[w] = cu
+    for i, s in enumerate(nodes[1:], 1):
+        t = parent[s]
+        value, side = _checked_flow(adj, s, t)
+        tree.append((s, t, value, side))
+        for u in nodes[i + 1:]:
+            if parent[u] == t and u in side:
+                parent[u] = s
     return tree
 
 

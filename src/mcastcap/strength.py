@@ -54,9 +54,6 @@ class TerminalPartition:
     blocks: tuple[frozenset[str], ...]
     crossing: int
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
 
 def _bell(k: int) -> int:
     """Number of set partitions of k items, by the Bell triangle."""

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from mcastcap import (
     scale_capacities,
     validate,
 )
+from mcastcap.multigraph import components
 from mcastcap.errors import (
     BridgeBetweenTerminals,
     DisconnectedTerminals,
@@ -135,6 +137,60 @@ class TestPrune:
         g, a = triangle()
         g = Multigraph(g.vertices | {"q1", "q2"}, g.edges).add_edge("q1", "q2")
         assert prune_to_core(g, a).vertices == {"s", "r1", "r2"}
+
+
+def reference_prune(g, a):
+    """Prune by restarting the edge scan after every removal."""
+    terms = a.members
+    cur = g.restrict(frozenset().union(*(c for c in components(g) if c & terms)))
+    while True:
+        terminal_bridge = False
+        for e in sorted(cur.edges, key=lambda e: e.id):
+            if e.cap >= 2:
+                continue
+            comps = components(cur, without_edges=frozenset((e.id,)))
+            side_u = next(c for c in comps if e.u in c)
+            if e.v in side_u:
+                continue
+            side_v = next(c for c in comps if e.v in c)
+            free = [side for side in (side_u, side_v) if not side & terms]
+            if free:
+                cur = cur.restrict(cur.vertices - free[0])
+                break
+            terminal_bridge = True
+        else:
+            if terminal_bridge:
+                raise BridgeBetweenTerminals("a cut-edge separates two terminals")
+            return cur
+
+
+def _pruned(prune, g, a):
+    try:
+        return prune(g, a)
+    except BridgeBetweenTerminals:
+        return None
+
+
+class TestPruneOracle:
+    def test_random_small_multigraphs(self):
+        rng = random.Random(11)
+        seen = {"bridge": 0, "disconnected": 0, "pruned": 0}
+        for _ in range(600):
+            n = rng.randint(2, 9)
+            names = [f"v{i}" for i in range(n)]
+            triples = []
+            for _ in range(rng.randint(0, 2 * n)):
+                u, v = rng.sample(names, 2)
+                triples.append((u, v, rng.choice((1, 1, 1, 2))))
+            g = Multigraph.build(names, triples)
+            terms = rng.sample(names, rng.randint(2, min(4, n)))
+            a = TerminalSet(terms[0], tuple(terms[1:]))
+            want = _pruned(reference_prune, g, a)
+            assert _pruned(prune_to_core, g, a) == want
+            seen["bridge"] += want is None
+            seen["disconnected"] += len(components(g)) > 1
+            seen["pruned"] += want is not None and want != g
+        assert min(seen.values()) >= 50
 
 
 class TestInterchange:

@@ -22,6 +22,7 @@ from mcastcap import (
 from mcastcap import packing
 from mcastcap.cli import analyze_instance
 from mcastcap.errors import (
+    CertificateError,
     ResourceLimit,
     SearchTooLarge,
     TooManyPartitions,
@@ -487,6 +488,12 @@ def assert_matches_unseeded_search(g, a):
     assert packing._expand_packing(g, solution, lp.members) == reference_expand_packing(
         g, solution, lp.members
     )
+
+
+def test_expand_packing_over_class_capacity_is_a_fault():
+    g = Multigraph.build(["s", "t"], [("s", "t", 1)])
+    with pytest.raises(CertificateError, match="accounting"):
+        packing._expand_packing(g, [(frozenset({0}), Fraction(2))], {0: (0,)})
 
 
 class TestSeededSearchOracle:

@@ -290,14 +290,54 @@ class TestTreeTargets:
                 before[g, x] = all_pairs_connectivity(g, others)
             assert kept == (all_pairs_connectivity(split, others) == before[g, x])
 
+    def test_tree_path_minima_equal_all_pairs(self, monkeypatch):
+        # Gusfield's theorem: the least target on the tree path between two
+        # vertices of V - x is their cut value, at every relay pivot
+        pivots = []
+        cut_targets = splitting._cut_targets
+
+        def record_targets(g, x):
+            tree = cut_targets(g, x)
+            pivots.append((g, x, tree))
+            return tree
+
+        monkeypatch.setattr(splitting, "_cut_targets", record_targets)
+        for g, a in [*bench_samples(), *scaled_samples()]:
+            eliminate_relays(g, a)
+        assert len(pivots) > 100
+        for g, x, tree in pivots:
+            links = {}
+            for u, v, target, _ in tree:
+                links.setdefault(u, []).append((v, target))
+                links.setdefault(v, []).append((u, target))
+            path_min = {}
+            for start in links:
+                stack, seen = [(start, None)], {start}
+                while stack:
+                    y, least = stack.pop()
+                    if least is not None:
+                        path_min[frozenset((start, y))] = least
+                    for z, target in links[y]:
+                        if z not in seen:
+                            seen.add(z)
+                            stack.append((z, target if least is None else min(least, target)))
+            assert path_min == all_pairs_connectivity(g, g.vertices - {x})
+
     def test_fewer_flows_than_all_pairs(self, monkeypatch):
-        calls = []
-        flow = splitting.pair_flow
+        calls, per_pivot = [], []
+        flow, cut_targets = splitting.pair_flow, splitting._cut_targets
         monkeypatch.setattr(splitting, "pair_flow", lambda *args: calls.append(args) or flow(*args))
+
+        def count_targets(g, x):
+            before = len(calls)
+            tree = cut_targets(g, x)
+            per_pivot.append((len(calls) - before, len(g.vertices)))
+            return tree
+
+        monkeypatch.setattr(splitting, "_cut_targets", count_targets)
         for g, a in sample_instances(20, 8, 6, 3, 0):
             eliminate_relays(g, a)
-        # checking every pair of V - x took 3729 flows here
-        assert len(calls) < 3729
+        assert per_pivot and all(flows == n - 2 for flows, n in per_pivot)
 
 
 class TestLiftPacking:
