@@ -13,7 +13,7 @@ from mcastcap import (
     analyze_instance,
     example2_instance,
     example2_routing_scheme,
-    verify_routing_scheme,
+    routing_scheme_problems,
 )
 
 
@@ -30,7 +30,7 @@ def main() -> None:
         g, terms = example2_instance(a, tuple(s for s in slots if s < a))
         rep = analyze_instance(g, terms)
         scheme = example2_routing_scheme(a, tuple(s for s in slots if s < a))
-        ok = verify_routing_scheme(g, terms, scheme)
+        ok = not routing_scheme_problems(g, terms, scheme)
         bracket = f"[{rep.bracket.lower}, {rep.bracket.upper}]"
         print(f"{a:>3} {rep.lam:>6} {rep.k_int:>3} {str(rep.half_rate):>6} "
               f"{str(rep.lp_rate):>6} {str(rep.eta):>6} {bracket:>12} "

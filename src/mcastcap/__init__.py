@@ -14,7 +14,6 @@ from .multigraph import (
 )
 from .connectivity import (
     CutCertificate,
-    edge_connectivity,
     is_cut_edge,
     max_flow,
     terminal_connectivity,
@@ -44,14 +43,12 @@ from .bounds import (
     BoundValue,
     Decomposition3,
     DecompositionGeneral,
-    GammaBracket,
     appendix_a_delta,
     appendix_b_identity,
     corollary1_gain_bounds,
     corollary2_gain_bound,
     decompose3,
     decompose_general,
-    gamma_bracket,
     theorem1_lower_bounds,
     theorem3_lower_bound,
 )
@@ -60,10 +57,9 @@ from .instances import (
     example2_instance,
     example2_routing_scheme,
     random_instance,
+    routing_scheme_problems,
     sample_instances,
-    verify_routing_scheme,
-    verify_routing_scheme_report,
 )
-from .analysis import CapacityReport, analyze_instance
+from .analysis import CapacityReport, GammaBracket, analyze_instance
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
 """The capacity analysis of one instance: every exact quantity, each checked
-by its certificate, and the closed-form bound table."""
+by its certificate, the gamma bracket they give, and the closed-form bound
+table."""
 
 from __future__ import annotations
 
@@ -21,6 +22,15 @@ from .splitting import eliminate_relays, lift_packing
 from .strength import edge_strength, verify_partition
 
 
+@dataclass(frozen=True)
+class GammaBracket:
+    """Certified interval around the coding capacity: LP rate <= gamma <= eta."""
+
+    lower: Rate
+    upper: Rate
+    tight: bool
+
+
 @dataclass
 class CapacityReport:
     num_vertices: int
@@ -32,7 +42,7 @@ class CapacityReport:
     half_rate: Rate | None = None
     lp_rate: Rate | None = None
     eta: Rate | None = None
-    bracket: "bnd.GammaBracket | None" = None
+    bracket: GammaBracket | None = None
     bound_rows: list[tuple[str, str]] = field(default_factory=list)
     via_splitting: dict | None = None
 
@@ -143,7 +153,7 @@ def analyze_instance(
     report.half_rate = half
     report.lp_rate = lp
     report.eta = eta
-    report.bracket = bnd.GammaBracket(lp, eta, lp == eta)
+    report.bracket = GammaBracket(lp, eta, lp == eta)
 
     na = len(a.members)
     report.bound_rows = [(name, str(value)) for name, _, value in bnd.bound_table(lam, na)]
@@ -158,7 +168,6 @@ def analyze_instance(
         k_split, packed = max_integer_packing(split_g, a, lp=split_lp)
         lifted = lift_packing(history, packed)
         lifted_ok = verify_packing(history.base, a, lifted)
-        lp_split, _ = fractional_capacity_lp(split_g, a, lp=split_lp)
         split_rate = Fraction(k_split, scale)
         report.via_splitting = {
             "scale": scale,
@@ -166,7 +175,7 @@ def analyze_instance(
             "lifted_trees": len(lifted.trees),
             "rate": str(split_rate),
             "lifted_verifies": lifted_ok,
-            "lp_rate": str(lp_split / scale),
+            "lp_rate": str(split_lp.opt / scale),
         }
         if not lifted_ok:
             raise CertificateError("lifted packing failed verification")

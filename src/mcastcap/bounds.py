@@ -1,9 +1,10 @@
-"""Closed-form bound calculators and the gamma bracket.
+"""Closed-form bound calculators: the paper's lower-bound floors, gain
+ceilings and decompositions, and the bound table built from them.
 
 Bounds that hold only in the large-n limit are reported as exact rational
 limit values carrying a ``limit`` flag; the finite-n guarantees are the floor
-formulas.  Terminal connectivity 1 short-circuits to capacity 1 before any
-formula runs.
+formulas.  Callers short-circuit terminal connectivity 1 to capacity 1
+before any formula runs.
 """
 
 from __future__ import annotations
@@ -12,10 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError
-from .connectivity import terminal_connectivity
-from .multigraph import Multigraph, Rate, TerminalSet
-from .packing import fractional_capacity_lp
-from .strength import edge_strength
+from .multigraph import Rate
 
 
 @dataclass(frozen=True)
@@ -42,13 +40,6 @@ class DecompositionGeneral:
     lam: int
     k: int
     delta: int
-
-
-@dataclass(frozen=True)
-class GammaBracket:
-    lower: Rate
-    upper: Rate
-    tight: bool
 
 
 def theorem1_lower_bounds(lam: int) -> tuple[int, Rate, BoundValue]:
@@ -78,13 +69,15 @@ def decompose3(lam: int) -> Decomposition3:
         raise ValueError("connectivity must be >= 1")
     # largest k with floor((8k+3)/6) <= lam, i.e. 8k + 3 <= 6*lam + 5
     k = max(1, (6 * lam + 2) // 8)
-    assert (8 * (k + 1) + 3) // 6 > lam
     delta = lam - (8 * k + 3) // 6
-    assert delta in (0, 1)
-    assert k >= (6 * lam - 3) // 8
     big = appendix_a_delta(lam)
-    if delta == 1:
-        assert big == 1
+    if not (
+        (8 * (k + 1) + 3) // 6 > lam
+        and delta in (0, 1)
+        and k >= (6 * lam - 3) // 8
+        and (delta == 0 or big == 1)
+    ):
+        raise CertificateError(f"3-terminal decomposition broken at lambda={lam}")
     return Decomposition3(lam, k, delta, big)
 
 
@@ -93,7 +86,8 @@ def appendix_a_delta(lam: int) -> int:
     if lam < 1:
         raise ValueError("connectivity must be >= 1")
     big = (6 * lam - 3) % 8
-    assert big in (1, 3, 5, 7)
+    if big not in (1, 3, 5, 7):
+        raise CertificateError(f"residue {big} is not odd at lambda={lam}")
     return big
 
 
@@ -107,10 +101,13 @@ def decompose_general(lam: int, a: int) -> DecompositionGeneral:
         raise ValueError("need connectivity >= 2 and >= 2 terminals")
     # largest k with f_a(k) <= lam, i.e. 2k(a-1) <= a*lam + 1
     k = (a * lam + 1) // (2 * (a - 1))
-    assert _f_general(a, k + 1) > lam
     delta = lam - _f_general(a, k)
-    assert delta in (0, 1)
-    assert k >= (a * lam - a + 2) // (2 * (a - 1))
+    if not (
+        _f_general(a, k + 1) > lam
+        and delta in (0, 1)
+        and k >= (a * lam - a + 2) // (2 * (a - 1))
+    ):
+        raise CertificateError(f"general decomposition broken at lambda={lam}, a={a}")
     return DecompositionGeneral(a, lam, k, delta)
 
 
@@ -126,7 +123,8 @@ def appendix_b_identity(lam: int, a: int) -> tuple[int, int, int, bool]:
     dec = decompose_general(lam, a)
     k, delta = dec.k, dec.delta
     big = 2 * k * (a - 1) + a - 2 - a * (lam - delta)
-    assert 0 <= big < a
+    if not 0 <= big < a:
+        raise CertificateError(f"residue {big} outside 0..{a - 1} at lambda={lam}, a={a}")
     big_prime = (a * lam - a + 2) % (2 * (a - 1))
     congruence = (big_prime + big) % (2 * (a - 1)) == a * delta
     biconditional = (big_prime == 0) == (big == 0 and delta == 0)
@@ -171,18 +169,3 @@ def bound_table(lam: int, a: int) -> list[tuple[str, str, int | Rate | BoundValu
     values += [*theorem3_lower_bound(lam, a), corollary2_gain_bound(a)]
     return [(*labels, v) for labels, v in zip(_BOUND_LABELS[-len(values):], values)]
 
-
-def gamma_bracket(g: Multigraph, a: TerminalSet) -> GammaBracket:
-    """Certified interval around the coding capacity: LP rate <= gamma <= min(lambda, eta).
-
-    2-block partitions give lambda exactly, so eta <= lambda and the upper end is eta.
-    """
-    lam = terminal_connectivity(g, a)
-    if lam == 1:
-        one = Fraction(1)
-        return GammaBracket(one, one, True)
-    lower, _ = fractional_capacity_lp(g, a)
-    eta, _ = edge_strength(g, a)
-    if not eta <= lam:
-        raise CertificateError(f"edge strength {eta} exceeds connectivity {lam}")
-    return GammaBracket(lower, eta, lower == eta)

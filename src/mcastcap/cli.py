@@ -21,8 +21,8 @@ from .instances import (
     example2_instance,
     example2_routing_scheme,
     random_instance,
+    routing_scheme_problems,
     sample_instances,
-    verify_routing_scheme,
 )
 from .multigraph import (
     Multigraph,
@@ -188,14 +188,14 @@ def _selftest_examples() -> list[str]:
     for na in range(3, 7):
         for slots in [(), (0,), (0, 2)]:
             g, a = example2_instance(na, slots)
-            br = bnd.gamma_bracket(g, a)
+            br = analyze_instance(g, a).bracket
             want = Fraction(na, na - 1)
             if not (br.tight and br.lower == want):
                 failures.append(f"cycle family bracket wrong at a={na}, slots={slots}")
     for na in range(3, 9):
         g, a = example2_instance(na)
         s = example2_routing_scheme(na)
-        if not verify_routing_scheme(g, a, s) or s.rate != Fraction(na, na - 1):
+        if routing_scheme_problems(g, a, s) or s.rate != Fraction(na, na - 1):
             failures.append(f"routing scheme invalid at a={na}")
     return failures
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import CertificateError, Disconnected, SameVertex, UnknownVertex
-from .multigraph import Multigraph, TerminalSet, _find_bridge_sides, components
+from .errors import CertificateError, SameVertex, UnknownVertex
+from .multigraph import Multigraph, TerminalSet, _find_bridge_sides
 
 PairCapacities = dict[str, dict[str, int]]
 
@@ -99,29 +98,6 @@ def terminal_connectivity(g: Multigraph, a: TerminalSet) -> int:
     """Minimum pairwise min-cut over terminal pairs, from the source's flows
     alone: every x-y cut separates s from x or y, so λ(x, y) ≥ min(λ(s, x), λ(s, y))."""
     return min(max_flow(g, a.source, t)[0] for t in a.sinks)
-
-
-def all_pairs_connectivity(g: Multigraph, vertices) -> dict[frozenset[str], int]:
-    return {
-        frozenset((x, y)): max_flow(g, x, y)[0]
-        for x, y in combinations(sorted(vertices), 2)
-    }
-
-
-def edge_connectivity(g: Multigraph) -> int:
-    """Global edge connectivity.
-
-    A global min edge cut separates any fixed root from some other vertex, so
-    the minimum of max_flow(root, v) over v != root is exact (this shortcut
-    would be wrong for vertex cuts, not for edge cuts).
-    """
-    if len(g.vertices) < 2:
-        raise Disconnected("edge connectivity needs at least two vertices")
-    if len(components(g)) != 1:
-        raise Disconnected("graph is disconnected")
-    verts = sorted(g.vertices)
-    root = verts[0]
-    return min(max_flow(g, root, v)[0] for v in verts[1:])
 
 
 def is_cut_edge(g: Multigraph, eid: int) -> bool:

@@ -33,10 +33,6 @@ class SameEdge(McastcapError):
     pass
 
 
-class Disconnected(McastcapError):
-    pass
-
-
 class NotIncident(McastcapError):
     """The two edges do not share an endpoint (or the requested pivot)."""
 

@@ -97,15 +97,11 @@ def example2_routing_scheme(
     return RoutingScheme(a, a - 1, {j: tuple(es) for j, es in assignment.items()})
 
 
-def verify_routing_scheme(g: Multigraph, a: TerminalSet, s: RoutingScheme) -> bool:
-    ok, _ = verify_routing_scheme_report(g, a, s)
-    return ok
+def routing_scheme_problems(g: Multigraph, a: TerminalSet, s: RoutingScheme) -> list[str]:
+    """Check edge budgets and per-symbol sink reachability.
 
-
-def verify_routing_scheme_report(
-    g: Multigraph, a: TerminalSet, s: RoutingScheme
-) -> tuple[bool, list[str]]:
-    """Check edge budgets and per-symbol sink reachability; returns diagnostics."""
+    Returns one line per problem found; the scheme is valid iff the list is empty.
+    """
     problems: list[str] = []
     by_id = {e.id: e for e in g.edges}
     load: dict[int, int] = {eid: 0 for eid in by_id}
@@ -132,7 +128,7 @@ def verify_routing_scheme_report(
         missing = [t for t in a.sinks if t not in reach]
         if missing:
             problems.append(f"symbol {sym} does not reach sinks {missing}")
-    return not problems, problems
+    return problems
 
 
 def random_instance(

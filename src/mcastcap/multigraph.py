@@ -285,9 +285,11 @@ def load_instance(text: str) -> tuple[Multigraph, TerminalSet]:
     nonpositive capacities and duplicate vertex names.  Names are strings or
     integers, coerced with ``str``, so ``1`` and ``"1"`` are the same name.
     """
+    # a JSONDecodeError and an integer past the digit limit are ValueErrors;
+    # deep nesting exhausts the parser's recursion
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidGraph(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidGraph("instance must be a JSON object")

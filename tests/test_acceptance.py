@@ -20,18 +20,18 @@ from mcastcap import (
     lift_packing,
     max_flow,
     max_integer_packing,
+    routing_scheme_problems,
     sample_instances,
     split_off,
     suitable_complete_splitting,
     terminal_connectivity,
     verify_packing,
-    verify_routing_scheme,
 )
 from mcastcap import bounds as bnd
 from mcastcap.cli import analyze_instance, main
-from mcastcap.connectivity import all_pairs_connectivity
 from mcastcap.errors import CertificateError, CutEdgeAtPivot, OddDegree
 from mcastcap.packing import fractional_capacity_lp, half_integer_capacity
+from test_splitting import all_pairs_connectivity
 
 
 def _report(num: int, ok: bool, desc: str) -> None:
@@ -65,7 +65,7 @@ def test_criterion_02_routing_scheme():
     for na in range(3, 9):
         g, a = example2_instance(na)
         s = example2_routing_scheme(na)
-        if s.rate != Fraction(na, na - 1) or not verify_routing_scheme(g, a, s):
+        if s.rate != Fraction(na, na - 1) or routing_scheme_problems(g, a, s):
             ok = False
         load = {e.id: 0 for e in g.edges}
         for carriers in s.assignment.values():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mcastcap import (
     Multigraph,
     TerminalSet,
+    analyze_instance,
     appendix_a_delta,
     appendix_b_identity,
     corollary1_gain_bounds,
@@ -13,7 +14,6 @@ from mcastcap import (
     decompose3,
     decompose_general,
     example2_instance,
-    gamma_bracket,
     theorem1_lower_bounds,
     theorem3_lower_bound,
 )
@@ -183,24 +183,26 @@ class TestCorollary2:
 
 
 class TestGammaBracket:
+    """The bracket LP rate <= gamma <= eta as ``analyze_instance`` reports it."""
+
     def test_cycle_family_tight(self):
         g, a = example2_instance(5, (0, 2))
-        br = gamma_bracket(g, a)
+        br = analyze_instance(g, a).bracket
         assert br.tight and br.lower == br.upper == Fraction(5, 4)
 
     def test_triangle_tight(self):
         g = Multigraph.build(
             ["s", "r1", "r2"], [("s", "r1", 1), ("r1", "r2", 1), ("r2", "s", 1)]
         )
-        br = gamma_bracket(g, TerminalSet("s", ("r1", "r2")))
+        br = analyze_instance(g, TerminalSet("s", ("r1", "r2"))).bracket
         assert br.tight and br.lower == Fraction(3, 2)
 
     def test_parallel_pair_tight(self):
         g = Multigraph.build(["s", "t"], [("s", "t", 1), ("s", "t", 1)])
-        br = gamma_bracket(g, TerminalSet("s", ("t",)))
+        br = analyze_instance(g, TerminalSet("s", ("t",))).bracket
         assert br.tight and br.lower == 2
 
     def test_connectivity_one_short_circuits(self):
         g = Multigraph.build(["s", "t"], [("s", "t", 1)])
-        br = gamma_bracket(g, TerminalSet("s", ("t",)))
-        assert br.tight and br.lower == 1
+        report = analyze_instance(g, TerminalSet("s", ("t",)))
+        assert report.short_circuit and report.to_dict()["capacity"] == "1"

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -6,17 +9,20 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcastcap import (
     Multigraph,
     TerminalSet,
     dump_instance,
     example2_instance,
+    load_instance,
     packing,
     sample_instances,
     scale_capacities,
 )
 from mcastcap.cli import main
+from mcastcap.errors import DisconnectedTerminals, InvalidGraph
 
 
 @pytest.fixture()
@@ -160,6 +166,34 @@ HALF_RATE_COMMANDS = [
 ]
 
 
+_TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [["a", "b", 1], ["b", "c", 1], ["c", "a", 1]],
+             "source": "a", "sinks": ["b", "c"]}
+
+# integers stay under the interpreter's digit limit for conversion, which
+# json.dumps would hit here; test_malformed_file covers the limit itself
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
+    | st.sampled_from(["a", "b", "c", "d"]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _mutated_instances(draw):
+    """The triangle with one field, list entry or edge component replaced by
+    an arbitrary JSON value, or deleted."""
+    obj = copy.deepcopy(_TRIANGLE)
+    parent, key = obj, draw(st.sampled_from(sorted(obj)))
+    while isinstance(parent[key], list) and draw(st.booleans()):
+        parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(_JSON_VALUES)
+    return obj
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/file.json"]) == 2
@@ -187,10 +221,25 @@ class TestErrors:
             (json.dumps({**triangle, "source": {"x": 1}}),
              "vertex name must be a string or an integer: {'x': 1}"),
             (json.dumps({**triangle, "sinks": "bc"}), "'sinks' must be a JSON array: 'bc'"),
+            ("[" * 100_000, "malformed JSON"),
+            (json.dumps(triangle).replace('"a"', "9" * 5000), "malformed JSON"),
         ]:
             path.write_text(text)
             assert main(["analyze", str(path)]) == 2
             assert f"input error: {message}" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | _JSON_VALUES.map(json.dumps) | _mutated_instances().map(json.dumps))
+    def test_fuzzed_input_is_an_input_error(self, tmp_path_factory, text):
+        try:
+            load_instance(text)
+        except (InvalidGraph, DisconnectedTerminals):
+            path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+            path.write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["analyze", str(path)]) == 2
+            assert err.getvalue().startswith("input error: ")
 
     def test_bad_terminals(self, tmp_path, capsys):
         path = tmp_path / "bad2.json"

@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 from mcastcap import (
     Multigraph,
     TerminalSet,
-    edge_connectivity,
     example2_instance,
     is_cut_edge,
     max_flow,
     terminal_connectivity,
 )
 from mcastcap.connectivity import pair_capacities, pair_flow
-from mcastcap.errors import Disconnected, SameVertex, UnknownVertex
+from mcastcap.errors import SameVertex, UnknownVertex
 from mcastcap.multigraph import components
 
 
@@ -111,25 +110,6 @@ class TestTerminalConnectivity:
         big = TerminalSet("v0", ("v1", "v2", "v3"))
         small = TerminalSet("v0", ("v1",))
         assert terminal_connectivity(g, small) >= terminal_connectivity(g, big)
-
-
-class TestEdgeConnectivity:
-    def test_cycle(self):
-        assert edge_connectivity(cycle(5)) == 2
-
-    def test_tree(self):
-        g = Multigraph.build(["a", "b", "c"], [("a", "b", 1), ("b", "c", 1)])
-        assert edge_connectivity(g) == 1
-
-    def test_k4_against_brute_force(self):
-        g = complete(4)
-        assert edge_connectivity(g) == 3
-        assert min(brute_min_cut(g, u, v) for u, v in combinations(sorted(g.vertices), 2)) == 3
-
-    def test_disconnected(self):
-        g = Multigraph.build(["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 1)])
-        with pytest.raises(Disconnected):
-            edge_connectivity(g)
 
 
 class TestCutEdge:

@@ -9,10 +9,9 @@ from mcastcap import (
     example2_routing_scheme,
     fractional_capacity_lp,
     random_instance,
+    routing_scheme_problems,
     sample_instances,
     terminal_connectivity,
-    verify_routing_scheme,
-    verify_routing_scheme_report,
 )
 from mcastcap.errors import BadSlot, Underconnected
 
@@ -78,7 +77,7 @@ class TestRoutingScheme:
         for na in range(3, 9):
             g, a = example2_instance(na)
             s = example2_routing_scheme(na)
-            assert verify_routing_scheme(g, a, s)
+            assert routing_scheme_problems(g, a, s) == []
             # every edge carries exactly n = na - 1 symbols
             load = {e.id: 0 for e in g.edges}
             for carriers in s.assignment.values():
@@ -89,7 +88,7 @@ class TestRoutingScheme:
     def test_valid_with_relays(self):
         g, a = example2_instance(5, (0, 2))
         s = example2_routing_scheme(5, (0, 2))
-        assert verify_routing_scheme(g, a, s)
+        assert routing_scheme_problems(g, a, s) == []
 
     def test_specific_edge_contents(self):
         g, a = example2_instance(5, (0, 2))
@@ -112,8 +111,7 @@ class TestRoutingScheme:
         broken = dict(s.assignment)
         broken[0] = broken[0][:-1]  # drop one carrier of symbol 0
         bad = RoutingScheme(s.h, s.n, broken)
-        ok, problems = verify_routing_scheme_report(g, a, bad)
-        assert not ok and problems
+        assert routing_scheme_problems(g, a, bad)
 
     def test_budget_violation_rejected(self):
         g, a = example2_instance(4)
@@ -123,8 +121,7 @@ class TestRoutingScheme:
         stuffed = {sym: carriers + ((0, e.u, e.v),) * s.n
                    for sym, carriers in s.assignment.items()}
         bad = RoutingScheme(s.h, s.n, stuffed)
-        ok, problems = verify_routing_scheme_report(g, a, bad)
-        assert not ok
+        problems = routing_scheme_problems(g, a, bad)
         assert any("budget" in p for p in problems)
 
     def test_scheme_rate_matches_lp(self):

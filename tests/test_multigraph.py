@@ -243,6 +243,11 @@ class TestInterchange:
              ' "sinks": "bc"}', "'sinks' must be a JSON array: 'bc'"),
             ('{"vertices": "ab", "edges": [], "source": "a", "sinks": ["b"]}',
              "'vertices' must be a JSON array: 'ab'"),
+            # nesting deeper than the parser's recursion limit
+            ("[" * 100_000, "malformed JSON"),
+            # an integer past the interpreter's digit limit for conversion
+            ('{"vertices": [' + "9" * 5000 + '], "edges": [], "source": "a", "sinks": ["b"]}',
+             "malformed JSON"),
         ]:
             with pytest.raises(InvalidGraph, match=re.escape(message)):
                 load_instance(text)

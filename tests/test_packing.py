@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from mcastcap import (
     Multigraph,
     TerminalSet,
-    edge_connectivity,
     edge_strength,
     enumerate_steiner_trees,
     example2_instance,
@@ -215,11 +214,12 @@ class TestProperties:
 
     def test_spanning_tree_guarantee_on_terminal_only_graphs(self):
         # relay-free: global connectivity floor(2k(l-1)/l + (l-2)/l) forces
-        # k disjoint spanning trees
+        # k disjoint spanning trees; with every vertex a terminal, the global
+        # connectivity is the terminal connectivity
         for g, a in sample_instances(8, 4, 5, 4, seed=302):
             if g.vertices != a.members:
                 continue
-            lam_g = edge_connectivity(g)
+            lam_g = terminal_connectivity(g, a)
             l = len(g.vertices)
             k_guaranteed = 0
             while (2 * (k_guaranteed + 1) * (l - 1) + l - 2) // l <= lam_g:

@@ -12,6 +12,7 @@ from mcastcap import (
     is_admissible,
     is_cut_edge,
     lift_packing,
+    max_flow,
     max_integer_packing,
     sample_instances,
     scale_capacities,
@@ -20,7 +21,6 @@ from mcastcap import (
     terminal_connectivity,
     verify_packing,
 )
-from mcastcap.connectivity import all_pairs_connectivity
 from mcastcap.errors import (
     CertificateError,
     CutEdgeAtPivot,
@@ -32,6 +32,15 @@ from mcastcap.multigraph import degree
 from mcastcap.packing import SteinerPacking, SteinerTree
 from mcastcap import splitting
 from mcastcap.splitting import _keeps_targets
+
+
+def all_pairs_connectivity(g, vertices):
+    """λ of every pair of ``vertices``, one max-flow each: the oracle for
+    every check that a split keeps the cuts among the other vertices."""
+    return {
+        frozenset((x, y)): max_flow(g, x, y)[0]
+        for x, y in combinations(sorted(vertices), 2)
+    }
 
 
 def k4_with_relay(k):

@@ -1,0 +1,24 @@
+"""Rules on the package source itself, read from its syntax trees."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mcastcap"
+
+# bounds holds closed-form code only: it computes no flow, packing or strength
+BOUNDS_IMPORTS = {"__future__", "dataclasses", "fractions", ".errors", ".multigraph"}
+
+
+def test_no_asserts_and_closed_form_bounds():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        # python -O strips asserts, and every check must still run there
+        assert not lines, f"{path.name} has assert statements at lines {lines}"
+    imported = set()
+    for n in ast.walk(ast.parse((PACKAGE / "bounds.py").read_text(encoding="utf-8"))):
+        if isinstance(n, ast.Import):
+            imported |= {alias.name for alias in n.names}
+        elif isinstance(n, ast.ImportFrom):
+            imported.add("." * n.level + (n.module or ""))
+    assert imported <= BOUNDS_IMPORTS, f"bounds.py imports {sorted(imported - BOUNDS_IMPORTS)}"
