@@ -7,6 +7,7 @@ from .multigraph import (
     TerminalSet,
     degree,
     dump_instance,
+    is_cut_edge,
     load_instance,
     prune_to_core,
     scale_capacities,
@@ -14,7 +15,6 @@ from .multigraph import (
 )
 from .connectivity import (
     CutCertificate,
-    is_cut_edge,
     max_flow,
     terminal_connectivity,
 )

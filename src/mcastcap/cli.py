@@ -125,6 +125,7 @@ def _cmd_split(args) -> int:
                     "pivot": ev.pivot,
                     "splitted": [ev.e_id, ev.f_id],
                     "splitting": ev.new_id,
+                    "amount": ev.amount,
                 }
                 for ev in history.events
             ],

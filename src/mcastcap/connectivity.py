@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CertificateError, SameVertex, UnknownVertex
-from .multigraph import Multigraph, TerminalSet, _find_bridge_sides
+from .multigraph import Multigraph, TerminalSet
 
 PairCapacities = dict[str, dict[str, int]]
 
@@ -99,11 +99,3 @@ def terminal_connectivity(g: Multigraph, a: TerminalSet) -> int:
     alone: every x-y cut separates s from x or y, so λ(x, y) ≥ min(λ(s, x), λ(s, y))."""
     return min(max_flow(g, a.source, t)[0] for t in a.sinks)
 
-
-def is_cut_edge(g: Multigraph, eid: int) -> bool:
-    """True iff deleting one unit of the edge disconnects its endpoints.
-
-    An edge of capacity >= 2 is never a cut-edge in unit-edge form: parallel
-    copies remain.
-    """
-    return _find_bridge_sides(g, g.edge(eid)) is not None

@@ -29,10 +29,6 @@ class SameVertex(McastcapError):
     pass
 
 
-class SameEdge(McastcapError):
-    pass
-
-
 class NotIncident(McastcapError):
     """The two edges do not share an endpoint (or the requested pivot)."""
 
@@ -42,7 +38,7 @@ class CutEdgeAtPivot(McastcapError):
 
 
 class OddDegree(McastcapError):
-    """Pivot has odd unit-edge degree; scale capacities by 2 first."""
+    """Pivot has odd capacity degree; scale capacities by 2 first."""
 
 
 class InvalidPacking(McastcapError):

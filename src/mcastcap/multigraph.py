@@ -83,9 +83,6 @@ class Multigraph:
     def total_capacity(self) -> int:
         return sum(e.cap for e in self.edges)
 
-    def is_unit(self) -> bool:
-        return all(e.cap == 1 for e in self.edges)
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -116,24 +113,6 @@ class Multigraph:
 
     # -- views -------------------------------------------------------------
 
-    def unit_form(self) -> tuple["Multigraph", dict[int, int]]:
-        """Expand capacity c into c parallel unit edges.
-
-        Returns the expanded graph and a map from new unit-edge ids back to
-        the originating edge id.  A graph that is already unit maps to itself.
-        """
-        if self.is_unit():
-            return self, {e.id: e.id for e in self.edges}
-        out = []
-        origin: dict[int, int] = {}
-        nid = 0
-        for e in sorted(self.edges, key=lambda e: e.id):
-            for _ in range(e.cap):
-                out.append(Edge(nid, e.u, e.v, 1))
-                origin[nid] = e.id
-                nid += 1
-        return Multigraph(self.vertices, tuple(out)), origin
-
     def aggregated(self) -> "Multigraph":
         """Merge parallel edges into one edge per vertex pair with summed capacity."""
         groups: dict[frozenset[str], list[Edge]] = {}
@@ -148,7 +127,7 @@ class Multigraph:
 
 
 def degree(g: Multigraph, v: str) -> int:
-    """Unit-edge degree of ``v``: a capacity-c edge contributes c."""
+    """Capacity degree of ``v``: a capacity-c edge contributes c."""
     return sum(e.cap for e in g.incident(v))
 
 
@@ -240,6 +219,12 @@ def _find_bridge_sides(g: Multigraph, e: Edge) -> tuple[frozenset[str], frozense
         return None
     side_v = next(c for c in comps if e.v in c)
     return side_u, side_v
+
+
+def is_cut_edge(g: Multigraph, eid: int) -> bool:
+    """True iff deleting one unit of the edge disconnects its endpoints, so
+    an edge of capacity >= 2 never is one."""
+    return _find_bridge_sides(g, g.edge(eid)) is not None
 
 
 def prune_to_core(g: Multigraph, a: TerminalSet) -> Multigraph:

@@ -1,10 +1,10 @@
 """Splitting-off calculus: admissible pairs, complete splitting, relay elimination,
 and lifting tree packings back through a split history.
 
-All splitting operations work on the unit-edge view (every capacity 1); callers
-expand with ``Multigraph.unit_form()`` first.  Relay elimination output stays in
-unit form so that histories reference concrete unit edges; ``aggregated()``
-re-forms capacities for presentation.
+Splitting works on capacities: one split takes an amount off a pair of
+edges at the pivot and adds one splitting edge of that capacity
+(A. Frank, *On a theorem of Mader*, 1992), so the work and the history
+grow with the number of edge pairs, not with capacity.
 
 A complete splitting at pivot x computes the cut value and certified
 minimal source side of n - 2 pairs of V - x once, n = |V|: each split it
@@ -48,9 +48,18 @@ no cut-edge when the splitting starts, and:
   is admissible.
 
 Taking the first admissible partner of the smallest edge, one split after
-another, therefore never gets stuck, and it takes the same path as a
-backtracking search over pairings in the same order.  A missing partner is
-a bug and raises CertificateError.
+another, therefore never gets stuck.  A missing partner is a bug and raises
+CertificateError.
+
+Each split takes the largest amount that keeps the targets, found by
+bisection that tries the full amount first.  Bisection is exact because
+splitting more never raises a cut: splitting b more units after a units
+leaves every cut at most where a units left it, so the amounts that keep
+the targets are 0 to some m.  For the same reason a pair (r, t) refused
+once stays refused for the whole pivot: splits commute, so splitting it
+after further splits leaves every cut at most where splitting it before
+them did, below some target.  The loop thus ends, aggregated, where a
+backtracking search over pairings of unit edges in the same order ends.
 """
 
 from __future__ import annotations
@@ -65,10 +74,17 @@ from .errors import (
     InvalidPacking,
     NotIncident,
     OddDegree,
-    SameEdge,
 )
-from .connectivity import PairCapacities, cut_capacity, is_cut_edge, pair_capacities, pair_flow
-from .multigraph import Edge, Multigraph, TerminalSet, degree, edge_component, scale_capacities
+from .connectivity import PairCapacities, cut_capacity, pair_capacities, pair_flow
+from .multigraph import (
+    Edge,
+    Multigraph,
+    TerminalSet,
+    degree,
+    edge_component,
+    is_cut_edge,
+    scale_capacities,
+)
 from .packing import SteinerPacking, SteinerTree
 
 
@@ -80,6 +96,7 @@ class SplitEvent:
     f_id: int
     t: str  # other endpoint of f
     new_id: int | None  # None when r == t and the would-be loop is discarded
+    amount: int  # units taken off e and off f (twice off e when f is e)
 
 
 @dataclass(frozen=True)
@@ -92,7 +109,7 @@ class SplitHistory:
         """Re-apply all events to the base graph; must reproduce the final graph."""
         g = self.base
         for ev in self.events:
-            g, _ = split_off(g, ev.e_id, ev.f_id, pivot=ev.pivot, new_id=ev.new_id)
+            g, _ = split_off(g, ev.e_id, ev.f_id, pivot=ev.pivot, new_id=ev.new_id, amount=ev.amount)
         return g.without_vertices(self.deleted_pivots)
 
 
@@ -113,26 +130,34 @@ def split_off(
     f_id: int,
     pivot: str | None = None,
     new_id: int | None = None,
+    amount: int = 1,
 ) -> tuple[Multigraph, SplitEvent]:
-    """Delete unit edges e = rx and f = xt, add the splitting edge rt.
+    """Take ``amount`` units off e = rx and f = xt, add a splitting edge rt
+    of that capacity; an edge left without capacity is deleted.
 
-    When r == t the would-be loop is discarded and the event records no
-    splitting edge.  Parallel pairs (two copies of the same vertex pair) take
-    an explicit pivot or default to the smaller shared endpoint.
+    f may be e itself, which takes 2 * amount units off e.  When r == t the
+    would-be loop is discarded and the event records no splitting edge.
+    Parallel pairs take an explicit pivot or default to the smaller shared
+    endpoint.
     """
-    if e_id == f_id:
-        raise SameEdge("cannot split an edge with itself")
     e, f = g.edge(e_id), g.edge(f_id)
-    if e.cap != 1 or f.cap != 1:
-        raise InvalidGraph("split_off requires the unit-edge view")
     x = _resolve_pivot(g, e, f, pivot)
     r, t = e.other(x), f.other(x)
-    out = g.without_edges((e_id, f_id))
+    take = Counter((e_id, f_id))
+    for eid, n in take.items():
+        if not 0 < n * amount <= g.edge(eid).cap:
+            raise InvalidGraph(f"cannot take {n * amount} units off edge {eid}")
+    edges = []
+    for d in g.edges:
+        left = d.cap - take[d.id] * amount
+        if left:
+            edges.append(d if left == d.cap else Edge(d.id, d.u, d.v, left))
     if r == t:
-        return out, SplitEvent(x, e_id, r, f_id, t, None)
-    nid = g.next_id() if new_id is None else new_id
-    out = Multigraph(out.vertices, out.edges + (Edge(nid, r, t, 1),))
-    return out, SplitEvent(x, e_id, r, f_id, t, nid)
+        new_id = None
+    else:
+        new_id = g.next_id() if new_id is None else new_id
+        edges.append(Edge(new_id, r, t, amount))
+    return Multigraph(g.vertices, tuple(edges)), SplitEvent(x, e_id, r, f_id, t, new_id, amount)
 
 
 def _checked_flow(adj: PairCapacities, s: str, t: str, limit: int | None = None):
@@ -178,44 +203,52 @@ def is_admissible(g: Multigraph, e_id: int, f_id: int, pivot: str | None = None)
     return _keeps_targets(split, _cut_targets(g, ev.pivot))
 
 
+def _largest_split(g: Multigraph, e_id: int, f_id: int, x: str, most: int, targets) -> int:
+    """Largest amount up to ``most`` whose split keeps the targets, 0 if
+    none: bisection, trying ``most`` first (module docstring)."""
+    kept, refused, amount = 0, most + 1, most
+    while refused - kept > 1:
+        if _keeps_targets(split_off(g, e_id, f_id, pivot=x, amount=amount)[0], targets):
+            kept = amount
+        else:
+            refused = amount
+        amount = (kept + refused) // 2
+    return kept
+
+
 def suitable_complete_splitting(g: Multigraph, x: str) -> tuple[Multigraph, SplitHistory]:
     """Isolate x by admissible splits only, then delete it.
 
     Preserves every pairwise min-cut among V - x exactly.  Splits the
     smallest remaining edge at x with its first admissible partner, which
-    always exists (module docstring).
+    always exists, by the largest admissible amount (module docstring).
     """
-    if not g.is_unit():
-        raise InvalidGraph("splitting requires the unit-edge view")
     d = degree(g, x)
     if d % 2 == 1:
         raise OddDegree(f"pivot {x!r} has odd degree {d}; scale capacities by 2 first")
-    far = {e.id: e.other(x) for e in g.incident(x)}
-    copies = Counter(far.values())
-    for e_id, y in far.items():
-        # a unit edge with a parallel copy is never a cut-edge
-        if copies[y] == 1 and is_cut_edge(g, e_id):
-            raise CutEdgeAtPivot(f"cut-edge {e_id} incident to pivot {x!r}")
+    for e in g.incident(x):
+        if is_cut_edge(g, e.id):
+            raise CutEdgeAtPivot(f"cut-edge {e.id} incident to pivot {x!r}")
     targets = _cut_targets(g, x)
-    cur, events, rem = g, [], sorted(far)
-    while rem:
-        e_id, refused = rem[0], set()
-        for f_id in rem[1:]:
-            # candidates with the same far endpoint give the same split up to edge ids
-            if far[f_id] in refused:
+    cur, events, refused = g, [], set()
+    while inc := sorted(cur.incident(x), key=lambda e: e.id):
+        e = inc[0]
+        for f in inc:  # e itself first: two units of one edge
+            pair = frozenset((e.other(x), f.other(x)))
+            most = e.cap // 2 if f is e else min(e.cap, f.cap)
+            if not most or pair in refused:
                 continue
-            split, ev = split_off(cur, e_id, f_id, pivot=x)
-            if _keeps_targets(split, targets):
+            amount = _largest_split(cur, e.id, f.id, x, most, targets)
+            if amount:
                 break
-            refused.add(far[f_id])
+            refused.add(pair)
         else:
             raise CertificateError(
-                f"no admissible partner for edge {e_id} at pivot {x!r}, "
+                f"no admissible partner for edge {e.id} at pivot {x!r}, "
                 "though Mader's theorem promises one"
             )
-        cur = split
+        cur, ev = split_off(cur, e.id, f.id, pivot=x, amount=amount)
         events.append(ev)
-        rem = [i for i in rem[1:] if i != f_id]
     return cur.without_vertices((x,)), SplitHistory(g, tuple(events), (x,))
 
 
@@ -224,30 +257,20 @@ def eliminate_relays(
 ) -> tuple[Multigraph, SplitHistory, int]:
     """Suitable complete splitting at every relay, in ascending vertex order.
 
-    If some relay has odd unit-degree, capacities are first scaled by 2
-    (returned scale factor 2) so all relay degrees become even.  The result
-    has vertex set exactly A; every A-Steiner tree in it is a spanning tree.
-    Output is in unit form; pairwise terminal min-cuts equal scale times the
-    originals.
+    If some relay has odd degree, capacities are first scaled by 2
+    (returned scale factor 2) so all relay degrees become even; the history
+    starts from that graph.  The result has vertex set exactly A; every
+    A-Steiner tree in it is a spanning tree.  Pairwise terminal min-cuts
+    equal scale times the originals.
     """
-    relays = sorted(g.vertices - a.members)
-    if not relays:
-        return g, SplitHistory(g, (), ()), 1
-
-    scale = 1
-    if any(degree(g, x) % 2 == 1 for x in relays):
-        scale = 2
-        g = scale_capacities(g, 2)
-    base, _ = g.unit_form()
-
-    cur = base
+    relays = tuple(sorted(g.vertices - a.members))
+    scale = 2 if any(degree(g, x) % 2 == 1 for x in relays) else 1
+    base = cur = scale_capacities(g, scale)
     events: list[SplitEvent] = []
-    pivots: list[str] = []
     for x in relays:
         cur, hist = suitable_complete_splitting(cur, x)
         events.extend(hist.events)
-        pivots.append(x)
-    return cur, SplitHistory(base, tuple(events), tuple(pivots)), scale
+    return cur, SplitHistory(base, tuple(events), relays), scale
 
 
 # -- packing lift ----------------------------------------------------------
@@ -259,8 +282,10 @@ def lift_packing(history: SplitHistory, packing):
     Each reversal removes the splitting edge w = rt from any tree containing
     it and reconnects via the splitted pair: {e, f} plus the pivot when the
     pivot is not yet on the tree, otherwise whichever single edge bridges the
-    two components of T - w.  Cardinality, multiplicities and disjointness are
-    preserved; the output packs the base graph of the history.
+    two components of T - w.  The trees through w carry at most its amount
+    and each takes back at most one unit of e and one of f, so cardinality,
+    multiplicities and disjointness are preserved; the output packs the base
+    graph of the history.
     """
     # reconstruct per-stage endpoint info by replaying forward
     endpoint: dict[int, tuple[str, str]] = {e.id: (e.u, e.v) for e in history.base.edges}

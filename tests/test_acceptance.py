@@ -31,7 +31,7 @@ from mcastcap import bounds as bnd
 from mcastcap.cli import analyze_instance, main
 from mcastcap.errors import CertificateError, CutEdgeAtPivot, OddDegree
 from mcastcap.packing import fractional_capacity_lp, half_integer_capacity
-from test_splitting import all_pairs_connectivity
+from test_splitting import all_pairs_connectivity, unit_form
 
 
 def _report(num: int, ok: bool, desc: str) -> None:
@@ -147,7 +147,7 @@ def test_criterion_07_splitting_soundness():
     count = 0
     for g, a in sample_instances(100, 7, 5, 3, seed=7000):
         count += 1
-        unit, _ = g.unit_form()
+        unit = unit_form(g)
         relays = sorted(unit.vertices - a.members)
         for x in relays:
             others = unit.vertices - {x}

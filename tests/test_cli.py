@@ -23,6 +23,7 @@ from mcastcap import (
 )
 from mcastcap.cli import main
 from mcastcap.errors import DisconnectedTerminals, InvalidGraph
+from test_splitting import k4_with_relay
 
 
 @pytest.fixture()
@@ -52,6 +53,14 @@ class TestAnalyze:
     def test_via_splitting(self, cycle_file, capsys):
         assert main(["analyze", cycle_file, "--via-splitting"]) == 0
         assert "via splitting" in capsys.readouterr().out
+
+    def test_lifted_trees_count_multiplicity(self, tmp_path, capsys):
+        # relay-free, so the packing lifts as it is: one tree of multiplicity 3
+        path = tmp_path / "st3.json"
+        path.write_text('{"vertices": ["s", "t"], "edges": [["s", "t", 3]], "source": "s", "sinks": ["t"]}')
+        assert main(["analyze", str(path), "--format", "structured", "--via-splitting"]) == 0
+        v = json.loads(capsys.readouterr().out)["via_splitting"]
+        assert v["packed_trees"] == v["lifted_trees"] == 3
 
     def test_splitting_flag_does_not_persist(self, cycle_file, capsys):
         assert main(["analyze", cycle_file, "--format", "structured", "--via-splitting"]) == 0
@@ -109,6 +118,15 @@ class TestSplit:
         assert d["scale"] == 1
         assert set(d["result"]["vertices"]) == {"v0", "v1", "v2", "v3", "v4"}
         assert len(d["history"]["events"]) == 2
+
+    def test_history_splits_amounts(self, tmp_path, capsys):
+        # K4 + relay x100: pivot degree 300, one event per pair of edges
+        path = tmp_path / "k4x100.json"
+        path.write_text(dump_instance(*k4_with_relay(100)))
+        assert main(["split", str(path), "--emit-history"]) == 0
+        events = json.loads(capsys.readouterr().out)["history"]["events"]
+        assert len(events) == 3
+        assert sum(ev["amount"] for ev in events) == 150
 
 
 class TestStrength:
@@ -383,7 +401,7 @@ class TestCertificateChecks:
 
 
 def test_long_splitting_runs_in_a_shallow_stack():
-    # K4 + relay x100: 150 splits at one pivot under a 100-frame stack
+    # K4 + relay x100: 150 units split at one pivot under a 100-frame stack
     proc = _run_python("-c", (
         "import sys\n"
         "from mcastcap import Multigraph, TerminalSet, eliminate_relays, scale_capacities\n"
@@ -391,10 +409,21 @@ def test_long_splitting_runs_in_a_shallow_stack():
         " ('t1', 't2', 1), ('x', 's', 1), ('x', 't1', 1), ('x', 't2', 1)])\n"
         "sys.setrecursionlimit(100)\n"
         "out, hist, scale = eliminate_relays(scale_capacities(g, 100), TerminalSet('s', ('t1', 't2')))\n"
-        "print(len(hist.events), scale, hist.replay() == out)\n"
+        "print(sum(ev.amount for ev in hist.events), scale, hist.replay() == out)\n"
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "150 1 True\n"
+
+
+@pytest.mark.parametrize("argv, scale", [(["split"], 10**6), (["analyze", "--via-splitting"], 1000)])
+def test_splitting_time_does_not_grow_with_capacity(tmp_path, argv, scale):
+    path = tmp_path / "k4.json"
+    path.write_text(dump_instance(*k4_with_relay(scale)))
+    start = time.monotonic()
+    proc = _run_python("-c", "import sys; from mcastcap.cli import main; sys.exit(main(sys.argv[1:]))",
+                       argv[0], str(path), *argv[1:])
+    assert proc.returncode == 0, proc.stderr
+    assert time.monotonic() - start < 10
 
 
 def test_scripts_run_clean():

@@ -14,6 +14,7 @@ from mcastcap import (
 from mcastcap.connectivity import pair_capacities, pair_flow
 from mcastcap.errors import SameVertex, UnknownVertex
 from mcastcap.multigraph import components
+from test_splitting import unit_form
 
 
 def cycle(n, cap=1):
@@ -29,7 +30,7 @@ def complete(n):
 def brute_min_cut(g, u, v):
     """Exhaustive oracle: min total capacity over unit-edge subsets whose
     removal disconnects u from v."""
-    unit, _ = g.unit_form()
+    unit = unit_form(g)
     m = len(unit.edges)
     best = None
     for mask in range(1 << m):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mcastcap import (
+    Edge,
     Multigraph,
     TerminalSet,
     degree,
@@ -253,18 +254,9 @@ class TestInterchange:
                 load_instance(text)
 
 
-class TestUnitForm:
-    def test_expansion_and_origin_map(self):
-        g = Multigraph.build(["a", "b", "c"], [("a", "b", 2), ("b", "c", 1)])
-        unit, origin = g.unit_form()
-        assert unit.is_unit()
-        assert len(unit.edges) == 3
-        assert sorted(origin.values()) == [0, 0, 1]
-
-    def test_aggregated_inverts_expansion(self):
-        g = Multigraph.build(["a", "b", "c"], [("a", "b", 2), ("b", "c", 3)])
-        unit, _ = g.unit_form()
-        agg = unit.aggregated()
-        assert sorted((e.u, e.v, e.cap) for e in agg.edges) == sorted(
-            (e.u, e.v, e.cap) for e in g.edges
+class TestAggregated:
+    def test_merges_parallel_edges(self):
+        g = Multigraph.build(
+            ["a", "b", "c"], [("a", "b", 1), ("b", "c", 1), ("a", "b", 1), ("b", "c", 2)]
         )
+        assert g.aggregated().edges == (Edge(0, "a", "b", 2), Edge(1, "b", "c", 3))

@@ -1,9 +1,10 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from mcastcap import (
+    Edge,
     Multigraph,
     TerminalSet,
     eliminate_relays,
@@ -21,12 +22,13 @@ from mcastcap import (
     terminal_connectivity,
     verify_packing,
 )
+from mcastcap.connectivity import pair_capacities
 from mcastcap.errors import (
     CertificateError,
     CutEdgeAtPivot,
+    InvalidGraph,
     NotIncident,
     OddDegree,
-    SameEdge,
 )
 from mcastcap.multigraph import degree
 from mcastcap.packing import SteinerPacking, SteinerTree
@@ -43,6 +45,13 @@ def all_pairs_connectivity(g, vertices):
     }
 
 
+def unit_form(g):
+    """g with every capacity c expanded into c parallel unit edges, in edge
+    id order: the view the unit-pair oracles split one unit at a time."""
+    units = [(e.u, e.v, 1) for e in sorted(g.edges, key=lambda e: e.id) for _ in range(e.cap)]
+    return Multigraph.build(g.vertices, units)
+
+
 def k4_with_relay(k):
     """K4 on source s, sinks t1 and t2 and relay x, capacities times k."""
     g = Multigraph.build(
@@ -53,15 +62,14 @@ def k4_with_relay(k):
 
 
 def scaled_samples():
-    """Sample instances and their capacity x2 and x4 copies (parallel classes
-    of 2 and 4 unit edges after expansion)."""
+    """Sample instances and their capacity x2, x4 and x8 copies."""
     base = list(sample_instances(6, 7, 4, 3, seed=3))
-    return base + [(scale_capacities(g, k), a) for k in (2, 4) for g, a in base]
+    return base + [(scale_capacities(g, k), a) for k in (2, 4, 8) for g, a in base]
 
 
 def reference_search(g, x):
-    """The pairing backtrack that accepts a split when all_pairs_connectivity
-    among V - x is unchanged: the search before cut targets were reused."""
+    """The pairing backtrack over unit edges that accepts a split when
+    all_pairs_connectivity among V - x is unchanged."""
     others = g.vertices - {x}
     rem = sorted(e.id for e in g.incident(x))
 
@@ -82,7 +90,7 @@ def reference_search(g, x):
 def reference_eliminate_relays(g, a):
     relays = sorted(g.vertices - a.members)
     scale = 2 if any(degree(g, x) % 2 for x in relays) else 1
-    cur, _ = scale_capacities(g, scale).unit_form()
+    cur = unit_form(scale_capacities(g, scale))
     events = []
     for x in relays:
         cur, evs = reference_search(cur, x)
@@ -124,8 +132,22 @@ class TestSplitOff:
         g = Multigraph.build(["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 1)])
         with pytest.raises(NotIncident):
             split_off(g, 0, 1)
-        with pytest.raises(SameEdge):
-            split_off(g, 0, 0)
+        # an edge split with itself gives up two units
+        with pytest.raises(InvalidGraph):
+            split_off(g, 0, 0, pivot="a")
+        with pytest.raises(InvalidGraph):
+            split_off(theta(), 0, 2, pivot="x", amount=2)
+        with pytest.raises(InvalidGraph):
+            split_off(theta(), 0, 2, pivot="x", amount=0)
+
+    def test_amount(self):
+        g = Multigraph.build(["r", "x", "t"], [("r", "x", 5), ("x", "t", 3)])
+        out, ev = split_off(g, 0, 1, amount=3)
+        assert ev.amount == 3 and ev.new_id == 2
+        assert out.edges == (Edge(0, "r", "x", 2), Edge(2, "r", "t", 3))
+        out, ev = split_off(out, 0, 0, pivot="x")
+        assert ev.new_id is None and ev.amount == 1
+        assert out.edges == (Edge(2, "r", "t", 3),)
 
 
 class TestAdmissibility:
@@ -154,24 +176,22 @@ class TestAdmissibility:
 
     def test_admissible_split_preserves_cuts_on_samples(self):
         for g, a in [*sample_instances(5, 6, 4, 3, seed=10), *scaled_samples()]:
-            unit, _ = g.unit_form()
-            for x in sorted(unit.vertices - a.members)[:2]:
-                inc = [e.id for e in unit.incident(x)]
-                for i in range(len(inc)):
-                    for j in range(i + 1, len(inc)):
-                        adm = is_admissible(unit, inc[i], inc[j], pivot=x)
-                        split, _ = split_off(unit, inc[i], inc[j], pivot=x)
-                        others = unit.vertices - {x}
-                        same = all_pairs_connectivity(unit, others) == all_pairs_connectivity(
-                            split, others
-                        )
-                        assert adm == same
+            for x in sorted(g.vertices - a.members)[:2]:
+                others = g.vertices - {x}
+                before = all_pairs_connectivity(g, others)
+                for e, f in combinations_with_replacement(g.incident(x), 2):
+                    if e is f and e.cap < 2:
+                        continue
+                    split, _ = split_off(g, e.id, f.id, pivot=x)
+                    assert is_admissible(g, e.id, f.id, pivot=x) == (
+                        all_pairs_connectivity(split, others) == before
+                    )
 
     def test_degree_five_pivot_has_admissible_pair(self):
         # Mader's theorem promises one admissible pair at an odd degree other than 3
         instances = list(sample_instances(8, 7, 5, 3, seed=5))
         for (g, _), x in ((instances[6], "v3"), (instances[7], "v5")):
-            unit, _ = g.unit_form()
+            unit = unit_form(g)
             assert degree(unit, x) == 5
             assert not any(is_cut_edge(unit, e.id) for e in unit.incident(x))
             inc = [e.id for e in unit.incident(x)]
@@ -247,15 +267,18 @@ class TestEliminateRelays:
         assert after == {k: 2 * v for k, v in before.items()}
 
     def test_matches_reference_search(self):
+        # one split of the largest amount ends where splitting unit pairs
+        # one at a time ends, up to edge ids and parallel classes
         cases = [*sample_instances(8, 7, 5, 3, seed=5), *scaled_samples(),
-                 *(k4_with_relay(k) for k in (4, 8, 16))]
+                 *(k4_with_relay(k) for k in (2, 3, 4, 8, 16))]
         for g, a in cases:
             out, hist, scale = eliminate_relays(g, a)
             ref_out, ref_events, ref_pivots, ref_scale = reference_eliminate_relays(g, a)
-            assert hist.events == ref_events
             assert hist.deleted_pivots == ref_pivots
-            assert out.edges == ref_out.edges
+            assert out.vertices == ref_out.vertices
+            assert pair_capacities(out) == pair_capacities(ref_out)
             assert scale == ref_scale
+            assert sum(ev.amount for ev in hist.events) == len(ref_events)
 
     def test_replay_round_trip(self):
         for g, a in sample_instances(5, 7, 5, 3, seed=77):
@@ -393,4 +416,4 @@ class TestLiftPacking:
             lifted = lift_packing(hist, packed)
             assert verify_packing(hist.base, a, lifted)
             assert lifted.rate == packed.rate
-            assert len(lifted.trees) == len(packed.trees)
+            assert sum(m for _, m in lifted.trees) == k

@@ -22,3 +22,12 @@ def test_no_asserts_and_closed_form_bounds():
         elif isinstance(n, ast.ImportFrom):
             imported.add("." * n.level + (n.module or ""))
     assert imported <= BOUNDS_IMPORTS, f"bounds.py imports {sorted(imported - BOUNDS_IMPORTS)}"
+
+
+def test_no_private_imports_across_modules():
+    # a name with a leading underscore belongs to its own module
+    for path in sorted(PACKAGE.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.ImportFrom) and n.level:
+                private = [alias.name for alias in n.names if alias.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from .{n.module}"
