@@ -1,6 +1,6 @@
 """The capacity analysis of one instance: every exact quantity, each checked
-by its certificate, the gamma bracket they give, and the closed-form bound
-table."""
+by its certificate in the solver that computes it, the gamma bracket they
+give, and the closed-form bound table."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .packing import (
     verify_packing,
 )
 from .splitting import eliminate_relays, lift_packing
-from .strength import edge_strength, verify_partition
+from .strength import edge_strength
 
 
 @dataclass(frozen=True)
@@ -132,18 +132,10 @@ def analyze_instance(
     # the half-integer goal floor(2 * LP) is at least the integer goal
     # floor(LP), so running it first refuses a goal past the limit before
     # either search spends time on it
-    half, half_packing = half_integer_capacity(core, a, lp=tree_lp)
-    if not verify_packing(core, a, half_packing):
-        raise CertificateError("half-integer packing failed verification")
-    k, int_packing = max_integer_packing(core, a, lp=tree_lp)
-    if not verify_packing(core, a, int_packing):
-        raise CertificateError("integer packing failed verification")
-    lp, lp_packing = fractional_capacity_lp(core, a, lp=tree_lp)
-    if not verify_packing(core, a, lp_packing):
-        raise CertificateError("fractional packing failed verification")
-    eta, witness = edge_strength(core, a)
-    if not verify_partition(core, a, eta, witness):
-        raise CertificateError("edge strength witness failed verification")
+    half, _ = half_integer_capacity(tree_lp)
+    k, _ = max_integer_packing(tree_lp)
+    lp, _ = fractional_capacity_lp(tree_lp)
+    eta, _ = edge_strength(core, a)
     # 2-block partitions give lambda(A) exactly, so eta <= lambda and eta is
     # the bracket's upper end
     if not eta <= lam:
@@ -165,7 +157,7 @@ def analyze_instance(
         # direct LP rate, and dominate the general floor bound.
         split_g, history, scale = eliminate_relays(core, a)
         split_lp = solve_tree_lp(split_g, a)
-        k_split, packed = max_integer_packing(split_g, a, lp=split_lp)
+        k_split, packed = max_integer_packing(split_lp)
         lifted = lift_packing(history, packed)
         lifted_ok = verify_packing(history.base, a, lifted)
         lifted_trees = sum(mult for _, mult in lifted.trees)

@@ -36,10 +36,10 @@ from .packing import (
     fractional_capacity_lp,
     half_integer_capacity,
     max_integer_packing,
-    verify_packing,
+    solve_tree_lp,
 )
 from .splitting import eliminate_relays
-from .strength import edge_strength, verify_partition
+from .strength import edge_strength
 
 
 # -- subcommands -----------------------------------------------------------
@@ -95,18 +95,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_pack(args) -> int:
     g, a = _read_instance(args.file)
-    if args.mode == "int":
-        k, p = max_integer_packing(g, a)
-        head = {"mode": "int", "value": str(k)}
-    elif args.mode == "half":
-        r, p = half_integer_capacity(g, a)
-        head = {"mode": "half", "value": str(r)}
-    else:
-        r, p = fractional_capacity_lp(g, a)
-        head = {"mode": "frac", "value": str(r)}
-    if not verify_packing(g, a, p):
-        raise CertificateError(f"{args.mode} packing failed verification")
-    print(json.dumps({**head, "packing": _packing_to_dict(p)}, indent=2))
+    solve = {"int": max_integer_packing, "half": half_integer_capacity, "frac": fractional_capacity_lp}
+    value, p = solve[args.mode](solve_tree_lp(g, a))
+    print(json.dumps({"mode": args.mode, "value": str(value), "packing": _packing_to_dict(p)}, indent=2))
     return 0
 
 
@@ -138,8 +129,6 @@ def _cmd_split(args) -> int:
 def _cmd_strength(args) -> int:
     g, a = _read_instance(args.file)
     eta, witness = edge_strength(g, a)
-    if not verify_partition(g, a, eta, witness):
-        raise CertificateError("edge strength witness failed verification")
     print(
         json.dumps(
             {

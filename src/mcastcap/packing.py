@@ -17,11 +17,12 @@ solutions are expanded back onto concrete edge ids before being returned, so
 every returned packing verifies against the original graph.
 
 All three packings use the same trees on the same classes, so one
-``solve_tree_lp`` per graph (one enumeration, one simplex) serves them all;
-each solver takes it as ``lp=`` or makes its own.  The half-integer packing
-runs the integer branch and bound on doubled class capacities with the goal
-floor(2 * LP optimum), exact because the LP scales linearly, then expands
-onto the doubled graph and halves.
+``solve_tree_lp`` per graph (one enumeration, one simplex) serves them all:
+each solver takes only that solve, which names its graph and terminals.
+The half-integer packing runs the integer branch and bound on doubled class
+capacities with the goal floor(2 * LP optimum), exact because the LP scales
+linearly, and expands the k/2 multiplicities onto the graph itself.  Every
+solver checks its packing with ``verify_packing`` before returning it.
 
 The branch and bound keeps its path on an explicit stack and is seeded from
 the LP vertex: floor(factor * y_j) copies of each tree j are a packing of
@@ -43,7 +44,7 @@ from math import lcm
 
 from .connectivity import PairCapacities, pair_flow
 from .errors import CertificateError, SearchTooLarge, TooManyTrees
-from .multigraph import Edge, Multigraph, Rate, TerminalSet, edge_component, scale_capacities
+from .multigraph import Edge, Multigraph, Rate, TerminalSet, edge_component
 
 DEFAULT_TREE_LIMIT = 5000
 # Bound evaluations (min-cut flows at a node) one branch and bound may make,
@@ -307,40 +308,29 @@ def solve_tree_lp(g: Multigraph, a: TerminalSet) -> TreeLP:
     )
 
 
-def _solved_for(g: Multigraph, a: TerminalSet, lp: TreeLP | None) -> TreeLP:
-    """The given solve, checked to be of (g, a), or a new one."""
-    if lp is None:
-        return solve_tree_lp(g, a)
-    if lp.graph != g or lp.terminals != a:
-        raise ValueError("the tree LP was solved for another graph or terminal set")
-    return lp
-
-
 # -- expansion back onto concrete edges ------------------------------------
 
 
 def _expand_packing(
-    g: Multigraph,
-    solution: list[tuple[frozenset[int], Fraction]],
-    members: dict[int, tuple[int, ...]],
+    lp: TreeLP, units: list[tuple[frozenset[int], int]], scale: int, stage: str
 ) -> SteinerPacking:
-    """Distribute class multiplicities over concrete parallel copies so every
-    edge id's load stays within its own capacity in g.
+    """Distribute class multiplicities, given in units of 1/scale, over
+    concrete parallel copies so every edge id's load stays within its own
+    capacity in ``lp.graph``, and check the result with ``verify_packing``.
+    The packing's denominator is ``scale``.
 
     Each piece of a tree takes, in every class, the first copy with room
     left.  Room only shrinks, so a per-class cursor never moves backwards.
-    Amounts are integers in units of 1/scale, scale the lcm of the
-    multiplicities' denominators.
+    A packing that fails its check raises CertificateError naming ``stage``.
     """
-    scale = lcm(1, *(mult.denominator for _, mult in solution))
+    g, members = lp.graph, lp.members
     by_id = {e.id: e for e in g.edges}
     room = {e.id: e.cap * scale for e in g.edges}
     cursor = dict.fromkeys(members, 0)
     slices: dict[frozenset[int], int] = {}
     tree_vertices: dict[frozenset[int], frozenset[str]] = {}
-    for rep_set, mult in solution:
+    for rep_set, m in units:
         rids = sorted(rep_set)
-        m = mult.numerator * (scale // mult.denominator)
         while m > 0:
             picks = []
             amount = m
@@ -364,9 +354,10 @@ def _expand_packing(
         (SteinerTree(k, tree_vertices[k]), Fraction(v, scale))
         for k, v in sorted(slices.items(), key=lambda kv: tuple(sorted(kv[0])))
     )
-    rate = Fraction(sum(slices.values()), scale)
-    denom = lcm(1, *(v.denominator for _, v in trees)) if trees else 1
-    return SteinerPacking(trees, denom, rate)
+    packing = SteinerPacking(trees, scale, Fraction(sum(slices.values()), scale))
+    if not verify_packing(g, lp.terminals, packing):
+        raise CertificateError(f"{stage} packing failed verification")
+    return packing
 
 
 # -- solvers ---------------------------------------------------------------
@@ -398,9 +389,9 @@ def _mincut_lower_estimate(
 
 def _branch_and_bound(
     lp: TreeLP, factor: int, stage: str
-) -> tuple[int, list[tuple[frozenset[int], Fraction]]]:
+) -> tuple[int, list[tuple[frozenset[int], int]]]:
     """Most trees of ``lp.trees`` that fit in ``factor`` times the class
-    capacities (a tree may repeat), as the count and (tree, multiplicity) pairs.
+    capacities (a tree may repeat), as the count and (tree, copies) pairs.
 
     Depth-first over the trees, smallest first, on an explicit stack of the
     next tree to try at each open node.  The LP-rounded packing has
@@ -452,7 +443,7 @@ def _branch_and_bound(
                     f"MAX_SEARCH_NODES = {MAX_SEARCH_NODES}, and its LP-rounded "
                     f"packing of {s} trees is short of the goal of {goal}"
                 )
-            return s, [(t, Fraction(c)) for t, c in zip(lp.trees, rounded) if c]
+            return s, [(t, c) for t, c in zip(lp.trees, rounded) if c]
         nodes += 1
         bound = len(chosen) + _mincut_lower_estimate(classes, res, source, sinks)
         todo.append(j if bound > best else end)
@@ -460,41 +451,29 @@ def _branch_and_bound(
     counts: dict[int, int] = {}
     for j in best_sol:
         counts[j] = counts.get(j, 0) + 1
-    return best, [(lp.trees[j], Fraction(c)) for j, c in sorted(counts.items())]
+    return best, [(lp.trees[j], c) for j, c in sorted(counts.items())]
 
 
-def max_integer_packing(
-    g: Multigraph, a: TerminalSet, *, lp: TreeLP | None = None
-) -> tuple[int, SteinerPacking]:
-    """Exact maximum number of edge-disjoint A-Steiner trees, with certificate.
-
-    ``lp`` is a solve of (g, a) to reuse; without it one is made.
-    """
-    lp = _solved_for(g, a, lp)
-    k, solution = _branch_and_bound(lp, 1, "integer")
-    return k, _expand_packing(g, solution, lp.members)
+def max_integer_packing(lp: TreeLP) -> tuple[int, SteinerPacking]:
+    """Exact maximum number of edge-disjoint A-Steiner trees of the solved
+    graph, with its checked packing."""
+    k, counts = _branch_and_bound(lp, 1, "integer")
+    return k, _expand_packing(lp, counts, 1, "integer")
 
 
-def half_integer_capacity(
-    g: Multigraph, a: TerminalSet, *, lp: TreeLP | None = None
-) -> tuple[Rate, SteinerPacking]:
-    """Pack the same trees in doubled capacities, expand onto the doubled
-    graph and halve.  ``lp`` is a solve of (g, a) to reuse."""
-    lp = _solved_for(g, a, lp)
-    k2, solution = _branch_and_bound(lp, 2, "half-integer")
-    packed = _expand_packing(scale_capacities(g, 2), solution, lp.members)
-    trees = tuple((t, mult / 2) for t, mult in packed.trees)
-    return Fraction(k2, 2), SteinerPacking(trees, 2, Fraction(k2, 2))
+def half_integer_capacity(lp: TreeLP) -> tuple[Rate, SteinerPacking]:
+    """Most trees in doubled capacities, halved: the half-integer rate and
+    its checked packing of denominator 2 on the solved graph."""
+    k2, counts = _branch_and_bound(lp, 2, "half-integer")
+    return Fraction(k2, 2), _expand_packing(lp, counts, 2, "half-integer")
 
 
-def fractional_capacity_lp(
-    g: Multigraph, a: TerminalSet, *, lp: TreeLP | None = None
-) -> tuple[Rate, SteinerPacking]:
-    """Exact fractional routing capacity: LP optimum over minimal trees.
-    ``lp`` is a solve of (g, a) to reuse."""
-    lp = _solved_for(g, a, lp)
-    solution = [(t, y) for t, y in zip(lp.trees, lp.y) if y > 0]
-    packing = _expand_packing(g, solution, lp.members)
+def fractional_capacity_lp(lp: TreeLP) -> tuple[Rate, SteinerPacking]:
+    """Exact fractional routing capacity, the LP optimum over minimal trees,
+    with its checked packing."""
+    scale = lcm(1, *(y.denominator for y in lp.y))
+    units = [(t, int(y * scale)) for t, y in zip(lp.trees, lp.y) if y > 0]
+    packing = _expand_packing(lp, units, scale, "fractional")
     if packing.rate != lp.opt:
         raise CertificateError(f"packing rate {packing.rate} differs from LP optimum {lp.opt}")
     return lp.opt, packing

@@ -65,7 +65,9 @@ backtracking search over pairings of unit edges in the same order ends.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import (
     CertificateError,
@@ -222,7 +224,15 @@ def suitable_complete_splitting(g: Multigraph, x: str) -> tuple[Multigraph, Spli
     Preserves every pairwise min-cut among V - x exactly.  Splits the
     smallest remaining edge at x with its first admissible partner, which
     always exists, by the largest admissible amount (module docstring).
+    Splitting edges take new ids counting up from ``g.next_id()``.
     """
+    return _split_completely(g, x, count(g.next_id()))
+
+
+def _split_completely(
+    g: Multigraph, x: str, ids: Iterator[int]
+) -> tuple[Multigraph, SplitHistory]:
+    """``suitable_complete_splitting`` with splitting edges numbered from ``ids``."""
     d = degree(g, x)
     if d % 2 == 1:
         raise OddDegree(f"pivot {x!r} has odd degree {d}; scale capacities by 2 first")
@@ -247,7 +257,8 @@ def suitable_complete_splitting(g: Multigraph, x: str) -> tuple[Multigraph, Spli
                 f"no admissible partner for edge {e.id} at pivot {x!r}, "
                 "though Mader's theorem promises one"
             )
-        cur, ev = split_off(cur, e.id, f.id, pivot=x, amount=amount)
+        new_id = next(ids) if e.other(x) != f.other(x) else None
+        cur, ev = split_off(cur, e.id, f.id, pivot=x, new_id=new_id, amount=amount)
         events.append(ev)
     return cur.without_vertices((x,)), SplitHistory(g, tuple(events), (x,))
 
@@ -267,8 +278,11 @@ def eliminate_relays(
     scale = 2 if any(degree(g, x) % 2 == 1 for x in relays) else 1
     base = cur = scale_capacities(g, scale)
     events: list[SplitEvent] = []
+    # one counter for all pivots: an r == t split can delete the edge with
+    # the largest id, and cur.next_id() would then hand that id out again
+    ids = count(base.next_id())
     for x in relays:
-        cur, hist = suitable_complete_splitting(cur, x)
+        cur, hist = _split_completely(cur, x, ids)
         events.extend(hist.events)
     return cur, SplitHistory(base, tuple(events), relays), scale
 

@@ -75,7 +75,7 @@ def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartitio
     """Exact minimum of crossing/(blocks-1) over terminal-covering partitions.
 
     The witness is the lexicographically least minimizer (blocks compared as
-    sorted tuples of sorted vertex lists).
+    sorted tuples of sorted vertex lists), checked by ``verify_partition``.
     """
     if len(g.vertices) > MAX_VERTICES:
         raise TooManyVertices(
@@ -196,9 +196,11 @@ def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartitio
     part(0, 0, 0)
     if best_key is None:
         raise CertificateError("edge strength search found no partition")
-    return Fraction(best_num, best_den), TerminalPartition(
-        tuple(frozenset(b) for b in best_key), best_num
-    )
+    eta = Fraction(best_num, best_den)
+    witness = TerminalPartition(tuple(frozenset(b) for b in best_key), best_num)
+    if not verify_partition(g, a, eta, witness):
+        raise CertificateError("edge strength witness failed verification")
+    return eta, witness
 
 
 def verify_partition(

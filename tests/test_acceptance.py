@@ -22,6 +22,7 @@ from mcastcap import (
     max_integer_packing,
     routing_scheme_problems,
     sample_instances,
+    solve_tree_lp,
     split_off,
     suitable_complete_splitting,
     terminal_connectivity,
@@ -111,9 +112,9 @@ def test_criterion_05_three_terminal_lower_bounds():
     for g, a in sample_instances(200, 8, 6, 3, seed=5000):
         count += 1
         lam = terminal_connectivity(g, a)
-        k, _ = max_integer_packing(g, a)
-        half, _ = half_integer_capacity(g, a)
-        lp, _ = fractional_capacity_lp(g, a)
+        k, _ = max_integer_packing(solve_tree_lp(g, a))
+        half, _ = half_integer_capacity(solve_tree_lp(g, a))
+        lp, _ = fractional_capacity_lp(solve_tree_lp(g, a))
         int_lb = (6 * lam - 3) // 8
         half_lb = Fraction((12 * lam - 3) // 8, 2)
         if not (k >= int_lb and half >= half_lb and lp >= max(Fraction(int_lb), half_lb)):
@@ -132,7 +133,7 @@ def test_criterion_06_general_lower_bound():
             count += 1
             lam = terminal_connectivity(g, a)
             na = len(a.members)
-            lp, _ = fractional_capacity_lp(g, a)
+            lp, _ = fractional_capacity_lp(solve_tree_lp(g, a))
             lb = Fraction((2 * na * lam - na + 2) // (2 * (na - 1)), 2)
             if lp < lb:
                 ok = False
@@ -178,7 +179,7 @@ def test_criterion_08_lift_end_to_end():
     for g, a in sample_instances(50, 8, 6, 3, seed=8000):
         count += 1
         split_g, history, scale = eliminate_relays(g, a)
-        k, packed = max_integer_packing(split_g, a)
+        k, packed = max_integer_packing(solve_tree_lp(split_g, a))
         lifted = lift_packing(history, packed)
         if not verify_packing(history.base, a, lifted):
             ok = False
@@ -267,7 +268,7 @@ def test_criterion_09_oracle_equivalence():
             if max_flow(g, u, v)[0] != oracle:
                 ok = False
         a = TerminalSet(names[0], tuple(names[1:]))
-        k, packing = max_integer_packing(g, a)
+        k, packing = max_integer_packing(solve_tree_lp(g, a))
         if k != _brute_max_packing(g, a) or not verify_packing(g, a, packing):
             ok = False
     _within(start, 600, 9)

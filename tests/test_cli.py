@@ -374,14 +374,18 @@ def _run_faulty(function, fault, *argv):
 class TestCertificateChecks:
     @pytest.mark.parametrize("verifier, command", [
         ("verify_packing", "analyze"),
+        ("verify_packing", "analyze --via-splitting"),
         ("verify_packing", "pack"),
+        ("verify_packing", "pack --mode half"),
+        ("verify_packing", "pack --mode frac"),
         ("verify_partition", "analyze"),
         ("verify_partition", "strength"),
     ])
     def test_checks_survive_optimize(self, cycle_file, verifier, command):
-        # analyze runs its checks in the analysis module, the other commands in cli
-        module = "analysis" if command == "analyze" else "cli"
-        proc = _run_faulty(f"{module}.{verifier}", "fail", command, cycle_file)
+        # each solver checks its own result, as its own module sees the verifier
+        module = "packing" if verifier == "verify_packing" else "strength"
+        name, *options = command.split()
+        proc = _run_faulty(f"{module}.{verifier}", "fail", name, cycle_file, *options)
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure" in proc.stderr
 

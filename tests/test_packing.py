@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -18,7 +19,7 @@ from mcastcap import (
     terminal_connectivity,
     verify_packing,
 )
-from mcastcap import packing
+from mcastcap import packing, strength
 from mcastcap.cli import analyze_instance
 from mcastcap.errors import (
     CertificateError,
@@ -98,72 +99,72 @@ class TestEnumerate:
 class TestIntegerPacking:
     def test_triangle_only_one_tree_fits(self):
         g, a = triangle()
-        k, p = max_integer_packing(g, a)
+        k, p = max_integer_packing(solve_tree_lp(g, a))
         assert k == 1 == brute_max_packing(g, a)
         assert verify_packing(g, a, p)
 
     def test_k4_two_disjoint_spanning_trees(self):
         g, a = complete4()
-        k, p = max_integer_packing(g, a)
+        k, p = max_integer_packing(solve_tree_lp(g, a))
         assert k == 2 == brute_max_packing(g, a)
         assert verify_packing(g, a, p)
 
     def test_cycle_family_single_tree(self):
         for na in (3, 4, 5):
             g, a = example2_instance(na, (0,))
-            k, _ = max_integer_packing(g, a)
+            k, _ = max_integer_packing(solve_tree_lp(g, a))
             assert k == 1
 
 
 class TestHalfInteger:
     def test_triangle(self):
         g, a = triangle()
-        r, p = half_integer_capacity(g, a)
+        r, p = half_integer_capacity(solve_tree_lp(g, a))
         assert r == Fraction(3, 2)
         assert p.denominator == 2
         assert verify_packing(g, a, p)
 
     def test_single_edge(self):
         g = Multigraph.build(["s", "t"], [("s", "t", 1)])
-        r, _ = half_integer_capacity(g, TerminalSet("s", ("t",)))
+        r, _ = half_integer_capacity(solve_tree_lp(g, TerminalSet("s", ("t",))))
         assert r == 1
 
     def test_cycle_family_five_terminals(self):
         g, a = example2_instance(5, (0, 2))
-        r, _ = half_integer_capacity(g, a)
+        r, _ = half_integer_capacity(solve_tree_lp(g, a))
         assert r == 1  # two trees in the doubled cycle, halved
 
 
 class TestFractionalLP:
     def test_triangle(self):
         g, a = triangle()
-        r, p = fractional_capacity_lp(g, a)
+        r, p = fractional_capacity_lp(solve_tree_lp(g, a))
         assert r == Fraction(3, 2)
         assert verify_packing(g, a, p)
 
     def test_cycle_family(self):
         for na in (3, 4, 5, 6):
             g, a = example2_instance(na, (0,))
-            r, p = fractional_capacity_lp(g, a)
+            r, p = fractional_capacity_lp(solve_tree_lp(g, a))
             assert r == Fraction(na, na - 1)
             assert verify_packing(g, a, p)
 
     def test_single_fat_edge(self):
         g = Multigraph.build(["s", "t"], [("s", "t", 7)])
-        r, _ = fractional_capacity_lp(g, TerminalSet("s", ("t",)))
+        r, _ = fractional_capacity_lp(solve_tree_lp(g, TerminalSet("s", ("t",))))
         assert r == 7
 
     def test_deterministic(self):
         g, a = complete4()
-        assert fractional_capacity_lp(g, a) == fractional_capacity_lp(g, a)
+        assert fractional_capacity_lp(solve_tree_lp(g, a)) == fractional_capacity_lp(solve_tree_lp(g, a))
 
 
 class TestVerify:
     def test_solver_outputs_verify(self):
         g, a = complete4()
-        for p in (max_integer_packing(g, a)[1], half_integer_capacity(g, a)[1],
-                  fractional_capacity_lp(g, a)[1]):
-            assert verify_packing(g, a, p)
+        lp = solve_tree_lp(g, a)
+        for solve in (max_integer_packing, half_integer_capacity, fractional_capacity_lp):
+            assert verify_packing(g, a, solve(lp)[1])
 
     def test_overloaded_edge_rejected(self):
         g, a = triangle()
@@ -184,20 +185,22 @@ class TestProperties:
         boosted = Multigraph.build(
             ["s", "r1", "r2"], [("s", "r1", 2), ("r1", "r2", 1), ("r2", "s", 1)]
         )
-        assert max_integer_packing(boosted, a)[0] >= max_integer_packing(g, a)[0]
-        assert fractional_capacity_lp(boosted, a)[0] >= fractional_capacity_lp(g, a)[0]
+        more, base = solve_tree_lp(boosted, a), solve_tree_lp(g, a)
+        assert max_integer_packing(more)[0] >= max_integer_packing(base)[0]
+        assert fractional_capacity_lp(more)[0] >= fractional_capacity_lp(base)[0]
 
     def test_monotone_in_edges(self):
         g, a = triangle()
         extra = g.add_edge("s", "r2")
-        assert fractional_capacity_lp(extra, a)[0] >= fractional_capacity_lp(g, a)[0]
+        more, base = solve_tree_lp(extra, a), solve_tree_lp(g, a)
+        assert fractional_capacity_lp(more)[0] >= fractional_capacity_lp(base)[0]
 
     def test_sandwich_on_samples(self):
         for g, a in sample_instances(10, 6, 5, 3, seed=300):
             lam = terminal_connectivity(g, a)
-            k, _ = max_integer_packing(g, a)
-            half, _ = half_integer_capacity(g, a)
-            lp, _ = fractional_capacity_lp(g, a)
+            k, _ = max_integer_packing(solve_tree_lp(g, a))
+            half, _ = half_integer_capacity(solve_tree_lp(g, a))
+            lp, _ = fractional_capacity_lp(solve_tree_lp(g, a))
             eta, _ = edge_strength(g, a)
             assert k <= half <= lp <= Fraction(lam)
             assert lp <= eta
@@ -206,7 +209,7 @@ class TestProperties:
         # lambda(A) >= floor((8k+3)/6) forces at least k disjoint trees
         for g, a in sample_instances(10, 6, 5, 3, seed=301):
             lam = terminal_connectivity(g, a)
-            k, _ = max_integer_packing(g, a)
+            k, _ = max_integer_packing(solve_tree_lp(g, a))
             want = 1
             while (8 * (want + 1) + 3) // 6 <= lam:
                 want += 1
@@ -224,7 +227,7 @@ class TestProperties:
             k_guaranteed = 0
             while (2 * (k_guaranteed + 1) * (l - 1) + l - 2) // l <= lam_g:
                 k_guaranteed += 1
-            k, _ = max_integer_packing(g, a)
+            k, _ = max_integer_packing(solve_tree_lp(g, a))
             assert k >= k_guaranteed
 
 
@@ -237,9 +240,9 @@ def test_lp_dominates_half_and_integer_on_random_instances(seed):
         g, a = random_instance(5, 4, 3, seed)
     except Exception:
         return
-    k, _ = max_integer_packing(g, a)
-    half, _ = half_integer_capacity(g, a)
-    lp, _ = fractional_capacity_lp(g, a)
+    k, _ = max_integer_packing(solve_tree_lp(g, a))
+    half, _ = half_integer_capacity(solve_tree_lp(g, a))
+    lp, _ = fractional_capacity_lp(solve_tree_lp(g, a))
     assert Fraction(k) <= half <= lp
 
 
@@ -262,7 +265,7 @@ def varied_samples():
 def reference_half_integer(g, a):
     """The half-integer packing as a plain integer packing of the doubled
     graph, halved: what the shared factor-2 search must reproduce."""
-    k2, packed = max_integer_packing(scale_capacities(g, 2), a)
+    k2, packed = max_integer_packing(solve_tree_lp(scale_capacities(g, 2), a))
     return Fraction(k2, 2), [(t, mult / 2) for t, mult in packed.trees]
 
 
@@ -295,7 +298,7 @@ class TestSharedSolve:
 
     def test_half_integer_matches_doubled_graph_reference(self):
         for g, a in varied_samples():
-            value, p = half_integer_capacity(g, a)
+            value, p = half_integer_capacity(solve_tree_lp(g, a))
             want_value, want_trees = reference_half_integer(g, a)
             assert value == want_value
             assert list(p.trees) == want_trees
@@ -305,20 +308,7 @@ class TestSharedSolve:
         for g, a in varied_samples():
             lp = solve_tree_lp(g, a)
             for solve in (max_integer_packing, half_integer_capacity, fractional_capacity_lp):
-                assert solve(g, a, lp=lp) == solve(g, a)
-
-    def test_solve_for_another_graph_rejected(self):
-        g, a = example2_instance(4, (0,))
-        lp = solve_tree_lp(g, a)
-        others = [
-            (scale_capacities(g, 2), a),
-            (with_parallel_edge(g), a),
-            (g, TerminalSet(a.sinks[0], (a.source, *a.sinks[1:]))),
-        ]
-        for solve in (max_integer_packing, half_integer_capacity, fractional_capacity_lp):
-            for other_g, other_a in others:
-                with pytest.raises(ValueError):
-                    solve(other_g, other_a, lp=lp)
+                assert solve(lp) == solve(solve_tree_lp(g, a))
 
     def test_solve_holds_classes_and_optimum(self):
         g, a = example2_instance(4, (0,))
@@ -330,7 +320,7 @@ class TestSharedSolve:
         for c, ids in lp.members.items():
             assert list(ids) == sorted(ids) and ids[0] == c
             assert all({by_id[i].u, by_id[i].v} == {by_id[c].u, by_id[c].v} for i in ids)
-        assert sum(lp.y) == lp.opt == fractional_capacity_lp(g, a)[0]
+        assert sum(lp.y) == lp.opt == fractional_capacity_lp(solve_tree_lp(g, a))[0]
 
 
 def counted_bound_evaluations(monkeypatch):
@@ -357,7 +347,7 @@ class TestDepthGuard:
         g, a = list(sample_instances(5, 10, 10, 4, 0))[1]
         lp = solve_tree_lp(g, a)
         assert sum(int(2 * y) for y in lp.y) == 3 < int(2 * lp.opt) == 5
-        assert half_integer_capacity(g, a, lp=lp)[0] == Fraction(5, 2)  # 8 nodes
+        assert half_integer_capacity(lp)[0] == Fraction(5, 2)  # 8 nodes
         monkeypatch.setattr(packing, "MAX_SEARCH_NODES", 4)
         calls = counted_bound_evaluations(monkeypatch)
         with pytest.raises(
@@ -365,7 +355,7 @@ class TestDepthGuard:
             match=r"half-integer branch and bound used 4 nodes, the budget MAX_SEARCH_NODES = 4, "
             r"and its LP-rounded packing of 3 trees is short of the goal of 5",
         ):
-            half_integer_capacity(g, a, lp=lp)
+            half_integer_capacity(lp)
         assert len(calls) == 4
 
     def test_budget_exhausted_at_goal_returns_rounded_packing(self, monkeypatch):
@@ -379,13 +369,13 @@ class TestDepthGuard:
             rounded = [(t, Fraction(int(factor * y))) for t, y in zip(lp.trees, lp.y) if int(factor * y)]
             assert packing._branch_and_bound(lp, factor, "test") == (factor * 40, rounded)
             assert len(calls) == 10
-            value, p = solve(g, a, lp=lp)
+            value, p = solve(lp)
             assert value == p.rate == 40 and verify_packing(g, a, p)
 
     def test_seeded_search_walks_straight_to_the_goal(self, monkeypatch):
         calls = counted_bound_evaluations(monkeypatch)
         g, a = k4_with_relay(16)
-        value, p = half_integer_capacity(g, a)
+        value, p = half_integer_capacity(solve_tree_lp(g, a))
         # the root and one evaluation per tree up to the goal of 80
         assert value == 40 and verify_packing(g, a, p) and len(calls) <= 81
         # half-integer goal 1000
@@ -397,12 +387,12 @@ class TestDepthGuard:
     def test_largest_admitted_instances_pack(self):
         # K4 + relay x1000 aims for 5000 half-integer trees
         g, a = k4_with_relay(1000)
-        value, p = half_integer_capacity(g, a)
+        value, p = half_integer_capacity(solve_tree_lp(g, a))
         assert value == 2500 and verify_packing(g, a, p)
         # 990 trees deep: the search keeps its path on a list, not on the
         # interpreter stack
         g = Multigraph.build(["s", "t"], [("s", "t", 495)])
-        value, p = half_integer_capacity(g, TerminalSet("s", ("t",)))
+        value, p = half_integer_capacity(solve_tree_lp(g, TerminalSet("s", ("t",))))
         assert value == 495 and p.trees[0][1] == 495
 
 
@@ -480,20 +470,35 @@ def assert_matches_unseeded_search(g, a):
     for factor in (1, 2):
         got = packing._branch_and_bound(lp, factor, "test")
         assert got == reference_branch_and_bound(lp, factor)
-        scaled = scale_capacities(g, factor)
-        assert packing._expand_packing(scaled, got[1], lp.members) == reference_expand_packing(
-            scaled, got[1], lp.members
-        )
+        # c trees in factor times the capacities are c / factor on g itself
+        want = reference_expand_packing(g, [(t, Fraction(c, factor)) for t, c in got[1]], lp.members)
+        assert packing._expand_packing(lp, got[1], factor, "test") == replace(want, denominator=factor)
     solution = [(t, y) for t, y in zip(lp.trees, lp.y) if y > 0]
-    assert packing._expand_packing(g, solution, lp.members) == reference_expand_packing(
-        g, solution, lp.members
-    )
+    assert fractional_capacity_lp(lp)[1] == reference_expand_packing(g, solution, lp.members)
 
 
 def test_expand_packing_over_class_capacity_is_a_fault():
     g = Multigraph.build(["s", "t"], [("s", "t", 1)])
+    lp = solve_tree_lp(g, TerminalSet("s", ("t",)))
     with pytest.raises(CertificateError, match="accounting"):
-        packing._expand_packing(g, [(frozenset({0}), Fraction(2))], {0: (0,)})
+        packing._expand_packing(lp, [(frozenset({0}), 2)], 1, "test")
+
+
+def test_solvers_refuse_what_fails_their_check(monkeypatch):
+    # each solver checks its own result, and the error names the stage
+    g, a = complete4()
+    lp = solve_tree_lp(g, a)
+    monkeypatch.setattr(packing, "verify_packing", lambda *args: False)
+    for solve, stage in (
+        (max_integer_packing, "integer"),
+        (half_integer_capacity, "half-integer"),
+        (fractional_capacity_lp, "fractional"),
+    ):
+        with pytest.raises(CertificateError, match=f"^{stage} packing failed verification$"):
+            solve(lp)
+    monkeypatch.setattr(strength, "verify_partition", lambda *args: False)
+    with pytest.raises(CertificateError, match="^edge strength witness failed verification$"):
+        edge_strength(g, a)
 
 
 class TestSeededSearchOracle:

@@ -17,6 +17,7 @@ from mcastcap import (
     max_integer_packing,
     sample_instances,
     scale_capacities,
+    solve_tree_lp,
     split_off,
     suitable_complete_splitting,
     terminal_connectivity,
@@ -404,15 +405,33 @@ class TestLiftPacking:
     def test_cycle_family_spanning_tree_lifts(self):
         g, a = example2_instance(5, (0, 2))
         out, hist, scale = eliminate_relays(g, a)
-        k, packed = max_integer_packing(out, a)
+        k, packed = max_integer_packing(solve_tree_lp(out, a))
         assert k == 1
         lifted = lift_packing(hist, packed)
         assert verify_packing(hist.base, a, lifted)
 
+    def test_splitting_edges_never_reuse_an_id(self):
+        # an r == t split deletes splitting edge 11, the largest id, and the
+        # next splitting edge once took 11 again
+        g, a = next(sample_instances(1, 6, 6, 2, 5))
+        out, hist, _ = eliminate_relays(g, a)
+        fresh = [ev.new_id for ev in hist.events if ev.new_id is not None]
+        assert fresh == [11, 12]
+        assert all(ev.new_id is None for ev in hist.events[1:-1])
+        assert hist.replay() == out
+        k, packed = max_integer_packing(solve_tree_lp(out, a))
+        lifted = lift_packing(hist, packed)
+        assert verify_packing(hist.base, a, lifted) and sum(m for _, m in lifted.trees) == k
+        for g, a in sample_instances(30, 7, 6, 3, seed=5):
+            out, hist, _ = eliminate_relays(g, a)
+            fresh = [ev.new_id for ev in hist.events if ev.new_id is not None]
+            assert len(set(fresh)) == len(fresh)
+            assert min(fresh, default=hist.base.next_id()) >= hist.base.next_id()
+
     def test_lift_preserves_cardinality_and_verifies(self):
         for g, a in sample_instances(8, 7, 5, 3, seed=5):
             out, hist, scale = eliminate_relays(g, a)
-            k, packed = max_integer_packing(out, a)
+            k, packed = max_integer_packing(solve_tree_lp(out, a))
             lifted = lift_packing(hist, packed)
             assert verify_packing(hist.base, a, lifted)
             assert lifted.rate == packed.rate

@@ -12,6 +12,7 @@ from mcastcap import (
     fractional_capacity_lp,
     sample_instances,
     scale_capacities,
+    solve_tree_lp,
     verify_partition,
 )
 from mcastcap import strength
@@ -82,7 +83,7 @@ class TestProperties:
     def test_dominates_lp_on_samples(self):
         for g, a in sample_instances(8, 6, 5, 3, seed=400):
             eta, _ = edge_strength(g, a)
-            lp, _ = fractional_capacity_lp(g, a)
+            lp, _ = fractional_capacity_lp(solve_tree_lp(g, a))
             assert lp <= eta
 
     def test_scaling(self):

@@ -31,3 +31,23 @@ def test_no_private_imports_across_modules():
             if isinstance(n, ast.ImportFrom) and n.level:
                 private = [alias.name for alias in n.names if alias.name.startswith("_")]
                 assert not private, f"{path.name} imports {private} from .{n.module}"
+
+
+def _names(module: str) -> set[str]:
+    """Every name, attribute and imported name the module's source refers to."""
+    out = set()
+    for n in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def test_solvers_alone_check_their_results():
+    # every solver checks its own certificate, so callers do not check again;
+    # analysis keeps verify_packing only for the lifted packing it builds
+    assert not _names("cli") & {"verify_packing", "verify_partition"}
+    assert "verify_partition" not in _names("analysis")
