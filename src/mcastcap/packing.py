@@ -30,10 +30,25 @@ s trees, so the search starts with s - 1 as the count to beat (not with the
 rounded packing itself).  The witness is the depth-first first node that
 reaches the optimum k >= s; every node on its path has a bound of at least
 k, above s - 1 and above every count found before it, so the seeded and the
-unseeded search prune none of them and return the same packing.  The search
-makes at most ``MAX_SEARCH_NODES`` bound evaluations.  If they run out and
-s reaches the goal floor(factor * LP optimum), the rounded packing is
-returned, proved optimal by the LP bound; otherwise SearchTooLarge is raised.
+unseeded search prune none of them and return the same packing.
+
+A node at depth d is kept iff it can still beat the best count: every
+source-sink cut of its residual must reach need = best + 1 - d, since any k
+edge-disjoint A-Steiner trees give k edge-disjoint source-sink paths.  The
+residual is one pair-capacity map, exact because there is one class per
+vertex pair, updated in place as a tree is taken or put back, and each
+source-sink flow stops at need.  The flows are skipped while no tree on the
+path has been taken more than floor(factor * y_j) times, which one counter
+of such trees tells in O(1).  Then factor * y less the path's counts is a
+fractional packing of the residual of value factor * opt - d, and every
+tree crosses every source-sink cut, so each such cut is at least
+factor * opt - d >= goal - d > best - d whenever best < goal.  Below the
+root that always holds, since a node that reaches the goal ends the search;
+at the root it is checked.  The skip thus keeps exactly the nodes the flows
+keep.  The search visits at most ``MAX_SEARCH_NODES`` nodes.  If they run
+out and s reaches the goal floor(factor * LP optimum), the rounded packing
+is returned, proved optimal by the LP bound; otherwise SearchTooLarge is
+raised.
 """
 
 from __future__ import annotations
@@ -42,13 +57,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .connectivity import PairCapacities, pair_flow
+from .connectivity import PairCapacities, pair_capacities, pair_flow
 from .errors import CertificateError, SearchTooLarge, TooManyTrees
-from .multigraph import Edge, Multigraph, Rate, TerminalSet, edge_component
+from .multigraph import Multigraph, Rate, TerminalSet, edge_component
 
 DEFAULT_TREE_LIMIT = 5000
-# Bound evaluations (min-cut flows at a node) one branch and bound may make,
-# about 0.7 s at some 36 us each (2-core x86 VM, Python 3.11).
+# Nodes one branch and bound may visit.  Nodes the LP vertex certifies run
+# no flows; where every node runs them, the budget takes about 0.6 s, some
+# 30 us a node (2-core x86 VM, Python 3.11).
 MAX_SEARCH_NODES = 20_000
 
 
@@ -79,7 +95,9 @@ def _spanning_trees(
 
     Include/exclude search over the edges in order.  A branch is cut when
     some relay's chosen plus undecided edges fall below 2, or when the
-    undecided edges can no longer connect the components.
+    undecided edges can no longer connect the components.  Only leaving
+    out an edge between two components can bring that about, so the
+    connectivity probe runs there alone.
     """
     n = len(nodes)
     if n == 0:
@@ -105,23 +123,25 @@ def _spanning_trees(
             a = parent[a]
         return a
 
+    def connectable(parent: list[int], ncomp: int, i: int) -> bool:
+        """Whether the edges from i on can merge all components of parent."""
+        probe = parent.copy()
+        for u, v in ends[i:]:
+            if ncomp == 1:
+                break
+            ru, rv = find(probe, u), find(probe, v)
+            if ru != rv:
+                probe[ru] = rv
+                ncomp -= 1
+        return ncomp == 1
+
+    # every call has edges from i on that can merge all components, so a
+    # call past the last edge has one component
     def rec(i: int, parent: list[int], ncomp: int, chosen: list[int]) -> None:
         nonlocal short
         if ncomp == 1:
             if short == 0:
                 emit(list(chosen))
-            return
-        # feasibility: remaining edges must be able to merge all components
-        probe = parent.copy()
-        c = ncomp
-        for u, v in ends[i:]:
-            ru, rv = find(probe, u), find(probe, v)
-            if ru != rv:
-                probe[ru] = rv
-                c -= 1
-                if c == 1:
-                    break
-        if c != 1:
             return
         u, v = ends[i]
         ru, rv = find(parent, u), find(parent, v)
@@ -141,12 +161,13 @@ def _spanning_trees(
             chosen.pop()
         slack[u] -= 1
         slack[v] -= 1
-        if slack[u] >= 0 and slack[v] >= 0:
+        if slack[u] >= 0 and slack[v] >= 0 and (ru == rv or connectable(parent, ncomp, i + 1)):
             rec(i + 1, parent, ncomp, chosen)
         slack[u] += 1
         slack[v] += 1
 
-    rec(0, list(range(n)), n, [])
+    if connectable(list(range(n)), n, 0):
+        rec(0, list(range(n)), n, [])
 
 
 def _relay_subsets(relays: list[str]):
@@ -363,28 +384,13 @@ def _expand_packing(
 # -- solvers ---------------------------------------------------------------
 
 
-def _mincut_lower_estimate(
-    classes: tuple[Edge, ...],
-    res: dict[int, int],
-    source: str,
-    sinks: tuple[str, ...],
-) -> int:
-    """min over sinks of the source-sink min cut under residual capacities.
-
-    Any k edge-disjoint A-Steiner trees give k edge-disjoint source-sink
-    paths, so this is an admissible upper bound for branch and bound.  The
-    running minimum stops each later flow early.
-    """
-    adj: PairCapacities = {}
-    for e in classes:
-        adj.setdefault(e.u, {})[e.v] = res[e.id]
-        adj.setdefault(e.v, {})[e.u] = res[e.id]
-    best = None
-    for sink in sinks:
-        best, _ = pair_flow(adj, source, sink, best)
-        if best == 0:
-            return 0
-    return best
+def _can_beat(
+    res: PairCapacities, source: str, sinks: tuple[str, ...], need: int, certified: bool
+) -> bool:
+    """Whether a branch-and-bound node is kept (module docstring): at once
+    when the LP vertex certifies it, else iff every source-sink flow in the
+    residual pair capacities ``res`` reaches ``need``, each stopped there."""
+    return certified or all(pair_flow(res, source, t, need)[1] is None for t in sinks)
 
 
 def _branch_and_bound(
@@ -396,41 +402,52 @@ def _branch_and_bound(
     Depth-first over the trees, smallest first, on an explicit stack of the
     next tree to try at each open node.  The LP-rounded packing has
     s = sum floor(factor * y_j) trees, so the incumbent bound starts at s - 1.
-    A node is pruned when its count plus the residual min-cut bound cannot
-    beat the best found, and the search stops once it reaches
-    floor(factor * LP optimum), which bounds every packing because the LP
-    optimum scales linearly with the capacities.  After ``MAX_SEARCH_NODES``
-    bound evaluations it returns the rounded packing if s reaches that goal,
-    and otherwise raises SearchTooLarge naming ``stage``.
+    A node at depth d is pruned unless it can beat the best found, that is
+    unless every source-sink cut of its residual reaches best + 1 - d, and
+    the search stops once it reaches floor(factor * LP optimum), which bounds
+    every packing because the LP optimum scales linearly with the
+    capacities.  After ``MAX_SEARCH_NODES`` nodes it returns the rounded
+    packing if s reaches that goal, and otherwise raises SearchTooLarge
+    naming ``stage``.
     """
     goal = int(factor * lp.opt)  # floor
     rounded = [int(factor * y) for y in lp.y]  # floor
     s = sum(rounded)
-    classes = lp.classes.edges
     source, sinks = lp.terminals.source, lp.terminals.sinks
-    tree_lists = [sorted(t) for t in lp.trees]
-    res = {e.id: factor * e.cap for e in classes}
+    # residual class capacities, kept in place: one class per vertex pair
+    res = {x: {y: factor * c for y, c in nbrs.items()} for x, nbrs in pair_capacities(lp.classes).items()}
+    ends = {e.id: (e.u, e.v) for e in lp.classes.edges}
+    trees = [[ends[c] for c in sorted(t)] for t in lp.trees]
 
     # a packing of s trees exists, so the search finds one of more than s - 1
     best, best_sol = max(s - 1, 0), []
     chosen: list[int] = []
-    end = len(tree_lists)
+    copies = [0] * len(trees)
+    over = 0  # trees on the path taken more than floor(factor * y_j) times
+    end = len(trees)
     # next tree to try at each open node on the path; a pruned node gets end
-    todo = [0 if _mincut_lower_estimate(classes, res, source, sinks) > best else end]
+    todo = [0 if _can_beat(res, source, sinks, best + 1, best < goal) else end]
     nodes = 1
     while todo:
         j = todo[-1]
-        while j < end and not all(res[rid] >= 1 for rid in tree_lists[j]):
+        while j < end and not all(res[u][v] >= 1 for u, v in trees[j]):
             j += 1
         if j == end:
             todo.pop()
             if chosen:
-                for rid in tree_lists[chosen.pop()]:
-                    res[rid] += 1
+                i = chosen.pop()
+                over -= copies[i] == rounded[i] + 1
+                copies[i] -= 1
+                for u, v in trees[i]:
+                    res[u][v] += 1
+                    res[v][u] += 1
             continue
         todo[-1] = j + 1
-        for rid in tree_lists[j]:
-            res[rid] -= 1
+        for u, v in trees[j]:
+            res[u][v] -= 1
+            res[v][u] -= 1
+        copies[j] += 1
+        over += copies[j] == rounded[j] + 1
         chosen.append(j)
         if len(chosen) > best:
             best, best_sol = len(chosen), list(chosen)
@@ -445,8 +462,9 @@ def _branch_and_bound(
                 )
             return s, [(t, c) for t, c in zip(lp.trees, rounded) if c]
         nodes += 1
-        bound = len(chosen) + _mincut_lower_estimate(classes, res, source, sinks)
-        todo.append(j if bound > best else end)
+        # best < goal here, so only a tree over its rounded count needs flows
+        keep = _can_beat(res, source, sinks, best + 1 - len(chosen), over == 0)
+        todo.append(j if keep else end)
 
     counts: dict[int, int] = {}
     for j in best_sol:

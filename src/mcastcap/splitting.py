@@ -60,6 +60,13 @@ once stays refused for the whole pivot: splits commute, so splitting it
 after further splits leaves every cut at most where splitting it before
 them did, below some target.  The loop thus ends, aggregated, where a
 backtracking search over pairings of unit edges in the same order ends.
+
+The trials edit one map.  The pair capacities of the graph split so far
+are built once per pivot; a trial shifts its amount off the pairs xr and xt
+onto rt in place, checks the targets on the map and shifts it back, and
+only the accepted split builds the next graph with ``split_off``.  Flow
+values and cut capacities depend on the pair capacities alone, so every
+decision and certificate check is the one a freshly built split graph gives.
 """
 
 from __future__ import annotations
@@ -187,10 +194,9 @@ def _cut_targets(g: Multigraph, x: str) -> list[tuple[str, str, int, frozenset[s
     return tree
 
 
-def _keeps_targets(split: Multigraph, targets) -> bool:
-    """True iff the split graph keeps every target cut value; stops at the
-    first pair that falls short."""
-    adj = pair_capacities(split)
+def _keeps_targets(adj: PairCapacities, targets) -> bool:
+    """True iff the split graph's pair capacities ``adj`` keep every target
+    cut value; stops at the first pair that falls short."""
     for u, v, target, side in targets:
         if _checked_flow(adj, u, v, target)[1] is not None:
             return False
@@ -202,15 +208,29 @@ def _keeps_targets(split: Multigraph, targets) -> bool:
 def is_admissible(g: Multigraph, e_id: int, f_id: int, pivot: str | None = None) -> bool:
     """True iff splitting preserves every pairwise min-cut among V - pivot."""
     split, ev = split_off(g, e_id, f_id, pivot=pivot)
-    return _keeps_targets(split, _cut_targets(g, ev.pivot))
+    return _keeps_targets(pair_capacities(split), _cut_targets(g, ev.pivot))
 
 
-def _largest_split(g: Multigraph, e_id: int, f_id: int, x: str, most: int, targets) -> int:
-    """Largest amount up to ``most`` whose split keeps the targets, 0 if
-    none: bisection, trying ``most`` first (module docstring)."""
+def _shift(adj: PairCapacities, x: str, r: str, t: str, amount: int) -> None:
+    """Split ``amount`` off the pairs xr and xt into rt on ``adj``, in place
+    (twice off xr when r == t, and no rt); a negative amount undoes it.  A
+    pair left at 0 stays as a 0 entry."""
+    for u, v, d in ((x, r, -amount), (x, t, -amount), (r, t, amount)):
+        if u != v:
+            adj[u][v] = adj[u].get(v, 0) + d
+            adj[v][u] = adj[v].get(u, 0) + d
+
+
+def _largest_split(adj: PairCapacities, x: str, r: str, t: str, most: int, targets) -> int:
+    """Largest amount up to ``most`` whose split of xr and xt keeps the
+    targets, 0 if none: bisection, trying ``most`` first (module docstring).
+    Each trial shifts ``adj`` and shifts it back."""
     kept, refused, amount = 0, most + 1, most
     while refused - kept > 1:
-        if _keeps_targets(split_off(g, e_id, f_id, pivot=x, amount=amount)[0], targets):
+        _shift(adj, x, r, t, amount)
+        keeps = _keeps_targets(adj, targets)
+        _shift(adj, x, r, t, -amount)
+        if keeps:
             kept = amount
         else:
             refused = amount
@@ -240,15 +260,19 @@ def _split_completely(
         if is_cut_edge(g, e.id):
             raise CutEdgeAtPivot(f"cut-edge {e.id} incident to pivot {x!r}")
     targets = _cut_targets(g, x)
+    # pair capacities of cur, which every trial shifts and shifts back
+    adj = pair_capacities(g)
     cur, events, refused = g, [], set()
     while inc := sorted(cur.incident(x), key=lambda e: e.id):
         e = inc[0]
+        r = e.other(x)
         for f in inc:  # e itself first: two units of one edge
-            pair = frozenset((e.other(x), f.other(x)))
+            t = f.other(x)
+            pair = frozenset((r, t))
             most = e.cap // 2 if f is e else min(e.cap, f.cap)
             if not most or pair in refused:
                 continue
-            amount = _largest_split(cur, e.id, f.id, x, most, targets)
+            amount = _largest_split(adj, x, r, t, most, targets)
             if amount:
                 break
             refused.add(pair)
@@ -257,7 +281,8 @@ def _split_completely(
                 f"no admissible partner for edge {e.id} at pivot {x!r}, "
                 "though Mader's theorem promises one"
             )
-        new_id = next(ids) if e.other(x) != f.other(x) else None
+        new_id = next(ids) if r != t else None
+        _shift(adj, x, r, t, amount)
         cur, ev = split_off(cur, e.id, f.id, pivot=x, new_id=new_id, amount=amount)
         events.append(ev)
     return cur.without_vertices((x,)), SplitHistory(g, tuple(events), (x,))

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -127,6 +128,81 @@ class TestSplit:
         events = json.loads(capsys.readouterr().out)["history"]["events"]
         assert len(events) == 3
         assert sum(ev["amount"] for ev in events) == 150
+
+
+# SHA-256 of the standard output of each of WITNESS_COMMANDS, in order, on
+# K4 + relay x4/x8/x16 and the five n=10 draws of the random benchmark.  The
+# trees and the split history are witnesses the analyze output never shows;
+# a change that alters one on purpose records the new digest here.
+WITNESS_COMMANDS = (["pack", "--mode", "int"], ["pack", "--mode", "half"],
+                    ["pack", "--mode", "frac"], ["split", "--emit-history"])
+WITNESS_DIGESTS = {
+    "k4x4": (
+        "878fb0e98fca57d642ae56bff51b105c19c4d205c75a23e5cf4df5759493b480",
+        "58c350b8b38b2a832313a93ad4bbb49a924c70bf6d9f3d8a6c0923b0c3e8d1fc",
+        "3220488177c7f2f715a6b2b63ae7eec8da031fdf1b86bd6bcbcf9149741bea33",
+        "9487fe91d8b5b81fcbd6d524e2e902f658530a88182ff0def13370859189d702",
+    ),
+    "k4x8": (
+        "ca05540454a7f232fd3a7a45aa618496ce9d13a4a7c668fbb999950593094d2d",
+        "03ce8d29009441da0c396a9c0beec5ed5a5fa8c43aa58fc668917656d6f0dde7",
+        "03e025158098b56ebcd24ba9d5b93ced8a077e77d5982f68bd275af4149c2953",
+        "d470801bc273111fca2c56fd0a558c8c3a583219ead575f522f751d1f3f79e90",
+    ),
+    "k4x16": (
+        "4af0cfcb3405527c703865cfbbc378c72357d75c93ea62749ae14e7b4f667035",
+        "38b6d7ab42249bdeac3e153d8c823a191a019268ac02bd6528454bc6be7a2afb",
+        "624c95a66bbf3983400d7baf73329bde6786bfe428253ba3935cdefe24f7c07a",
+        "e71f25abc4412c6676b4a266595d698a65fcfd334f551045ccc27c03c41533c5",
+    ),
+    "draw0": (
+        "851a4f1f256caf1b025e6bc04fb564292ccca02c1b6df89f067b3fe9d724ac3f",
+        "0d6f7ec9d54b845d1faed9ce39de8a73cfe474ace4b9afbd5542730e5cf0509a",
+        "1252c21e16ff3ffa6880fcc84dbe88a29e5a52af18e3436d2cbb80e3c08e137e",
+        "bf947b157c5982a58d28c91862511967f2595ba79c07c81ce91088d9b49b7010",
+    ),
+    "draw1": (
+        "567d638f272fce46733cfd55cd772c4164d12ca2e4f50efaf423577af3dffcdb",
+        "74a844110fac3242c699ae0e941825e8d4d532377a6b0998c55f895c43cfc4ae",
+        "6849a8833c818f1d2b2ad4ac0a9354b77952e1b5f14dce084c70856acbf204c3",
+        "33c6a6db05048a51754ab63a343f937dd52553361c16fd9789ea91f52c86d937",
+    ),
+    "draw2": (
+        "1513941a6248a688b56d45ebf6a105d3eb33dc91dfea7ad9ed3fd53a40d612ed",
+        "1bd08e981720b161180b4bc168bca755da869fca2b42d6e777cc03e664d2e4b7",
+        "19217c54cd984c8a364339abda74803d0f9bdc08b288a33d9d8535ca0307861c",
+        "007af5af56f1938923d98a4d2d3912f278bd07fb2b71ec4faa256bcd5f313059",
+    ),
+    "draw3": (
+        "a5233c5222920d596fbd64466e594c342d3a77f31d8989925c9699ab4e9b8d23",
+        "243f5cac381081eefb313e4edf735c78d33a15b087e4b0af1f7aa0c9a6809162",
+        "cb1089111d2239957df92dadf680b78fe08df8de9514ad7367ca578e09eb52e6",
+        "19565d4c0c9201e0afe86a0ca3a98cffe606454042d4c95ba71a2e393e5354d8",
+    ),
+    "draw4": (
+        "0c3edfb909e840618900603bea180285eb28704c90dda2bf018960d741f50657",
+        "45605ec29cde4865111359d313212acee111f33305f16a629e8fa07aee523a7d",
+        "96bcd913456187f2bc4f8e81f85b71fe6e71537fa51dc8ee2bda633482018ba1",
+        "df6314cd838409eea55522d0b2bf57982d58a85792ca5e6d1459418a3aa36e2a",
+    ),
+}
+
+
+def _witness_instance(name):
+    if name.startswith("k4x"):
+        return k4_with_relay(int(name[3:]))
+    return list(sample_instances(5, 10, 10, 4, 0))[int(name[4:])]
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_DIGESTS))
+def test_witness_digests_are_pinned(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(dump_instance(*_witness_instance(name)))
+    got = []
+    for argv in WITNESS_COMMANDS:
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(got) == WITNESS_DIGESTS[name]
 
 
 class TestStrength:
@@ -271,8 +347,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv", [["analyze"], ["pack", "--mode", "half"]])
     def test_packing_depth_limit(self, tmp_path, capsys, monkeypatch, argv):
-        # the second n=10 sample draw: the half-integer search needs 8 bound
-        # evaluations, and rounding the LP vertex gives 3 of the 5 trees
+        # the second n=10 sample draw: the half-integer search visits 8
+        # nodes, and rounding the LP vertex gives 3 of the 5 trees
         g, a = list(sample_instances(5, 10, 10, 4, 0))[1]
         path = tmp_path / "draw2.json"
         path.write_text(dump_instance(g, a))

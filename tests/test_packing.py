@@ -21,6 +21,7 @@ from mcastcap import (
 )
 from mcastcap import packing, strength
 from mcastcap.cli import analyze_instance
+from mcastcap.connectivity import pair_flow
 from mcastcap.errors import (
     CertificateError,
     ResourceLimit,
@@ -324,15 +325,16 @@ class TestSharedSolve:
 
 
 def counted_bound_evaluations(monkeypatch):
-    """Count the branch and bound's min-cut bound evaluations from now on."""
+    """Record each branch-and-bound node's bound check from now on: True
+    where the LP vertex certified the node, False where it ran flows."""
     calls = []
-    original = packing._mincut_lower_estimate
+    original = packing._can_beat
 
-    def counted(*args):
-        calls.append(None)
-        return original(*args)
+    def counted(res, source, sinks, need, certified):
+        calls.append(certified)
+        return original(res, source, sinks, need, certified)
 
-    monkeypatch.setattr(packing, "_mincut_lower_estimate", counted)
+    monkeypatch.setattr(packing, "_can_beat", counted)
     return calls
 
 
@@ -376,13 +378,15 @@ class TestDepthGuard:
         calls = counted_bound_evaluations(monkeypatch)
         g, a = k4_with_relay(16)
         value, p = half_integer_capacity(solve_tree_lp(g, a))
-        # the root and one evaluation per tree up to the goal of 80
+        # the root and one node per tree up to the goal of 80
         assert value == 40 and verify_packing(g, a, p) and len(calls) <= 81
+        # the LP vertex certifies the nodes on its rounded packing's path
+        assert calls.count(False) < len(calls)
         # half-integer goal 1000
         calls.clear()
         report = analyze_instance(*k4_with_relay(200))
         assert report.k_int == report.half_rate == 500
-        assert len(calls) <= 501 + 1001
+        assert len(calls) <= 501 + 1001 and calls.count(False) <= 2
 
     def test_largest_admitted_instances_pack(self):
         # K4 + relay x1000 aims for 5000 half-integer trees
@@ -396,9 +400,25 @@ class TestDepthGuard:
         assert value == 495 and p.trees[0][1] == 495
 
 
+def reference_mincut(classes, res, source, sinks):
+    """min over sinks of the source-sink min cut under residual class
+    capacities ``res``, each flow stopped at the running minimum."""
+    adj = {}
+    for e in classes:
+        adj.setdefault(e.u, {})[e.v] = res[e.id]
+        adj.setdefault(e.v, {})[e.u] = res[e.id]
+    best = None
+    for sink in sinks:
+        best, _ = pair_flow(adj, source, sink, best)
+        if best == 0:
+            return 0
+    return best
+
+
 def reference_branch_and_bound(lp, factor):
-    """The unseeded branch and bound, with no node budget: the search starts
-    from an incumbent of 0 trees."""
+    """The unseeded branch and bound, with no node budget and no LP-vertex
+    skip: the search starts from an incumbent of 0 trees and bounds every
+    node by its count plus the residual min cut."""
     goal = int(factor * lp.opt)
     classes = lp.classes.edges
     source, sinks = lp.terminals.source, lp.terminals.sinks
@@ -407,7 +427,7 @@ def reference_branch_and_bound(lp, factor):
     best, best_sol = 0, []
     chosen = []
     end = len(tree_lists)
-    todo = [0 if packing._mincut_lower_estimate(classes, res, source, sinks) > 0 else end]
+    todo = [0 if reference_mincut(classes, res, source, sinks) > 0 else end]
     while todo:
         j = todo[-1]
         while j < end and not all(res[rid] >= 1 for rid in tree_lists[j]):
@@ -426,7 +446,7 @@ def reference_branch_and_bound(lp, factor):
             best, best_sol = len(chosen), list(chosen)
             if best >= goal:
                 break
-        bound = len(chosen) + packing._mincut_lower_estimate(classes, res, source, sinks)
+        bound = len(chosen) + reference_mincut(classes, res, source, sinks)
         todo.append(j if bound > best else end)
     counts = {}
     for j in best_sol:
@@ -501,14 +521,29 @@ def test_solvers_refuse_what_fails_their_check(monkeypatch):
         edge_strength(g, a)
 
 
+def check_lp_vertex_skips(monkeypatch):
+    """From now on, every node the LP vertex certifies must be one the
+    flows keep too."""
+    original = packing._can_beat
+
+    def checked(res, source, sinks, need, certified):
+        if certified:
+            assert original(res, source, sinks, need, False)
+        return original(res, source, sinks, need, certified)
+
+    monkeypatch.setattr(packing, "_can_beat", checked)
+
+
 class TestSeededSearchOracle:
-    def test_small_multigraphs(self):
+    def test_small_multigraphs(self, monkeypatch):
+        check_lp_vertex_skips(monkeypatch)
         for g, names in _small_connected_multigraphs():
             n = len(names)
             for ts in ((0, n - 1), tuple(range(n))):
                 assert_matches_unseeded_search(g, TerminalSet(names[ts[0]], tuple(names[i] for i in ts[1:])))
 
-    def test_benchmark_samples_and_their_split_graphs(self):
+    def test_benchmark_samples_and_their_split_graphs(self, monkeypatch):
+        check_lp_vertex_skips(monkeypatch)
         for g, a in list(sample_instances(20, 8, 6, 3, 0)) + list(sample_instances(5, 10, 10, 4, 0)):
             core = prune_to_core(g, a)
             assert_matches_unseeded_search(core, a)

@@ -170,7 +170,7 @@ class TestAdmissibility:
 
     def test_target_side_must_cut_its_value(self):
         # the split theta still joins s and t by a flow of 1, but {s} cuts 2
-        split, _ = split_off(theta(), 0, 2, pivot="x")
+        split = pair_capacities(split_off(theta(), 0, 2, pivot="x")[0])
         assert _keeps_targets(split, [("s", "t", 2, frozenset({"s"}))])
         with pytest.raises(CertificateError):
             _keeps_targets(split, [("s", "t", 1, frozenset({"s"}))])
@@ -297,8 +297,9 @@ def bench_samples():
 
 class TestTreeTargets:
     def test_tree_pairs_decide_like_all_pairs(self, monkeypatch):
-        # every candidate split that relay elimination checks, with the graph
-        # and pivot its cut targets were computed on
+        # every candidate split that relay elimination checks, as the graph
+        # of its pair capacities, with the graph and pivot its cut targets
+        # were computed on
         checked, pivot = [], {}
         cut_targets, keeps_targets = splitting._cut_targets, splitting._keeps_targets
 
@@ -306,8 +307,11 @@ class TestTreeTargets:
             pivot.update(g=g, x=x)
             return cut_targets(g, x)
 
-        def record_check(split, targets):
-            kept = keeps_targets(split, targets)
+        def record_check(adj, targets):
+            kept = keeps_targets(adj, targets)
+            split = Multigraph.build(
+                sorted(adj), [(u, v, c) for u in sorted(adj) for v, c in adj[u].items() if u < v and c]
+            )
             checked.append((pivot["g"], pivot["x"], split, kept))
             return kept
 
@@ -322,6 +326,41 @@ class TestTreeTargets:
             if (g, x) not in before:
                 before[g, x] = all_pairs_connectivity(g, others)
             assert kept == (all_pairs_connectivity(split, others) == before[g, x])
+
+    def test_trials_leave_the_pair_capacities_of_the_graph(self, monkeypatch):
+        # the map every trial shifts and shifts back equals the pair
+        # capacities of the graph split so far, after every trial and after
+        # every accepted split; a pair left at 0 keeps a 0 entry
+        def nonzero(adj):
+            return {u: {v: c for v, c in nbrs.items() if c} for u, nbrs in adj.items()}
+
+        state, undone = {}, []
+        cut_targets, shift, split_off = splitting._cut_targets, splitting._shift, splitting.split_off
+
+        def record_pivot(g, x):
+            state["cur"] = g
+            return cut_targets(g, x)
+
+        def checked_shift(adj, x, r, t, amount):
+            shift(adj, x, r, t, amount)
+            state["adj"] = adj
+            if amount < 0:
+                assert nonzero(adj) == nonzero(pair_capacities(state["cur"]))
+                undone.append(amount)
+
+        def checked_split(*args, **kwargs):
+            out = split_off(*args, **kwargs)
+            state["cur"] = out[0]
+            assert nonzero(state["adj"]) == nonzero(pair_capacities(out[0]))
+            return out
+
+        monkeypatch.setattr(splitting, "_cut_targets", record_pivot)
+        monkeypatch.setattr(splitting, "_shift", checked_shift)
+        monkeypatch.setattr(splitting, "split_off", checked_split)
+        events = 0
+        for g, a in [*bench_samples(), *scaled_samples(), *(k4_with_relay(k) for k in (4, 16))]:
+            events += len(eliminate_relays(g, a)[1].events)
+        assert len(undone) > events > 100
 
     def test_tree_path_minima_equal_all_pairs(self, monkeypatch):
         # Gusfield's theorem: the least target on the tree path between two
