@@ -3,10 +3,12 @@
 
 For each terminal count the fractional LP rate, edge strength, and gamma
 bracket land on a/(a-1), while the integer packing stays at 1 — the gap the
-closed-form gain bounds quantify.
+closed-form gain bounds quantify.  Exits 1 if the LP rate or the edge
+strength of some member is not a/(a-1).
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
 from mcastcap import (
@@ -26,6 +28,7 @@ def main() -> None:
 
     print(f"{'a':>3} {'lambda':>6} {'k':>3} {'half':>6} {'LP':>6} {'eta':>6} "
           f"{'bracket':>12} {'scheme':>7}")
+    wrong = []
     for a in range(3, args.max_terminals + 1):
         g, terms = example2_instance(a, tuple(s for s in slots if s < a))
         rep = analyze_instance(g, terms)
@@ -35,7 +38,10 @@ def main() -> None:
         print(f"{a:>3} {rep.lam:>6} {rep.k_int:>3} {str(rep.half_rate):>6} "
               f"{str(rep.lp_rate):>6} {str(rep.eta):>6} {bracket:>12} "
               f"{str(scheme.rate) + (' ok' if ok else ' BAD'):>7}")
-        assert rep.lp_rate == rep.eta == Fraction(a, a - 1)
+        if not rep.lp_rate == rep.eta == Fraction(a, a - 1):
+            wrong.append(a)
+    if wrong:
+        sys.exit(f"LP rate or edge strength is not a/(a-1) for a = {wrong}")
 
 
 if __name__ == "__main__":

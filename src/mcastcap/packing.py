@@ -498,20 +498,29 @@ def fractional_capacity_lp(lp: TreeLP) -> tuple[Rate, SteinerPacking]:
 
 
 def verify_packing(g: Multigraph, a: TerminalSet, p: SteinerPacking) -> bool:
-    """Certificate check: valid A-Steiner trees, loads within capacities."""
+    """Certificate check: valid A-Steiner trees, loads within capacities.
+
+    Multiplicities, loads and the rate are compared in whole units of
+    1/``p.denominator``; a multiplicity that is not a whole number of units
+    fails the check.
+    """
+    d = p.denominator
+    if d < 1:
+        return False
     try:
         by_id = {e.id: e for e in g.edges}
         ends = {e.id: (e.u, e.v) for e in g.edges}
-        load: dict[int, Fraction] = {eid: Fraction(0) for eid in by_id}
-        total = Fraction(0)
+        load = dict.fromkeys(by_id, 0)
+        total = 0
         for tree, mult in p.trees:
-            if mult <= 0:
+            if mult.numerator <= 0 or d % mult.denominator:
                 return False
+            units = mult.numerator * (d // mult.denominator)
             vs: set[str] = set()
             for eid in tree.edge_ids:
                 e = by_id[eid]
                 vs.update((e.u, e.v))
-                load[eid] += mult
+                load[eid] += units
             if vs != set(tree.vertices):
                 return False
             if not a.members <= vs:
@@ -520,9 +529,9 @@ def verify_packing(g: Multigraph, a: TerminalSet, p: SteinerPacking) -> bool:
                 return False
             if len(edge_component(tree.edge_ids, ends, next(iter(vs)))) != len(vs):
                 return False
-            total += mult
-        if total != p.rate:
+            total += units
+        if total * p.rate.denominator != p.rate.numerator * d:
             return False
-        return all(load[eid] <= by_id[eid].cap for eid in load)
+        return all(load[eid] <= by_id[eid].cap * d for eid in load)
     except KeyError:
         return False

@@ -15,12 +15,26 @@ capacity to earlier terminals in other blocks to ``fixed`` and its capacity
 from each relay r to ``into[r][b]``, and backtracking takes both back, so a
 full terminal partition reads its rows off ``into``.
 
-Three strict prunes, all integer cross-multiplications:
+Three strict prunes, all integer cross-multiplications against the
+incumbent best_num / best_den:
 
-- A partial terminal partition with ``blocks`` blocks and ``unplaced``
-  terminals to go: every completion crosses at least ``fixed`` and has at
-  most ``blocks + unplaced`` blocks, so it is skipped when
-  ``fixed / (blocks + unplaced - 1)`` is above the incumbent.
+- A partial terminal partition with ``blocks`` blocks and terminals i..
+  still to place.  A completion in which j of them open new blocks has
+  k = blocks + j >= 2 blocks and crosses at least max(fixed + S_j, k*lam/2),
+  with lam = λ(A) from |A| - 1 flows in this search:
+  * an opener's edges to every earlier terminal cross; each such edge is
+    counted at its later end, so these sets are disjoint from each other
+    and from ``fixed``, and the openers add at least S_j
+    (``opener[i][j]``), the sum of the j least ``tt_total`` among the
+    unplaced terminals;
+  * the boundaries d(B) of the k blocks count every crossing edge twice,
+    and each block holds a terminal and misses one, so d(B) >= λ(A).
+  The node is skipped when max(2(fixed + S_j), k*lam) * best_den >
+  2 * best_num * (k - 1) for every j.  As fixed + S_j >= fixed and k - 1 is
+  at most blocks + unplaced - 1, this dominates the plain bound
+  ``fixed / (blocks + unplaced - 1)``.  λ is computed here, not taken from
+  the caller: a λ too large would prune the optimum, and
+  ``verify_partition`` cannot notice.
 - A full one: each relay costs at least its capacity to every block but the
   one it has most capacity to, so it is skipped when ``fixed`` plus those
   least costs is above the incumbent.
@@ -28,24 +42,37 @@ Three strict prunes, all integer cross-multiplications:
   where ``suffix[r]`` sums the row minima of the relays not yet placed,
   bounds every completion from below.
 
-Each bound is at most the value of every partition it prunes, and a prune
-needs it strictly above the incumbent, so every partition that ties the
-incumbent reaches the leaf.  The witness is the least minimizer in the
-order of the sorted tuple of sorted blocks, whatever the search order.
+The incumbent starts at the value of a seed partition: a block for each
+terminal, each relay in sorted order joined to the block it has most
+capacity to (the lowest on ties).  On the relay-cycle family the seed is
+already optimal, a/(a-1); since k*λ/(2(k-1)) = k/(k-1) is above that for
+every k < a, only partial partitions that can still end in a blocks survive.
+The seed records no witness: while no leaf has, ``leaf()`` accepts one that
+ties the seed.
+
+Each bound is at most the value of every partition it prunes, the
+incumbent never drops below the optimum, and a prune needs the bound
+strictly above the incumbent, so every minimizer reaches ``leaf()``; the
+first one there replaces the seed or a worse leaf.  The witness is
+therefore the least minimizer in the order of the sorted tuple of sorted
+blocks, whatever the search order and the seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
+from .connectivity import pair_capacities, pair_flow
 from .errors import CertificateError, TooManyPartitions, TooManyVertices
 from .multigraph import Multigraph, Rate, TerminalSet
 
 MAX_VERTICES = 12
 # Most terminal partitions, Bell(|A|), the search may have to visit.
-# Bell(11) = 678570 is admitted (the 11-terminal cycle takes about 0.07 s,
-# 0.2 s with one relay); Bell(12) = 4213597 is not.
+# Bell(11) = 678570 is admitted: the 11-terminal cycle, with or without a
+# relay, takes under 1 ms, and 11 terminals around one relay hub, where no
+# partial partition can be pruned, about 1.3 s.  Bell(12) = 4213597 is not.
 MAX_TERMINAL_PARTITIONS = 10**6
 
 
@@ -88,37 +115,46 @@ def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartitio
             f"(Bell({len(a.members)})), more than the limit "
             f"MAX_TERMINAL_PARTITIONS = {MAX_TERMINAL_PARTITIONS}"
         )
+    adj = pair_capacities(g)
+    lam = min(pair_flow(adj, a.source, t)[0] for t in a.sinks)
     terms = sorted(a.members)
     relays = sorted(g.vertices - a.members)
     t_index = {t: i for i, t in enumerate(terms)}
     r_index = {r: i for i, r in enumerate(relays)}
     nt, nr = len(terms), len(relays)
-    tt: list[dict[int, int]] = [{} for _ in terms]  # terminal -> earlier terminals
-    tr: list[dict[int, int]] = [{} for _ in terms]  # terminal -> relays
-    rr: list[dict[int, int]] = [{} for _ in relays]  # relay -> earlier relays
+    tt_edges: list[list[tuple[int, int]]] = [[] for _ in terms]  # to earlier terminals
+    tr_edges: list[list[tuple[int, int]]] = [[] for _ in terms]  # terminal -> relays
     rt_total = [0] * nr  # capacity from each relay to all terminals
-    for e in g.edges:
-        if e.u == e.v:  # a self-loop never crosses
-            continue
-        if e.u in t_index and e.v in t_index:
-            lo, hi = sorted((t_index[e.u], t_index[e.v]))
-            tt[hi][lo] = tt[hi].get(lo, 0) + e.cap
-        elif e.u in t_index or e.v in t_index:
-            t, r = (e.u, e.v) if e.u in t_index else (e.v, e.u)
-            row = tr[t_index[t]]
-            row[r_index[r]] = row.get(r_index[r], 0) + e.cap
-            rt_total[r_index[r]] += e.cap
-        else:
-            lo, hi = sorted((r_index[e.u], r_index[e.v]))
-            rr[hi][lo] = rr[hi].get(lo, 0) + e.cap
-    tt_edges = [list(row.items()) for row in tt]
-    tr_edges = [list(row.items()) for row in tr]
-    tt_total = [sum(row.values()) for row in tt]
-    rr_edges = [list(row.items()) for row in rr]
+    for i, t in enumerate(terms):
+        for y, c in adj[t].items():
+            if y in r_index:
+                tr_edges[i].append((r_index[y], c))
+                rt_total[r_index[y]] += c
+            elif t_index[y] < i:  # a self-loop never crosses
+                tt_edges[i].append((t_index[y], c))
+    rr_edges = [  # relay -> earlier relays
+        [(r_index[y], c) for y, c in adj[r].items() if y in r_index and r_index[y] < q]
+        for q, r in enumerate(relays)
+    ]
+    tt_total = [sum(c for _, c in row) for row in tt_edges]
     rt_sum = sum(rt_total)
+    # opener[i][j]: least capacity to earlier terminals of any j of terminals i..
+    opener = [list(accumulate(sorted(tt_total[i:]), initial=0)) for i in range(nt)]
 
-    best_num = best_den = None  # incumbent value best_num / best_den
-    best_key = None  # sorted tuple of sorted blocks of the incumbent
+    # the seed: singleton terminal blocks, each relay joined in turn to the
+    # block it has most capacity to (lowest block on ties)
+    block_of = dict(t_index)
+    for r in relays:
+        to = [0] * nt
+        for y, c in adj[r].items():
+            if y in block_of:
+                to[block_of[y]] += c
+        block_of[r] = to.index(max(to))
+    best_num = sum(
+        c for x, nbrs in adj.items() for y, c in nbrs.items() if block_of[x] != block_of[y]
+    ) // 2
+    best_den = nt - 1  # incumbent value best_num / best_den
+    best_key = None  # sorted tuple of sorted blocks of the incumbent, once a leaf sets it
     tblock = [0] * nt  # block of each placed terminal on the current search path
     into = [[] for _ in relays]  # into[r][b]: capacity from relay r to block b
     assign = [0] * nr  # block of each placed relay on the current search path
@@ -127,17 +163,16 @@ def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartitio
     # partition being searched
     def leaf(cur: int) -> None:
         nonlocal best_num, best_den, best_key
-        if best_num is not None:
-            lhs, rhs = cur * best_den, best_num * den
-            if lhs > rhs:
-                return
+        lhs, rhs = cur * best_den, best_num * den
+        if lhs > rhs:
+            return
         blocks = [[] for _ in range(nb)]
         for t in range(nt):
             blocks[tblock[t]].append(terms[t])
         for r in range(nr):
             blocks[assign[r]].append(relays[r])
         key = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        if best_num is not None and lhs == rhs and key >= best_key:
+        if lhs == rhs and best_key is not None and key >= best_key:
             return
         best_num, best_den, best_key = cur, den, key
 
@@ -148,8 +183,7 @@ def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartitio
         row, back = rows[r], rr_edges[r]
         for b in range(nb):
             step = row[b] + sum(c for s, c in back if assign[s] != b)
-            lower = cur + step + suffix[r + 1]
-            if best_num is not None and lower * best_den > best_num * den:
+            if (cur + step + suffix[r + 1]) * best_den > best_num * den:
                 continue
             assign[r] = b
             place(r + 1, cur + step)
@@ -161,7 +195,7 @@ def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartitio
                 return
             # a relay costs at least its capacity to every block but its best
             lower = fixed + rt_sum - sum(map(max, into))
-            if best_num is not None and lower * best_den > best_num * (blocks - 1):
+            if lower * best_den > best_num * (blocks - 1):
                 return
             nb, den = blocks, blocks - 1
             rows = [[rt_total[r] - x for x in into[r]] for r in range(nr)]
@@ -170,8 +204,16 @@ def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartitio
                 suffix[r] = suffix[r + 1] + min(rows[r])
             place(0, fixed)
             return
-        most = blocks + nt - i - 1  # most blocks - 1 of any completion
-        if best_num is not None and most > 0 and fixed * best_den > best_num * most:
+        # a completion in which j of the unplaced terminals open blocks has
+        # k = blocks + j >= 2 blocks and crosses at least
+        # max(fixed + opener[i][j], k * lam / 2); keep the node iff for some
+        # j that bound, over k - 1, is at most the incumbent
+        least = opener[i]
+        for k in range(max(blocks, 2), blocks + nt - i + 1):
+            lower2 = max(2 * (fixed + least[k - blocks]), k * lam)  # twice the bound
+            if lower2 * best_den <= 2 * best_num * (k - 1):
+                break
+        else:
             return
         to = [0] * (blocks + 1)  # capacity from terminal i to each block
         for s, c in tt_edges[i]:

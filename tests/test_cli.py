@@ -205,6 +205,57 @@ def test_witness_digests_are_pinned(tmp_path, capsys, name):
     assert tuple(got) == WITNESS_DIGESTS[name]
 
 
+# SHA-256 of the standard output of ``strength`` on the WITNESS_DIGESTS
+# instances and on example2_instance(a, slots) ("cycle<a>/<slots>") for
+# a = 5..11 up to the 12-vertex limit.  The witness partition is the least
+# minimizer, which the analyze output never shows.
+STRENGTH_DIGESTS = {
+    "k4x4": "940b765bd45709bebe6c0b49261c7669336b36f868cf65ff04787b55753a4770",
+    "k4x8": "eb8925c3f16f191e2308399fe701fc3f4b2ac01c08a2c60fa3d8bc2a2372418a",
+    "k4x16": "81585f4113030ad1d4cbff4f061071c5d2b7eb5ab2706532086182fb1a906427",
+    "draw0": "ee9ee4978b1be9b379e1dc56ce957505512a10750db11771d0cbbc60c82ff57a",
+    "draw1": "6aa28538717bdc48006e4d7a491f9532651f6e853847199a0a630ed044fc7bba",
+    "draw2": "ee92ebbdb4ff52559b85f82f198b59a85bb12f6c884194680d93d027b0cab25f",
+    "draw3": "4f2d3390bfc15ca5c3d7ca1a77372c4395e406a9cd3565cc985f44adee763b83",
+    "draw4": "8fdf5b8e7577a184c45b46ec56ead40c1881e0b923c7eaf2a3774f35d45dca43",
+    "cycle5": "fca1bd44542b5e38d2f2afa6ef6560938483e8232a913ab10cfd50b36e92cbbb",
+    "cycle5/0": "734cd1a384138c185b6d78e63b4916a2461de051d0ba9d4b4f185bfe106c9d88",
+    "cycle5/0,2": "0b27bf913922fa1a8ea5c6a67066c45fa541f39734a2966c7bf7fa5d3ee3b4af",
+    "cycle6": "48f3674387929d627b8a1e1b2d62440079ee2cc7d600194ddc9b8b0cf1f8725f",
+    "cycle6/0": "e8ba529a22c7281febc3c24ebaf5847c2d6d85991ec55ce7d5a6202b6d11032c",
+    "cycle6/0,2": "d22ce09c89455c728996cd92049613a89718c64e12c9d5c46bcf0bc24bf7254a",
+    "cycle7": "10c2a739df4b9fa210be8d274f6218530e7886e247c495e67e4c0af8a57bbd72",
+    "cycle7/0": "bf6865158bffef5b1c7df3615f406b0f5fdfdedbc64c89bcb034f341aae57664",
+    "cycle7/0,2": "44d859619baf097b477b90568fb3afadca0fd7aba5e1fb3d2782ad070dd60caa",
+    "cycle8": "c07f2f2997fe15a04fccf924b88fa60f74bf2ba4a8f5735f1ca353ecfdabcc93",
+    "cycle8/0": "a15a74b4cb869b564159529469346c41b981fcca3aebfd1c92e25a832417277f",
+    "cycle8/0,2": "62c4833b7e2ab8c1d5b1e5356e8c407c495f67efa2e792d8be77be7937944635",
+    "cycle9": "55307ede69e0ff7cda53effc045611302a03f04ac7086515fa17a37b1af14a7f",
+    "cycle9/0": "53fc04cb64cc4d0aba06f644eefd486f88b60d1e96cf23b5e28e48628e970be6",
+    "cycle9/0,2": "0b78933e7bf7c94e1b9e025505dbc60cc944fcb5b2592ca2fcfd2c7d9c05fde5",
+    "cycle10": "b1efa5789368c8d8e08855a8080705272baad2b36778cff3c43f6aee9abd3a83",
+    "cycle10/0": "bf8da053e7c5d6d7e5424bc4d37b9abf70c6610ce667ef9604d626fe0435bb16",
+    "cycle10/0,2": "52b4fe1d6e921e3416538b76144de5192d90cb2207442143109c30171e30e3e0",
+    "cycle11": "f7f29b7e9d43b5926765f54e7231747c7187969b9b83154584ea8764b9bb86c7",
+    "cycle11/0": "e88b3238a578eb8fb9aae5bfac3f4b307659bb93515154a40a31cb89145e0436",
+}
+
+
+def _strength_instance(name):
+    if name.startswith("cycle"):
+        a, _, slots = name[len("cycle"):].partition("/")
+        return example2_instance(int(a), tuple(int(s) for s in slots.split(",") if s))
+    return _witness_instance(name)
+
+
+@pytest.mark.parametrize("name", sorted(STRENGTH_DIGESTS))
+def test_strength_digests_are_pinned(tmp_path, capsys, name):
+    path = tmp_path / "instance.json"
+    path.write_text(dump_instance(*_strength_instance(name)))
+    assert main(["strength", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STRENGTH_DIGESTS[name]
+
+
 class TestStrength:
     def test_strength(self, cycle_file, capsys):
         assert main(["strength", cycle_file]) == 0
@@ -508,9 +559,11 @@ def test_splitting_time_does_not_grow_with_capacity(tmp_path, argv, scale):
 
 def test_scripts_run_clean():
     out = ""
-    for script, *args in (["random_confirmation.py", "--count", "5"],
-                          ["cycle_family_sweep.py", "--max-terminals", "5"]):
-        proc = _run_python(str(ROOT / "scripts" / script), *args)
+    # the sweep checks its values under -O too
+    for flags, script, *args in ([[], "random_confirmation.py", "--count", "5"],
+                                 [["-O"], "cycle_family_sweep.py", "--max-terminals", "10",
+                                  "--relays", "0,2"]):
+        proc = _run_python(*flags, str(ROOT / "scripts" / script), *args)
         assert proc.returncode == 0, proc.stderr
         out += proc.stdout
     assert "0 violations" in out

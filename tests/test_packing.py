@@ -179,6 +179,19 @@ class TestVerify:
         p = SteinerPacking(((tree, Fraction(1)),), 1, Fraction(1))
         assert not verify_packing(g, a, p)
 
+    def test_multiplicity_off_the_denominator_rejected(self):
+        # loads and rate fit, but 1/2 is not a whole number of units of 1/1
+        g, a = triangle()
+        tree = SteinerTree(frozenset({0, 1}), frozenset({"s", "r1", "r2"}))
+        half = Fraction(1, 2)
+        assert verify_packing(g, a, SteinerPacking(((tree, half),), 2, half))
+        assert not verify_packing(g, a, SteinerPacking(((tree, half),), 1, half))
+        assert not verify_packing(g, a, SteinerPacking(((tree, half),), 3, half))
+        # and the rate must be the sum of the multiplicities
+        assert not verify_packing(g, a, SteinerPacking(((tree, half),), 2, Fraction(1)))
+        # a zero denominator would make every load and rate zero units
+        assert not verify_packing(g, a, SteinerPacking(((tree, half),), 0, half))
+
 
 class TestProperties:
     def test_monotone_in_capacity(self):

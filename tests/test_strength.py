@@ -196,6 +196,17 @@ class TestOracle:
                 g, a = example2_instance(na, slots)
                 _assert_matches_oracle(g, a)
 
+    def test_seed_ties_but_is_not_the_witness(self):
+        # the seed joins v1 to the lower of its two equal blocks: {v0, v1},
+        # {v2} crosses 1 like the optimum, but the least minimizer is
+        # {v0}, {v1, v2}, which the search must still reach
+        g = Multigraph.build(["v0", "v1", "v2"], [("v0", "v1", 1), ("v1", "v2", 1)])
+        a = TerminalSet("v0", ("v2",))
+        eta, witness = edge_strength(g, a)
+        assert eta == 1
+        assert witness == TerminalPartition((frozenset({"v0"}), frozenset({"v1", "v2"})), 1)
+        _assert_matches_oracle(g, a)
+
 
 def _reference_edge_strength(g, a):
     """The search before the incremental recursion: every terminal partition
