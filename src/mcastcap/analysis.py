@@ -129,9 +129,6 @@ def analyze_instance(
     report.num_edges = len(core.edges)
 
     tree_lp = solve_tree_lp(core, a)
-    # the half-integer goal floor(2 * LP) is at least the integer goal
-    # floor(LP), so running it first refuses a goal past the limit before
-    # either search spends time on it
     half, _ = half_integer_capacity(tree_lp)
     k, _ = max_integer_packing(tree_lp)
     lp, _ = fractional_capacity_lp(tree_lp)
@@ -140,6 +137,13 @@ def analyze_instance(
     # the bracket's upper end
     if not eta <= lam:
         raise CertificateError(f"edge strength {eta} exceeds connectivity {lam}")
+    # weak duality: every A-Steiner tree meets each block of a partition with
+    # a terminal in every block, so it crosses a k-block partition at least
+    # k - 1 times, and every packing's rate is at most the partition's eta.
+    # When the bracket is tight the verified packing proves eta minimal and
+    # the verified partition proves the LP rate optimal.
+    if not lp <= eta:
+        raise CertificateError(f"LP rate {lp} exceeds edge strength {eta}")
 
     report.k_int = k
     report.half_rate = half

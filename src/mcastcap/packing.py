@@ -24,9 +24,12 @@ capacities with the goal floor(2 * LP optimum), exact because the LP scales
 linearly, and expands the k/2 multiplicities onto the graph itself.  Every
 solver checks its packing with ``verify_packing`` before returning it.
 
-The branch and bound keeps its path on an explicit stack and is seeded from
-the LP vertex: floor(factor * y_j) copies of each tree j are a packing of
-s trees, so the search starts with s - 1 as the count to beat (not with the
+The integer and half-integer rates start from the LP vertex: floor(factor *
+y_j) copies of each tree j are a packing of s trees, and no packing has more
+than the goal floor(factor * LP optimum).  When s reaches the goal, the
+rounded packing is returned at once, proved optimal by the LP bound.  Only
+when s falls short does the branch and bound run.  It keeps its path on an
+explicit stack and starts with s - 1 as the count to beat (not with the
 rounded packing itself).  The witness is the depth-first first node that
 reaches the optimum k >= s; every node on its path has a bound of at least
 k, above s - 1 and above every count found before it, so the seeded and the
@@ -37,18 +40,8 @@ source-sink cut of its residual must reach need = best + 1 - d, since any k
 edge-disjoint A-Steiner trees give k edge-disjoint source-sink paths.  The
 residual is one pair-capacity map, exact because there is one class per
 vertex pair, updated in place as a tree is taken or put back, and each
-source-sink flow stops at need.  The flows are skipped while no tree on the
-path has been taken more than floor(factor * y_j) times, which one counter
-of such trees tells in O(1).  Then factor * y less the path's counts is a
-fractional packing of the residual of value factor * opt - d, and every
-tree crosses every source-sink cut, so each such cut is at least
-factor * opt - d >= goal - d > best - d whenever best < goal.  Below the
-root that always holds, since a node that reaches the goal ends the search;
-at the root it is checked.  The skip thus keeps exactly the nodes the flows
-keep.  The search visits at most ``MAX_SEARCH_NODES`` nodes.  If they run
-out and s reaches the goal floor(factor * LP optimum), the rounded packing
-is returned, proved optimal by the LP bound; otherwise SearchTooLarge is
-raised.
+source-sink flow stops at need.  A search that visits ``MAX_SEARCH_NODES``
+nodes raises SearchTooLarge.
 """
 
 from __future__ import annotations
@@ -62,9 +55,9 @@ from .errors import CertificateError, SearchTooLarge, TooManyTrees
 from .multigraph import Multigraph, Rate, TerminalSet, edge_component
 
 DEFAULT_TREE_LIMIT = 5000
-# Nodes one branch and bound may visit.  Nodes the LP vertex certifies run
-# no flows; where every node runs them, the budget takes about 0.6 s, some
-# 30 us a node (2-core x86 VM, Python 3.11).
+# Nodes one branch and bound may visit.  Every node runs its flows, so the
+# budget takes about 0.7-1.0 s, some 35-50 us a node (2-core x86 VM,
+# Python 3.11).
 MAX_SEARCH_NODES = 20_000
 
 
@@ -384,13 +377,11 @@ def _expand_packing(
 # -- solvers ---------------------------------------------------------------
 
 
-def _can_beat(
-    res: PairCapacities, source: str, sinks: tuple[str, ...], need: int, certified: bool
-) -> bool:
-    """Whether a branch-and-bound node is kept (module docstring): at once
-    when the LP vertex certifies it, else iff every source-sink flow in the
-    residual pair capacities ``res`` reaches ``need``, each stopped there."""
-    return certified or all(pair_flow(res, source, t, need)[1] is None for t in sinks)
+def _can_beat(res: PairCapacities, source: str, sinks: tuple[str, ...], need: int) -> bool:
+    """Whether a branch-and-bound node is kept (module docstring): iff every
+    source-sink flow in the residual pair capacities ``res`` reaches
+    ``need``, each stopped there."""
+    return all(pair_flow(res, source, t, need)[1] is None for t in sinks)
 
 
 def _branch_and_bound(
@@ -399,34 +390,35 @@ def _branch_and_bound(
     """Most trees of ``lp.trees`` that fit in ``factor`` times the class
     capacities (a tree may repeat), as the count and (tree, copies) pairs.
 
-    Depth-first over the trees, smallest first, on an explicit stack of the
-    next tree to try at each open node.  The LP-rounded packing has
-    s = sum floor(factor * y_j) trees, so the incumbent bound starts at s - 1.
-    A node at depth d is pruned unless it can beat the best found, that is
-    unless every source-sink cut of its residual reaches best + 1 - d, and
-    the search stops once it reaches floor(factor * LP optimum), which bounds
-    every packing because the LP optimum scales linearly with the
-    capacities.  After ``MAX_SEARCH_NODES`` nodes it returns the rounded
-    packing if s reaches that goal, and otherwise raises SearchTooLarge
-    naming ``stage``.
+    The LP-rounded packing has s = sum floor(factor * y_j) trees, and the
+    LP optimum, which scales linearly with the capacities, bounds every
+    packing by goal = floor(factor * LP optimum).  When s reaches the goal
+    the rounded packing is returned.  Otherwise the search runs depth-first
+    over the trees, smallest first, on an explicit stack of the next tree to
+    try at each open node, with the incumbent bound starting at s - 1.  A
+    node at depth d is pruned unless every source-sink cut of its residual
+    reaches best + 1 - d, and the search stops once it reaches the goal.
+    After ``MAX_SEARCH_NODES`` nodes it raises SearchTooLarge naming
+    ``stage``.
     """
     goal = int(factor * lp.opt)  # floor
     rounded = [int(factor * y) for y in lp.y]  # floor
     s = sum(rounded)
+    if s >= goal:
+        return s, [(t, c) for t, c in zip(lp.trees, rounded) if c]
     source, sinks = lp.terminals.source, lp.terminals.sinks
     # residual class capacities, kept in place: one class per vertex pair
     res = {x: {y: factor * c for y, c in nbrs.items()} for x, nbrs in pair_capacities(lp.classes).items()}
     ends = {e.id: (e.u, e.v) for e in lp.classes.edges}
     trees = [[ends[c] for c in sorted(t)] for t in lp.trees]
 
-    # a packing of s trees exists, so the search finds one of more than s - 1
+    # a packing of s trees exists, so the search finds one of more than s - 1;
+    # best < goal, so the root is kept
     best, best_sol = max(s - 1, 0), []
     chosen: list[int] = []
-    copies = [0] * len(trees)
-    over = 0  # trees on the path taken more than floor(factor * y_j) times
     end = len(trees)
     # next tree to try at each open node on the path; a pruned node gets end
-    todo = [0 if _can_beat(res, source, sinks, best + 1, best < goal) else end]
+    todo = [0]
     nodes = 1
     while todo:
         j = todo[-1]
@@ -435,10 +427,7 @@ def _branch_and_bound(
         if j == end:
             todo.pop()
             if chosen:
-                i = chosen.pop()
-                over -= copies[i] == rounded[i] + 1
-                copies[i] -= 1
-                for u, v in trees[i]:
+                for u, v in trees[chosen.pop()]:
                     res[u][v] += 1
                     res[v][u] += 1
             continue
@@ -446,24 +435,19 @@ def _branch_and_bound(
         for u, v in trees[j]:
             res[u][v] -= 1
             res[v][u] -= 1
-        copies[j] += 1
-        over += copies[j] == rounded[j] + 1
         chosen.append(j)
         if len(chosen) > best:
             best, best_sol = len(chosen), list(chosen)
             if best >= goal:
                 break
         if nodes == MAX_SEARCH_NODES:
-            if s < goal:
-                raise SearchTooLarge(
-                    f"{stage} branch and bound used {nodes} nodes, the budget "
-                    f"MAX_SEARCH_NODES = {MAX_SEARCH_NODES}, and its LP-rounded "
-                    f"packing of {s} trees is short of the goal of {goal}"
-                )
-            return s, [(t, c) for t, c in zip(lp.trees, rounded) if c]
+            raise SearchTooLarge(
+                f"{stage} branch and bound used {nodes} nodes, the budget "
+                f"MAX_SEARCH_NODES = {MAX_SEARCH_NODES}, and its LP-rounded "
+                f"packing of {s} trees is short of the goal of {goal}"
+            )
         nodes += 1
-        # best < goal here, so only a tree over its rounded count needs flows
-        keep = _can_beat(res, source, sinks, best + 1 - len(chosen), over == 0)
+        keep = _can_beat(res, source, sinks, best + 1 - len(chosen))
         todo.append(j if keep else end)
 
     counts: dict[int, int] = {}

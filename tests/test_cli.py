@@ -24,6 +24,7 @@ from mcastcap import (
 )
 from mcastcap.cli import main
 from mcastcap.errors import DisconnectedTerminals, InvalidGraph
+from test_packing import counted_bound_evaluations, non_tight_instance
 from test_splitting import k4_with_relay
 
 
@@ -74,6 +75,23 @@ class TestAnalyze:
         first = capsys.readouterr().out
         main(["analyze", cycle_file, "--format", "structured"])
         assert capsys.readouterr().out == first
+
+    def test_non_tight_bracket(self, tmp_path, capsys):
+        path = tmp_path / "non_tight.json"
+        path.write_text(dump_instance(*non_tight_instance()))
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "instance: |V|=7 |E|=9 |A|=4 lambda(A)=2\n"
+            "integer packing k        = 1\n"
+            "half-integer rate        = 3/2\n"
+            "fractional rate (LP)     = 9/5\n"
+            "edge strength eta        = 2\n"
+            "gamma bracket            = [9/5, 2]\n"
+            "bound table:\n"
+            "  general half-integer lower bound           1\n"
+            "  general fractional lower bound             4/3 (limit)\n"
+            "  general fractional gain bound              3/2 (limit)\n"
+        )
 
     def test_short_circuit(self, tmp_path, capsys):
         path = tmp_path / "path.json"
@@ -174,14 +192,14 @@ WITNESS_DIGESTS = {
         "007af5af56f1938923d98a4d2d3912f278bd07fb2b71ec4faa256bcd5f313059",
     ),
     "draw3": (
-        "a5233c5222920d596fbd64466e594c342d3a77f31d8989925c9699ab4e9b8d23",
-        "243f5cac381081eefb313e4edf735c78d33a15b087e4b0af1f7aa0c9a6809162",
+        "391e91d8bc018fbdaa8f626835a5cdc7539729fff8e06124d1f3877b4dc678fe",
+        "afcacd4b68e43319512f67a7df91a325ddf37420cc7d9fa85d85104eb7a14398",
         "cb1089111d2239957df92dadf680b78fe08df8de9514ad7367ca578e09eb52e6",
         "19565d4c0c9201e0afe86a0ca3a98cffe606454042d4c95ba71a2e393e5354d8",
     ),
     "draw4": (
-        "0c3edfb909e840618900603bea180285eb28704c90dda2bf018960d741f50657",
-        "45605ec29cde4865111359d313212acee111f33305f16a629e8fa07aee523a7d",
+        "d75f95cb8dc311f2f8974d61bccc81dc21b3eeaa5d6ae048cee7b5f23dbb28a2",
+        "6ed89305cbb3291c0c70dc2337d38e39ac7d9840abc347ff5b617003ebd5556f",
         "96bcd913456187f2bc4f8e81f85b71fe6e71537fa51dc8ee2bda633482018ba1",
         "df6314cd838409eea55522d0b2bf57982d58a85792ca5e6d1459418a3aa36e2a",
     ),
@@ -424,17 +442,20 @@ class TestErrors:
         assert json.loads(capsys.readouterr().out)[key] == "500"
 
     @pytest.mark.parametrize("argv, key", HALF_RATE_COMMANDS)
-    def test_budget_ends_search_the_rounding_solves(self, tmp_path, capsys, argv, key):
+    def test_rounded_lp_vertex_at_goal_runs_no_search(self, tmp_path, capsys, monkeypatch, argv, key):
         # the x3 copy of the second n=10 sample draw: rounding the LP vertex
-        # reaches the goal, but the depth-first search alone takes 453395
-        # nodes at factor 1 and did not finish in 7 minutes at factor 2
+        # reaches the goal at factors 1 and 2, while the depth-first search
+        # alone takes 453395 nodes at factor 1 and did not finish in 7
+        # minutes at factor 2
         g, a = list(sample_instances(5, 10, 10, 4, 0))[1]
         path = tmp_path / "draw2x3.json"
         path.write_text(dump_instance(scale_capacities(g, 3), a))
+        calls = counted_bound_evaluations(monkeypatch)
         start = time.perf_counter()
         # exit 0 also means the packing passed verify_packing
         assert main([argv[0], str(path), *argv[1:]]) == 0
-        assert time.perf_counter() - start < 60
+        assert time.perf_counter() - start < 10
+        assert calls == []
         assert json.loads(capsys.readouterr().out)[key] == "8"
 
     def test_tree_limit(self, tmp_path, capsys):
@@ -522,6 +543,12 @@ class TestCertificateChecks:
         proc = _run_faulty("splitting.pair_flow", "over-report", argv[0], cycle_file, *argv[1:])
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure" in proc.stderr
+
+    def test_over_reported_lp_rate_breaks_weak_duality(self, cycle_file):
+        # the LP rate 5/4 reported as 9/4 exceeds eta = 5/4 on the a = 5 cycle
+        proc = _run_faulty("analysis.fractional_capacity_lp", "over-report", "analyze", cycle_file)
+        assert proc.returncode == 4, proc.stderr
+        assert "certificate failure: LP rate 9/4 exceeds edge strength 5/4" in proc.stderr
 
     @pytest.mark.parametrize("argv", [["split"], ["analyze", "--via-splitting"]])
     def test_missing_split_partner_is_a_certificate_failure(self, cycle_file, argv):

@@ -338,14 +338,13 @@ class TestSharedSolve:
 
 
 def counted_bound_evaluations(monkeypatch):
-    """Record each branch-and-bound node's bound check from now on: True
-    where the LP vertex certified the node, False where it ran flows."""
+    """Count the branch-and-bound nodes that check their bound from now on."""
     calls = []
     original = packing._can_beat
 
-    def counted(res, source, sinks, need, certified):
-        calls.append(certified)
-        return original(res, source, sinks, need, certified)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
     monkeypatch.setattr(packing, "_can_beat", counted)
     return calls
@@ -371,46 +370,48 @@ class TestDepthGuard:
             r"and its LP-rounded packing of 3 trees is short of the goal of 5",
         ):
             half_integer_capacity(lp)
-        assert len(calls) == 4
+        # the root is kept without a check
+        assert len(calls) == 3
 
     def test_budget_exhausted_at_goal_returns_rounded_packing(self, monkeypatch):
+        # a budget of one node is enough: where rounding meets the goal no
+        # search runs
         g, a = k4_with_relay(16)
         lp = solve_tree_lp(g, a)
-        monkeypatch.setattr(packing, "MAX_SEARCH_NODES", 10)
+        monkeypatch.setattr(packing, "MAX_SEARCH_NODES", 1)
         calls = counted_bound_evaluations(monkeypatch)
         for factor, solve in ((1, max_integer_packing), (2, half_integer_capacity)):
-            calls.clear()
             # floor(factor * y_j) copies of tree j
             rounded = [(t, Fraction(int(factor * y))) for t, y in zip(lp.trees, lp.y) if int(factor * y)]
             assert packing._branch_and_bound(lp, factor, "test") == (factor * 40, rounded)
-            assert len(calls) == 10
             value, p = solve(lp)
             assert value == p.rate == 40 and verify_packing(g, a, p)
+        assert calls == []
 
     def test_seeded_search_walks_straight_to_the_goal(self, monkeypatch):
+        # rounding the LP vertex meets the goal, so no node checks its bound
         calls = counted_bound_evaluations(monkeypatch)
         g, a = k4_with_relay(16)
         value, p = half_integer_capacity(solve_tree_lp(g, a))
-        # the root and one node per tree up to the goal of 80
-        assert value == 40 and verify_packing(g, a, p) and len(calls) <= 81
-        # the LP vertex certifies the nodes on its rounded packing's path
-        assert calls.count(False) < len(calls)
+        assert value == 40 and verify_packing(g, a, p)
         # half-integer goal 1000
-        calls.clear()
         report = analyze_instance(*k4_with_relay(200))
         assert report.k_int == report.half_rate == 500
-        assert len(calls) <= 501 + 1001 and calls.count(False) <= 2
+        assert calls == []
 
     def test_largest_admitted_instances_pack(self):
         # K4 + relay x1000 aims for 5000 half-integer trees
         g, a = k4_with_relay(1000)
         value, p = half_integer_capacity(solve_tree_lp(g, a))
         assert value == 2500 and verify_packing(g, a, p)
-        # 990 trees deep: the search keeps its path on a list, not on the
-        # interpreter stack
-        g = Multigraph.build(["s", "t"], [("s", "t", 495)])
-        value, p = half_integer_capacity(solve_tree_lp(g, TerminalSet("s", ("t",))))
-        assert value == 495 and p.trees[0][1] == 495
+        # the all-terminal triangle of capacity 661: the rounded LP vertex
+        # packs 990 of the 991 trees, so the search goes 991 deep and keeps
+        # its path on a list, not on the interpreter stack
+        g = Multigraph.build(["s", "t1", "t2"], [("s", "t1", 661), ("t1", "t2", 661), ("t2", "s", 661)])
+        lp = solve_tree_lp(g, TerminalSet("s", ("t1", "t2")))
+        assert sum(int(y) for y in lp.y) == 990 < int(lp.opt) == 991
+        value, p = max_integer_packing(lp)
+        assert value == 991 and verify_packing(g, lp.terminals, p)
 
 
 def reference_mincut(classes, res, source, sinks):
@@ -430,7 +431,7 @@ def reference_mincut(classes, res, source, sinks):
 
 def reference_branch_and_bound(lp, factor):
     """The unseeded branch and bound, with no node budget and no LP-vertex
-    skip: the search starts from an incumbent of 0 trees and bounds every
+    answer: the search starts from an incumbent of 0 trees and bounds every
     node by its count plus the residual min cut."""
     goal = int(factor * lp.opt)
     classes = lp.classes.edges
@@ -502,7 +503,14 @@ def assert_matches_unseeded_search(g, a):
     lp = solve_tree_lp(g, a)
     for factor in (1, 2):
         got = packing._branch_and_bound(lp, factor, "test")
-        assert got == reference_branch_and_bound(lp, factor)
+        want = reference_branch_and_bound(lp, factor)
+        assert got[0] == want[0]
+        # the rounded LP vertex answers where it meets the goal, the search elsewhere
+        rounded = [(t, int(factor * y)) for t, y in zip(lp.trees, lp.y) if int(factor * y)]
+        if sum(c for _, c in rounded) >= int(factor * lp.opt):
+            assert got[1] == rounded
+        else:
+            assert got[1] == want[1]
         # c trees in factor times the capacities are c / factor on g itself
         want = reference_expand_packing(g, [(t, Fraction(c, factor)) for t, c in got[1]], lp.members)
         assert packing._expand_packing(lp, got[1], factor, "test") == replace(want, denominator=factor)
@@ -534,30 +542,26 @@ def test_solvers_refuse_what_fails_their_check(monkeypatch):
         edge_strength(g, a)
 
 
-def check_lp_vertex_skips(monkeypatch):
-    """From now on, every node the LP vertex certifies must be one the
-    flows keep too."""
-    original = packing._can_beat
-
-    def checked(res, source, sinks, need, certified):
-        if certified:
-            assert original(res, source, sinks, need, False)
-        return original(res, source, sinks, need, certified)
-
-    monkeypatch.setattr(packing, "_can_beat", checked)
+def non_tight_instance():
+    """Four terminals joined through three relays by unit edges: LP 9/5
+    against eta 2, a non-tight bracket.  Rounding the LP vertex packs no
+    tree, so both searches run."""
+    edges = [("t0", "r0"), ("t0", "r1"), ("t0", "r2"), ("t1", "r1"), ("t1", "r2"),
+             ("t2", "r0"), ("t2", "r1"), ("t3", "r0"), ("t3", "r2")]
+    g = Multigraph.build(["t0", "t1", "t2", "t3", "r0", "r1", "r2"], [(u, v, 1) for u, v in edges])
+    return g, TerminalSet("t0", ("t1", "t2", "t3"))
 
 
 class TestSeededSearchOracle:
-    def test_small_multigraphs(self, monkeypatch):
-        check_lp_vertex_skips(monkeypatch)
+    def test_small_multigraphs(self):
         for g, names in _small_connected_multigraphs():
             n = len(names)
             for ts in ((0, n - 1), tuple(range(n))):
                 assert_matches_unseeded_search(g, TerminalSet(names[ts[0]], tuple(names[i] for i in ts[1:])))
 
-    def test_benchmark_samples_and_their_split_graphs(self, monkeypatch):
-        check_lp_vertex_skips(monkeypatch)
-        for g, a in list(sample_instances(20, 8, 6, 3, 0)) + list(sample_instances(5, 10, 10, 4, 0)):
+    def test_benchmark_samples_and_their_split_graphs(self):
+        samples = list(sample_instances(20, 8, 6, 3, 0)) + list(sample_instances(5, 10, 10, 4, 0))
+        for g, a in samples + [non_tight_instance()]:
             core = prune_to_core(g, a)
             assert_matches_unseeded_search(core, a)
             assert_matches_unseeded_search(with_parallel_edge(core), a)
