@@ -1,13 +1,16 @@
 """Exact max-flow / min-cut on undirected multigraphs.
 
-One augmenting-path kernel, ``pair_flow``, serves every flow in the package.
-It runs on vertex-pair capacities (``adj[x][y]`` sums all x-y edges, stored
-both ways), so a bundle of parallel edges is one residual entry; an
-undirected pair of capacity c carries up to c units of net flow either way.
-A flow may be stopped at a target value: callers that only ask whether a cut
-reaches the target pay for no more.  A flow not stopped is maximum, and its
-residual-reachable set is the unique minimal source side of a minimum cut,
-whichever augmenting paths were found.  All values are integers.
+One augmenting-path kernel, ``pair_flow``, serves every flow in the package,
+and ``checked_flow`` is its only caller.  It runs on vertex-pair capacities
+(``adj[x][y]`` sums all x-y edges, stored both ways), so a bundle of
+parallel edges is one residual entry; an undirected pair of capacity c
+carries up to c units of net flow either way.  A flow may be stopped at a
+target value: callers that only ask whether a cut reaches the target pay for
+no more.  A flow not stopped is maximum, and its residual-reachable set is
+the unique minimal source side of a minimum cut, whichever augmenting paths
+were found; ``checked_flow`` refuses it unless that cut separates its ends
+and carries its value.
+All values are integers.
 """
 
 from __future__ import annotations
@@ -77,6 +80,18 @@ def pair_flow(
     return value, None
 
 
+def checked_flow(
+    adj: PairCapacities, s: str, t: str, limit: int | None = None
+) -> tuple[int, frozenset[str] | None]:
+    """``pair_flow`` whose cut, when the flow is maximum, must separate s
+    from t and carry its value: a flow that falls short of ``limit`` then
+    proves λ(s, t) < limit."""
+    value, side = pair_flow(adj, s, t, limit)
+    if side is not None and (s not in side or t in side or cut_capacity(adj, side) != value):
+        raise CertificateError(f"flow value {value} from {s!r} to {t!r} does not match a cut between them")
+    return value, side
+
+
 def max_flow(g: Multigraph, u: str, v: str) -> tuple[int, CutCertificate]:
     """Min-cut capacity between u and v with a verifying cut certificate."""
     if u not in g.vertices:
@@ -86,16 +101,16 @@ def max_flow(g: Multigraph, u: str, v: str) -> tuple[int, CutCertificate]:
     if u == v:
         raise SameVertex("max_flow endpoints must differ")
 
-    value, side = pair_flow(pair_capacities(g), u, v)
-    crossing = [e for e in g.edges if (e.u in side) != (e.v in side)]
-    cut_cap = sum(e.cap for e in crossing)
-    if cut_cap != value:
-        raise CertificateError(f"max-flow value {value} differs from its cut {cut_cap}")
-    return value, CutCertificate(value, side, tuple(sorted(e.id for e in crossing)))
+    value, side = checked_flow(pair_capacities(g), u, v)
+    crossing = tuple(sorted(e.id for e in g.edges if (e.u in side) != (e.v in side)))
+    return value, CutCertificate(value, side, crossing)
 
 
 def terminal_connectivity(g: Multigraph, a: TerminalSet) -> int:
     """Minimum pairwise min-cut over terminal pairs, from the source's flows
     alone: every x-y cut separates s from x or y, so λ(x, y) ≥ min(λ(s, x), λ(s, y))."""
-    return min(max_flow(g, a.source, t)[0] for t in a.sinks)
-
+    for x in (a.source, *a.sinks):
+        if x not in g.vertices:
+            raise UnknownVertex(f"no vertex {x!r}")
+    adj = pair_capacities(g)
+    return min(checked_flow(adj, a.source, t)[0] for t in a.sinks)

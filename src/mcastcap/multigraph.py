@@ -95,10 +95,6 @@ class Multigraph:
         e = Edge(self.next_id(), u, v, cap)
         return Multigraph(self.vertices, self.edges + (e,))
 
-    def without_edges(self, eids) -> "Multigraph":
-        eids = set(eids)
-        return Multigraph(self.vertices, tuple(e for e in self.edges if e.id not in eids))
-
     def without_vertices(self, vs) -> "Multigraph":
         vs = set(vs)
         return Multigraph(

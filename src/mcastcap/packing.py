@@ -22,7 +22,8 @@ each solver takes only that solve, which names its graph and terminals.
 The half-integer packing runs the integer branch and bound on doubled class
 capacities with the goal floor(2 * LP optimum), exact because the LP scales
 linearly, and expands the k/2 multiplicities onto the graph itself.  Every
-solver checks its packing with ``verify_packing`` before returning it.
+solver checks its packing with ``verify_packing``, and that the packing's
+rate is the value it reports, before returning it.
 
 The integer and half-integer rates start from the LP vertex: floor(factor *
 y_j) copies of each tree j are a packing of s trees, and no packing has more
@@ -40,8 +41,10 @@ source-sink cut of its residual must reach need = best + 1 - d, since any k
 edge-disjoint A-Steiner trees give k edge-disjoint source-sink paths.  The
 residual is one pair-capacity map, exact because there is one class per
 vertex pair, updated in place as a tree is taken or put back, and each
-source-sink flow stops at need.  A search that visits ``MAX_SEARCH_NODES``
-nodes raises SearchTooLarge.
+source-sink flow stops at need.  A flow that falls short of need prunes the
+node only with a residual cut that separates source from sink and carries
+the flow's value (``checked_flow``), which proves that cut below need.  A
+search that visits ``MAX_SEARCH_NODES`` nodes raises SearchTooLarge.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .connectivity import PairCapacities, pair_capacities, pair_flow
+from .connectivity import PairCapacities, checked_flow, pair_capacities
 from .errors import CertificateError, SearchTooLarge, TooManyTrees
 from .multigraph import Multigraph, Rate, TerminalSet, edge_component
 
@@ -326,16 +329,17 @@ def solve_tree_lp(g: Multigraph, a: TerminalSet) -> TreeLP:
 
 
 def _expand_packing(
-    lp: TreeLP, units: list[tuple[frozenset[int], int]], scale: int, stage: str
+    lp: TreeLP, units: list[tuple[frozenset[int], int]], scale: int, stage: str, value: Rate
 ) -> SteinerPacking:
     """Distribute class multiplicities, given in units of 1/scale, over
     concrete parallel copies so every edge id's load stays within its own
-    capacity in ``lp.graph``, and check the result with ``verify_packing``.
-    The packing's denominator is ``scale``.
+    capacity in ``lp.graph``, and check the result with ``verify_packing``
+    and against the solver's reported ``value``.  The packing's denominator
+    is ``scale``.
 
     Each piece of a tree takes, in every class, the first copy with room
     left.  Room only shrinks, so a per-class cursor never moves backwards.
-    A packing that fails its check raises CertificateError naming ``stage``.
+    A packing that fails either check raises CertificateError naming ``stage``.
     """
     g, members = lp.graph, lp.members
     by_id = {e.id: e for e in g.edges}
@@ -371,6 +375,8 @@ def _expand_packing(
     packing = SteinerPacking(trees, scale, Fraction(sum(slices.values()), scale))
     if not verify_packing(g, lp.terminals, packing):
         raise CertificateError(f"{stage} packing failed verification")
+    if packing.rate != value:
+        raise CertificateError(f"{stage} packing rate {packing.rate} differs from its value {value}")
     return packing
 
 
@@ -381,7 +387,7 @@ def _can_beat(res: PairCapacities, source: str, sinks: tuple[str, ...], need: in
     """Whether a branch-and-bound node is kept (module docstring): iff every
     source-sink flow in the residual pair capacities ``res`` reaches
     ``need``, each stopped there."""
-    return all(pair_flow(res, source, t, need)[1] is None for t in sinks)
+    return all(checked_flow(res, source, t, need)[1] is None for t in sinks)
 
 
 def _branch_and_bound(
@@ -460,14 +466,15 @@ def max_integer_packing(lp: TreeLP) -> tuple[int, SteinerPacking]:
     """Exact maximum number of edge-disjoint A-Steiner trees of the solved
     graph, with its checked packing."""
     k, counts = _branch_and_bound(lp, 1, "integer")
-    return k, _expand_packing(lp, counts, 1, "integer")
+    return k, _expand_packing(lp, counts, 1, "integer", k)
 
 
 def half_integer_capacity(lp: TreeLP) -> tuple[Rate, SteinerPacking]:
     """Most trees in doubled capacities, halved: the half-integer rate and
     its checked packing of denominator 2 on the solved graph."""
     k2, counts = _branch_and_bound(lp, 2, "half-integer")
-    return Fraction(k2, 2), _expand_packing(lp, counts, 2, "half-integer")
+    rate = Fraction(k2, 2)
+    return rate, _expand_packing(lp, counts, 2, "half-integer", rate)
 
 
 def fractional_capacity_lp(lp: TreeLP) -> tuple[Rate, SteinerPacking]:
@@ -475,10 +482,7 @@ def fractional_capacity_lp(lp: TreeLP) -> tuple[Rate, SteinerPacking]:
     with its checked packing."""
     scale = lcm(1, *(y.denominator for y in lp.y))
     units = [(t, int(y * scale)) for t, y in zip(lp.trees, lp.y) if y > 0]
-    packing = _expand_packing(lp, units, scale, "fractional")
-    if packing.rate != lp.opt:
-        raise CertificateError(f"packing rate {packing.rate} differs from LP optimum {lp.opt}")
-    return lp.opt, packing
+    return lp.opt, _expand_packing(lp, units, scale, "fractional", lp.opt)
 
 
 def verify_packing(g: Multigraph, a: TerminalSet, p: SteinerPacking) -> bool:

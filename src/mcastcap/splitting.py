@@ -84,7 +84,7 @@ from .errors import (
     NotIncident,
     OddDegree,
 )
-from .connectivity import PairCapacities, cut_capacity, pair_capacities, pair_flow
+from .connectivity import PairCapacities, checked_flow, cut_capacity, pair_capacities
 from .multigraph import (
     Edge,
     Multigraph,
@@ -169,14 +169,6 @@ def split_off(
     return Multigraph(g.vertices, tuple(edges)), SplitEvent(x, e_id, r, f_id, t, new_id, amount)
 
 
-def _checked_flow(adj: PairCapacities, s: str, t: str, limit: int | None = None):
-    """``pair_flow`` whose cut, when the flow is maximum, must carry its value."""
-    value, side = pair_flow(adj, s, t, limit)
-    if side is not None and cut_capacity(adj, side) != value:
-        raise CertificateError(f"flow value {value} from {s!r} to {t!r} differs from its cut")
-    return value, side
-
-
 def _cut_targets(g: Multigraph, x: str) -> list[tuple[str, str, int, frozenset[str]]]:
     """Cut value and certified minimal source side of the n - 2 pairs of
     Gusfield's equivalent-flow tree over V - x (module docstring)."""
@@ -186,7 +178,7 @@ def _cut_targets(g: Multigraph, x: str) -> list[tuple[str, str, int, frozenset[s
     tree = []
     for i, s in enumerate(nodes[1:], 1):
         t = parent[s]
-        value, side = _checked_flow(adj, s, t)
+        value, side = checked_flow(adj, s, t)
         tree.append((s, t, value, side))
         for u in nodes[i + 1:]:
             if parent[u] == t and u in side:
@@ -198,7 +190,7 @@ def _keeps_targets(adj: PairCapacities, targets) -> bool:
     """True iff the split graph's pair capacities ``adj`` keep every target
     cut value; stops at the first pair that falls short."""
     for u, v, target, side in targets:
-        if _checked_flow(adj, u, v, target)[1] is not None:
+        if checked_flow(adj, u, v, target)[1] is not None:
             return False
         if cut_capacity(adj, side) != target:
             raise CertificateError(f"target side of {u!r}-{v!r} does not cut {target} after the split")

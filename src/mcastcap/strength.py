@@ -21,7 +21,7 @@ incumbent best_num / best_den:
 - A partial terminal partition with ``blocks`` blocks and terminals i..
   still to place.  A completion in which j of them open new blocks has
   k = blocks + j >= 2 blocks and crosses at least max(fixed + S_j, k*lam/2),
-  with lam = λ(A) from |A| - 1 flows in this search:
+  with lam = λ(A) from ``terminal_connectivity``, called in this search:
   * an opener's edges to every earlier terminal cross; each such edge is
     counted at its later end, so these sets are disjoint from each other
     and from ``fixed``, and the openers add at least S_j
@@ -34,7 +34,8 @@ incumbent best_num / best_den:
   at most blocks + unplaced - 1, this dominates the plain bound
   ``fixed / (blocks + unplaced - 1)``.  λ is computed here, not taken from
   the caller: a λ too large would prune the optimum, and
-  ``verify_partition`` cannot notice.
+  ``verify_partition`` cannot notice.  ``terminal_connectivity`` checks
+  each of its flows against the flow's own residual cut.
 - A full one: each relay costs at least its capacity to every block but the
   one it has most capacity to, so it is skipped when ``fixed`` plus those
   least costs is above the incumbent.
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .connectivity import pair_capacities, pair_flow
+from .connectivity import pair_capacities, terminal_connectivity
 from .errors import CertificateError, TooManyPartitions, TooManyVertices
 from .multigraph import Multigraph, Rate, TerminalSet
 
@@ -115,8 +116,8 @@ def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartitio
             f"(Bell({len(a.members)})), more than the limit "
             f"MAX_TERMINAL_PARTITIONS = {MAX_TERMINAL_PARTITIONS}"
         )
+    lam = terminal_connectivity(g, a)
     adj = pair_capacities(g)
-    lam = min(pair_flow(adj, a.source, t)[0] for t in a.sinks)
     terms = sorted(a.members)
     relays = sorted(g.vertices - a.members)
     t_index = {t: i for i, t in enumerate(terms)}

@@ -497,7 +497,14 @@ def over_report(original):
         return value + 1, side
     return faulty
 
-FAULTS = {"fail": lambda original: lambda *args: False, "over-report": over_report}
+def fall_short(original):
+    # a flow stopped at its limit reports one unit less, cut around the source alone
+    def faulty(adj, s, t, limit=None):
+        value, side = original(adj, s, t, limit)
+        return (limit - 1, frozenset({s})) if side is None else (value, side)
+    return faulty
+
+FAULTS = {"fail": lambda original: lambda *args: False, "over-report": over_report, "fall-short": fall_short}
 module_name, name = sys.argv[1].rsplit(".", 1)
 module = importlib.import_module(f"mcastcap.{module_name}")
 setattr(module, name, FAULTS[sys.argv[2]](getattr(module, name)))
@@ -539,10 +546,40 @@ class TestCertificateChecks:
 
     @pytest.mark.parametrize("argv", [["split"], ["analyze", "--via-splitting"]])
     def test_split_certificate_survives_optimize(self, cycle_file, argv):
-        # the flow kernel over-reports only inside the splitting search
-        proc = _run_faulty("splitting.pair_flow", "over-report", argv[0], cycle_file, *argv[1:])
+        # every flow runs through the one checked kernel
+        proc = _run_faulty("connectivity.pair_flow", "over-report", argv[0], cycle_file, *argv[1:])
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure" in proc.stderr
+
+    def test_over_reported_strength_flow_is_refused(self, tmp_path):
+        # eta = 2 here; a lambda one too large prunes the optimum and prints 5/2
+        path = tmp_path / "n8.json"
+        path.write_text(dump_instance(*list(sample_instances(40, 8, 6, 3, 0))[4]))
+        proc = _run_faulty("connectivity.pair_flow", "over-report", "strength", str(path))
+        assert proc.returncode == 4, proc.stderr
+        assert "certificate failure: flow value" in proc.stderr
+
+    def test_prune_flow_falling_short_is_refused(self, tmp_path):
+        # the x3 copy of bench request random-n8-02 packs 7 trees; prune flows
+        # that fall short would end the search at the seed count 4, with no trees
+        g, a = list(sample_instances(20, 8, 6, 3, 0))[2]
+        path = tmp_path / "n8x3.json"
+        path.write_text(dump_instance(scale_capacities(g, 3), a))
+        proc = _run_faulty("connectivity.pair_flow", "fall-short", "pack", str(path))
+        assert proc.returncode == 4, proc.stderr
+        assert "certificate failure: flow value" in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pack"], "integer packing rate 1 differs from its value 2"),
+        (["pack", "--mode", "half"], "half-integer packing rate 1 differs from its value 3/2"),
+        (["analyze"], "half-integer packing rate 1 differs from its value 3/2"),
+    ], ids=["int", "half", "analyze"])
+    def test_over_reported_packing_value_is_refused(self, cycle_file, argv, message):
+        # the a = 5 cycle packs one tree, at integer and half-integer rate alike;
+        # analyze runs the half-integer packing first
+        proc = _run_faulty("packing._branch_and_bound", "over-report", argv[0], cycle_file, *argv[1:])
+        assert proc.returncode == 4, proc.stderr
+        assert f"certificate failure: {message}" in proc.stderr
 
     def test_over_reported_lp_rate_breaks_weak_duality(self, cycle_file):
         # the LP rate 5/4 reported as 9/4 exceeds eta = 5/4 on the a = 5 cycle

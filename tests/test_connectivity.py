@@ -11,8 +11,9 @@ from mcastcap import (
     max_flow,
     terminal_connectivity,
 )
+from mcastcap import connectivity
 from mcastcap.connectivity import pair_capacities, pair_flow
-from mcastcap.errors import SameVertex, UnknownVertex
+from mcastcap.errors import CertificateError, SameVertex, UnknownVertex
 from mcastcap.multigraph import components
 from test_splitting import unit_form
 
@@ -111,6 +112,19 @@ class TestTerminalConnectivity:
         big = TerminalSet("v0", ("v1", "v2", "v3"))
         small = TerminalSet("v0", ("v1",))
         assert terminal_connectivity(g, small) >= terminal_connectivity(g, big)
+
+    def test_unknown_terminal(self):
+        with pytest.raises(UnknownVertex):
+            terminal_connectivity(cycle(3), TerminalSet("v0", ("v1", "zz")))
+
+
+def test_checked_flow_needs_a_cut_that_carries_its_value(monkeypatch):
+    adj = pair_capacities(cycle(4))
+    # the value off its cut, a cut holding the sink, a cut missing the source
+    for fault in ((3, frozenset({"v0"})), (0, frozenset(adj)), (2, frozenset({"v2"}))):
+        monkeypatch.setattr(connectivity, "pair_flow", lambda *args, out=fault: out)
+        with pytest.raises(CertificateError, match="does not match a cut between them"):
+            connectivity.checked_flow(adj, "v0", "v2")
 
 
 class TestCutEdge:

@@ -513,7 +513,8 @@ def assert_matches_unseeded_search(g, a):
             assert got[1] == want[1]
         # c trees in factor times the capacities are c / factor on g itself
         want = reference_expand_packing(g, [(t, Fraction(c, factor)) for t, c in got[1]], lp.members)
-        assert packing._expand_packing(lp, got[1], factor, "test") == replace(want, denominator=factor)
+        expanded = packing._expand_packing(lp, got[1], factor, "test", Fraction(got[0], factor))
+        assert expanded == replace(want, denominator=factor)
     solution = [(t, y) for t, y in zip(lp.trees, lp.y) if y > 0]
     assert fractional_capacity_lp(lp)[1] == reference_expand_packing(g, solution, lp.members)
 
@@ -522,7 +523,7 @@ def test_expand_packing_over_class_capacity_is_a_fault():
     g = Multigraph.build(["s", "t"], [("s", "t", 1)])
     lp = solve_tree_lp(g, TerminalSet("s", ("t",)))
     with pytest.raises(CertificateError, match="accounting"):
-        packing._expand_packing(lp, [(frozenset({0}), 2)], 1, "test")
+        packing._expand_packing(lp, [(frozenset({0}), 2)], 1, "test", 2)
 
 
 def test_solvers_refuse_what_fails_their_check(monkeypatch):
@@ -540,6 +541,24 @@ def test_solvers_refuse_what_fails_their_check(monkeypatch):
     monkeypatch.setattr(strength, "verify_partition", lambda *args: False)
     with pytest.raises(CertificateError, match="^edge strength witness failed verification$"):
         edge_strength(g, a)
+
+
+def test_solvers_refuse_a_value_their_packing_does_not_carry(monkeypatch):
+    g, a = complete4()
+    lp = solve_tree_lp(g, a)
+    search = packing._branch_and_bound
+
+    def over_report(*args):
+        k, counts = search(*args)
+        return k + 1, counts
+
+    monkeypatch.setattr(packing, "_branch_and_bound", over_report)
+    with pytest.raises(CertificateError, match="^integer packing rate 2 differs from its value 3$"):
+        max_integer_packing(lp)
+    with pytest.raises(CertificateError, match="^half-integer packing rate 2 differs from its value 5/2$"):
+        half_integer_capacity(lp)
+    with pytest.raises(CertificateError, match="^fractional packing rate 2 differs from its value 3$"):
+        fractional_capacity_lp(replace(lp, opt=lp.opt + 1))
 
 
 def non_tight_instance():

@@ -397,8 +397,8 @@ class TestTreeTargets:
 
     def test_fewer_flows_than_all_pairs(self, monkeypatch):
         calls, per_pivot = [], []
-        flow, cut_targets = splitting.pair_flow, splitting._cut_targets
-        monkeypatch.setattr(splitting, "pair_flow", lambda *args: calls.append(args) or flow(*args))
+        flow, cut_targets = splitting.checked_flow, splitting._cut_targets
+        monkeypatch.setattr(splitting, "checked_flow", lambda *args: calls.append(args) or flow(*args))
 
         def count_targets(g, x):
             before = len(calls)

@@ -51,3 +51,9 @@ def test_solvers_alone_check_their_results():
     # analysis keeps verify_packing only for the lifted packing it builds
     assert not _names("cli") & {"verify_packing", "verify_partition"}
     assert "verify_partition" not in _names("analysis")
+
+
+def test_every_flow_is_checked():
+    # checked_flow is the one caller of the flow kernel, so no flow goes unchecked
+    users = [p.stem for p in sorted(PACKAGE.glob("*.py")) if "pair_flow" in _names(p.stem)]
+    assert users == ["connectivity"], f"modules referring to pair_flow: {users}"
