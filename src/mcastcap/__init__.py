@@ -13,19 +13,13 @@ from .multigraph import (
     scale_capacities,
     validate,
 )
-from .connectivity import (
-    CutCertificate,
-    max_flow,
-    terminal_connectivity,
-)
+from .connectivity import terminal_connectivity
 from .splitting import (
     SplitEvent,
     SplitHistory,
     eliminate_relays,
-    is_admissible,
     lift_packing,
     split_off,
-    suitable_complete_splitting,
 )
 from .packing import (
     SteinerPacking,

@@ -17,19 +17,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
-from .errors import CertificateError, SameVertex, UnknownVertex
+from .errors import CertificateError, UnknownVertex
 from .multigraph import Multigraph, TerminalSet
 
 PairCapacities = dict[str, dict[str, int]]
-
-
-@dataclass(frozen=True)
-class CutCertificate:
-    value: int
-    side: frozenset[str]
-    crossing: tuple[int, ...]
 
 
 def pair_capacities(g: Multigraph) -> PairCapacities:
@@ -90,20 +82,6 @@ def checked_flow(
     if side is not None and (s not in side or t in side or cut_capacity(adj, side) != value):
         raise CertificateError(f"flow value {value} from {s!r} to {t!r} does not match a cut between them")
     return value, side
-
-
-def max_flow(g: Multigraph, u: str, v: str) -> tuple[int, CutCertificate]:
-    """Min-cut capacity between u and v with a verifying cut certificate."""
-    if u not in g.vertices:
-        raise UnknownVertex(f"no vertex {u!r}")
-    if v not in g.vertices:
-        raise UnknownVertex(f"no vertex {v!r}")
-    if u == v:
-        raise SameVertex("max_flow endpoints must differ")
-
-    value, side = checked_flow(pair_capacities(g), u, v)
-    crossing = tuple(sorted(e.id for e in g.edges if (e.u in side) != (e.v in side)))
-    return value, CutCertificate(value, side, crossing)
 
 
 def terminal_connectivity(g: Multigraph, a: TerminalSet) -> int:

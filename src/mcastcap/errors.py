@@ -25,20 +25,12 @@ class UnknownEdge(McastcapError):
     pass
 
 
-class SameVertex(McastcapError):
-    pass
-
-
 class NotIncident(McastcapError):
     """The two edges do not share an endpoint (or the requested pivot)."""
 
 
 class CutEdgeAtPivot(McastcapError):
     """A cut-edge is incident to the splitting pivot."""
-
-
-class OddDegree(McastcapError):
-    """Pivot has odd capacity degree; scale capacities by 2 first."""
 
 
 class InvalidPacking(McastcapError):

@@ -95,13 +95,6 @@ class Multigraph:
         e = Edge(self.next_id(), u, v, cap)
         return Multigraph(self.vertices, self.edges + (e,))
 
-    def without_vertices(self, vs) -> "Multigraph":
-        vs = set(vs)
-        return Multigraph(
-            frozenset(self.vertices - vs),
-            tuple(e for e in self.edges if e.u not in vs and e.v not in vs),
-        )
-
     def restrict(self, vs) -> "Multigraph":
         """Induced subgraph on the vertex set ``vs``."""
         vs = frozenset(vs)
@@ -178,8 +171,8 @@ def validate(g: Multigraph, a: TerminalSet) -> None:
     for e in g.edges:
         if e.u not in g.vertices or e.v not in g.vertices:
             raise InvalidGraph(f"edge {e.id} has a dangling endpoint")
-        if e.cap <= 0 or not isinstance(e.cap, int):
-            raise InvalidGraph(f"edge {e.id} has nonpositive capacity {e.cap}")
+        if not isinstance(e.cap, int) or isinstance(e.cap, bool) or e.cap <= 0:
+            raise InvalidGraph(f"edge {e.id} capacity must be a positive integer: {e.cap!r}")
         if e.u == e.v:
             raise InvalidGraph(f"edge {e.id} is a self-loop at {e.u!r}")
         if e.id in seen_ids:

@@ -1,5 +1,5 @@
-"""Splitting-off calculus: admissible pairs, complete splitting, relay elimination,
-and lifting tree packings back through a split history.
+"""Relay elimination by complete splitting off at each relay, and lifting
+tree packings back through the split history.
 
 Splitting works on capacities: one split takes an amount off a pair of
 edges at the pivot and adds one splitting edge of that capacity
@@ -72,7 +72,6 @@ decision and certificate check is the one a freshly built split graph gives.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count
 
@@ -82,7 +81,6 @@ from .errors import (
     InvalidGraph,
     InvalidPacking,
     NotIncident,
-    OddDegree,
 )
 from .connectivity import PairCapacities, checked_flow, cut_capacity, pair_capacities
 from .multigraph import (
@@ -119,7 +117,7 @@ class SplitHistory:
         g = self.base
         for ev in self.events:
             g, _ = split_off(g, ev.e_id, ev.f_id, pivot=ev.pivot, new_id=ev.new_id, amount=ev.amount)
-        return g.without_vertices(self.deleted_pivots)
+        return g.restrict(g.vertices.difference(self.deleted_pivots))
 
 
 def _resolve_pivot(g: Multigraph, e: Edge, f: Edge, pivot: str | None) -> str:
@@ -197,12 +195,6 @@ def _keeps_targets(adj: PairCapacities, targets) -> bool:
     return True
 
 
-def is_admissible(g: Multigraph, e_id: int, f_id: int, pivot: str | None = None) -> bool:
-    """True iff splitting preserves every pairwise min-cut among V - pivot."""
-    split, ev = split_off(g, e_id, f_id, pivot=pivot)
-    return _keeps_targets(pair_capacities(split), _cut_targets(g, ev.pivot))
-
-
 def _shift(adj: PairCapacities, x: str, r: str, t: str, amount: int) -> None:
     """Split ``amount`` off the pairs xr and xt into rt on ``adj``, in place
     (twice off xr when r == t, and no rt); a negative amount undoes it.  A
@@ -230,66 +222,21 @@ def _largest_split(adj: PairCapacities, x: str, r: str, t: str, most: int, targe
     return kept
 
 
-def suitable_complete_splitting(g: Multigraph, x: str) -> tuple[Multigraph, SplitHistory]:
-    """Isolate x by admissible splits only, then delete it.
-
-    Preserves every pairwise min-cut among V - x exactly.  Splits the
-    smallest remaining edge at x with its first admissible partner, which
-    always exists, by the largest admissible amount (module docstring).
-    Splitting edges take new ids counting up from ``g.next_id()``.
-    """
-    return _split_completely(g, x, count(g.next_id()))
-
-
-def _split_completely(
-    g: Multigraph, x: str, ids: Iterator[int]
-) -> tuple[Multigraph, SplitHistory]:
-    """``suitable_complete_splitting`` with splitting edges numbered from ``ids``."""
-    d = degree(g, x)
-    if d % 2 == 1:
-        raise OddDegree(f"pivot {x!r} has odd degree {d}; scale capacities by 2 first")
-    for e in g.incident(x):
-        if is_cut_edge(g, e.id):
-            raise CutEdgeAtPivot(f"cut-edge {e.id} incident to pivot {x!r}")
-    targets = _cut_targets(g, x)
-    # pair capacities of cur, which every trial shifts and shifts back
-    adj = pair_capacities(g)
-    cur, events, refused = g, [], set()
-    while inc := sorted(cur.incident(x), key=lambda e: e.id):
-        e = inc[0]
-        r = e.other(x)
-        for f in inc:  # e itself first: two units of one edge
-            t = f.other(x)
-            pair = frozenset((r, t))
-            most = e.cap // 2 if f is e else min(e.cap, f.cap)
-            if not most or pair in refused:
-                continue
-            amount = _largest_split(adj, x, r, t, most, targets)
-            if amount:
-                break
-            refused.add(pair)
-        else:
-            raise CertificateError(
-                f"no admissible partner for edge {e.id} at pivot {x!r}, "
-                "though Mader's theorem promises one"
-            )
-        new_id = next(ids) if r != t else None
-        _shift(adj, x, r, t, amount)
-        cur, ev = split_off(cur, e.id, f.id, pivot=x, new_id=new_id, amount=amount)
-        events.append(ev)
-    return cur.without_vertices((x,)), SplitHistory(g, tuple(events), (x,))
-
-
 def eliminate_relays(
     g: Multigraph, a: TerminalSet
 ) -> tuple[Multigraph, SplitHistory, int]:
     """Suitable complete splitting at every relay, in ascending vertex order.
 
     If some relay has odd degree, capacities are first scaled by 2
-    (returned scale factor 2) so all relay degrees become even; the history
-    starts from that graph.  The result has vertex set exactly A; every
-    A-Steiner tree in it is a spanning tree.  Pairwise terminal min-cuts
-    equal scale times the originals.
+    (returned scale factor 2) so all relay degrees become even, and no split
+    changes a degree's parity; the history starts from that graph.  At each
+    pivot x the smallest remaining edge splits with its first admissible
+    partner, which always exists, by the largest admissible amount (module
+    docstring), until x is isolated and deleted: every pairwise min-cut
+    among V - x is kept exactly.  A cut-edge at a pivot raises
+    CutEdgeAtPivot.  The result has vertex set exactly A; every A-Steiner
+    tree in it is a spanning tree.  Pairwise terminal min-cuts equal scale
+    times the originals.
     """
     relays = tuple(sorted(g.vertices - a.members))
     scale = 2 if any(degree(g, x) % 2 == 1 for x in relays) else 1
@@ -299,8 +246,36 @@ def eliminate_relays(
     # the largest id, and cur.next_id() would then hand that id out again
     ids = count(base.next_id())
     for x in relays:
-        cur, hist = _split_completely(cur, x, ids)
-        events.extend(hist.events)
+        for e in cur.incident(x):
+            if is_cut_edge(cur, e.id):
+                raise CutEdgeAtPivot(f"cut-edge {e.id} incident to pivot {x!r}")
+        targets = _cut_targets(cur, x)
+        # pair capacities of cur, which every trial shifts and shifts back
+        adj = pair_capacities(cur)
+        refused = set()
+        while inc := sorted(cur.incident(x), key=lambda e: e.id):
+            e = inc[0]
+            r = e.other(x)
+            for f in inc:  # e itself first: two units of one edge
+                t = f.other(x)
+                pair = frozenset((r, t))
+                most = e.cap // 2 if f is e else min(e.cap, f.cap)
+                if not most or pair in refused:
+                    continue
+                amount = _largest_split(adj, x, r, t, most, targets)
+                if amount:
+                    break
+                refused.add(pair)
+            else:
+                raise CertificateError(
+                    f"no admissible partner for edge {e.id} at pivot {x!r}, "
+                    "though Mader's theorem promises one"
+                )
+            new_id = next(ids) if r != t else None
+            _shift(adj, x, r, t, amount)
+            cur, ev = split_off(cur, e.id, f.id, pivot=x, new_id=new_id, amount=amount)
+            events.append(ev)
+        cur = cur.restrict(cur.vertices - {x})
     return cur, SplitHistory(base, tuple(events), relays), scale
 
 

@@ -16,23 +16,21 @@ from mcastcap import (
     enumerate_steiner_trees,
     example2_instance,
     example2_routing_scheme,
-    is_admissible,
     lift_packing,
-    max_flow,
     max_integer_packing,
     routing_scheme_problems,
     sample_instances,
     solve_tree_lp,
     split_off,
-    suitable_complete_splitting,
     terminal_connectivity,
     verify_packing,
 )
 from mcastcap import bounds as bnd
 from mcastcap.cli import analyze_instance, main
-from mcastcap.errors import CertificateError, CutEdgeAtPivot, OddDegree
+from mcastcap.connectivity import checked_flow, pair_capacities
+from mcastcap.errors import CertificateError, CutEdgeAtPivot
 from mcastcap.packing import fractional_capacity_lp, half_integer_capacity
-from test_splitting import all_pairs_connectivity, unit_form
+from test_splitting import admissible, all_pairs_connectivity, split_completely, unit_form
 
 
 def _report(num: int, ok: bool, desc: str) -> None:
@@ -156,14 +154,14 @@ def test_criterion_07_splitting_soundness():
             inc = [e.id for e in unit.incident(x)]
             for i in range(len(inc)):
                 for j in range(i + 1, len(inc)):
-                    if is_admissible(unit, inc[i], inc[j], pivot=x):
+                    if admissible(unit, inc[i], inc[j], x):
                         split, _ = split_off(unit, inc[i], inc[j], pivot=x)
                         if all_pairs_connectivity(split, others) != before:
                             ok = False
             if len(inc) % 2 == 0:
                 try:
-                    out, _ = suitable_complete_splitting(unit, x)
-                except (CutEdgeAtPivot, OddDegree):
+                    out, _ = split_completely(unit, x)
+                except CutEdgeAtPivot:
                     continue
                 if all_pairs_connectivity(out, others) != before:
                     ok = False
@@ -265,14 +263,14 @@ def test_criterion_09_oracle_equivalence():
                 for m in range(1, (1 << n) - 1)
                 if (m >> idx[u]) & 1 and not (m >> idx[v]) & 1
             )
-            if max_flow(g, u, v)[0] != oracle:
+            if checked_flow(pair_capacities(g), u, v)[0] != oracle:
                 ok = False
         a = TerminalSet(names[0], tuple(names[1:]))
         k, packing = max_integer_packing(solve_tree_lp(g, a))
         if k != _brute_max_packing(g, a) or not verify_packing(g, a, packing):
             ok = False
     _within(start, 600, 9)
-    _report(9, ok, f"max_flow and max_integer_packing match exhaustive oracles on "
+    _report(9, ok, f"checked_flow and max_integer_packing match exhaustive oracles on "
                    f"{graphs} connected multigraphs (<=5 vertices, total capacity <=8)")
 
 

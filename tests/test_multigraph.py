@@ -222,6 +222,11 @@ class TestInterchange:
                 '{"vertices": ["a", "b"], "edges": [["a", "b", -2]],'
                 ' "source": "a", "sinks": ["b"]}'
             )
+        # a library graph is checked by validate alone: the type before the sign
+        for cap in ("1", None, [1], True, 1.5):
+            g = Multigraph(frozenset("ab"), (Edge(0, "a", "b", cap),))
+            with pytest.raises(InvalidGraph, match=re.escape(f"positive integer: {cap!r}")):
+                validate(g, TerminalSet("a", ("b",)))
 
     def test_rejects_garbage(self):
         for text, message in [

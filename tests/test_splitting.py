@@ -10,26 +10,22 @@ from mcastcap import (
     eliminate_relays,
     example2_instance,
     fractional_capacity_lp,
-    is_admissible,
     is_cut_edge,
     lift_packing,
-    max_flow,
     max_integer_packing,
     sample_instances,
     scale_capacities,
     solve_tree_lp,
     split_off,
-    suitable_complete_splitting,
     terminal_connectivity,
     verify_packing,
 )
-from mcastcap.connectivity import pair_capacities
+from mcastcap.connectivity import checked_flow, pair_capacities
 from mcastcap.errors import (
     CertificateError,
     CutEdgeAtPivot,
     InvalidGraph,
     NotIncident,
-    OddDegree,
 )
 from mcastcap.multigraph import degree
 from mcastcap.packing import SteinerPacking, SteinerTree
@@ -40,10 +36,32 @@ from mcastcap.splitting import _keeps_targets
 def all_pairs_connectivity(g, vertices):
     """λ of every pair of ``vertices``, one max-flow each: the oracle for
     every check that a split keeps the cuts among the other vertices."""
+    adj = pair_capacities(g)
     return {
-        frozenset((x, y)): max_flow(g, x, y)[0]
+        frozenset((x, y)): checked_flow(adj, x, y)[0]
         for x, y in combinations(sorted(vertices), 2)
     }
+
+
+def admissible(g, e_id, f_id, x):
+    """True iff relay elimination's own decision accepts splitting one unit
+    off the edges e and f at pivot x."""
+    r, t = g.edge(e_id).other(x), g.edge(f_id).other(x)
+    return splitting._largest_split(pair_capacities(g), x, r, t, 1, splitting._cut_targets(g, x)) == 1
+
+
+def split_completely(g, x):
+    """Complete splitting at x alone: relay elimination with every other
+    vertex a terminal.  x must have even degree, so nothing is scaled."""
+    rest = sorted(g.vertices - {x})
+    out, hist, scale = eliminate_relays(g, TerminalSet(rest[0], tuple(rest[1:])))
+    assert scale == 1
+    return out, hist
+
+
+def nonzero(adj):
+    """Pair capacities without the 0 entries a shifted-back map keeps."""
+    return {u: {v: c for v, c in nbrs.items() if c} for u, nbrs in adj.items()}
 
 
 def unit_form(g):
@@ -95,7 +113,7 @@ def reference_eliminate_relays(g, a):
     events = []
     for x in relays:
         cur, evs = reference_search(cur, x)
-        cur = cur.without_vertices((x,))
+        cur = cur.restrict(cur.vertices - {x})
         events += evs
     return cur, tuple(events), tuple(relays), scale
 
@@ -155,7 +173,7 @@ class TestAdmissibility:
     def test_degree_two_relay_on_cycle(self):
         g, _ = example2_instance(3, (0,))
         e, f = (e.id for e in g.incident("x1"))
-        assert is_admissible(g, e, f, pivot="x1")
+        assert admissible(g, e, f, "x1")
 
     def test_parallel_pair_inadmissible(self):
         # u=x doubled, x-v, x-w, v-w: removing both ux edges drops lambda(u, v)
@@ -163,10 +181,10 @@ class TestAdmissibility:
             ["u", "x", "v", "w"],
             [("u", "x", 1), ("u", "x", 1), ("x", "v", 1), ("x", "w", 1), ("v", "w", 1)],
         )
-        assert not is_admissible(g, 0, 1, pivot="x")
+        assert not admissible(g, 0, 1, "x")
 
     def test_theta_pair_admissible(self):
-        assert is_admissible(theta(), 0, 2, pivot="x")
+        assert admissible(theta(), 0, 2, "x")
 
     def test_target_side_must_cut_its_value(self):
         # the split theta still joins s and t by a flow of 1, but {s} cuts 2
@@ -184,9 +202,34 @@ class TestAdmissibility:
                     if e is f and e.cap < 2:
                         continue
                     split, _ = split_off(g, e.id, f.id, pivot=x)
-                    assert is_admissible(g, e.id, f.id, pivot=x) == (
+                    assert admissible(g, e.id, f.id, x) == (
                         all_pairs_connectivity(split, others) == before
                     )
+
+    def test_largest_split_matches_oracle(self):
+        # the amount relay elimination splits is the largest one whose split
+        # graph keeps every pairwise min-cut among V - x
+        seen = {"pairs": 0, "admissible": 0, "partial": 0, "loop": 0}
+        for g, a in scaled_samples():
+            for x in sorted(g.vertices - a.members)[:2]:
+                others = g.vertices - {x}
+                before = all_pairs_connectivity(g, others)
+                adj, targets = pair_capacities(g), splitting._cut_targets(g, x)
+                for e, f in combinations_with_replacement(g.incident(x), 2):
+                    most = e.cap // 2 if e is f else min(e.cap, f.cap)
+                    if not most:
+                        continue
+                    r, t = e.other(x), f.other(x)
+                    kept = [m for m in range(1, most + 1) if all_pairs_connectivity(
+                        split_off(g, e.id, f.id, pivot=x, amount=m)[0], others) == before]
+                    m = splitting._largest_split(adj, x, r, t, most, targets)
+                    assert m == max(kept, default=0)
+                    assert nonzero(adj) == nonzero(pair_capacities(g))
+                    seen["pairs"] += 1
+                    seen["admissible"] += m > 0
+                    seen["partial"] += 0 < m < most
+                    seen["loop"] += r == t
+        assert min(seen.values()) > 0 and seen["admissible"] < seen["pairs"]
 
     def test_degree_five_pivot_has_admissible_pair(self):
         # Mader's theorem promises one admissible pair at an odd degree other than 3
@@ -196,7 +239,7 @@ class TestAdmissibility:
             assert degree(unit, x) == 5
             assert not any(is_cut_edge(unit, e.id) for e in unit.incident(x))
             inc = [e.id for e in unit.incident(x)]
-            assert any(is_admissible(unit, e, f, x) for e, f in combinations(inc, 2))
+            assert any(admissible(unit, e, f, x) for e, f in combinations(inc, 2))
 
 
 class TestCompleteSplitting:
@@ -205,7 +248,7 @@ class TestCompleteSplitting:
             ["s", "a", "x", "b"],
             [("s", "a", 1), ("a", "x", 1), ("x", "b", 1), ("b", "s", 1)],
         )
-        out, hist = suitable_complete_splitting(g, "x")
+        out, hist = split_completely(g, "x")
         assert out.vertices == {"s", "a", "b"}
         assert all_pairs_connectivity(out, {"s", "a", "b"}) == {
             frozenset(p): 2 for p in (("s", "a"), ("s", "b"), ("a", "b"))
@@ -220,21 +263,13 @@ class TestCompleteSplitting:
             [("a", "b", 1), ("b", "x", 1), ("x", "a", 1), ("x", "a", 1), ("x", "c", 1)],
         )
         with pytest.raises(CutEdgeAtPivot):
-            suitable_complete_splitting(g, "x")
+            split_completely(g, "x")
 
     def test_theta_pivot_yields_parallel_edges(self):
-        out, _ = suitable_complete_splitting(theta(), "x")
+        out, _ = split_completely(theta(), "x")
         assert out.vertices == {"s", "t"}
         assert len(out.edges) == 2
         assert all({e.u, e.v} == {"s", "t"} for e in out.edges)
-
-    def test_odd_degree_rejected(self):
-        g = Multigraph.build(
-            ["s", "x", "a", "b"],
-            [("s", "x", 1), ("x", "a", 1), ("x", "b", 1), ("a", "b", 1), ("a", "s", 1), ("b", "s", 1)],
-        )
-        with pytest.raises(OddDegree):
-            suitable_complete_splitting(g, "x")
 
 
 class TestEliminateRelays:
@@ -280,6 +315,17 @@ class TestEliminateRelays:
             assert pair_capacities(out) == pair_capacities(ref_out)
             assert scale == ref_scale
             assert sum(ev.amount for ev in hist.events) == len(ref_events)
+
+    def test_splits_keep_relay_degrees_even(self):
+        # scaling by 2 makes every relay degree even, and no split changes
+        # a degree's parity, so every pivot is split completely
+        for g, a in [*scaled_samples(), *sample_instances(20, 8, 6, 3, 0)]:
+            _, hist, _ = eliminate_relays(g, a)
+            relays = hist.base.vertices - a.members
+            cur = hist.base
+            for ev in hist.events:
+                cur, _ = split_off(cur, ev.e_id, ev.f_id, pivot=ev.pivot, new_id=ev.new_id, amount=ev.amount)
+                assert all(degree(cur, x) % 2 == 0 for x in relays)
 
     def test_replay_round_trip(self):
         for g, a in sample_instances(5, 7, 5, 3, seed=77):
@@ -331,9 +377,6 @@ class TestTreeTargets:
         # the map every trial shifts and shifts back equals the pair
         # capacities of the graph split so far, after every trial and after
         # every accepted split; a pair left at 0 keeps a 0 entry
-        def nonzero(adj):
-            return {u: {v: c for v, c in nbrs.items() if c} for u, nbrs in adj.items()}
-
         state, undone = {}, []
         cut_targets, shift, split_off = splitting._cut_targets, splitting._shift, splitting.split_off
 
@@ -419,7 +462,7 @@ class TestLiftPacking:
             [("s", "a", 1), ("a", "x", 1), ("x", "b", 1), ("b", "s", 1)],
         )
         a = TerminalSet("s", ("a", "b"))
-        out, hist = suitable_complete_splitting(g, "x")
+        out, hist = split_completely(g, "x")
         new_edge = next(e for e in out.edges if {e.u, e.v} == {"a", "b"})
         tree = SteinerTree(frozenset({0, new_edge.id}), frozenset({"s", "a", "b"}))
         packing = SteinerPacking(((tree, Fraction(1)),), 1, Fraction(1))

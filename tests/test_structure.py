@@ -57,3 +57,23 @@ def test_every_flow_is_checked():
     # checked_flow is the one caller of the flow kernel, so no flow goes unchecked
     users = [p.stem for p in sorted(PACKAGE.glob("*.py")) if "pair_flow" in _names(p.stem)]
     assert users == ["connectivity"], f"modules referring to pair_flow: {users}"
+
+
+def test_every_exported_function_has_a_caller():
+    # an exported function the package never calls is a second path beside
+    # the one the program runs; perfbench counts trees with the one exception
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name for n in init.body if isinstance(n, ast.ImportFrom) for alias in n.names}
+    functions, used = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else set()
+            if isinstance(stmt, ast.FunctionDef):
+                functions.add(stmt.name)
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name) and n.id not in own:
+                    used.add(n.id)
+                elif isinstance(n, ast.Attribute) and n.attr not in own:
+                    used.add(n.attr)
+    uncalled = sorted((exported & functions) - used - {"enumerate_steiner_trees"})
+    assert not uncalled, f"exported functions no package code calls: {uncalled}"
