@@ -91,28 +91,10 @@ class Multigraph:
         edges = tuple(Edge(i, u, v, c) for i, (u, v, c) in enumerate(triples))
         return Multigraph(frozenset(vertices), edges)
 
-    def add_edge(self, u: str, v: str, cap: int = 1) -> "Multigraph":
-        e = Edge(self.next_id(), u, v, cap)
-        return Multigraph(self.vertices, self.edges + (e,))
-
     def restrict(self, vs) -> "Multigraph":
         """Induced subgraph on the vertex set ``vs``."""
         vs = frozenset(vs)
         return Multigraph(vs, tuple(e for e in self.edges if e.u in vs and e.v in vs))
-
-    # -- views -------------------------------------------------------------
-
-    def aggregated(self) -> "Multigraph":
-        """Merge parallel edges into one edge per vertex pair with summed capacity."""
-        groups: dict[frozenset[str], list[Edge]] = {}
-        for e in self.edges:
-            groups.setdefault(frozenset((e.u, e.v)), []).append(e)
-        out = []
-        for es in groups.values():
-            rep = min(es, key=lambda e: e.id)
-            out.append(Edge(rep.id, rep.u, rep.v, sum(e.cap for e in es)))
-        out.sort(key=lambda e: e.id)
-        return Multigraph(self.vertices, tuple(out))
 
 
 def degree(g: Multigraph, v: str) -> int:
@@ -120,45 +102,22 @@ def degree(g: Multigraph, v: str) -> int:
     return sum(e.cap for e in g.incident(v))
 
 
-def components(g: Multigraph, without_edges: frozenset[int] = frozenset()) -> list[frozenset[str]]:
-    """Connected components, optionally ignoring the given edge ids."""
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        if e.id in without_edges:
-            continue
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
-    seen: set[str] = set()
-    comps = []
-    for start in sorted(g.vertices):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = {start}
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    seen.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def edge_component(edge_ids, ends: dict[int, tuple[str, str]], start: str) -> set[str]:
     """Vertices reached from ``start`` over the edge ids; ``ends`` maps each
-    id to its endpoints.  Used to check trees, which have few edges."""
+    id to its endpoints.  Every reachability question in the package, from
+    a tree check to a whole-graph walk, is answered here."""
+    adj: dict[str, list[str]] = {}
+    for eid in edge_ids:
+        u, v = ends[eid]
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
     comp = {start}
-    changed = True
-    while changed:
-        changed = False
-        for eid in edge_ids:
-            u, v = ends[eid]
-            if (u in comp) != (v in comp):
-                comp.update((u, v))
-                changed = True
+    stack = [start]
+    while stack:
+        for y in adj.get(stack.pop(), ()):
+            if y not in comp:
+                comp.add(y)
+                stack.append(y)
     return comp
 
 
@@ -181,12 +140,9 @@ def validate(g: Multigraph, a: TerminalSet) -> None:
     for t in a.members:
         if t not in g.vertices:
             raise InvalidGraph(f"terminal {t!r} is not a vertex")
-    for comp in components(g):
-        if a.members <= comp:
-            return
-        if a.members & comp:
-            raise DisconnectedTerminals("terminals span multiple components")
-    raise DisconnectedTerminals("no component contains the terminals")
+    ends = {e.id: (e.u, e.v) for e in g.edges}
+    if not a.members <= edge_component(ends, ends, a.source):
+        raise DisconnectedTerminals("terminals span multiple components")
 
 
 def scale_capacities(g: Multigraph, n: int) -> Multigraph:
@@ -198,16 +154,15 @@ def scale_capacities(g: Multigraph, n: int) -> Multigraph:
     return Multigraph(g.vertices, tuple(Edge(e.id, e.u, e.v, e.cap * n) for e in g.edges))
 
 
-def _find_bridge_sides(g: Multigraph, e: Edge) -> tuple[frozenset[str], frozenset[str]] | None:
+def _find_bridge_sides(g: Multigraph, e: Edge) -> tuple[set[str], set[str]] | None:
     """If deleting one unit of e disconnects its endpoints, return the two sides."""
     if e.cap >= 2:
         return None
-    comps = components(g, without_edges=frozenset((e.id,)))
-    side_u = next(c for c in comps if e.u in c)
+    ends = {d.id: (d.u, d.v) for d in g.edges if d.id != e.id}
+    side_u = edge_component(ends, ends, e.u)
     if e.v in side_u:
         return None
-    side_v = next(c for c in comps if e.v in c)
-    return side_u, side_v
+    return side_u, edge_component(ends, ends, e.v)
 
 
 def is_cut_edge(g: Multigraph, eid: int) -> bool:
@@ -225,7 +180,8 @@ def prune_to_core(g: Multigraph, a: TerminalSet) -> Multigraph:
     Idempotent; preserves every pairwise terminal min-cut.
     """
     terms = a.members
-    keep = frozenset().union(*(c for c in components(g) if c & terms))
+    ends = {e.id: (e.u, e.v) for e in g.edges}
+    keep = frozenset().union(*(edge_component(ends, ends, t) for t in terms & g.vertices))
     core = g.restrict(keep)
     drop: set[str] = set()
     for e in core.edges:

@@ -55,7 +55,7 @@ from math import lcm
 
 from .connectivity import PairCapacities, checked_flow, pair_capacities
 from .errors import CertificateError, SearchTooLarge, TooManyTrees
-from .multigraph import Multigraph, Rate, TerminalSet, edge_component
+from .multigraph import Edge, Multigraph, Rate, TerminalSet, edge_component
 
 DEFAULT_TREE_LIMIT = 5000
 # Nodes one branch and bound may visit.  Every node runs its flows, so the
@@ -68,9 +68,6 @@ MAX_SEARCH_NODES = 20_000
 class SteinerTree:
     edge_ids: frozenset[int]
     vertices: frozenset[str]
-
-    def sort_key(self) -> tuple:
-        return (len(self.edge_ids), tuple(sorted(self.edge_ids)))
 
 
 @dataclass(frozen=True)
@@ -288,10 +285,10 @@ def _lp_max_total(
 class TreeLP:
     """The tree-packing LP of one graph and terminal set, solved once.
 
-    ``classes`` is ``graph.aggregated()``: one edge per parallel class, keyed
-    by the smallest id in the class, and ``members`` maps each class to its
-    edge ids in ascending order.  ``trees`` are the minimal A-Steiner trees
-    over the classes, and ``opt`` and ``y`` the LP optimum and a primal
+    ``classes`` has one edge per parallel class of ``graph``, keyed by the
+    smallest id in the class and carrying the class's summed capacity, and
+    ``members`` maps each class to its edge ids in ascending order.
+    ``trees`` are the minimal A-Steiner trees over the classes, and ``opt`` and ``y`` the LP optimum and a primal
     solution (one entry per tree).  Every packing of the graph is a packing
     of these trees, so the integer, half-integer and fractional solvers all
     take this one enumeration and one simplex.
@@ -311,18 +308,19 @@ def solve_tree_lp(g: Multigraph, a: TerminalSet) -> TreeLP:
 
     More than ``DEFAULT_TREE_LIMIT`` trees raise TooManyTrees.
     """
-    classes = g.aggregated()
-    class_of = {frozenset((e.u, e.v)): e.id for e in classes.edges}
-    members: dict[int, list[int]] = {}
+    groups: dict[frozenset[str], list[Edge]] = {}
     for e in sorted(g.edges, key=lambda e: e.id):
-        members.setdefault(class_of[frozenset((e.u, e.v))], []).append(e.id)
+        groups.setdefault(frozenset((e.u, e.v)), []).append(e)
+    # each class opens at its smallest id, so the classes come in id order
+    classes = Multigraph(g.vertices, tuple(
+        Edge(es[0].id, es[0].u, es[0].v, sum(e.cap for e in es)) for es in groups.values()
+    ))
+    members = {es[0].id: tuple(e.id for e in es) for es in groups.values()}
     class_edges = [(e.id, e.u, e.v) for e in classes.edges]
     trees = _minimal_trees(g.vertices, class_edges, a.members, DEFAULT_TREE_LIMIT)
     caps = {e.id: e.cap for e in classes.edges}
     opt, y = _lp_max_total(trees, [e.id for e in classes.edges], caps)
-    return TreeLP(
-        g, a, classes, {c: tuple(ids) for c, ids in members.items()}, tuple(trees), opt, tuple(y)
-    )
+    return TreeLP(g, a, classes, members, tuple(trees), opt, tuple(y))
 
 
 # -- expansion back onto concrete edges ------------------------------------

@@ -62,7 +62,8 @@ them did, below some target.  The loop thus ends, aggregated, where a
 backtracking search over pairings of unit edges in the same order ends.
 
 The trials edit one map.  The pair capacities of the graph split so far
-are built once per pivot; a trial shifts its amount off the pairs xr and xt
+are built once per pivot, and the targets are computed on them before any
+trial; a trial shifts its amount off the pairs xr and xt
 onto rt in place, checks the targets on the map and shifts it back, and
 only the accepted split builds the next graph with ``split_off``.  Flow
 values and cut capacities depend on the pair capacities alone, so every
@@ -167,11 +168,11 @@ def split_off(
     return Multigraph(g.vertices, tuple(edges)), SplitEvent(x, e_id, r, f_id, t, new_id, amount)
 
 
-def _cut_targets(g: Multigraph, x: str) -> list[tuple[str, str, int, frozenset[str]]]:
+def _cut_targets(adj: PairCapacities, x: str) -> list[tuple[str, str, int, frozenset[str]]]:
     """Cut value and certified minimal source side of the n - 2 pairs of
-    Gusfield's equivalent-flow tree over V - x (module docstring)."""
-    adj = pair_capacities(g)
-    nodes = sorted(g.vertices - {x})
+    Gusfield's equivalent-flow tree over V - x (module docstring), on the
+    graph whose pair capacities are ``adj``."""
+    nodes = sorted(adj.keys() - {x})
     parent = {u: nodes[0] for u in nodes[1:]}
     tree = []
     for i, s in enumerate(nodes[1:], 1):
@@ -249,9 +250,9 @@ def eliminate_relays(
         for e in cur.incident(x):
             if is_cut_edge(cur, e.id):
                 raise CutEdgeAtPivot(f"cut-edge {e.id} incident to pivot {x!r}")
-        targets = _cut_targets(cur, x)
         # pair capacities of cur, which every trial shifts and shifts back
         adj = pair_capacities(cur)
+        targets = _cut_targets(adj, x)
         refused = set()
         while inc := sorted(cur.incident(x), key=lambda e: e.id):
             e = inc[0]

@@ -487,6 +487,7 @@ class TestErrors:
 _FAULTY_FUNCTION = """
 import importlib
 import sys
+from dataclasses import replace
 from mcastcap import cli
 if not sys.flags.optimize:
     sys.exit("not running under -O")
@@ -504,7 +505,17 @@ def fall_short(original):
         return (limit - 1, frozenset({s})) if side is None else (value, side)
     return faulty
 
-FAULTS = {"fail": lambda original: lambda *args: False, "over-report": over_report, "fall-short": fall_short}
+def drop_edge(original):
+    # the first lifted tree loses its smallest edge id
+    def faulty(*args):
+        packing = original(*args)
+        (tree, mult), *rest = packing.trees
+        tree = replace(tree, edge_ids=tree.edge_ids - {min(tree.edge_ids)})
+        return replace(packing, trees=((tree, mult), *rest))
+    return faulty
+
+FAULTS = {"fail": lambda original: lambda *args: False, "over-report": over_report,
+          "fall-short": fall_short, "drop-edge": drop_edge}
 module_name, name = sys.argv[1].rsplit(".", 1)
 module = importlib.import_module(f"mcastcap.{module_name}")
 setattr(module, name, FAULTS[sys.argv[2]](getattr(module, name)))
@@ -550,6 +561,12 @@ class TestCertificateChecks:
         proc = _run_faulty("connectivity.pair_flow", "over-report", argv[0], cycle_file, *argv[1:])
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure" in proc.stderr
+
+    def test_broken_lifted_packing_is_refused(self, cycle_file):
+        # analysis verifies the packing that lift_packing returns on the base graph
+        proc = _run_faulty("analysis.lift_packing", "drop-edge", "analyze", cycle_file, "--via-splitting")
+        assert proc.returncode == 4, proc.stderr
+        assert "certificate failure: lifted packing failed verification" in proc.stderr
 
     def test_over_reported_strength_flow_is_refused(self, tmp_path):
         # eta = 2 here; a lambda one too large prunes the optimum and prints 5/2

@@ -13,7 +13,7 @@ from mcastcap import (
 from mcastcap import connectivity
 from mcastcap.connectivity import checked_flow, pair_capacities, pair_flow
 from mcastcap.errors import CertificateError, UnknownVertex
-from mcastcap.multigraph import components
+from mcastcap.multigraph import edge_component
 from test_splitting import unit_form
 
 
@@ -31,14 +31,14 @@ def brute_min_cut(g, u, v):
     """Exhaustive oracle: min total capacity over unit-edge subsets whose
     removal disconnects u from v."""
     unit = unit_form(g)
+    ends = {e.id: (e.u, e.v) for e in unit.edges}
     m = len(unit.edges)
     best = None
     for mask in range(1 << m):
         removed = frozenset(unit.edges[i].id for i in range(m) if mask >> i & 1)
         if best is not None and len(removed) >= best:
             continue
-        comps = components(unit, without_edges=removed)
-        if not any(u in c and v in c for c in comps):
+        if v not in edge_component([i for i in ends if i not in removed], ends, u):
             best = len(removed) if best is None else min(best, len(removed))
     return best if best is not None else 0
 

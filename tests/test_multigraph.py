@@ -13,9 +13,10 @@ from mcastcap import (
     load_instance,
     prune_to_core,
     scale_capacities,
+    solve_tree_lp,
     validate,
 )
-from mcastcap.multigraph import components
+from mcastcap.multigraph import edge_component
 from mcastcap.errors import (
     BridgeBetweenTerminals,
     DisconnectedTerminals,
@@ -24,8 +25,11 @@ from mcastcap.errors import (
 )
 
 
-def triangle():
-    g = Multigraph.build(["s", "r1", "r2"], [("s", "r1", 1), ("r1", "r2", 1), ("r2", "s", 1)])
+def triangle(*extra):
+    """The unit triangle on the terminals s, r1, r2, plus the ``extra``
+    (u, v, cap) edges and their endpoints."""
+    triples = [("s", "r1", 1), ("r1", "r2", 1), ("r2", "s", 1), *extra]
+    g = Multigraph.build({v for u, w, _ in triples for v in (u, w)}, triples)
     return g, TerminalSet("s", ("r1", "r2"))
 
 
@@ -109,12 +113,7 @@ class TestDegree:
 
 class TestPrune:
     def test_pendant_path_removed(self):
-        g, a = triangle()
-        g = g.restrict(g.vertices)  # copy
-        g = Multigraph(
-            g.vertices | {"p1", "p2"},
-            g.edges,
-        ).add_edge("r1", "p1").add_edge("p1", "p2")
+        g, a = triangle(("r1", "p1", 1), ("p1", "p2", 1))
         core = prune_to_core(g, a)
         assert core.vertices == {"s", "r1", "r2"}
         assert len(core.edges) == 3
@@ -129,31 +128,30 @@ class TestPrune:
             prune_to_core(g, TerminalSet("s", ("t",)))
 
     def test_idempotent(self):
-        g, a = triangle()
-        g = Multigraph(g.vertices | {"p"}, g.edges).add_edge("s", "p")
+        g, a = triangle(("s", "p", 1))
         once = prune_to_core(g, a)
         assert prune_to_core(once, a) == once
 
     def test_terminal_free_component_dropped(self):
-        g, a = triangle()
-        g = Multigraph(g.vertices | {"q1", "q2"}, g.edges).add_edge("q1", "q2")
+        g, a = triangle(("q1", "q2", 1))
         assert prune_to_core(g, a).vertices == {"s", "r1", "r2"}
 
 
 def reference_prune(g, a):
     """Prune by restarting the edge scan after every removal."""
     terms = a.members
-    cur = g.restrict(frozenset().union(*(c for c in components(g) if c & terms)))
+    ends = {e.id: (e.u, e.v) for e in g.edges}
+    cur = g.restrict(frozenset().union(*(edge_component(ends, ends, t) for t in terms)))
     while True:
         terminal_bridge = False
         for e in sorted(cur.edges, key=lambda e: e.id):
             if e.cap >= 2:
                 continue
-            comps = components(cur, without_edges=frozenset((e.id,)))
-            side_u = next(c for c in comps if e.u in c)
+            rest = [d.id for d in cur.edges if d.id != e.id]
+            side_u = edge_component(rest, ends, e.u)
             if e.v in side_u:
                 continue
-            side_v = next(c for c in comps if e.v in c)
+            side_v = edge_component(rest, ends, e.v)
             free = [side for side in (side_u, side_v) if not side & terms]
             if free:
                 cur = cur.restrict(cur.vertices - free[0])
@@ -189,7 +187,8 @@ class TestPruneOracle:
             want = _pruned(reference_prune, g, a)
             assert _pruned(prune_to_core, g, a) == want
             seen["bridge"] += want is None
-            seen["disconnected"] += len(components(g)) > 1
+            ends = {e.id: (e.u, e.v) for e in g.edges}
+            seen["disconnected"] += edge_component(ends, ends, names[0]) != g.vertices
             seen["pruned"] += want is not None and want != g
         assert min(seen.values()) >= 50
 
@@ -264,4 +263,5 @@ class TestAggregated:
         g = Multigraph.build(
             ["a", "b", "c"], [("a", "b", 1), ("b", "c", 1), ("a", "b", 1), ("b", "c", 2)]
         )
-        assert g.aggregated().edges == (Edge(0, "a", "b", 2), Edge(1, "b", "c", 3))
+        classes = solve_tree_lp(g, TerminalSet("a", ("c",))).classes
+        assert classes.edges == (Edge(0, "a", "b", 2), Edge(1, "b", "c", 3))

@@ -205,7 +205,9 @@ class TestProperties:
 
     def test_monotone_in_edges(self):
         g, a = triangle()
-        extra = g.add_edge("s", "r2")
+        extra = Multigraph.build(
+            ["s", "r1", "r2"], [("s", "r1", 1), ("r1", "r2", 1), ("r2", "s", 1), ("s", "r2", 1)]
+        )
         more, base = solve_tree_lp(extra, a), solve_tree_lp(g, a)
         assert fractional_capacity_lp(more)[0] >= fractional_capacity_lp(base)[0]
 
@@ -328,7 +330,11 @@ class TestSharedSolve:
         g, a = example2_instance(4, (0,))
         g = with_parallel_edge(g)
         lp = solve_tree_lp(g, a)
-        assert lp.classes == g.aggregated()
+        # the parallel copy of edge 0 joins its class
+        assert lp.classes == Multigraph(g.vertices, (
+            Edge(0, "v0", "x1", 2), Edge(1, "x1", "v1", 1), Edge(2, "v1", "v2", 1),
+            Edge(3, "v2", "v3", 1), Edge(4, "v3", "v0", 1),
+        ))
         by_id = {e.id: e for e in g.edges}
         assert sorted(i for ids in lp.members.values() for i in ids) == sorted(by_id)
         for c, ids in lp.members.items():
@@ -613,7 +619,7 @@ def oracle_steiner_trees(g, a):
                     stack.extend(w for eid in sub for w in ends[eid] if v in ends[eid])
             if reached == vs:
                 out.append(SteinerTree(frozenset(sub), frozenset(vs)))
-    out.sort(key=SteinerTree.sort_key)
+    out.sort(key=lambda t: (len(t.edge_ids), sorted(t.edge_ids)))
     return out
 
 

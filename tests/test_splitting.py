@@ -47,7 +47,8 @@ def admissible(g, e_id, f_id, x):
     """True iff relay elimination's own decision accepts splitting one unit
     off the edges e and f at pivot x."""
     r, t = g.edge(e_id).other(x), g.edge(f_id).other(x)
-    return splitting._largest_split(pair_capacities(g), x, r, t, 1, splitting._cut_targets(g, x)) == 1
+    adj = pair_capacities(g)
+    return splitting._largest_split(adj, x, r, t, 1, splitting._cut_targets(adj, x)) == 1
 
 
 def split_completely(g, x):
@@ -62,6 +63,13 @@ def split_completely(g, x):
 def nonzero(adj):
     """Pair capacities without the 0 entries a shifted-back map keeps."""
     return {u: {v: c for v, c in nbrs.items() if c} for u, nbrs in adj.items()}
+
+
+def pair_graph(adj):
+    """The graph with one edge per nonzero entry of the pair capacities ``adj``."""
+    return Multigraph.build(
+        sorted(adj), [(u, v, c) for u in sorted(adj) for v, c in adj[u].items() if u < v and c]
+    )
 
 
 def unit_form(g):
@@ -214,7 +222,8 @@ class TestAdmissibility:
             for x in sorted(g.vertices - a.members)[:2]:
                 others = g.vertices - {x}
                 before = all_pairs_connectivity(g, others)
-                adj, targets = pair_capacities(g), splitting._cut_targets(g, x)
+                adj = pair_capacities(g)
+                targets = splitting._cut_targets(adj, x)
                 for e, f in combinations_with_replacement(g.incident(x), 2):
                     most = e.cap // 2 if e is f else min(e.cap, f.cap)
                     if not most:
@@ -349,16 +358,13 @@ class TestTreeTargets:
         checked, pivot = [], {}
         cut_targets, keeps_targets = splitting._cut_targets, splitting._keeps_targets
 
-        def record_targets(g, x):
-            pivot.update(g=g, x=x)
-            return cut_targets(g, x)
+        def record_targets(adj, x):
+            pivot.update(g=pair_graph(adj), x=x)
+            return cut_targets(adj, x)
 
         def record_check(adj, targets):
             kept = keeps_targets(adj, targets)
-            split = Multigraph.build(
-                sorted(adj), [(u, v, c) for u in sorted(adj) for v, c in adj[u].items() if u < v and c]
-            )
-            checked.append((pivot["g"], pivot["x"], split, kept))
+            checked.append((pivot["g"], pivot["x"], pair_graph(adj), kept))
             return kept
 
         monkeypatch.setattr(splitting, "_cut_targets", record_targets)
@@ -378,11 +384,11 @@ class TestTreeTargets:
         # capacities of the graph split so far, after every trial and after
         # every accepted split; a pair left at 0 keeps a 0 entry
         state, undone = {}, []
-        cut_targets, shift, split_off = splitting._cut_targets, splitting._shift, splitting.split_off
+        pairs, shift, split_off = splitting.pair_capacities, splitting._shift, splitting.split_off
 
-        def record_pivot(g, x):
+        def record_pivot(g):
             state["cur"] = g
-            return cut_targets(g, x)
+            return pairs(g)
 
         def checked_shift(adj, x, r, t, amount):
             shift(adj, x, r, t, amount)
@@ -397,7 +403,7 @@ class TestTreeTargets:
             assert nonzero(state["adj"]) == nonzero(pair_capacities(out[0]))
             return out
 
-        monkeypatch.setattr(splitting, "_cut_targets", record_pivot)
+        monkeypatch.setattr(splitting, "pair_capacities", record_pivot)
         monkeypatch.setattr(splitting, "_shift", checked_shift)
         monkeypatch.setattr(splitting, "split_off", checked_split)
         events = 0
@@ -411,9 +417,9 @@ class TestTreeTargets:
         pivots = []
         cut_targets = splitting._cut_targets
 
-        def record_targets(g, x):
-            tree = cut_targets(g, x)
-            pivots.append((g, x, tree))
+        def record_targets(adj, x):
+            tree = cut_targets(adj, x)
+            pivots.append((pair_graph(adj), x, tree))
             return tree
 
         monkeypatch.setattr(splitting, "_cut_targets", record_targets)
@@ -443,10 +449,10 @@ class TestTreeTargets:
         flow, cut_targets = splitting.checked_flow, splitting._cut_targets
         monkeypatch.setattr(splitting, "checked_flow", lambda *args: calls.append(args) or flow(*args))
 
-        def count_targets(g, x):
+        def count_targets(adj, x):
             before = len(calls)
-            tree = cut_targets(g, x)
-            per_pivot.append((len(calls) - before, len(g.vertices)))
+            tree = cut_targets(adj, x)
+            per_pivot.append((len(calls) - before, len(adj)))
             return tree
 
         monkeypatch.setattr(splitting, "_cut_targets", count_targets)

@@ -60,20 +60,30 @@ def test_every_flow_is_checked():
 
 
 def test_every_exported_function_has_a_caller():
-    # an exported function the package never calls is a second path beside
-    # the one the program runs; perfbench counts trees with the one exception
+    # an exported function or public method the package never calls is a
+    # second path beside the one the program runs; perfbench counts trees
+    # and unit edges with the two exceptions
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     exported = {alias.name for n in init.body if isinstance(n, ast.ImportFrom) for alias in n.names}
     functions, used = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else set()
-            if isinstance(stmt, ast.FunctionDef):
+            # a class counts as its statements, so a method calling its own
+            # name is no caller of it
+            units = [stmt]
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in exported:
                 functions.add(stmt.name)
-            for n in ast.walk(stmt):
-                if isinstance(n, ast.Name) and n.id not in own:
-                    used.add(n.id)
-                elif isinstance(n, ast.Attribute) and n.attr not in own:
-                    used.add(n.attr)
-    uncalled = sorted((exported & functions) - used - {"enumerate_steiner_trees"})
-    assert not uncalled, f"exported functions no package code calls: {uncalled}"
+            elif isinstance(stmt, ast.ClassDef):
+                units = stmt.body
+                if stmt.name in exported:
+                    functions |= {m.name for m in units
+                                  if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")}
+            for unit in units:
+                own = {unit.name} if isinstance(unit, (ast.FunctionDef, ast.ClassDef)) else set()
+                for n in ast.walk(unit):
+                    if isinstance(n, ast.Name) and n.id not in own:
+                        used.add(n.id)
+                    elif isinstance(n, ast.Attribute) and n.attr not in own:
+                        used.add(n.attr)
+    uncalled = sorted(functions - used - {"enumerate_steiner_trees", "total_capacity"})
+    assert not uncalled, f"exported functions and methods no package code calls: {uncalled}"
