@@ -1,8 +1,10 @@
 """Exact max-flow / min-cut on undirected multigraphs.
 
 One augmenting-path kernel, ``pair_flow``, serves every flow in the package,
-and ``checked_flow`` is its only caller.  It runs on vertex-pair capacities
-(``adj[x][y]`` sums all x-y edges, stored both ways), so a bundle of
+and ``checked_flow`` is its only caller.  It augments along shortest
+paths, found breadth-first (Edmonds & Karp 1972), so the number of
+augmentations is O(V * E) whatever the capacities.  It runs on vertex-pair
+capacities (``adj[x][y]`` sums all x-y edges, stored both ways), so a bundle of
 parallel edges is one residual entry; an undirected pair of capacity c
 carries up to c units of net flow either way.  A flow may be stopped at a
 target value: callers that only ask whether a cut reaches the target pay for
@@ -16,7 +18,6 @@ All values are integers.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .errors import CertificateError, UnknownVertex
 from .multigraph import Multigraph, TerminalSet
@@ -50,24 +51,30 @@ def pair_flow(
     stop = math.inf if limit is None else limit
     value = 0
     while value < stop:
+        # breadth-first: the queue is a list read while it grows
         parent = {s: s}
-        q = deque([s])
-        while q and t not in parent:
-            x = q.popleft()
+        queue = [s]
+        for x in queue:
             for y, c in res[x].items():
                 if c > 0 and y not in parent:
                     parent[y] = x
-                    q.append(y)
-        if t not in parent:
+                    queue.append(y)
+            if t in parent:
+                break
+        else:
             return value, frozenset(parent)
-        path, y = [], t
+        aug, y = stop - value, t
         while y != s:
-            path.append((parent[y], y))
-            y = parent[y]
-        aug = min(stop - value, *(res[x][y] for x, y in path))
-        for x, y in path:
+            x = parent[y]
+            if res[x][y] < aug:
+                aug = res[x][y]
+            y = x
+        y = t
+        while y != s:
+            x = parent[y]
             res[x][y] -= aug
             res[y][x] += aug
+            y = x
         value += aug
     return value, None
 

@@ -3,13 +3,15 @@
 Enumerates edge-minimal A-Steiner trees and packs them three ways: the
 maximum number of edge-disjoint trees (branch and bound), the half-integer
 rate, and the fractional routing capacity as an exact LP over the
-enumerated trees (dense simplex with Bland's rule, pivoted in integer
-arithmetic over one shared denominator).
+enumerated trees (revised simplex with Bland's rule, pivoted in integer
+arithmetic over one shared denominator).  Only the slack block of the
+tableau is kept: a tree's column is the sum of the slack columns of its
+edges, so a pivot updates rows with one entry per class, none per tree.
 
 A minimal tree is a spanning tree of A plus a relay subset in which every
 relay has degree at least 2; the spanning-tree search cuts a branch as soon
 as some relay can no longer reach that degree, so it only builds minimal
-trees.
+trees.  It takes each relay's edges together, so that cut comes early.
 
 Parallel edges are collapsed to one class per vertex pair for the solvers
 (a tree never uses two parallel copies and the copies are interchangeable);
@@ -49,6 +51,7 @@ search that visits ``MAX_SEARCH_NODES`` nodes raises SearchTooLarge.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -59,7 +62,8 @@ from .multigraph import Edge, Multigraph, Rate, TerminalSet, edge_component
 
 DEFAULT_TREE_LIMIT = 5000
 # Nodes one branch and bound may visit.  Every node runs its flows, so the
-# budget takes about 0.7-1.0 s, some 35-50 us a node (2-core x86 VM,
+# budget takes about 0.8-1.1 s, some 40-56 us a node, on the x7 copy of the
+# second draw of sample_instances(5, 10, 10, 4, 0) (2-core x86 VM,
 # Python 3.11).
 MAX_SEARCH_NODES = 20_000
 
@@ -177,6 +181,14 @@ def _minimal_trees(
     """All edge-minimal terminal-spanning trees: spanning trees of A union R
     (R a relay subset) in which every relay is an internal vertex."""
     relays = sorted(vertex_set - terminals)
+    # each relay's edges together, the relays by ascending (degree, name) and
+    # terminal-terminal edges last, so that the spanning-tree search settles
+    # a relay's degree 2 early; the output is sorted, so the order only
+    # changes the time taken
+    degree = Counter(x for _, u, v in edges for x in (u, v))
+    rank = {r: k for k, r in enumerate(sorted(relays, key=lambda r: (degree[r], r)))}
+    last = len(relays)
+    edges = sorted(edges, key=lambda e: (min(rank.get(e[1], last), rank.get(e[2], last)), e[0]))
     out: list[frozenset[int]] = []
 
     def keep(tree: list[int]) -> None:
@@ -223,52 +235,66 @@ def _lp_max_total(
 ) -> tuple[Fraction, list[Fraction]]:
     """max sum(y) s.t. for each row e: sum_{col containing e} y_col <= caps[e], y >= 0.
 
-    Dense tableau simplex with Bland's rule (no cycling), pivoted without
-    fractions (Edmonds 1967; Bareiss 1968): the tableau is integer over one
-    shared positive denominator ``d``, and a pivot on ``p`` at (r, c) maps
-    each row i != r to (p * row_i - a_ic * row_r) / d, an exact division,
-    then sets d = p.  Signs and ratio comparisons are those of the rational
-    tableau, so the pivots are the same.
+    Revised simplex with Bland's rule (no cycling), pivoted without
+    fractions (Edmonds 1967; Bareiss 1968): ``tab`` holds only the slack
+    block and the right-hand side, integer over one shared positive
+    denominator ``d``, and a pivot on ``p`` at (r, c) maps each row i != r
+    to (p * row_i - a_ic * row_r) / d, an exact division, then sets d = p.
+
+    Row operations act on every column alike, and a tree column starts as
+    the sum of the slack columns of its rows, so it stays that sum: the
+    column of tree j is the row-sum of ``tab`` over j's rows, and its
+    reduced cost (times d) is the sum of ``z`` over them less d.  Columns
+    are priced in the full tableau's order, trees and then slacks, taking
+    the first negative one, and signs and ratio comparisons are those of
+    the rational tableau, so the pivots are the full tableau's own.
     """
     m, n = len(row_ids), len(cols)
     row_index = {rid: i for i, rid in enumerate(row_ids)}
+    col_rows = [[row_index[rid] for rid in col] for col in cols]
     tab = []
     for i, rid in enumerate(row_ids):
-        row = [0] * (n + m + 1)
-        row[n + i] = 1
+        row = [0] * (m + 1)
+        row[i] = 1
         row[-1] = caps[rid]
         tab.append(row)
-    for j, col in enumerate(cols):
-        for rid in col:
-            tab[row_index[rid]][j] = 1
-    z = [-1] * n + [0] * (m + 1)
+    # d times the reduced costs of the slack columns, then d times the objective
+    z = [0] * (m + 1)
     d = 1
     basis = list(range(n, n + m))
     while True:
-        enter = next((j for j in range(n + m) if z[j] < 0), None)
-        if enter is None:
-            break
+        for j, rows in enumerate(col_rows):
+            cost = sum([z[i] for i in rows]) - d
+            if cost < 0:
+                enter = j
+                column = [sum([row[i] for i in rows]) for row in tab]
+                break
+        else:
+            k = next((k for k in range(m) if z[k] < 0), None)
+            if k is None:
+                break
+            enter, cost = n + k, z[k]
+            column = [row[k] for row in tab]
         leave = None
         for i in range(m):
-            a = tab[i][enter]
+            a = column[i]
             if a > 0:
                 if leave is None:
                     leave = i
                     continue
                 # b_i / a_i against b_leave / a_leave, both a positive
-                lhs, rhs = tab[i][-1] * tab[leave][enter], tab[leave][-1] * a
+                lhs, rhs = tab[i][-1] * column[leave], tab[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise CertificateError("tree-packing LP cannot be unbounded")
         prow = tab[leave]
-        p = prow[enter]
+        p = column[leave]
         for i in range(m):
             if i != leave:
-                f = tab[i][enter]
+                f = column[i]
                 tab[i] = [(p * x - f * y) // d for x, y in zip(tab[i], prow)]
-        f = z[enter]
-        z = [(p * x - f * y) // d for x, y in zip(z, prow)]
+        z = [(p * x - cost * y) // d for x, y in zip(z, prow)]
         d = p
         basis[leave] = enter
     y = [Fraction(0)] * n

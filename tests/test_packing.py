@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -649,6 +650,13 @@ class TestEnumerationOracle:
                     count += 1
         assert count > 1000
 
+    def test_benchmark_sample_cores(self):
+        # 4-5 relays each, so the relay-first edge order differs from id order
+        for g, a in sample_instances(20, 8, 6, 3, 0):
+            core = prune_to_core(g, a)
+            for graph in (core, with_parallel_edge(core)):
+                assert enumerate_steiner_trees(graph, a) == oracle_steiner_trees(graph, a)
+
 
 def reference_lp(cols, row_ids, caps):
     """The tree-packing LP on a Fraction tableau: Bland's rule, the ratio
@@ -719,3 +727,27 @@ class TestReferenceSimplex:
             n = len(names)
             for ts in ((0, n - 1), tuple(range(n))):
                 assert_matches_reference_lp(g, TerminalSet(names[ts[0]], tuple(names[i] for i in ts[1:])))
+
+    @pytest.mark.parametrize("cols, caps, opt", [
+        ([{10, 11, 13}, {13}, {12, 13}, {11}, {11, 13}], {10: 3, 11: 3, 12: 2, 13: 3}, 6),
+        ([{10, 11, 12}, {11}, {10}], {10: 2, 11: 3, 12: 1}, 5),
+        ([{10, 12, 13}, {10}, {13, 14}], {10: 3, 11: 2, 12: 2, 13: 2, 14: 1}, 4),
+    ])
+    def test_slack_column_reenters(self, cols, caps, opt):
+        # a wide column priced first enters and is pushed out again by
+        # smaller ones, and the slack column it drove out re-enters the basis
+        cols = [frozenset(c) for c in cols]
+        got = packing._lp_max_total(cols, sorted(caps), caps)
+        assert got == reference_lp(cols, sorted(caps), caps)
+        assert got[0] == opt
+
+    def test_random_small_lps(self):
+        # 14 of these pivot a slack column back in, which no graph LP of the
+        # benchmark does
+        rng = random.Random(0)
+        for _ in range(2000):
+            rows = list(range(10, 10 + rng.randint(1, 5)))
+            cols = [frozenset(r for r in rows if rng.random() < 0.5) for _ in range(rng.randint(1, 7))]
+            cols = [c for c in cols if c]
+            caps = {r: rng.randint(1, 3) for r in rows}
+            assert packing._lp_max_total(cols, rows, caps) == reference_lp(cols, rows, caps)
