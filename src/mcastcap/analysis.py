@@ -144,6 +144,18 @@ def analyze_instance(
     # the verified partition proves the LP rate optimal.
     if not lp <= eta:
         raise CertificateError(f"LP rate {lp} exceeds edge strength {eta}")
+    # the paper's lower bounds hold on every instance: Theorem 3's half-integer
+    # floor and its fractional limit, exact at every lambda because the
+    # fractional rate scales with capacity, and Theorem 1 for three terminals
+    na = len(a.members)
+    half_bound, frac_bound = bnd.theorem3_lower_bound(lam, na)
+    paper = [("half-integer rate", half, half_bound), ("LP rate", lp, frac_bound.value)]
+    if na == 3:
+        int_bound, half_bound3, _ = bnd.theorem1_lower_bounds(lam)
+        paper += [("integer packing", k, int_bound), ("half-integer rate", half, half_bound3)]
+    for name, value, bound in paper:
+        if not value >= bound:
+            raise CertificateError(f"{name} {value} is below the paper's bound {bound}")
 
     report.k_int = k
     report.half_rate = half
@@ -151,7 +163,6 @@ def analyze_instance(
     report.eta = eta
     report.bracket = GammaBracket(lp, eta, lp == eta)
 
-    na = len(a.members)
     report.bound_rows = [(name, str(value)) for name, _, value in bnd.bound_table(lam, na)]
 
     if via_splitting:

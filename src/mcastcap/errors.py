@@ -45,16 +45,9 @@ class TooManyTrees(ResourceLimit):
     """Minimal Steiner tree enumeration exceeded the requested limit."""
 
 
-class TooManyVertices(ResourceLimit):
-    """Instance too large for exhaustive partition enumeration."""
-
-
 class SearchTooLarge(ResourceLimit):
-    """The packing branch and bound used its node budget without a proved optimum."""
-
-
-class TooManyPartitions(ResourceLimit):
-    """The edge-strength search would visit more terminal partitions than its limit."""
+    """The packing branch and bound or the edge-strength search used its budget
+    without a proved optimum."""
 
 
 class BadSlot(McastcapError):

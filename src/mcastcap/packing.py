@@ -90,7 +90,9 @@ def _spanning_trees(
     """Enumerate the spanning trees of (nodes, edges) in which every relay
     has degree at least 2, each emitted once as a list of edge ids.
 
-    Include/exclude search over the edges in order.  A branch is cut when
+    Include/exclude search over the edges in order, depth first on an
+    explicit stack, so the number of edges is not limited by the
+    interpreter's recursion limit.  A branch is cut when
     some relay's chosen plus undecided edges fall below 2, or when the
     undecided edges can no longer connect the components.  Only leaving
     out an edge between two components can bring that about, so the
@@ -132,39 +134,63 @@ def _spanning_trees(
                 ncomp -= 1
         return ncomp == 1
 
-    # every call has edges from i on that can merge all components, so a
-    # call past the last edge has one component
-    def rec(i: int, parent: list[int], ncomp: int, chosen: list[int]) -> None:
-        nonlocal short
-        if ncomp == 1:
+    # depth first on an explicit stack: a node at depth i has decided edges
+    # 0..i-1, took[d] says whether edge d is in, and parents[k] is the
+    # union-find after the first k taken edges, so a node has n - k
+    # components.  Every node has edges from i on that can merge them all,
+    # so a node past the last edge has one component.
+    if not connectable(list(range(n)), n, 0):
+        return
+    parents, took = [list(range(n))], []
+    chosen: list[int] = []
+    while True:
+        i = len(took)
+        if len(chosen) == n - 1:
             if short == 0:
                 emit(list(chosen))
+        else:
+            u, v = ends[i]
+            parent = parents[-1]
+            ru, rv = find(parent, u), find(parent, v)
+            if ru != rv:  # take edge i first
+                p2 = parent.copy()
+                p2[ru] = rv
+                parents.append(p2)
+                chosen.append(edges[i][0])
+                for x in (u, v):
+                    need[x] -= 1
+                    if need[x] == 0:
+                        short -= 1
+                took.append(True)
+                continue
+            # edge i closes a cycle: leave it out, if its ends keep their degree
+            slack[u] -= 1
+            slack[v] -= 1
+            if slack[u] >= 0 and slack[v] >= 0:
+                took.append(False)
+                continue
+            slack[u] += 1
+            slack[v] += 1
+        # back up to the deepest taken edge that can be left out instead
+        while took:
+            i = len(took) - 1
+            u, v = ends[i]
+            if took.pop():
+                parents.pop()
+                chosen.pop()
+                for x in (u, v):
+                    if need[x] == 0:
+                        short += 1
+                    need[x] += 1
+                slack[u] -= 1
+                slack[v] -= 1
+                if slack[u] >= 0 and slack[v] >= 0 and connectable(parents[-1], n - len(chosen), i + 1):
+                    took.append(False)
+                    break
+            slack[u] += 1
+            slack[v] += 1
+        else:
             return
-        u, v = ends[i]
-        ru, rv = find(parent, u), find(parent, v)
-        if ru != rv:
-            p2 = parent.copy()
-            p2[ru] = rv
-            chosen.append(edges[i][0])
-            for x in (u, v):
-                need[x] -= 1
-                if need[x] == 0:
-                    short -= 1
-            rec(i + 1, p2, ncomp - 1, chosen)
-            for x in (u, v):
-                if need[x] == 0:
-                    short += 1
-                need[x] += 1
-            chosen.pop()
-        slack[u] -= 1
-        slack[v] -= 1
-        if slack[u] >= 0 and slack[v] >= 0 and (ru == rv or connectable(parent, ncomp, i + 1)):
-            rec(i + 1, parent, ncomp, chosen)
-        slack[u] += 1
-        slack[v] += 1
-
-    if connectable(list(range(n)), n, 0):
-        rec(0, list(range(n)), n, [])
 
 
 def _relay_subsets(relays: list[str]):

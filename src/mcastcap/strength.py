@@ -3,12 +3,15 @@
 eta(G, A) = min over partitions P of V with a terminal in every block of
 (crossing capacity of P) / (|P| - 1).
 
-The search is exact.  One recursion places the terminals in sorted order,
-each into every existing block and then into a new one, so it visits the
-terminal partitions in canonical order; it then assigns each relay (in
-sorted order) to one of the existing blocks, since a fresh block would be
-terminal-free.  The crossing of a terminal partition splits into a fixed
-part (terminal-terminal edges), a per-relay cost ``row[b]`` (the relay's
+The search is exact.  It places the terminals in sorted order, each into
+every existing block and then into a new one, so it visits the terminal
+partitions in canonical order; it then assigns each relay (in sorted order)
+to one of the existing blocks, since a fresh block would be terminal-free.
+Both levels are depth first on an explicit stack (``levels`` for the
+terminals, ``assign`` and ``before`` for the relays), so the depth, up to
+|A| + |R|, is not limited by the interpreter's recursion limit.  The
+crossing of a terminal partition splits into a fixed part
+(terminal-terminal edges), a per-relay cost ``row[b]`` (the relay's
 capacity to terminals outside block b) and the relay-relay edges cut by the
 assignment.  Nothing is set up per partition: placing a terminal adds its
 capacity to earlier terminals in other blocks to ``fixed`` and its capacity
@@ -57,6 +60,17 @@ strictly above the incumbent, so every minimizer reaches ``leaf()``; the
 first one there replaces the seed or a worse leaf.  The witness is
 therefore the least minimizer in the order of the sorted tuple of sorted
 blocks, whatever the search order and the seed.
+
+The search counts its work in steps, each about one pass of a loop it runs
+in Python: a terminal node costs 1 plus the terminals still to place (the
+bound's loop over j), placing a terminal 1 plus its relay edges, opening a
+block |R| (a column of ``into``), a full terminal partition 1 + |R| for its
+least-cost bound and |R| times its blocks more for its rows, and a relay
+node 1 plus, for each block, 1 and the relay's edges to earlier relays.
+More than ``MAX_STRENGTH_STEPS`` steps raise SearchTooLarge, naming the
+steps used.  The limit counts work rather than |V| or Bell(|A|): a
+16-vertex core can take a few thousand steps, and 11 terminals around one
+relay, where neither bound cuts a node, about 3.5 million.
 """
 
 from __future__ import annotations
@@ -66,32 +80,20 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .connectivity import pair_capacities, terminal_connectivity
-from .errors import CertificateError, TooManyPartitions, TooManyVertices
+from .errors import CertificateError, SearchTooLarge
 from .multigraph import Multigraph, Rate, TerminalSet
 
-MAX_VERTICES = 12
-# Most terminal partitions, Bell(|A|), the search may have to visit.
-# Bell(11) = 678570 is admitted: the 11-terminal cycle, with or without a
-# relay, takes under 1 ms, and 11 terminals around one relay hub, where no
-# partial partition can be pruned, about 1.3 s.  Bell(12) = 4213597 is not.
-MAX_TERMINAL_PARTITIONS = 10**6
+# Steps one edge strength search may spend (module docstring).  A step takes
+# about 0.2-0.4 us (2-core x86 VM, Python 3.11), so a search over budget
+# stops after 1-2.5 s: 11 terminals around one relay hub use 3.5 million
+# steps (about 1.1-1.5 s), and 12 are refused.
+MAX_STRENGTH_STEPS = 6_000_000
 
 
 @dataclass(frozen=True)
 class TerminalPartition:
     blocks: tuple[frozenset[str], ...]
     crossing: int
-
-
-def _bell(k: int) -> int:
-    """Number of set partitions of k items, by the Bell triangle."""
-    row = [1]
-    for _ in range(k - 1):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[-1]
 
 
 def _crossing_capacity(g: Multigraph, blocks) -> int:
@@ -104,18 +106,9 @@ def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartitio
 
     The witness is the lexicographically least minimizer (blocks compared as
     sorted tuples of sorted vertex lists), checked by ``verify_partition``.
+    A search that spends more than ``MAX_STRENGTH_STEPS`` steps raises
+    SearchTooLarge.
     """
-    if len(g.vertices) > MAX_VERTICES:
-        raise TooManyVertices(
-            f"strength enumeration limited to {MAX_VERTICES} vertices"
-        )
-    partitions = _bell(len(a.members))
-    if partitions > MAX_TERMINAL_PARTITIONS:
-        raise TooManyPartitions(
-            f"edge strength search would visit {partitions} terminal partitions "
-            f"(Bell({len(a.members)})), more than the limit "
-            f"MAX_TERMINAL_PARTITIONS = {MAX_TERMINAL_PARTITIONS}"
-        )
     lam = terminal_connectivity(g, a)
     adj = pair_capacities(g)
     terms = sorted(a.members)
@@ -159,11 +152,18 @@ def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartitio
     tblock = [0] * nt  # block of each placed terminal on the current search path
     into = [[] for _ in relays]  # into[r][b]: capacity from relay r to block b
     assign = [0] * nr  # block of each placed relay on the current search path
+    before = [0] * nr  # crossing before each placed relay on the current search path
+    steps = 0  # work done so far, in the units of the module docstring
 
-    # leaf() and place() read nb, den, rows and suffix of the terminal
-    # partition being searched
-    def leaf(cur: int) -> None:
+    def over_budget() -> SearchTooLarge:
+        return SearchTooLarge(
+            f"edge strength search used {steps} steps, more than the budget "
+            f"MAX_STRENGTH_STEPS = {MAX_STRENGTH_STEPS}"
+        )
+
+    def leaf(cur: int, nb: int) -> None:
         nonlocal best_num, best_den, best_key
+        den = nb - 1
         lhs, rhs = cur * best_den, best_num * den
         if lhs > rhs:
             return
@@ -177,66 +177,117 @@ def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartitio
             return
         best_num, best_den, best_key = cur, den, key
 
-    def place(r: int, cur: int) -> None:
-        if r == nr:
-            leaf(cur)
+    def place(cur: int, nb: int, rows: list[list[int]], suffix: list[int]) -> None:
+        """Assign each relay in turn to one of the nb blocks of a full
+        terminal partition with fixed crossing ``cur``, depth first."""
+        nonlocal steps
+        if nr == 0:
+            leaf(cur, nb)
             return
-        row, back = rows[r], rr_edges[r]
-        for b in range(nb):
-            step = row[b] + sum(c for s, c in back if assign[s] != b)
-            if (cur + step + suffix[r + 1]) * best_den > best_num * den:
-                continue
-            assign[r] = b
-            place(r + 1, cur + step)
+        den = nb - 1
+        r = first = 0  # the relay being placed, and the next block to try for it
+        steps += 1 + nb * (1 + len(rr_edges[0]))
+        while True:
+            if steps > MAX_STRENGTH_STEPS:
+                raise over_budget()
+            row, back, rest = rows[r], rr_edges[r], suffix[r + 1]
+            for b in range(first, nb):
+                step = row[b]
+                for s, c in back:
+                    if assign[s] != b:
+                        step += c
+                if (cur + step + rest) * best_den > best_num * den:
+                    continue
+                assign[r] = b
+                if r + 1 == nr:
+                    leaf(cur + step, nb)
+                    continue
+                before[r] = cur
+                r, cur, first = r + 1, cur + step, 0
+                steps += 1 + nb * (1 + len(rr_edges[r]))
+                break
+            else:
+                if r == 0:
+                    return
+                r -= 1
+                cur, first = before[r], assign[r] + 1
 
-    def part(i: int, blocks: int, fixed: int) -> None:
-        nonlocal nb, den, rows, suffix
-        if i == nt:
-            if blocks < 2:
-                return
-            # a relay costs at least its capacity to every block but its best
-            lower = fixed + rt_sum - sum(map(max, into))
-            if lower * best_den > best_num * (blocks - 1):
-                return
-            nb, den = blocks, blocks - 1
-            rows = [[rt_total[r] - x for x in into[r]] for r in range(nr)]
-            suffix = [0] * (nr + 1)
-            for r in range(nr - 1, -1, -1):
-                suffix[r] = suffix[r + 1] + min(rows[r])
-            place(0, fixed)
+    def partition(blocks: int, fixed: int) -> None:
+        """Search the relay assignments of the full terminal partition on
+        the path, unless its least-cost bound is above the incumbent."""
+        nonlocal steps
+        steps += 1 + nr
+        # a relay costs at least its capacity to every block but its best
+        lower = fixed + rt_sum - sum(map(max, into))
+        if lower * best_den > best_num * (blocks - 1):
             return
+        steps += nr * blocks
+        rows = [[rt_total[r] - x for x in into[r]] for r in range(nr)]
+        suffix = [0] * (nr + 1)
+        for r in range(nr - 1, -1, -1):
+            suffix[r] = suffix[r + 1] + min(rows[r])
+        place(fixed, blocks, rows, suffix)
+
+    # the terminal search: levels[i] holds (blocks, fixed, capacity from
+    # terminal i to each block) of the open node that places terminal i, in
+    # block tblock[i]; a node is entered at the top of the loop
+    levels: list[tuple[int, int, list[int]]] = []
+    i = blocks = fixed = 0
+    while True:
+        steps += 1 + nt - i
+        if steps > MAX_STRENGTH_STEPS:
+            raise over_budget()
         # a completion in which j of the unplaced terminals open blocks has
         # k = blocks + j >= 2 blocks and crosses at least
         # max(fixed + opener[i][j], k * lam / 2); keep the node iff for some
         # j that bound, over k - 1, is at most the incumbent
         least = opener[i]
+        b = -1  # the block to try for terminal i next, or -1 to back up
         for k in range(max(blocks, 2), blocks + nt - i + 1):
             lower2 = max(2 * (fixed + least[k - blocks]), k * lam)  # twice the bound
             if lower2 * best_den <= 2 * best_num * (k - 1):
+                to = [0] * (blocks + 1)  # capacity from terminal i to each block
+                for s, c in tt_edges[i]:
+                    to[tblock[s]] += c
+                levels.append((blocks, fixed, to))
+                b = 0
                 break
-        else:
-            return
-        to = [0] * (blocks + 1)  # capacity from terminal i to each block
-        for s, c in tt_edges[i]:
-            to[tblock[s]] += c
-        out = tr_edges[i]
-        for b in range(blocks + 1):
+        while True:
+            if b < 0 or b > blocks:  # back up to the parent's next child
+                if b > blocks:
+                    for x in into:
+                        x.pop()
+                    levels.pop()
+                if not levels:
+                    break
+                i -= 1
+                blocks, fixed, to = levels[-1]
+                b, out = tblock[i], tr_edges[i]
+                for r, c in out:
+                    into[r][b] -= c
+                b += 1
+                continue
             if b == blocks:
+                steps += nr
                 for x in into:
                     x.append(0)
             tblock[i] = b
+            out = tr_edges[i]
+            steps += 1 + len(out)
             for r, c in out:
                 into[r][b] += c
-            part(i + 1, blocks + (b == blocks), fixed + tt_total[i] - to[b])
+            child_blocks, child_fixed = blocks + (b == blocks), fixed + tt_total[i] - to[b]
+            if i + 1 < nt:
+                i, blocks, fixed = i + 1, child_blocks, child_fixed
+                break
+            if child_blocks >= 2:
+                partition(child_blocks, child_fixed)
             for r, c in out:
                 into[r][b] -= c
-        for x in into:
-            x.pop()
+            b += 1
+        if not levels:
+            break
 
-    nb = den = 0
-    rows: list[list[int]] = []
-    suffix: list[int] = []
-    part(0, 0, 0)
     if best_key is None:
         raise CertificateError("edge strength search found no partition")
     eta = Fraction(best_num, best_den)

@@ -19,6 +19,7 @@ from mcastcap import (
     example2_instance,
     load_instance,
     packing,
+    random_instance,
     sample_instances,
     scale_capacities,
 )
@@ -55,6 +56,20 @@ class TestAnalyze:
     def test_via_splitting(self, cycle_file, capsys):
         assert main(["analyze", cycle_file, "--via-splitting"]) == 0
         assert "via splitting" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        (13, 8, 4, 2), (14, 8, 3, 2), (14, 10, 4, 1), (14, 10, 4, 2),
+        (16, 10, 3, 0), (16, 10, 3, 1), (16, 10, 3, 2), (16, 12, 4, 0),
+    ])
+    def test_cores_past_twelve_vertices(self, tmp_path, capsys, args):
+        g, a = random_instance(*args)
+        assert len(g.vertices) > 12
+        path = tmp_path / "core.json"
+        path.write_text(dump_instance(g, a))
+        for flags in ([], ["--via-splitting"]):
+            assert main(["analyze", str(path), "--format", "structured", *flags]) == 0
+            d = json.loads(capsys.readouterr().out)
+            assert d["bracket"] == {"lower": "2", "upper": "2", "tight": True}
 
     def test_lifted_trees_count_multiplicity(self, tmp_path, capsys):
         # relay-free, so the packing lifts as it is: one tree of multiplicity 3
@@ -458,26 +473,33 @@ class TestErrors:
         assert calls == []
         assert json.loads(capsys.readouterr().out)[key] == "8"
 
-    def test_tree_limit(self, tmp_path, capsys):
-        names = [f"v{i}" for i in range(8)]
+    @pytest.mark.parametrize("command", ["analyze", "pack"])
+    @pytest.mark.parametrize("n", [8, 46])
+    def test_tree_limit(self, tmp_path, capsys, command, n):
+        # all-terminal unit K_n; K46 has 1035 edges, more than the interpreter's
+        # default recursion limit, and the spanning-tree search decides them
+        # one at a time
+        names = [f"v{i}" for i in range(n)]
         g = Multigraph.build(names, [(u, v, 1) for i, u in enumerate(names) for v in names[i + 1:]])
-        path = tmp_path / "k8.json"
+        path = tmp_path / f"k{n}.json"
         path.write_text(dump_instance(g, TerminalSet(names[0], tuple(names[1:]))))
-        assert main(["analyze", str(path)]) == 3
+        assert main([command, str(path)]) == 3
         err = capsys.readouterr().err
         assert "resource limit: tree enumeration found more than DEFAULT_TREE_LIMIT = 5000 minimal Steiner trees" in err
 
-    def test_strength_partition_limit(self, tmp_path, capsys):
-        names = [f"v{i:02d}" for i in range(12)]
-        g = Multigraph.build(names, [(names[i], names[(i + 1) % 12], 1) for i in range(12)])
-        path = tmp_path / "cycle12.json"
+    def test_strength_step_limit(self, tmp_path, capsys):
+        # 12 terminals joined only through one relay hub: no partial partition
+        # is pruned, and the 11-terminal hub star already takes 3.5 million steps
+        names = [f"t{i:02d}" for i in range(12)]
+        g = Multigraph.build([*names, "hub"], [(t, "hub", 1) for t in names])
+        path = tmp_path / "hub12.json"
         path.write_text(dump_instance(g, TerminalSet(names[0], tuple(names[1:]))))
         start = time.perf_counter()
         assert main(["strength", str(path)]) == 3
         assert time.perf_counter() - start < 5
         err = capsys.readouterr().err
-        assert "resource limit: edge strength" in err
-        assert "4213597 terminal partitions" in err and "MAX_TERMINAL_PARTITIONS = 1000000" in err
+        assert "resource limit: edge strength search used " in err
+        assert "steps, more than the budget MAX_STRENGTH_STEPS = 6000000" in err
 
 
 # Runs under ``python -O``, which strips asserts: the certificate checks must
@@ -498,6 +520,12 @@ def over_report(original):
         return value + 1, side
     return faulty
 
+def under_report(original):
+    def faulty(*args):
+        value, side = original(*args)
+        return value - 1, side
+    return faulty
+
 def fall_short(original):
     # a flow stopped at its limit reports one unit less, cut around the source alone
     def faulty(adj, s, t, limit=None):
@@ -515,7 +543,7 @@ def drop_edge(original):
     return faulty
 
 FAULTS = {"fail": lambda original: lambda *args: False, "over-report": over_report,
-          "fall-short": fall_short, "drop-edge": drop_edge}
+          "under-report": under_report, "fall-short": fall_short, "drop-edge": drop_edge}
 module_name, name = sys.argv[1].rsplit(".", 1)
 module = importlib.import_module(f"mcastcap.{module_name}")
 setattr(module, name, FAULTS[sys.argv[2]](getattr(module, name)))
@@ -603,6 +631,20 @@ class TestCertificateChecks:
         proc = _run_faulty("analysis.fractional_capacity_lp", "over-report", "analyze", cycle_file)
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure: LP rate 9/4 exceeds edge strength 5/4" in proc.stderr
+
+    @pytest.mark.parametrize("function, terminals, message", [
+        ("half_integer_capacity", 5, "half-integer rate 0 is below the paper's bound 1"),
+        ("fractional_capacity_lp", 5, "LP rate 1/4 is below the paper's bound 5/4"),
+        ("max_integer_packing", 3, "integer packing 0 is below the paper's bound 1"),
+    ], ids=["half", "frac", "int"])
+    def test_rate_below_a_paper_bound_is_refused(self, tmp_path, function, terminals, message):
+        # lambda = 2 on the cycles: the a = 5 one meets Theorem 3 with equality
+        # (half 1, LP 5/4), and the triangle packs the one tree of Theorem 1
+        path = tmp_path / "cycle.json"
+        path.write_text(dump_instance(*example2_instance(terminals, (0, 2) if terminals == 5 else ())))
+        proc = _run_faulty(f"analysis.{function}", "under-report", "analyze", str(path))
+        assert proc.returncode == 4, proc.stderr
+        assert f"certificate failure: {message}" in proc.stderr
 
     @pytest.mark.parametrize("argv", [["split"], ["analyze", "--via-splitting"]])
     def test_missing_split_partner_is_a_certificate_failure(self, cycle_file, argv):

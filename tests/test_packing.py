@@ -27,9 +27,7 @@ from mcastcap.errors import (
     CertificateError,
     ResourceLimit,
     SearchTooLarge,
-    TooManyPartitions,
     TooManyTrees,
-    TooManyVertices,
 )
 from mcastcap.multigraph import Edge, prune_to_core, scale_capacities
 from mcastcap.packing import SteinerPacking, SteinerTree, solve_tree_lp
@@ -359,7 +357,7 @@ def counted_bound_evaluations(monkeypatch):
 
 class TestDepthGuard:
     def test_resource_errors_share_a_base(self):
-        for error in (TooManyTrees, TooManyVertices, SearchTooLarge, TooManyPartitions):
+        for error in (TooManyTrees, SearchTooLarge):
             assert issubclass(error, ResourceLimit)
 
     def test_budget_exhausted_short_of_goal_refused(self, monkeypatch):

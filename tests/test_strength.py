@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -11,14 +12,22 @@ from mcastcap import (
     edge_strength,
     example2_instance,
     fractional_capacity_lp,
+    random_instance,
     sample_instances,
     scale_capacities,
     solve_tree_lp,
     verify_partition,
 )
 from mcastcap import strength
-from mcastcap.errors import TooManyPartitions, TooManyVertices
+from mcastcap.errors import SearchTooLarge
 from mcastcap.strength import TerminalPartition
+
+
+def hub_star(n):
+    """n terminals joined only through one relay, each by a unit edge."""
+    names = [f"t{i:02d}" for i in range(n)]
+    g = Multigraph.build([*names, "hub"], [(t, "hub", 1) for t in names])
+    return g, TerminalSet(names[0], tuple(names[1:]))
 
 
 def triangle():
@@ -49,35 +58,41 @@ class TestEdgeStrength:
         assert eta == 4
         assert len(witness.blocks) == 2
 
-    def test_vertex_limit(self):
+    def test_thirteen_vertex_cycle(self):
+        # three adjacent terminals on a 13-cycle
         names = [f"v{i}" for i in range(13)]
         g = Multigraph.build(names, [(names[i], names[(i + 1) % 13], 1) for i in range(13)])
-        with pytest.raises(TooManyVertices):
-            edge_strength(g, TerminalSet("v0", ("v1", "v2")))
+        eta, witness = edge_strength(g, TerminalSet("v0", ("v1", "v2")))
+        assert eta == Fraction(3, 2)
+        assert witness.crossing == 3
 
-    def test_terminal_partition_limit(self):
-        # 12 terminals: Bell(12) = 4213597 terminal partitions, refused before
-        # the search reads a single edge
+    def test_twelve_terminal_cycle(self):
+        # Bell(12) = 4213597 terminal partitions, and the bounds cut all but a few
         names = [f"v{i:02d}" for i in range(12)]
         g = Multigraph.build(names, [(names[i], names[(i + 1) % 12], 1) for i in range(12)])
-        reads = []
+        eta, witness = edge_strength(g, TerminalSet(names[0], tuple(names[1:])))
+        assert eta == Fraction(12, 11)
+        assert len(witness.blocks) == 12
 
-        class Watched:
-            vertices = g.vertices
+    def test_step_budget(self, monkeypatch):
+        # 11 terminals around one relay hub: no partial partition is pruned
+        g, a = hub_star(11)
+        monkeypatch.setattr(strength, "MAX_STRENGTH_STEPS", 1000)
+        with pytest.raises(SearchTooLarge) as info:
+            edge_strength(g, a)
+        match = re.fullmatch(
+            r"edge strength search used (\d+) steps, more than the budget MAX_STRENGTH_STEPS = 1000",
+            str(info.value),
+        )
+        assert match and int(match[1]) > 1000
 
-            @property
-            def edges(self):
-                reads.append("edges")
-                return g.edges
-
-        with pytest.raises(
-            TooManyPartitions,
-            match=r"edge strength .* 4213597 terminal partitions .* MAX_TERMINAL_PARTITIONS = 1000000",
-        ):
-            edge_strength(Watched(), TerminalSet(names[0], tuple(names[1:])))
-        assert reads == []
-        # every terminal count up to 11 is admitted
-        assert strength._bell(11) <= strength.MAX_TERMINAL_PARTITIONS < strength._bell(12)
+    def test_deep_relay_chain_runs_in_a_flat_stack(self, monkeypatch):
+        # 1200 relays in one gap: the budget lets the relay search's path reach
+        # all 1200 relays, past the interpreter's default recursion limit of 1000
+        g, a = example2_instance(3, (0,) * 1200)
+        monkeypatch.setattr(strength, "MAX_STRENGTH_STEPS", 20_000)
+        with pytest.raises(SearchTooLarge, match="used 2000[0-9] steps"):
+            edge_strength(g, a)
 
 
 class TestProperties:
@@ -210,7 +225,7 @@ class TestOracle:
 
 
 def _reference_edge_strength(g, a):
-    """The search before the incremental recursion: every terminal partition
+    """The search before the incremental terminal search: every terminal partition
     is generated as a copy and its relay rows and bounds are set up from
     scratch; the relay assignment search is the same."""
 
@@ -297,7 +312,7 @@ def _reference_edge_strength(g, a):
 
 
 class TestIncrementalSearch:
-    """The incremental recursion and its partial-partition prune return the
+    """The incremental terminal search and its partial-partition prune return the
     (eta, blocks, crossing) of the search that set up every terminal
     partition from scratch, on instances too large for the flat oracle."""
 
@@ -327,6 +342,18 @@ class TestIncrementalSearch:
         for g, a in [*sample_instances(20, 8, 6, 3, 0), *sample_instances(5, 10, 10, 4, 0)]:
             for copy in self._with_copies(g, a):
                 self._assert_matches_reference(*copy)
+
+    def test_large_cores_and_relay_chains(self):
+        # 13-16 vertex random cores, a long relay chain, and relays spread
+        # over every gap of the a = 5 and a = 6 cycles
+        cases = [random_instance(*args) for args in (
+            (13, 8, 4, 2), (14, 8, 3, 2), (14, 10, 4, 1), (14, 10, 4, 2),
+            (16, 10, 3, 0), (16, 10, 3, 1), (16, 10, 3, 2), (16, 12, 4, 0),
+        )]
+        cases.append(example2_instance(3, (0,) * 20))
+        cases += [example2_instance(a, tuple(i % a for i in range(10))) for a in (5, 6)]
+        for g, a in cases:
+            self._assert_matches_reference(g, a)
 
     def test_zero_strength_ties(self):
         # three components: every partition that keeps each one whole crosses

@@ -87,3 +87,17 @@ def test_every_exported_function_has_a_caller():
                         used.add(n.attr)
     uncalled = sorted(functions - used - {"enumerate_steiner_trees", "total_capacity"})
     assert not uncalled, f"exported functions and methods no package code calls: {uncalled}"
+
+
+def test_no_function_calls_itself():
+    # every exact search keeps its path on an explicit stack, so no input's
+    # depth runs into the interpreter's recursion limit
+    recursive = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == fn.name
+                for n in ast.walk(fn)
+            ):
+                recursive.append(f"{path.name}:{fn.name}")
+    assert not recursive, f"functions that call themselves: {recursive}"
