@@ -11,7 +11,8 @@ target value: callers that only ask whether a cut reaches the target pay for
 no more.  A flow not stopped is maximum, and its residual-reachable set is
 the unique minimal source side of a minimum cut, whichever augmenting paths
 were found; ``checked_flow`` refuses it unless that cut separates its ends
-and carries its value.
+and carries its value.  A caller that keeps the flow itself passes the
+residual map to augment in.
 All values are integers.
 """
 
@@ -40,14 +41,17 @@ def cut_capacity(adj: PairCapacities, side: frozenset[str]) -> int:
 
 
 def pair_flow(
-    adj: PairCapacities, s: str, t: str, limit: int | None = None
+    adj: PairCapacities, s: str, t: str, limit: int | None = None, res: PairCapacities | None = None
 ) -> tuple[int, frozenset[str] | None]:
     """Flow from s to t, stopped once it reaches ``limit``: min(limit, λ).
 
     Returns ``(limit, None)`` when stopped, else ``(λ, side)`` with ``side``
     the vertices reachable from s in the residual graph of a maximum flow.
+    The flow is built in ``res``, a copy of ``adj`` made here when not
+    given; afterwards ``res[x][y]`` is adj[x][y] less the flow from x to y.
     """
-    res = {x: dict(nbrs) for x, nbrs in adj.items()}
+    if res is None:
+        res = {x: dict(nbrs) for x, nbrs in adj.items()}
     stop = math.inf if limit is None else limit
     value = 0
     while value < stop:
@@ -80,12 +84,12 @@ def pair_flow(
 
 
 def checked_flow(
-    adj: PairCapacities, s: str, t: str, limit: int | None = None
+    adj: PairCapacities, s: str, t: str, limit: int | None = None, res: PairCapacities | None = None
 ) -> tuple[int, frozenset[str] | None]:
     """``pair_flow`` whose cut, when the flow is maximum, must separate s
     from t and carry its value: a flow that falls short of ``limit`` then
     proves λ(s, t) < limit."""
-    value, side = pair_flow(adj, s, t, limit)
+    value, side = pair_flow(adj, s, t, limit, res)
     if side is not None and (s not in side or t in side or cut_capacity(adj, side) != value):
         raise CertificateError(f"flow value {value} from {s!r} to {t!r} does not match a cut between them")
     return value, side

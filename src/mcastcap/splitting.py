@@ -6,28 +6,49 @@ edges at the pivot and adds one splitting edge of that capacity
 (A. Frank, *On a theorem of Mader*, 1992), so the work and the history
 grow with the number of edge pairs, not with capacity.
 
-A complete splitting at pivot x computes the cut value and certified
-minimal source side of n - 2 pairs of V - x once, n = |V|: each split it
-takes keeps all of them, so they are the targets for the whole splitting.
-Splitting never raises a cut, so a flow on the split graph stopped at its
-target decides a pair.  Reaching it proves the value unchanged, and the
-target's side must then cut exactly that capacity (the split-cut
-certificate); falling short, its own residual cut must carry its value, and
-the candidate is refused.
+A split at pivot x is admissible when it keeps λ(s, t) for every pair of
+V - x.  The pairs checked are the links of an equivalent-flow tree on
+V - x (D. Gusfield, *Very simple methods for all pairs network flow
+analysis*, SIAM J. Comput. 1990): a tree whose least link weight on the
+path between any two vertices is their cut value, with every cut taken in
+the whole graph.  In any graph λ(s, t) ≥ min(λ(s, w), λ(w, t)), so λ(s, t)
+is at least the least λ of the pairs along any path from s to t.  A split
+that keeps every link at its weight therefore leaves every λ'(s, t) at
+least the least weight on the tree path, which is λ(s, t), and splitting
+never raises a cut: it keeps every λ(s, t).  So any equivalent-flow tree
+decides exactly as a check of all C(n - 1, 2) pairs does, n = |V|.
 
-The pairs are the edges of Gusfield's equivalent-flow tree on V - x
-(D. Gusfield, *Very simple methods for all pairs network flow analysis*,
-SIAM J. Comput. 1990), with every cut taken in the whole graph.  Each
-vertex after the first, in sorted order, takes one flow to its tree parent
-t, and every later vertex still hanging off t that lies on its side of
-that cut moves under it.  By Gusfield's theorem λ(s, t) is the least target
-on the tree path from s to t, for every pair of V - x.  In any graph
-λ(s, t) ≥ min(λ(s, w), λ(w, t)), so λ(s, t) is at least the least λ of the
-pairs along any path from s to t.  A split that keeps every tree pair at
-its target therefore leaves every λ'(s, t) at least the least target on
-the tree path, which is λ(s, t), and splitting never raises a cut: it
-keeps every λ(s, t), and the decision is the one a check of all
-C(n - 1, 2) pairs makes.
+One tree serves the whole call.  It is built once, at the first pivot x₁,
+with Gusfield's n - 2 flows on V - x₁: each vertex after the first, in
+sorted order, takes one flow to its tree parent t, and every later vertex
+still hanging off t that lies on its side of that cut moves under it.
+Every split taken keeps all λ among V - x and the finished pivot is
+isolated, so the tree stays an equivalent-flow tree of the graph split so
+far.  Each later pivot x is a vertex of it and leaves it: x's tree
+neighbours nᵢ, with link weights wᵢ, hang off the heaviest one, h.  The
+old path nᵢ - x - h had least weight min(wᵢ, w_h) = wᵢ, so λ(nᵢ, h) = wᵢ,
+and one checked flow per new link confirms it.  A path through x ran
+nᵢ - x - nⱼ with least weight min(wᵢ, wⱼ) and now runs nᵢ - h - nⱼ with the
+same two weights, so the tree stays equivalent-flow on V - x.
+
+Every link keeps a certified minimal side S of its first flow, d(S) equal
+to its weight.  Splitting never raises a cut, and a split taken keeps the
+link's λ, so S still cuts exactly the weight; each trial that accepts a
+link checks it (the split-cut certificate).  If S separates x from both r
+and t (from r when r = t), splitting an amount off xr and xt lowers d(S)
+by twice the amount, below the weight: the trial is refused before any
+flow runs, with the cut capacity of S on the split map as certificate.
+
+Every link also carries the residual of a flow of its weight.  A trial
+first reroutes flow on r - x - t (either way) onto the pair rt, which the
+split gives its amount of capacity: a flow keeps its value when units move
+from a path onto a parallel one.  If some number of units, the fewest one,
+makes the flow fit xr, xt and rt after the split, it is a flow of the
+link's weight in the split graph and the link keeps its weight with no
+flow run.  Otherwise a flow on the split map, stopped at the weight,
+decides the link: reaching it proves the weight kept, and its residual is
+carried when the split is taken; falling short, its own residual cut
+carries its value, and the trial is refused.
 
 A complete splitting needs no backtracking.  The pivot has even degree and
 no cut-edge when the splitting starts, and:
@@ -51,30 +72,34 @@ Taking the first admissible partner of the smallest edge, one split after
 another, therefore never gets stuck.  A missing partner is a bug and raises
 CertificateError.
 
-Each split takes the largest amount that keeps the targets, found by
-bisection that tries the full amount first.  Bisection is exact because
-splitting more never raises a cut: splitting b more units after a units
-leaves every cut at most where a units left it, so the amounts that keep
-the targets are 0 to some m.  For the same reason a pair (r, t) refused
-once stays refused for the whole pivot: splits commute, so splitting it
-after further splits leaves every cut at most where splitting it before
-them did, below some target.  The loop thus ends, aggregated, where a
-backtracking search over pairings of unit edges in the same order ends.
+Each split takes the largest admissible amount, found by bisection that
+tries the full amount first.  Bisection is exact because splitting more
+never raises a cut: splitting b more units after a units leaves every cut
+at most where a units left it, so the admissible amounts are 0 to some m.
+For the same reason a pair (r, t) refused once stays refused for the whole
+pivot: splits commute, so splitting it after further splits leaves every
+cut at most where splitting it before them did, below some weight.  The
+loop thus ends, aggregated, where a backtracking search over pairings of
+unit edges in the same order ends.
 
-The trials edit one map.  The pair capacities of the graph split so far
-are built once per pivot, and the targets are computed on them before any
-trial; a trial shifts its amount off the pairs xr and xt
-onto rt in place, checks the targets on the map and shifts it back, and
-only the accepted split builds the next graph with ``split_off``.  Flow
-values and cut capacities depend on the pair capacities alone, so every
-decision and certificate check is the one a freshly built split graph gives.
+The trials edit one map of pair capacities, built once per call: a trial
+shifts its amount off the pairs xr and xt onto rt in place, checks the
+links on the map and shifts it back.  Flow values and cut capacities depend
+on the pair capacities alone, so every decision and certificate check is
+the one a freshly built split graph gives.  A split taken edits the map,
+the carried flows and the edges in place and records its ``SplitEvent``;
+the result is built once, with the ids and edge order ``split_off`` gives.
+Before it is returned, a checked flow for every terminal pair must find
+the pair's cut value in the scaled input, read off the first tree (the
+closing certificate).
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count
+from itertools import combinations, count
 
 from .errors import (
     CertificateError,
@@ -168,59 +193,169 @@ def split_off(
     return Multigraph(g.vertices, tuple(edges)), SplitEvent(x, e_id, r, f_id, t, new_id, amount)
 
 
-def _cut_targets(adj: PairCapacities, x: str) -> list[tuple[str, str, int, frozenset[str]]]:
-    """Cut value and certified minimal source side of the n - 2 pairs of
-    Gusfield's equivalent-flow tree over V - x (module docstring), on the
-    graph whose pair capacities are ``adj``."""
+@dataclass
+class _Link:
+    """A link u-v of the equivalent-flow tree: its weight λ(u, v), a
+    certified minimal u-side of a cut of that capacity, and the residual of
+    a u-v flow of that value on the current map."""
+
+    u: str
+    v: str
+    target: int
+    side: frozenset[str]
+    res: PairCapacities
+
+
+def _link(adj: PairCapacities, u: str, v: str) -> _Link:
+    """The link u-v, from one checked maximum flow on ``adj``."""
+    res = {y: dict(nbrs) for y, nbrs in adj.items()}
+    value, side = checked_flow(adj, u, v, None, res)
+    return _Link(u, v, value, side, res)
+
+
+def _flow_tree(adj: PairCapacities, x: str) -> list[_Link]:
+    """Gusfield's equivalent-flow tree over V - x, n - 2 flows (module
+    docstring), on the graph whose pair capacities are ``adj``."""
     nodes = sorted(adj.keys() - {x})
     parent = {u: nodes[0] for u in nodes[1:]}
-    tree = []
+    links = []
     for i, s in enumerate(nodes[1:], 1):
-        t = parent[s]
-        value, side = checked_flow(adj, s, t)
-        tree.append((s, t, value, side))
+        link = _link(adj, s, parent[s])
+        links.append(link)
         for u in nodes[i + 1:]:
-            if parent[u] == t and u in side:
+            if parent[u] == link.v and u in link.side:
                 parent[u] = s
-    return tree
+    return links
 
 
-def _keeps_targets(adj: PairCapacities, targets) -> bool:
-    """True iff the split graph's pair capacities ``adj`` keep every target
-    cut value; stops at the first pair that falls short."""
-    for u, v, target, side in targets:
-        if checked_flow(adj, u, v, target)[1] is not None:
-            return False
-        if cut_capacity(adj, side) != target:
-            raise CertificateError(f"target side of {u!r}-{v!r} does not cut {target} after the split")
-    return True
+def _without(adj: PairCapacities, links: list[_Link], x: str) -> list[_Link]:
+    """The tree ``links`` with x taken out: x's other tree neighbours hang
+    off its heaviest one, h, each with one checked flow that must find the
+    weight of its old link to x (module docstring)."""
+    at_x = [link for link in links if x in (link.u, link.v)]
+    heavy = max(at_x, key=lambda link: link.target)
+    h = heavy.v if heavy.u == x else heavy.u
+    out = [link for link in links if x not in (link.u, link.v)]
+    for old in at_x:
+        if old is not heavy:
+            link = _link(adj, old.v if old.u == x else old.u, h)
+            if link.target != old.target:
+                raise CertificateError(
+                    f"cut value {link.target} of {link.u!r}-{h!r} differs from the tree's {old.target}"
+                )
+            out.append(link)
+    return out
+
+
+def _path_minima(links: list[_Link], start: str) -> dict[str, int]:
+    """Least weight on the tree path from ``start`` to each other vertex."""
+    nbrs: dict[str, list[tuple[str, int]]] = {}
+    for link in links:
+        nbrs.setdefault(link.u, []).append((link.v, link.target))
+        nbrs.setdefault(link.v, []).append((link.u, link.target))
+    least, stack = {start: math.inf}, [start]
+    while stack:
+        y = stack.pop()
+        for z, target in nbrs[y]:
+            if z not in least:
+                least[z] = min(least[y], target)
+                stack.append(z)
+    del least[start]
+    return least
 
 
 def _shift(adj: PairCapacities, x: str, r: str, t: str, amount: int) -> None:
     """Split ``amount`` off the pairs xr and xt into rt on ``adj``, in place
-    (twice off xr when r == t, and no rt); a negative amount undoes it.  A
-    pair left at 0 stays as a 0 entry."""
-    for u, v, d in ((x, r, -amount), (x, t, -amount), (r, t, amount)):
-        if u != v:
-            adj[u][v] = adj[u].get(v, 0) + d
-            adj[v][u] = adj[v].get(u, 0) + d
+    (twice off xr when r == t, and no rt); a negative amount undoes it.  xr
+    and xt must be entries of ``adj``; a pair left at 0 stays as a 0 entry.
+    On a residual map it changes the capacities under the same flow."""
+    adj[x][r] -= amount
+    adj[r][x] -= amount
+    adj[x][t] -= amount
+    adj[t][x] -= amount
+    if r != t:
+        adj[r][t] = adj[r].get(t, 0) + amount
+        adj[t][r] = adj[t].get(r, 0) + amount
 
 
-def _largest_split(adj: PairCapacities, x: str, r: str, t: str, most: int, targets) -> int:
+def _reroute(res: PairCapacities, x: str, r: str, t: str, amount: int) -> int | None:
+    """Fewest units of flow to move from r-x-t onto rt (negative: from t-x-r
+    onto tr) that make the flow of residual ``res`` fit the split of
+    ``amount``, or None when no number does; ``res`` is left as it is."""
+    if r == t:
+        return 0 if min(res[x][r], res[r][x]) >= 2 * amount else None
+    # moving d units pushes d around the residual cycle r -> t -> x -> r;
+    # the split then takes amount off both ways of xr and xt and adds it to rt
+    lo = max(amount - res[r][x], amount - res[x][t], -res[t].get(r, 0) - amount)
+    hi = min(res[x][r] - amount, res[t][x] - amount, res[r].get(t, 0) + amount)
+    return min(max(0, lo), hi) if lo <= hi else None
+
+
+def _keeps_targets(
+    adj: PairCapacities, links: list[_Link], x: str, r: str, t: str, amount: int, fresh: dict[int, PairCapacities]
+) -> bool:
+    """True iff the map ``adj``, with ``amount`` already split off xr and xt,
+    keeps the weight of every link; the residual of every flow it runs is
+    put in ``fresh`` under its link's index.  Stops at the first link that
+    falls short."""
+    for link in links:
+        if (x in link.side) != (r in link.side) and (x in link.side) != (t in link.side):
+            if cut_capacity(adj, link.side) < link.target:
+                return False
+    for i, link in enumerate(links):
+        if _reroute(link.res, x, r, t, amount) is None:
+            res = {y: dict(nbrs) for y, nbrs in adj.items()}
+            if checked_flow(adj, link.u, link.v, link.target, res)[1] is not None:
+                return False
+            fresh[i] = res
+        if cut_capacity(adj, link.side) != link.target:
+            raise CertificateError(
+                f"target side of {link.u!r}-{link.v!r} does not cut {link.target} after the split"
+            )
+    return True
+
+
+def _largest_split(
+    adj: PairCapacities, links: list[_Link], x: str, r: str, t: str, most: int
+) -> tuple[int, dict[int, PairCapacities]]:
     """Largest amount up to ``most`` whose split of xr and xt keeps the
-    targets, 0 if none: bisection, trying ``most`` first (module docstring).
-    Each trial shifts ``adj`` and shifts it back."""
-    kept, refused, amount = 0, most + 1, most
+    links, 0 if none, and the residuals of the flows its trial ran:
+    bisection, trying ``most`` first (module docstring).  Each trial shifts
+    ``adj`` and shifts it back."""
+    kept, refused, amount, carried = 0, most + 1, most, {}
     while refused - kept > 1:
+        fresh: dict[int, PairCapacities] = {}
         _shift(adj, x, r, t, amount)
-        keeps = _keeps_targets(adj, targets)
+        keeps = _keeps_targets(adj, links, x, r, t, amount, fresh)
         _shift(adj, x, r, t, -amount)
         if keeps:
-            kept = amount
+            kept, carried = amount, fresh
         else:
             refused = amount
         amount = (kept + refused) // 2
-    return kept
+    return kept, carried
+
+
+def _split(
+    adj: PairCapacities, links: list[_Link], x: str, r: str, t: str, amount: int, fresh: dict[int, PairCapacities]
+) -> None:
+    """Take the split of ``amount`` off xr and xt on ``adj`` and on every
+    link's flow: the residual its trial's flow left, else the carried flow
+    rerouted."""
+    _shift(adj, x, r, t, amount)
+    for i, link in enumerate(links):
+        if i in fresh:
+            link.res = fresh[i]
+            continue
+        d = _reroute(link.res, x, r, t, amount)
+        if d is None:
+            raise CertificateError(f"the flow carried for {link.u!r}-{link.v!r} does not fit the split")
+        if d:
+            # push d around the residual cycle r -> t -> x -> r
+            for u, v in ((r, t), (t, x), (x, r)):
+                link.res[u][v] = link.res[u].get(v, 0) - d
+                link.res[v][u] = link.res[v].get(u, 0) + d
+        _shift(link.res, x, r, t, amount)
 
 
 def eliminate_relays(
@@ -237,24 +372,32 @@ def eliminate_relays(
     among V - x is kept exactly.  A cut-edge at a pivot raises
     CutEdgeAtPivot.  The result has vertex set exactly A; every A-Steiner
     tree in it is a spanning tree.  Pairwise terminal min-cuts equal scale
-    times the originals.
+    times the originals, checked before the result is returned.
     """
     relays = tuple(sorted(g.vertices - a.members))
     scale = 2 if any(degree(g, x) % 2 == 1 for x in relays) else 1
-    base = cur = scale_capacities(g, scale)
+    base = scale_capacities(g, scale)
+    edges = {e.id: e for e in base.edges}
+    adj = pair_capacities(base)
     events: list[SplitEvent] = []
     # one counter for all pivots: an r == t split can delete the edge with
-    # the largest id, and cur.next_id() would then hand that id out again
+    # the largest id, and the next id of the graph would then hand it out again
     ids = count(base.next_id())
+    expected: dict[tuple[str, str], int] = {}
     for x in relays:
-        for e in cur.incident(x):
+        cur = Multigraph(base.vertices, tuple(edges.values()))
+        inc = sorted(cur.incident(x), key=lambda e: e.id)
+        for e in inc:
             if is_cut_edge(cur, e.id):
                 raise CutEdgeAtPivot(f"cut-edge {e.id} incident to pivot {x!r}")
-        # pair capacities of cur, which every trial shifts and shifts back
-        adj = pair_capacities(cur)
-        targets = _cut_targets(adj, x)
+        if x == relays[0]:
+            links = _flow_tree(adj, x)
+            least = {u: _path_minima(links, u) for u in a.members}
+            expected = {(u, v): least[u][v] for u, v in combinations(sorted(a.members), 2)}
+        else:
+            links = _without(adj, links, x)
         refused = set()
-        while inc := sorted(cur.incident(x), key=lambda e: e.id):
+        while inc:
             e = inc[0]
             r = e.other(x)
             for f in inc:  # e itself first: two units of one edge
@@ -263,7 +406,7 @@ def eliminate_relays(
                 most = e.cap // 2 if f is e else min(e.cap, f.cap)
                 if not most or pair in refused:
                     continue
-                amount = _largest_split(adj, x, r, t, most, targets)
+                amount, fresh = _largest_split(adj, links, x, r, t, most)
                 if amount:
                     break
                 refused.add(pair)
@@ -272,12 +415,26 @@ def eliminate_relays(
                     f"no admissible partner for edge {e.id} at pivot {x!r}, "
                     "though Mader's theorem promises one"
                 )
+            _split(adj, links, x, r, t, amount, fresh)
             new_id = next(ids) if r != t else None
-            _shift(adj, x, r, t, amount)
-            cur, ev = split_off(cur, e.id, f.id, pivot=x, new_id=new_id, amount=amount)
-            events.append(ev)
-        cur = cur.restrict(cur.vertices - {x})
-    return cur, SplitHistory(base, tuple(events), relays), scale
+            events.append(SplitEvent(x, e.id, r, f.id, t, new_id, amount))
+            for d in {e, f}:
+                cap = d.cap - amount * ((d is e) + (d is f))
+                if cap:
+                    edges[d.id] = Edge(d.id, d.u, d.v, cap)
+                else:
+                    del edges[d.id]
+            inc = [edges[d.id] for d in inc if d.id in edges]
+            if new_id is not None:
+                edges[new_id] = Edge(new_id, r, t, amount)
+    out = Multigraph(base.vertices - set(relays), tuple(edges.values()))
+    final = pair_capacities(out)
+    for (u, v), value in expected.items():
+        if checked_flow(final, u, v)[0] != value:
+            raise CertificateError(
+                f"cut value of {u!r}-{v!r} after splitting differs from its value {value} before"
+            )
+    return out, SplitHistory(base, tuple(events), relays), scale
 
 
 # -- packing lift ----------------------------------------------------------

@@ -528,8 +528,8 @@ def under_report(original):
 
 def fall_short(original):
     # a flow stopped at its limit reports one unit less, cut around the source alone
-    def faulty(adj, s, t, limit=None):
-        value, side = original(adj, s, t, limit)
+    def faulty(adj, s, t, limit=None, res=None):
+        value, side = original(adj, s, t, limit, res)
         return (limit - 1, frozenset({s})) if side is None else (value, side)
     return faulty
 
@@ -542,8 +542,9 @@ def drop_edge(original):
         return replace(packing, trees=((tree, mult), *rest))
     return faulty
 
-FAULTS = {"fail": lambda original: lambda *args: False, "over-report": over_report,
-          "under-report": under_report, "fall-short": fall_short, "drop-edge": drop_edge}
+FAULTS = {"fail": lambda original: lambda *args: False, "accept": lambda original: lambda *args: True,
+          "over-report": over_report, "under-report": under_report, "fall-short": fall_short,
+          "drop-edge": drop_edge}
 module_name, name = sys.argv[1].rsplit(".", 1)
 module = importlib.import_module(f"mcastcap.{module_name}")
 setattr(module, name, FAULTS[sys.argv[2]](getattr(module, name)))
@@ -652,6 +653,18 @@ class TestCertificateChecks:
         proc = _run_faulty("splitting._keeps_targets", "fail", argv[0], cycle_file, *argv[1:])
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure: no admissible partner" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["split"], ["analyze", "--via-splitting"]])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_forced_split_is_a_certificate_failure(self, tmp_path, argv, k):
+        # every trial accepts, so each edge at the relay would split with
+        # itself and the terminal cuts of K4 + relay would fall; the flows
+        # the links carry no longer fit the split
+        path = tmp_path / "k4.json"
+        path.write_text(dump_instance(*k4_with_relay(k)))
+        proc = _run_faulty("splitting._keeps_targets", "accept", argv[0], str(path), *argv[1:])
+        assert proc.returncode == 4, proc.stderr
+        assert "certificate failure" in proc.stderr
 
 
 def test_long_splitting_runs_in_a_shallow_stack():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -13,6 +14,7 @@ from mcastcap import (
     is_cut_edge,
     lift_packing,
     max_integer_packing,
+    prune_to_core,
     sample_instances,
     scale_capacities,
     solve_tree_lp,
@@ -20,7 +22,7 @@ from mcastcap import (
     terminal_connectivity,
     verify_packing,
 )
-from mcastcap.connectivity import checked_flow, pair_capacities
+from mcastcap.connectivity import checked_flow, cut_capacity, pair_capacities
 from mcastcap.errors import (
     CertificateError,
     CutEdgeAtPivot,
@@ -30,7 +32,6 @@ from mcastcap.errors import (
 from mcastcap.multigraph import degree
 from mcastcap.packing import SteinerPacking, SteinerTree
 from mcastcap import splitting
-from mcastcap.splitting import _keeps_targets
 
 
 def all_pairs_connectivity(g, vertices):
@@ -48,7 +49,7 @@ def admissible(g, e_id, f_id, x):
     off the edges e and f at pivot x."""
     r, t = g.edge(e_id).other(x), g.edge(f_id).other(x)
     adj = pair_capacities(g)
-    return splitting._largest_split(adj, x, r, t, 1, splitting._cut_targets(adj, x)) == 1
+    return splitting._largest_split(adj, splitting._flow_tree(adj, x), x, r, t, 1)[0] == 1
 
 
 def split_completely(g, x):
@@ -195,11 +196,32 @@ class TestAdmissibility:
         assert admissible(theta(), 0, 2, "x")
 
     def test_target_side_must_cut_its_value(self):
-        # the split theta still joins s and t by a flow of 1, but {s} cuts 2
-        split = pair_capacities(split_off(theta(), 0, 2, pivot="x")[0])
-        assert _keeps_targets(split, [("s", "t", 2, frozenset({"s"}))])
+        # the split theta still joins s and t by a flow of 2, and {t} cuts 2:
+        # a link whose side does not cut its weight is a certificate failure
+        adj = pair_capacities(theta())
+        (link,) = splitting._flow_tree(adj, "x")
+        assert (link.u, link.v, link.target, link.side) == ("t", "s", 2, frozenset({"t"}))
+        splitting._shift(adj, "x", "s", "t", 1)
+        assert nonzero(adj) == nonzero(pair_capacities(split_off(theta(), 0, 2, pivot="x")[0]))
+        assert splitting._keeps_targets(adj, [link], "x", "s", "t", 1, {})
+        link.target = 1
         with pytest.raises(CertificateError):
-            _keeps_targets(split, [("s", "t", 1, frozenset({"s"}))])
+            splitting._keeps_targets(adj, [link], "x", "s", "t", 1, {})
+
+    def test_side_separating_the_pivot_refuses_without_a_flow(self, monkeypatch):
+        # the side {v} of the link v-u separates x from v, so splitting the
+        # doubled xv with itself lowers its cut from 3 to 1: refused, with
+        # that cut as certificate, before any flow runs
+        g = Multigraph.build(
+            ["u", "v", "x"], [("u", "x", 1), ("u", "x", 1), ("x", "v", 1), ("x", "v", 1), ("u", "v", 1)]
+        )
+        adj = pair_capacities(g)
+        (link,) = splitting._flow_tree(adj, "x")
+        assert (link.u, link.v, link.target, link.side) == ("v", "u", 3, frozenset({"v"}))
+        calls = []
+        monkeypatch.setattr(splitting, "checked_flow", lambda *args: calls.append(args))
+        assert splitting._largest_split(adj, [link], "x", "v", "v", 1) == (0, {})
+        assert not calls and nonzero(adj) == nonzero(pair_capacities(g))
 
     def test_admissible_split_preserves_cuts_on_samples(self):
         for g, a in [*sample_instances(5, 6, 4, 3, seed=10), *scaled_samples()]:
@@ -223,7 +245,7 @@ class TestAdmissibility:
                 others = g.vertices - {x}
                 before = all_pairs_connectivity(g, others)
                 adj = pair_capacities(g)
-                targets = splitting._cut_targets(adj, x)
+                links = splitting._flow_tree(adj, x)
                 for e, f in combinations_with_replacement(g.incident(x), 2):
                     most = e.cap // 2 if e is f else min(e.cap, f.cap)
                     if not most:
@@ -231,7 +253,7 @@ class TestAdmissibility:
                     r, t = e.other(x), f.other(x)
                     kept = [m for m in range(1, most + 1) if all_pairs_connectivity(
                         split_off(g, e.id, f.id, pivot=x, amount=m)[0], others) == before]
-                    m = splitting._largest_split(adj, x, r, t, most, targets)
+                    m, _ = splitting._largest_split(adj, links, x, r, t, most)
                     assert m == max(kept, default=0)
                     assert nonzero(adj) == nonzero(pair_capacities(g))
                     seen["pairs"] += 1
@@ -325,6 +347,15 @@ class TestEliminateRelays:
             assert scale == ref_scale
             assert sum(ev.amount for ev in hist.events) == len(ref_events)
 
+    def test_closing_check_refuses_lowered_terminal_cuts(self, monkeypatch):
+        # every trial accepts and no link carries its flow, so each edge at
+        # the relay splits with itself; the checked flows between the
+        # terminals then fall short of the values the first tree gives
+        monkeypatch.setattr(splitting, "_keeps_targets", lambda *args: True)
+        monkeypatch.setattr(splitting, "_split", lambda adj, links, *args: splitting._shift(adj, *args[:4]))
+        with pytest.raises(CertificateError, match="after splitting differs from its value"):
+            eliminate_relays(*k4_with_relay(2))
+
     def test_splits_keep_relay_degrees_even(self):
         # scaling by 2 makes every relay degree even, and no split changes
         # a degree's parity, so every pivot is split completely
@@ -350,24 +381,62 @@ def bench_samples():
     return [*sample_instances(20, 8, 6, 3, 0), *sample_instances(5, 10, 10, 4, 0)]
 
 
+def tree_path_minima(tree):
+    """Least weight on the path between every two vertices of the tree
+    given as (u, v, weight) links."""
+    links = {}
+    for u, v, target in tree:
+        links.setdefault(u, []).append((v, target))
+        links.setdefault(v, []).append((u, target))
+    path_min = {}
+    for start in links:
+        stack, seen = [(start, None)], {start}
+        while stack:
+            y, least = stack.pop()
+            if least is not None:
+                path_min[frozenset((start, y))] = least
+            for z, target in links[y]:
+                if z not in seen:
+                    seen.add(z)
+                    stack.append((z, target if least is None else min(least, target)))
+    return path_min
+
+
+def carries_flow(res, adj, s, t, value):
+    """True iff the residual map ``res`` is that of an s-t flow of ``value``
+    on the pair capacities ``adj``."""
+    pairs = {(u, v) for m in (res, adj) for u in m for v in m[u]}
+    if any(res.get(u, {}).get(v, 0) < 0 for u, v in pairs):
+        return False
+    if any(res.get(u, {}).get(v, 0) + res.get(v, {}).get(u, 0) != 2 * adj.get(u, {}).get(v, 0)
+           for u, v in pairs):
+        return False
+    # net flow out of each vertex, twice over: res[y][u] - res[u][y] is 2 f(u, y)
+    out = {u: sum(res.get(y, {}).get(u, 0) - c for y, c in res.get(u, {}).items()) for u in adj}
+    return all(out[u] == {s: 2 * value, t: -2 * value}.get(u, 0) for u in adj)
+
+
+# SHA-256 of repr(history.events), one instance after another, over the
+# random benchmark's cores and then their x3 and x7 copies.  Recorded
+# before relay elimination carried its flow tree across pivots: every
+# split decision is the one the per-pivot trees made.
+RANDOM_HISTORY_DIGEST = "ea271e4f8db6b78148840cd8c62d0b6ed85fecc5641e83cfcf83418fc70fb6cd"
+
+
 class TestTreeTargets:
     def test_tree_pairs_decide_like_all_pairs(self, monkeypatch):
         # every candidate split that relay elimination checks, as the graph
-        # of its pair capacities, with the graph and pivot its cut targets
-        # were computed on
-        checked, pivot = [], {}
-        cut_targets, keeps_targets = splitting._cut_targets, splitting._keeps_targets
+        # of its pair capacities, with the graph split so far and the pivot
+        checked = []
+        keeps_targets = splitting._keeps_targets
 
-        def record_targets(adj, x):
-            pivot.update(g=pair_graph(adj), x=x)
-            return cut_targets(adj, x)
-
-        def record_check(adj, targets):
-            kept = keeps_targets(adj, targets)
-            checked.append((pivot["g"], pivot["x"], pair_graph(adj), kept))
+        def record_check(adj, links, x, r, t, amount, fresh):
+            before = {u: dict(nbrs) for u, nbrs in adj.items()}
+            splitting._shift(before, x, r, t, -amount)
+            kept = keeps_targets(adj, links, x, r, t, amount, fresh)
+            checked.append((pair_graph(before), x, pair_graph(adj), kept))
             return kept
 
-        monkeypatch.setattr(splitting, "_cut_targets", record_targets)
         monkeypatch.setattr(splitting, "_keeps_targets", record_check)
         for g, a in [*bench_samples(), *scaled_samples()]:
             eliminate_relays(g, a)
@@ -383,82 +452,122 @@ class TestTreeTargets:
         # the map every trial shifts and shifts back equals the pair
         # capacities of the graph split so far, after every trial and after
         # every accepted split; a pair left at 0 keeps a 0 entry
-        state, undone = {}, []
-        pairs, shift, split_off = splitting.pair_capacities, splitting._shift, splitting.split_off
+        maps, trials = [], []
+        largest_split, split = splitting._largest_split, splitting._split
 
-        def record_pivot(g):
-            state["cur"] = g
-            return pairs(g)
-
-        def checked_shift(adj, x, r, t, amount):
-            shift(adj, x, r, t, amount)
-            state["adj"] = adj
-            if amount < 0:
-                assert nonzero(adj) == nonzero(pair_capacities(state["cur"]))
-                undone.append(amount)
-
-        def checked_split(*args, **kwargs):
-            out = split_off(*args, **kwargs)
-            state["cur"] = out[0]
-            assert nonzero(state["adj"]) == nonzero(pair_capacities(out[0]))
+        def checked_trials(adj, *args):
+            before = nonzero(adj)
+            out = largest_split(adj, *args)
+            assert nonzero(adj) == before
+            trials.append(out[0])
             return out
 
-        monkeypatch.setattr(splitting, "pair_capacities", record_pivot)
-        monkeypatch.setattr(splitting, "_shift", checked_shift)
-        monkeypatch.setattr(splitting, "split_off", checked_split)
+        def recorded_split(adj, *args):
+            split(adj, *args)
+            maps.append(nonzero(adj))
+
+        monkeypatch.setattr(splitting, "_largest_split", checked_trials)
+        monkeypatch.setattr(splitting, "_split", recorded_split)
         events = 0
         for g, a in [*bench_samples(), *scaled_samples(), *(k4_with_relay(k) for k in (4, 16))]:
-            events += len(eliminate_relays(g, a)[1].events)
-        assert len(undone) > events > 100
+            maps.clear()
+            _, hist, _ = eliminate_relays(g, a)
+            assert len(maps) == len(hist.events)
+            cur = hist.base
+            for ev, adj in zip(hist.events, maps):
+                cur, _ = split_off(cur, ev.e_id, ev.f_id, pivot=ev.pivot, new_id=ev.new_id, amount=ev.amount)
+                assert adj == nonzero(pair_capacities(cur))
+            events += len(hist.events)
+        assert len(trials) > events > 100
 
     def test_tree_path_minima_equal_all_pairs(self, monkeypatch):
-        # Gusfield's theorem: the least target on the tree path between two
-        # vertices of V - x is their cut value, at every relay pivot
+        # Gusfield's theorem: the least weight on the tree path between two
+        # vertices of V - x is their cut value, at every relay pivot, for the
+        # tree built at the first pivot and for every tree x is taken out of
         pivots = []
-        cut_targets = splitting._cut_targets
+        flow_tree, without = splitting._flow_tree, splitting._without
 
-        def record_targets(adj, x):
-            tree = cut_targets(adj, x)
-            pivots.append((pair_graph(adj), x, tree))
-            return tree
+        def record(build):
+            def recorded(adj, *args):
+                tree = build(adj, *args)
+                pivots.append((pair_graph(adj), args[-1], [(l.u, l.v, l.target) for l in tree]))
+                return tree
+            return recorded
 
-        monkeypatch.setattr(splitting, "_cut_targets", record_targets)
+        monkeypatch.setattr(splitting, "_flow_tree", record(flow_tree))
+        monkeypatch.setattr(splitting, "_without", record(without))
         for g, a in [*bench_samples(), *scaled_samples()]:
             eliminate_relays(g, a)
         assert len(pivots) > 100
         for g, x, tree in pivots:
-            links = {}
-            for u, v, target, _ in tree:
-                links.setdefault(u, []).append((v, target))
-                links.setdefault(v, []).append((u, target))
-            path_min = {}
-            for start in links:
-                stack, seen = [(start, None)], {start}
-                while stack:
-                    y, least = stack.pop()
-                    if least is not None:
-                        path_min[frozenset((start, y))] = least
-                    for z, target in links[y]:
-                        if z not in seen:
-                            seen.add(z)
-                            stack.append((z, target if least is None else min(least, target)))
-            assert path_min == all_pairs_connectivity(g, g.vertices - {x})
+            # the pivots split before x are isolated in the map
+            live = {v for v in g.vertices if g.incident(v)}
+            assert {v for link in tree for v in link[:2]} == live - {x}
+            assert tree_path_minima(tree) == all_pairs_connectivity(g, live - {x})
+
+    def test_carried_flows_and_sides_hold_after_every_split(self, monkeypatch):
+        # after every accepted split each link carries a flow of its weight
+        # on the split map, and its side still cuts exactly its weight
+        seen = {"splits": 0, "links": 0}
+        split = splitting._split
+
+        def checked_split(adj, links, *args):
+            split(adj, links, *args)
+            seen["splits"] += 1
+            for link in links:
+                assert carries_flow(link.res, adj, link.u, link.v, link.target)
+                assert link.u in link.side and link.v not in link.side
+                assert cut_capacity(adj, link.side) == link.target
+                seen["links"] += 1
+
+        monkeypatch.setattr(splitting, "_split", checked_split)
+        for g, a in [*bench_samples(), *scaled_samples()]:
+            eliminate_relays(g, a)
+        assert seen["links"] > seen["splits"] > 100
 
     def test_fewer_flows_than_all_pairs(self, monkeypatch):
+        # the first pivot builds its tree with n - 2 flows, and every later
+        # pivot pays one flow for each tree neighbour but the heaviest
         calls, per_pivot = [], []
-        flow, cut_targets = splitting.checked_flow, splitting._cut_targets
+        flow, flow_tree, without = splitting.checked_flow, splitting._flow_tree, splitting._without
         monkeypatch.setattr(splitting, "checked_flow", lambda *args: calls.append(args) or flow(*args))
 
-        def count_targets(adj, x):
+        def count_tree(adj, x):
             before = len(calls)
-            tree = cut_targets(adj, x)
-            per_pivot.append((len(calls) - before, len(adj)))
+            tree = flow_tree(adj, x)
+            per_pivot.append((len(calls) - before, len(adj) - 2))
             return tree
 
-        monkeypatch.setattr(splitting, "_cut_targets", count_targets)
+        def count_without(adj, links, x):
+            before = len(calls)
+            tree = without(adj, links, x)
+            per_pivot.append((len(calls) - before, sum(x in (l.u, l.v) for l in links) - 1))
+            return tree
+
+        monkeypatch.setattr(splitting, "_flow_tree", count_tree)
+        monkeypatch.setattr(splitting, "_without", count_without)
         for g, a in sample_instances(20, 8, 6, 3, 0):
             eliminate_relays(g, a)
-        assert per_pivot and all(flows == n - 2 for flows, n in per_pivot)
+        assert len(per_pivot) > 20 and all(flows == want for flows, want in per_pivot)
+
+    def test_flows_per_random_pass(self, monkeypatch):
+        # relay elimination over one pass of the random benchmark's cores:
+        # 1901 flows with a tree per pivot and every trial flowed, 619 with
+        # one tree and carried flows
+        calls = []
+        flow = splitting.checked_flow
+        monkeypatch.setattr(splitting, "checked_flow", lambda *args: calls.append(args) or flow(*args))
+        for g, a in bench_samples():
+            eliminate_relays(prune_to_core(g, a), a)
+        assert len(calls) <= 650
+
+    def test_split_decisions_are_pinned(self):
+        digest = hashlib.sha256()
+        cores = [(prune_to_core(g, a), a) for g, a in bench_samples()]
+        for k in (1, 3, 7):
+            for g, a in cores:
+                digest.update(repr(eliminate_relays(scale_capacities(g, k), a)[1].events).encode())
+        assert digest.hexdigest() == RANDOM_HISTORY_DIGEST
 
 
 class TestLiftPacking:
