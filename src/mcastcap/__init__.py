@@ -7,7 +7,6 @@ from .multigraph import (
     TerminalSet,
     degree,
     dump_instance,
-    is_cut_edge,
     load_instance,
     prune_to_core,
     scale_capacities,

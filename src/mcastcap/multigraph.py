@@ -4,6 +4,11 @@ Vertices are strings; edges carry stable integer ids and strictly positive
 integer capacities.  All values are immutable: every operation returns a new
 graph.  Rates and all derived quantities use exact rational arithmetic
 (``fractions.Fraction``); no floating point anywhere.
+
+Two walks answer every graph question here: ``edge_component`` for
+reachability, and ``cut_edges``, one lowpoint walk in O(V + E) that finds
+every capacity-1 cut-edge of the components it starts from, for pruning
+and for the cut-edge check at each splitting pivot.
 """
 
 from __future__ import annotations
@@ -105,7 +110,8 @@ def degree(g: Multigraph, v: str) -> int:
 def edge_component(edge_ids, ends: dict[int, tuple[str, str]], start: str) -> set[str]:
     """Vertices reached from ``start`` over the edge ids; ``ends`` maps each
     id to its endpoints.  Every reachability question in the package, from
-    a tree check to a whole-graph walk, is answered here."""
+    a tree check to a whole-graph walk, is answered here; the cut-edges
+    come from the one lowpoint walk of ``cut_edges``."""
     adj: dict[str, list[str]] = {}
     for eid in edge_ids:
         u, v = ends[eid]
@@ -154,21 +160,61 @@ def scale_capacities(g: Multigraph, n: int) -> Multigraph:
     return Multigraph(g.vertices, tuple(Edge(e.id, e.u, e.v, e.cap * n) for e in g.edges))
 
 
-def _find_bridge_sides(g: Multigraph, e: Edge) -> tuple[set[str], set[str]] | None:
-    """If deleting one unit of e disconnects its endpoints, return the two sides."""
-    if e.cap >= 2:
-        return None
-    ends = {d.id: (d.u, d.v) for d in g.edges if d.id != e.id}
-    side_u = edge_component(ends, ends, e.u)
-    if e.v in side_u:
-        return None
-    return side_u, edge_component(ends, ends, e.v)
+def cut_edges(g: Multigraph, roots) -> list[tuple[set[str], dict[int, set[str]]]]:
+    """Every capacity-1 cut-edge in the components of ``roots``, from one
+    lowpoint walk (R. E. Tarjan, *A note on finding the bridges of a
+    graph*, IPL 1974).
 
-
-def is_cut_edge(g: Multigraph, eid: int) -> bool:
-    """True iff deleting one unit of the edge disconnects its endpoints, so
-    an edge of capacity >= 2 never is one."""
-    return _find_bridge_sides(g, g.edge(eid)) is not None
+    One entry per component, in the order a root first reaches it: its
+    vertex set, and each of its cut-edge ids mapped to the vertices below
+    the edge in the depth-first tree.  Deleting one unit of such an edge
+    splits its component into that set and the rest.  The walk skips only
+    the tree edge's own id, so a parallel copy is a back edge; an edge of
+    capacity >= 2 is never a cut-edge.
+    """
+    adj: dict[str, list[tuple[str, int, int]]] = {}
+    for e in g.edges:
+        adj.setdefault(e.u, []).append((e.v, e.id, e.cap))
+        adj.setdefault(e.v, []).append((e.u, e.id, e.cap))
+    # pre[v]: depth-first preorder index; low[v]: least preorder index
+    # reached from v's subtree by one edge other than v's tree edge
+    pre: dict[str, int] = {}
+    low: dict[str, int] = {}
+    order: list[str] = []
+    out = []
+    for root in roots:
+        if root in pre:
+            continue
+        start = len(order)
+        pre[root] = low[root] = start
+        order.append(root)
+        cuts: dict[int, set[str]] = {}
+        # (vertex, id and capacity of its tree edge, its unread neighbours)
+        stack = [(root, None, 0, iter(adj.get(root, ())))]
+        while stack:
+            v, via, cap, todo = stack[-1]
+            for w, eid, c in todo:
+                if eid == via:
+                    continue
+                p = pre.get(w)
+                if p is None:
+                    pre[w] = low[w] = len(order)
+                    order.append(w)
+                    stack.append((w, eid, c, iter(adj[w])))
+                    break
+                if p < low[v]:
+                    low[v] = p
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    # v's subtree is everything reached since v
+                    if low[v] > pre[u] and cap == 1:
+                        cuts[via] = set(order[pre[v]:])
+        out.append((set(order[start:]), cuts))
+    return out
 
 
 def prune_to_core(g: Multigraph, a: TerminalSet) -> Multigraph:
@@ -176,25 +222,24 @@ def prune_to_core(g: Multigraph, a: TerminalSet) -> Multigraph:
 
     Raises BridgeBetweenTerminals when a cut-edge separates two terminals
     (then the terminal connectivity is 1 and the capacity is 1 outright).
-    One pass suffices: deleting a terminal-free side makes no new cut-edge.
-    Idempotent; preserves every pairwise terminal min-cut.
+    One lowpoint walk from the terminals gives the kept components and
+    every cut-edge's two sides.  One pass suffices: deleting a terminal-free
+    side makes no new cut-edge.  Idempotent; preserves every pairwise
+    terminal min-cut.
     """
     terms = a.members
-    ends = {e.id: (e.u, e.v) for e in g.edges}
-    keep = frozenset().union(*(edge_component(ends, ends, t) for t in terms & g.vertices))
-    core = g.restrict(keep)
+    keep: set[str] = set()
     drop: set[str] = set()
-    for e in core.edges:
-        sides = _find_bridge_sides(core, e)
-        if sides is None:
-            continue
-        free = [side for side in sides if not side & terms]
-        if not free:
-            raise BridgeBetweenTerminals(
-                "a cut-edge separates two terminals: terminal connectivity is 1"
-            )
-        drop |= free[0]
-    return core.restrict(keep - drop)
+    for comp, cuts in cut_edges(g, sorted(terms & g.vertices)):
+        keep |= comp
+        for below in cuts.values():
+            free = [side for side in (below, comp - below) if not side & terms]
+            if not free:
+                raise BridgeBetweenTerminals(
+                    "a cut-edge separates two terminals: terminal connectivity is 1"
+                )
+            drop |= free[0]
+    return g.restrict(keep - drop)
 
 
 # -- interchange format ----------------------------------------------------

@@ -433,6 +433,21 @@ def _expand_packing(
 # -- solvers ---------------------------------------------------------------
 
 
+def _rounded_vertex(y: tuple[Fraction, ...], factor: int) -> list[tuple[int, int]]:
+    """(j, floor(factor * y_j)) for every j whose count is not 0, in
+    integers: only the basic entries of the LP vertex are nonzero."""
+    rounded = [(j, factor * v.numerator // v.denominator) for j, v in enumerate(y) if v]
+    return [(j, c) for j, c in rounded if c]
+
+
+def _vertex_units(y: tuple[Fraction, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """The least common denominator of the LP vertex, and (j, scale * y_j)
+    for every nonzero y_j, in integers."""
+    basis = [(j, v.numerator, v.denominator) for j, v in enumerate(y) if v]
+    scale = lcm(1, *(den for _, _, den in basis))
+    return scale, [(j, num * (scale // den)) for j, num, den in basis]
+
+
 def _can_beat(res: PairCapacities, source: str, sinks: tuple[str, ...], need: int) -> bool:
     """Whether a branch-and-bound node is kept (module docstring): iff every
     source-sink flow in the residual pair capacities ``res`` reaches
@@ -458,10 +473,10 @@ def _branch_and_bound(
     ``stage``.
     """
     goal = int(factor * lp.opt)  # floor
-    rounded = [int(factor * y) for y in lp.y]  # floor
-    s = sum(rounded)
+    rounded = _rounded_vertex(lp.y, factor)
+    s = sum(c for _, c in rounded)
     if s >= goal:
-        return s, [(t, c) for t, c in zip(lp.trees, rounded) if c]
+        return s, [(lp.trees[j], c) for j, c in rounded]
     source, sinks = lp.terminals.source, lp.terminals.sinks
     # residual class capacities, kept in place: one class per vertex pair
     res = {x: {y: factor * c for y, c in nbrs.items()} for x, nbrs in pair_capacities(lp.classes).items()}
@@ -530,9 +545,8 @@ def half_integer_capacity(lp: TreeLP) -> tuple[Rate, SteinerPacking]:
 def fractional_capacity_lp(lp: TreeLP) -> tuple[Rate, SteinerPacking]:
     """Exact fractional routing capacity, the LP optimum over minimal trees,
     with its checked packing."""
-    scale = lcm(1, *(y.denominator for y in lp.y))
-    units = [(t, int(y * scale)) for t, y in zip(lp.trees, lp.y) if y > 0]
-    return lp.opt, _expand_packing(lp, units, scale, "fractional", lp.opt)
+    scale, units = _vertex_units(lp.y)
+    return lp.opt, _expand_packing(lp, [(lp.trees[j], u) for j, u in units], scale, "fractional", lp.opt)
 
 
 def verify_packing(g: Multigraph, a: TerminalSet, p: SteinerPacking) -> bool:

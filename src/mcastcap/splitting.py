@@ -113,9 +113,9 @@ from .multigraph import (
     Edge,
     Multigraph,
     TerminalSet,
+    cut_edges,
     degree,
     edge_component,
-    is_cut_edge,
     scale_capacities,
 )
 from .packing import SteinerPacking, SteinerTree
@@ -370,7 +370,8 @@ def eliminate_relays(
     partner, which always exists, by the largest admissible amount (module
     docstring), until x is isolated and deleted: every pairwise min-cut
     among V - x is kept exactly.  A cut-edge at a pivot raises
-    CutEdgeAtPivot.  The result has vertex set exactly A; every A-Steiner
+    CutEdgeAtPivot, found by one lowpoint walk from a pivot with a
+    capacity-1 edge.  The result has vertex set exactly A; every A-Steiner
     tree in it is a spanning tree.  Pairwise terminal min-cuts equal scale
     times the originals, checked before the result is returned.
     """
@@ -385,11 +386,12 @@ def eliminate_relays(
     ids = count(base.next_id())
     expected: dict[tuple[str, str], int] = {}
     for x in relays:
-        cur = Multigraph(base.vertices, tuple(edges.values()))
-        inc = sorted(cur.incident(x), key=lambda e: e.id)
-        for e in inc:
-            if is_cut_edge(cur, e.id):
-                raise CutEdgeAtPivot(f"cut-edge {e.id} incident to pivot {x!r}")
+        inc = sorted((e for e in edges.values() if e.touches(x)), key=lambda e: e.id)
+        if any(e.cap == 1 for e in inc):
+            [(_, cuts)] = cut_edges(Multigraph(base.vertices, tuple(edges.values())), [x])
+            at_x = [e.id for e in inc if e.id in cuts]
+            if at_x:
+                raise CutEdgeAtPivot(f"cut-edge {at_x[0]} incident to pivot {x!r}")
         if x == relays[0]:
             links = _flow_tree(adj, x)
             least = {u: _path_minima(links, u) for u in a.members}

@@ -16,7 +16,7 @@ from mcastcap import (
     solve_tree_lp,
     validate,
 )
-from mcastcap.multigraph import edge_component
+from mcastcap.multigraph import cut_edges, edge_component
 from mcastcap.errors import (
     BridgeBetweenTerminals,
     DisconnectedTerminals,
@@ -137,6 +137,18 @@ class TestPrune:
         assert prune_to_core(g, a).vertices == {"s", "r1", "r2"}
 
 
+def reference_bridge_sides(g, e):
+    """The two sides of e when deleting one unit of it disconnects its
+    endpoints, else None: two whole-graph walks for one edge."""
+    if e.cap >= 2:
+        return None
+    ends = {d.id: (d.u, d.v) for d in g.edges if d.id != e.id}
+    side_u = edge_component(ends, ends, e.u)
+    if e.v in side_u:
+        return None
+    return side_u, edge_component(ends, ends, e.v)
+
+
 def reference_prune(g, a):
     """Prune by restarting the edge scan after every removal."""
     terms = a.members
@@ -190,6 +202,48 @@ class TestPruneOracle:
             ends = {e.id: (e.u, e.v) for e in g.edges}
             seen["disconnected"] += edge_component(ends, ends, names[0]) != g.vertices
             seen["pruned"] += want is not None and want != g
+        assert min(seen.values()) >= 50
+
+
+class TestCutEdgeOracle:
+    def test_random_multigraphs(self):
+        # one lowpoint walk against two whole-graph walks per unit edge
+        rng = random.Random(23)
+        seen = {"parallel": 0, "fat": 0, "isolated": 0, "components": 0, "cut": 0, "roots": 0}
+        for _ in range(800):
+            n = rng.randint(1, 10)
+            names = [f"v{i}" for i in range(n)]
+            triples = []
+            for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+                u, v = rng.sample(names, 2)
+                triples.append((u, v, rng.choice((1, 1, 1, 2))))
+            g = Multigraph.build(names, triples)
+            roots = rng.sample(names, rng.randint(1, min(3, n)))
+            ends = {e.id: (e.u, e.v) for e in g.edges}
+            want = []
+            for root in roots:
+                if any(root in comp for comp, _ in want):
+                    continue
+                comp = edge_component(ends, ends, root)
+                sides = {}
+                for e in g.edges:
+                    pair = reference_bridge_sides(g, e) if e.u in comp else None
+                    if pair is not None:
+                        sides[e.id] = pair
+                want.append((comp, sides))
+            got = cut_edges(g, roots)
+            assert [comp for comp, _ in got] == [comp for comp, _ in want]
+            for (comp, cuts), (_, sides) in zip(got, want):
+                assert cuts.keys() == sides.keys()
+                for eid, below in cuts.items():
+                    assert {frozenset(below), frozenset(comp - below)} == {frozenset(x) for x in sides[eid]}
+            pairs = [frozenset((u, v)) for u, v, _ in triples]
+            seen["parallel"] += len(set(pairs)) < len(pairs)
+            seen["fat"] += any(c == 2 for _, _, c in triples)
+            seen["isolated"] += any(len(edge_component(ends, ends, v)) == 1 for v in names)
+            seen["components"] += len(want) > 1
+            seen["cut"] += any(cuts for _, cuts in want)
+            seen["roots"] += len(want) < len(roots)
         assert min(seen.values()) >= 50
 
 

@@ -742,10 +742,41 @@ class TestReferenceSimplex:
     def test_random_small_lps(self):
         # 14 of these pivot a slack column back in, which no graph LP of the
         # benchmark does
-        rng = random.Random(0)
-        for _ in range(2000):
-            rows = list(range(10, 10 + rng.randint(1, 5)))
-            cols = [frozenset(r for r in rows if rng.random() < 0.5) for _ in range(rng.randint(1, 7))]
-            cols = [c for c in cols if c]
-            caps = {r: rng.randint(1, 3) for r in rows}
+        for cols, rows, caps in random_small_lps():
             assert packing._lp_max_total(cols, rows, caps) == reference_lp(cols, rows, caps)
+
+
+def random_small_lps():
+    rng = random.Random(0)
+    for _ in range(2000):
+        rows = list(range(10, 10 + rng.randint(1, 5)))
+        cols = [frozenset(r for r in rows if rng.random() < 0.5) for _ in range(rng.randint(1, 7))]
+        cols = [c for c in cols if c]
+        caps = {r: rng.randint(1, 3) for r in rows}
+        yield cols, rows, caps
+
+
+def test_vertex_rounding_matches_fraction_formulas():
+    # the integer rounding reads the nonzero entries alone; it must give
+    # the counts int(factor * y), the lcm of all denominators and the units
+    # int(y * scale) of the Fraction formulas
+    bench = [*sample_instances(20, 8, 6, 3, 0), *sample_instances(5, 10, 10, 4, 0)]
+    vertices = []
+    for g, a in bench + [k4_with_relay(k) for k in range(1, 17)]:
+        core = prune_to_core(g, a)
+        for h in (core, eliminate_relays(core, a)[0]):
+            vertices.append(solve_tree_lp(h, a).y)
+    vertices += [tuple(packing._lp_max_total(*lp)[1]) for lp in random_small_lps()]
+    # denominators whose lcm is none of them
+    vertices.append((Fraction(1, 2), Fraction(0), Fraction(2, 3), Fraction(5, 4), Fraction(7)))
+    seen = {"floored": 0, "scaled": 0}
+    for y in vertices:
+        for factor in (1, 2):
+            counts = [(j, int(factor * v)) for j, v in enumerate(y) if int(factor * v)]
+            assert packing._rounded_vertex(y, factor) == counts
+            seen["floored"] += any(factor * v != int(factor * v) for v in y)
+        scale = lcm(1, *(v.denominator for v in y))
+        units = [(j, int(v * scale)) for j, v in enumerate(y) if v > 0]
+        assert packing._vertex_units(y) == (scale, units)
+        seen["scaled"] += scale > 1
+    assert len(vertices) > 2000 and min(seen.values()) >= 40

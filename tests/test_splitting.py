@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -11,7 +12,6 @@ from mcastcap import (
     eliminate_relays,
     example2_instance,
     fractional_capacity_lp,
-    is_cut_edge,
     lift_packing,
     max_integer_packing,
     prune_to_core,
@@ -20,18 +20,21 @@ from mcastcap import (
     solve_tree_lp,
     split_off,
     terminal_connectivity,
+    validate,
     verify_packing,
 )
 from mcastcap.connectivity import checked_flow, cut_capacity, pair_capacities
 from mcastcap.errors import (
     CertificateError,
     CutEdgeAtPivot,
+    DisconnectedTerminals,
     InvalidGraph,
     NotIncident,
 )
-from mcastcap.multigraph import degree
+from mcastcap.multigraph import cut_edges, degree, edge_component
 from mcastcap.packing import SteinerPacking, SteinerTree
-from mcastcap import splitting
+from mcastcap import multigraph, splitting
+from test_multigraph import reference_bridge_sides
 
 
 def all_pairs_connectivity(g, vertices):
@@ -125,6 +128,47 @@ def reference_eliminate_relays(g, a):
         cur = cur.restrict(cur.vertices - {x})
         events += evs
     return cur, tuple(events), tuple(relays), scale
+
+
+def even_relay_multigraphs(seed, count):
+    """``count`` seeded unpruned multigraphs with parallel and capacity-2
+    edges, connected terminals and every relay of even degree, so that no
+    scaling hides a unit cut-edge."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 8)
+        names = [f"v{i}" for i in range(n)]
+        triples = []
+        for _ in range(rng.randint(n - 1, 2 * n)):
+            u, v = rng.sample(names, 2)
+            triples.append((u, v, rng.choice((1, 1, 1, 2))))
+        g = Multigraph.build(names, triples)
+        terms = rng.sample(names, rng.randint(2, min(4, n - 1)))
+        a = TerminalSet(terms[0], tuple(terms[1:]))
+        if any(degree(g, x) % 2 for x in g.vertices - a.members):
+            continue
+        try:
+            validate(g, a)
+        except DisconnectedTerminals:
+            continue
+        out.append((g, a))
+    return out
+
+
+# draw index -> (edge id, pivot) of the CutEdgeAtPivot that
+# eliminate_relays raises on even_relay_multigraphs(3, 300); 16 of these
+# pivots have two or more cut-edges, and 11 are not the first relay
+CUT_EDGE_AT_PIVOT = {
+    17: (2, "v1"), 29: (3, "v4"), 32: (5, "v2"), 61: (0, "v1"), 78: (8, "v3"), 104: (3, "v5"),
+    107: (1, "v0"), 117: (0, "v3"), 118: (1, "v3"), 122: (0, "v0"), 126: (3, "v3"), 134: (8, "v0"),
+    137: (0, "v0"), 140: (1, "v3"), 146: (0, "v2"), 160: (2, "v2"), 166: (0, "v1"), 167: (1, "v4"),
+    171: (0, "v1"), 178: (0, "v0"), 180: (0, "v2"), 183: (0, "v0"), 190: (2, "v1"), 192: (3, "v0"),
+    199: (0, "v0"), 201: (0, "v2"), 206: (1, "v3"), 216: (2, "v2"), 219: (4, "v2"), 221: (1, "v2"),
+    226: (2, "v0"), 231: (1, "v3"), 232: (5, "v5"), 233: (9, "v3"), 237: (0, "v1"), 241: (0, "v0"),
+    254: (2, "v1"), 257: (0, "v2"), 267: (4, "v1"), 268: (0, "v1"), 269: (1, "v4"), 273: (4, "v4"),
+    277: (0, "v0"), 288: (1, "v2"),
+}
 
 
 def theta():
@@ -268,7 +312,8 @@ class TestAdmissibility:
         for (g, _), x in ((instances[6], "v3"), (instances[7], "v5")):
             unit = unit_form(g)
             assert degree(unit, x) == 5
-            assert not any(is_cut_edge(unit, e.id) for e in unit.incident(x))
+            [(_, cuts)] = cut_edges(unit, [x])
+            assert not any(e.id in cuts for e in unit.incident(x))
             inc = [e.id for e in unit.incident(x)]
             assert any(admissible(unit, e, f, x) for e, f in combinations(inc, 2))
 
@@ -295,6 +340,23 @@ class TestCompleteSplitting:
         )
         with pytest.raises(CutEdgeAtPivot):
             split_completely(g, "x")
+
+    def test_cut_edge_messages_are_pinned(self):
+        # recorded while each pivot still walked once per incident unit edge:
+        # the message names the pivot's cut-edge with the smallest id
+        draws = even_relay_multigraphs(3, 300)
+        got = {}
+        for i, (g, a) in enumerate(draws):
+            try:
+                eliminate_relays(g, a)
+            except CutEdgeAtPivot as exc:
+                got[i] = str(exc)
+        assert got == {i: f"cut-edge {eid} incident to pivot {x!r}" for i, (eid, x) in CUT_EDGE_AT_PIVOT.items()}
+        several = sum(
+            sum(reference_bridge_sides(draws[i][0], e) is not None for e in draws[i][0].incident(x)) >= 2
+            for i, (_, x) in CUT_EDGE_AT_PIVOT.items()
+        )
+        assert several >= 10
 
     def test_theta_pivot_yields_parallel_edges(self):
         out, _ = split_completely(theta(), "x")
@@ -568,6 +630,45 @@ class TestTreeTargets:
             for g, a in cores:
                 digest.update(repr(eliminate_relays(scale_capacities(g, k), a)[1].events).encode())
         assert digest.hexdigest() == RANDOM_HISTORY_DIGEST
+
+
+class TestCutEdgeWalks:
+    def test_one_walk_per_component_and_at_most_one_per_pivot(self, monkeypatch):
+        # a lowpoint walk answers every cut-edge question of a graph; per
+        # edge walks would multiply these counts
+        walks, other = [], []
+
+        def counted(g, roots):
+            out = cut_edges(g, roots)
+            walks.append(len(out))
+            return out
+
+        def reach(*args):
+            other.append(args)
+            return edge_component(*args)
+
+        samples = bench_samples()
+        for module in (multigraph, splitting):
+            monkeypatch.setattr(module, "cut_edges", counted)
+            monkeypatch.setattr(module, "edge_component", reach)
+        cores = []
+        for g, a in samples:
+            ends = {e.id: (e.u, e.v) for e in g.edges}
+            components = {frozenset(edge_component(ends, ends, t)) for t in a.members}
+            walks.clear()
+            cores.append((prune_to_core(g, a), a))
+            assert walks == [len(components)]
+        pivots = walked = 0
+        for g, a in cores + [k4_with_relay(k) for k in (1, 4, 16)]:
+            walks.clear()
+            eliminate_relays(g, a)
+            relays = len(g.vertices - a.members)
+            assert all(w == 1 for w in walks) and len(walks) <= relays
+            pivots += relays
+            walked += len(walks)
+            if all(e.cap >= 2 for e in g.edges):
+                assert not walks
+        assert pivots > walked > 0 and not other
 
 
 class TestLiftPacking:
