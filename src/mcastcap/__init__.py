@@ -22,7 +22,6 @@ from .splitting import (
 )
 from .packing import (
     SteinerPacking,
-    SteinerTree,
     TreeLP,
     enumerate_steiner_trees,
     fractional_capacity_lp,

@@ -179,7 +179,7 @@ def analyze_instance(
         report.via_splitting = {
             "scale": scale,
             "packed_trees": k_split,
-            "lifted_trees": int(sum(mult for _, mult in lifted.trees)),
+            "lifted_trees": int(lifted.rate),
             "rate": str(split_rate),
             "lifted_verifies": lifted_ok,
             "lp_rate": str(split_lp.opt / scale),

@@ -55,8 +55,8 @@ def _packing_to_dict(p: SteinerPacking) -> dict:
         "denominator": p.denominator,
         "rate": str(p.rate),
         "trees": [
-            {"edges": sorted(t.edge_ids), "multiplicity": str(mult)}
-            for t, mult in p.trees
+            {"edges": sorted(edge_ids), "multiplicity": str(Fraction(units, p.denominator))}
+            for edge_ids, units in p.trees
         ],
     }
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import BadSlot, BridgeBetweenTerminals, Underconnected
 from .multigraph import Multigraph, TerminalSet, prune_to_core, validate
@@ -26,8 +27,6 @@ class RoutingScheme:
 
     @property
     def rate(self):
-        from fractions import Fraction
-
         return Fraction(self.h, self.n)
 
 

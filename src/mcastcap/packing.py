@@ -18,6 +18,11 @@ Parallel edges are collapsed to one class per vertex pair for the solvers
 solutions are expanded back onto concrete edge ids before being returned, so
 every returned packing verifies against the original graph.
 
+A packing holds only what it certifies: each tree's edge-id set with a
+positive whole number of units of 1/denominator.  Its rate, the units'
+sum over the denominator, and each tree's vertices, the ends of its
+edges, are derived, so no stored copy of either can disagree with them.
+
 All three packings use the same trees on the same classes, so one
 ``solve_tree_lp`` per graph (one enumeration, one simplex) serves them all:
 each solver takes only that solve, which names its graph and terminals.
@@ -69,16 +74,16 @@ MAX_SEARCH_NODES = 20_000
 
 
 @dataclass(frozen=True)
-class SteinerTree:
-    edge_ids: frozenset[int]
-    vertices: frozenset[str]
-
-
-@dataclass(frozen=True)
 class SteinerPacking:
-    trees: tuple[tuple[SteinerTree, Fraction], ...]
+    """Trees as (edge ids, units) pairs: each tree carries a positive whole
+    number of units of 1/``denominator``."""
+
+    trees: tuple[tuple[frozenset[int], int], ...]
     denominator: int
-    rate: Rate
+
+    @property
+    def rate(self) -> Rate:
+        return Fraction(sum(units for _, units in self.trees), self.denominator)
 
 
 # -- spanning / Steiner tree enumeration -----------------------------------
@@ -238,19 +243,15 @@ def _minimal_trees(
 
 def enumerate_steiner_trees(
     g: Multigraph, a: TerminalSet, limit: int = DEFAULT_TREE_LIMIT
-) -> list[SteinerTree]:
-    """All edge-minimal A-Steiner trees of g, deduplicated by edge set.
+) -> list[frozenset[int]]:
+    """The edge-id sets of all edge-minimal A-Steiner trees of g, by size
+    and then by sorted ids.
 
     Exceeding ``limit`` raises TooManyTrees so results are never silently
     truncated.  Parallel edges yield distinct trees (distinct edge ids).
     """
-    edges = [(e.id, e.u, e.v) for e in sorted(g.edges, key=lambda e: e.id)]
-    found = _minimal_trees(g.vertices, edges, a.members, limit)
-    by_id = {e.id: e for e in g.edges}
-    return [
-        SteinerTree(t, frozenset(v for eid in t for v in (by_id[eid].u, by_id[eid].v)))
-        for t in found
-    ]
+    edges = [(e.id, e.u, e.v) for e in g.edges]
+    return _minimal_trees(g.vertices, edges, a.members, limit)
 
 
 # -- exact simplex in integer arithmetic -----------------------------------
@@ -392,11 +393,9 @@ def _expand_packing(
     A packing that fails either check raises CertificateError naming ``stage``.
     """
     g, members = lp.graph, lp.members
-    by_id = {e.id: e for e in g.edges}
     room = {e.id: e.cap * scale for e in g.edges}
     cursor = dict.fromkeys(members, 0)
     slices: dict[frozenset[int], int] = {}
-    tree_vertices: dict[frozenset[int], frozenset[str]] = {}
     for rep_set, m in units:
         rids = sorted(rep_set)
         while m > 0:
@@ -415,14 +414,8 @@ def _expand_packing(
                 room[eid] -= amount
             key = frozenset(picks)
             slices[key] = slices.get(key, 0) + amount
-            if key not in tree_vertices:
-                tree_vertices[key] = frozenset(v for eid in picks for v in (by_id[eid].u, by_id[eid].v))
             m -= amount
-    trees = tuple(
-        (SteinerTree(k, tree_vertices[k]), Fraction(v, scale))
-        for k, v in sorted(slices.items(), key=lambda kv: tuple(sorted(kv[0])))
-    )
-    packing = SteinerPacking(trees, scale, Fraction(sum(slices.values()), scale))
+    packing = SteinerPacking(tuple(sorted(slices.items(), key=lambda kv: sorted(kv[0]))), scale)
     if not verify_packing(g, lp.terminals, packing):
         raise CertificateError(f"{stage} packing failed verification")
     if packing.rate != value:
@@ -431,13 +424,6 @@ def _expand_packing(
 
 
 # -- solvers ---------------------------------------------------------------
-
-
-def _rounded_vertex(y: tuple[Fraction, ...], factor: int) -> list[tuple[int, int]]:
-    """(j, floor(factor * y_j)) for every j whose count is not 0, in
-    integers: only the basic entries of the LP vertex are nonzero."""
-    rounded = [(j, factor * v.numerator // v.denominator) for j, v in enumerate(y) if v]
-    return [(j, c) for j, c in rounded if c]
 
 
 def _vertex_units(y: tuple[Fraction, ...]) -> tuple[int, list[tuple[int, int]]]:
@@ -473,10 +459,13 @@ def _branch_and_bound(
     ``stage``.
     """
     goal = int(factor * lp.opt)  # floor
-    rounded = _rounded_vertex(lp.y, factor)
+    # floor(factor * y_j) = factor * u_j // scale, for u_j = scale * y_j
+    scale, units = _vertex_units(lp.y)
+    rounded = [(lp.trees[j], factor * u // scale) for j, u in units]
+    rounded = [(t, c) for t, c in rounded if c]
     s = sum(c for _, c in rounded)
     if s >= goal:
-        return s, [(lp.trees[j], c) for j, c in rounded]
+        return s, rounded
     source, sinks = lp.terminals.source, lp.terminals.sinks
     # residual class capacities, kept in place: one class per vertex pair
     res = {x: {y: factor * c for y, c in nbrs.items()} for x, nbrs in pair_capacities(lp.classes).items()}
@@ -552,38 +541,30 @@ def fractional_capacity_lp(lp: TreeLP) -> tuple[Rate, SteinerPacking]:
 def verify_packing(g: Multigraph, a: TerminalSet, p: SteinerPacking) -> bool:
     """Certificate check: valid A-Steiner trees, loads within capacities.
 
-    Multiplicities, loads and the rate are compared in whole units of
-    1/``p.denominator``; a multiplicity that is not a whole number of units
-    fails the check.
+    Every tree must carry a positive ``int`` number of units of
+    1/``p.denominator``, and loads are compared in those units.
     """
     d = p.denominator
-    if d < 1:
+    if type(d) is not int or d < 1:
         return False
     try:
         by_id = {e.id: e for e in g.edges}
         ends = {e.id: (e.u, e.v) for e in g.edges}
         load = dict.fromkeys(by_id, 0)
-        total = 0
-        for tree, mult in p.trees:
-            if mult.numerator <= 0 or d % mult.denominator:
+        for edge_ids, units in p.trees:
+            if type(units) is not int or units <= 0:
                 return False
-            units = mult.numerator * (d // mult.denominator)
             vs: set[str] = set()
-            for eid in tree.edge_ids:
+            for eid in edge_ids:
                 e = by_id[eid]
                 vs.update((e.u, e.v))
                 load[eid] += units
-            if vs != set(tree.vertices):
-                return False
             if not a.members <= vs:
                 return False
-            if len(tree.edge_ids) != len(vs) - 1:
+            if len(edge_ids) != len(vs) - 1:
                 return False
-            if len(edge_component(tree.edge_ids, ends, next(iter(vs)))) != len(vs):
+            if len(edge_component(edge_ids, ends, next(iter(vs)))) != len(vs):
                 return False
-            total += units
-        if total * p.rate.denominator != p.rate.numerator * d:
-            return False
         return all(load[eid] <= by_id[eid].cap * d for eid in load)
     except KeyError:
         return False

@@ -72,6 +72,28 @@ Taking the first admissible partner of the smallest edge, one split after
 another, therefore never gets stuck.  A missing partner is a bug and raises
 CertificateError.
 
+A cut-edge at a pivot raises CutEdgeAtPivot, and one lowpoint walk of the
+input, before the first split, finds every one the splitting would meet.
+Every cut-edge has capacity 1, and pivots are taken in sorted order:
+
+- An input cut-edge e = xy touching no earlier pivot is still there, still
+  of capacity 1, when x is the pivot: splits take capacity only off edges
+  at their pivot.  It is still a cut-edge: λ(x, y) = 1 is kept among the
+  vertices not yet split, and e crosses every x-y cut of capacity 1, so
+  it is the only edge across one.
+- A cut-edge f = xy at pivot x was an input cut-edge, or an earlier pivot
+  had one when it was split.  λ(x, y) = 1 before any split too.  If f is
+  an input edge, it crossed an x-y cut of capacity 1 alone, so it was an
+  input cut-edge.  If a split at an earlier pivot z added f, the edges xz
+  and zy it took were there when z was the pivot, λ(x, y) was 1 then, and
+  the one of them that crossed an x-y cut of capacity 1 alone was a
+  cut-edge at z.
+
+By induction over the pivots, the first pivot with a cut-edge is the first
+relay, in sorted order, that touches an input cut-edge, and its cut-edges
+are exactly the input cut-edges at it.  The error names the smallest of
+their ids.
+
 Each split takes the largest admissible amount, found by bisection that
 tries the full amount first.  Bisection is exact because splitting more
 never raises a cut: splitting b more units after a units leaves every cut
@@ -92,6 +114,10 @@ the result is built once, with the ids and edge order ``split_off`` gives.
 Before it is returned, a checked flow for every terminal pair must find
 the pair's cut value in the scaled input, read off the first tree (the
 closing certificate).
+
+A packing of the split graph lifts back through the history on its trees'
+edge-id sets alone: each tree keeps its units, and the packing its
+denominator.
 """
 
 from __future__ import annotations
@@ -118,7 +144,7 @@ from .multigraph import (
     edge_component,
     scale_capacities,
 )
-from .packing import SteinerPacking, SteinerTree
+from .packing import SteinerPacking
 
 
 @dataclass(frozen=True)
@@ -370,14 +396,21 @@ def eliminate_relays(
     partner, which always exists, by the largest admissible amount (module
     docstring), until x is isolated and deleted: every pairwise min-cut
     among V - x is kept exactly.  A cut-edge at a pivot raises
-    CutEdgeAtPivot, found by one lowpoint walk from a pivot with a
-    capacity-1 edge.  The result has vertex set exactly A; every A-Steiner
-    tree in it is a spanning tree.  Pairwise terminal min-cuts equal scale
-    times the originals, checked before the result is returned.
+    CutEdgeAtPivot before any split, found by one lowpoint walk of the
+    input when it has a capacity-1 edge (module docstring).  The result
+    has vertex set exactly A; every A-Steiner tree in it is a spanning
+    tree.  Pairwise terminal min-cuts equal scale times the originals,
+    checked before the result is returned.
     """
     relays = tuple(sorted(g.vertices - a.members))
     scale = 2 if any(degree(g, x) % 2 == 1 for x in relays) else 1
     base = scale_capacities(g, scale)
+    if any(e.cap == 1 for e in base.edges):
+        cuts = {eid for _, at in cut_edges(base, relays) for eid in at}
+        for x in relays:
+            at_x = [e.id for e in base.incident(x) if e.id in cuts]
+            if at_x:
+                raise CutEdgeAtPivot(f"cut-edge {min(at_x)} incident to pivot {x!r}")
     edges = {e.id: e for e in base.edges}
     adj = pair_capacities(base)
     events: list[SplitEvent] = []
@@ -387,11 +420,6 @@ def eliminate_relays(
     expected: dict[tuple[str, str], int] = {}
     for x in relays:
         inc = sorted((e for e in edges.values() if e.touches(x)), key=lambda e: e.id)
-        if any(e.cap == 1 for e in inc):
-            [(_, cuts)] = cut_edges(Multigraph(base.vertices, tuple(edges.values())), [x])
-            at_x = [e.id for e in inc if e.id in cuts]
-            if at_x:
-                raise CutEdgeAtPivot(f"cut-edge {at_x[0]} incident to pivot {x!r}")
         if x == relays[0]:
             links = _flow_tree(adj, x)
             least = {u: _path_minima(links, u) for u in a.members}
@@ -450,8 +478,8 @@ def lift_packing(history: SplitHistory, packing):
     pivot is not yet on the tree, otherwise whichever single edge bridges the
     two components of T - w.  The trees through w carry at most its amount
     and each takes back at most one unit of e and one of f, so cardinality,
-    multiplicities and disjointness are preserved; the output packs the base
-    graph of the history.
+    units and disjointness are preserved; the output packs the base graph of
+    the history, with the input's denominator.
     """
     # reconstruct per-stage endpoint info by replaying forward
     endpoint: dict[int, tuple[str, str]] = {e.id: (e.u, e.v) for e in history.base.edges}
@@ -459,7 +487,7 @@ def lift_packing(history: SplitHistory, packing):
         if ev.new_id is not None:
             endpoint[ev.new_id] = (ev.r, ev.t)
 
-    trees = [(set(t.edge_ids), mult) for t, mult in packing.trees]
+    trees = [(set(edge_ids), units) for edge_ids, units in packing.trees]
     for edge_set, _ in trees:
         for eid in edge_set:
             if eid not in endpoint:
@@ -482,8 +510,5 @@ def lift_packing(history: SplitHistory, packing):
                 edge_set.add(ev.e_id)
                 edge_set.add(ev.f_id)
 
-    out = []
-    for edge_set, mult in trees:
-        vs = frozenset(v for eid in edge_set for v in endpoint[eid])
-        out.append((SteinerTree(frozenset(edge_set), vs), mult))
-    return SteinerPacking(tuple(out), packing.denominator, packing.rate)
+    lifted = tuple((frozenset(edge_set), units) for edge_set, units in trees)
+    return SteinerPacking(lifted, packing.denominator)

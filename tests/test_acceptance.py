@@ -225,7 +225,7 @@ def _small_connected_multigraphs(max_n=5, max_cap=8):
 
 
 def _brute_max_packing(g, a):
-    trees = [t.edge_ids for t in enumerate_steiner_trees(g, a)]
+    trees = enumerate_steiner_trees(g, a)
     caps = {e.id: e.cap for e in g.edges}
 
     def rec(start, count):

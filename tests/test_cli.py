@@ -537,9 +537,8 @@ def drop_edge(original):
     # the first lifted tree loses its smallest edge id
     def faulty(*args):
         packing = original(*args)
-        (tree, mult), *rest = packing.trees
-        tree = replace(tree, edge_ids=tree.edge_ids - {min(tree.edge_ids)})
-        return replace(packing, trees=((tree, mult), *rest))
+        (tree, units), *rest = packing.trees
+        return replace(packing, trees=((tree - {min(tree)}, units), *rest))
     return faulty
 
 FAULTS = {"fail": lambda original: lambda *args: False, "accept": lambda original: lambda *args: True,

@@ -30,7 +30,7 @@ from mcastcap.errors import (
     TooManyTrees,
 )
 from mcastcap.multigraph import Edge, prune_to_core, scale_capacities
-from mcastcap.packing import SteinerPacking, SteinerTree, solve_tree_lp
+from mcastcap.packing import SteinerPacking, solve_tree_lp
 from mcastcap.splitting import eliminate_relays
 from test_strength import _small_connected_multigraphs
 
@@ -49,7 +49,7 @@ def complete4():
 def brute_max_packing(g, a):
     """Independent oracle: plain exhaustive search over multisets of minimal
     trees with capacity accounting, no pruning bound."""
-    trees = [t.edge_ids for t in enumerate_steiner_trees(g, a)]
+    trees = enumerate_steiner_trees(g, a)
     caps = {e.id: e.cap for e in g.edges}
 
     def rec(start, res, count):
@@ -71,7 +71,7 @@ class TestEnumerate:
         g, a = triangle()
         trees = enumerate_steiner_trees(g, a)
         assert len(trees) == 3
-        assert all(len(t.edge_ids) == 2 for t in trees)
+        assert all(len(t) == 2 for t in trees)
 
     def test_single_edge(self):
         g = Multigraph.build(["s", "t"], [("s", "t", 1)])
@@ -92,8 +92,9 @@ class TestEnumerate:
         trees = enumerate_steiner_trees(g, a)
         # 4-cycle with one relay: minimal trees are the three 'cycle minus
         # one edge' paths whose leaves are terminals
+        ends = {e.id: (e.u, e.v) for e in g.edges}
         for t in trees:
-            assert a.members <= t.vertices
+            assert a.members <= {v for eid in t for v in ends[eid]}
 
 
 class TestIntegerPacking:
@@ -168,28 +169,39 @@ class TestVerify:
 
     def test_overloaded_edge_rejected(self):
         g, a = triangle()
-        tree = SteinerTree(frozenset({0, 1}), frozenset({"s", "r1", "r2"}))
-        p = SteinerPacking(((tree, Fraction(2)),), 1, Fraction(2))
+        p = SteinerPacking(((frozenset({0, 1}), 2),), 1)
         assert not verify_packing(g, a, p)
 
     def test_non_spanning_tree_rejected(self):
         g, a = complete4()
-        tree = SteinerTree(frozenset({0}), frozenset({"a", "b"}))
-        p = SteinerPacking(((tree, Fraction(1)),), 1, Fraction(1))
+        p = SteinerPacking(((frozenset({0}), 1),), 1)
         assert not verify_packing(g, a, p)
 
     def test_multiplicity_off_the_denominator_rejected(self):
-        # loads and rate fit, but 1/2 is not a whole number of units of 1/1
+        # loads fit half a unit at any denominator, but a unit count must be
+        # a whole number
         g, a = triangle()
-        tree = SteinerTree(frozenset({0, 1}), frozenset({"s", "r1", "r2"}))
-        half = Fraction(1, 2)
-        assert verify_packing(g, a, SteinerPacking(((tree, half),), 2, half))
-        assert not verify_packing(g, a, SteinerPacking(((tree, half),), 1, half))
-        assert not verify_packing(g, a, SteinerPacking(((tree, half),), 3, half))
-        # and the rate must be the sum of the multiplicities
-        assert not verify_packing(g, a, SteinerPacking(((tree, half),), 2, Fraction(1)))
-        # a zero denominator would make every load and rate zero units
-        assert not verify_packing(g, a, SteinerPacking(((tree, half),), 0, half))
+        path = frozenset({0, 1})
+        assert verify_packing(g, a, SteinerPacking(((path, 1),), 2))
+        for d in (1, 2, 3):
+            assert not verify_packing(g, a, SteinerPacking(((path, Fraction(1, 2)),), d))
+        # a zero denominator would make every load zero units
+        assert not verify_packing(g, a, SteinerPacking(((path, 1),), 0))
+
+    def test_units_must_be_positive_ints(self):
+        g, a = triangle()
+        path = frozenset({0, 1})
+        assert verify_packing(g, a, SteinerPacking(((path, 2),), 2))
+        # a whole Fraction, a float and a bool are not int unit counts
+        for units in (Fraction(1), Fraction(3), 1.0, 0.5, True, 0, -1):
+            assert not verify_packing(g, a, SteinerPacking(((path, units),), 2))
+        # and the denominator must be an int too
+        for d in (2.0, Fraction(2), True):
+            assert not verify_packing(g, a, SteinerPacking(((path, 1),), d))
+
+    def test_unknown_edge_rejected(self):
+        g, a = triangle()
+        assert not verify_packing(g, a, SteinerPacking(((frozenset({0, 3}), 1),), 1))
 
 
 class TestProperties:
@@ -279,9 +291,11 @@ def varied_samples():
 
 def reference_half_integer(g, a):
     """The half-integer packing as a plain integer packing of the doubled
-    graph, halved: what the shared factor-2 search must reproduce."""
+    graph, halved: what the shared factor-2 search must reproduce.  Halving
+    keeps each tree's count of the doubled graph as its units of 1/2."""
     k2, packed = max_integer_packing(solve_tree_lp(scale_capacities(g, 2), a))
-    return Fraction(k2, 2), [(t, mult / 2) for t, mult in packed.trees]
+    assert packed.denominator == 1
+    return Fraction(k2, 2), list(packed.trees)
 
 
 def k4_with_relay(k):
@@ -387,7 +401,7 @@ class TestDepthGuard:
         calls = counted_bound_evaluations(monkeypatch)
         for factor, solve in ((1, max_integer_packing), (2, half_integer_capacity)):
             # floor(factor * y_j) copies of tree j
-            rounded = [(t, Fraction(int(factor * y))) for t, y in zip(lp.trees, lp.y) if int(factor * y)]
+            rounded = [(t, int(factor * y)) for t, y in zip(lp.trees, lp.y) if int(factor * y)]
             assert packing._branch_and_bound(lp, factor, "test") == (factor * 40, rounded)
             value, p = solve(lp)
             assert value == p.rate == 40 and verify_packing(g, a, p)
@@ -473,11 +487,13 @@ def reference_branch_and_bound(lp, factor):
     return best, [(lp.trees[j], Fraction(c)) for j, c in sorted(counts.items())]
 
 
-def reference_expand_packing(g, solution, members):
-    """Expansion in Fractions, rescanning each class's copies for every piece."""
+def reference_expand_packing(g, solution, members, denom=None):
+    """Expansion in Fractions, rescanning each class's copies for every
+    piece.  Each tree's units are its multiplicity times ``denom``, by
+    default the least common denominator of the multiplicities."""
     by_id = {e.id: e for e in g.edges}
     used = {eid: Fraction(0) for eid in by_id}
-    slices, tree_vertices = {}, {}
+    slices = {}
     for rep_set, mult in solution:
         m = mult
         while m > 0:
@@ -493,15 +509,15 @@ def reference_expand_packing(g, solution, members):
                 used[e.id] += amount
             key = frozenset(e.id for e in pick.values())
             slices[key] = slices.get(key, Fraction(0)) + amount
-            tree_vertices[key] = frozenset(v for e in pick.values() for v in (e.u, e.v))
             m -= amount
-    trees = tuple(
-        (SteinerTree(k, tree_vertices[k]), v)
-        for k, v in sorted(slices.items(), key=lambda kv: tuple(sorted(kv[0])))
-    )
-    rate = sum((v for _, v in trees), Fraction(0))
-    denom = lcm(1, *(v.denominator for _, v in trees)) if trees else 1
-    return SteinerPacking(trees, denom, rate)
+    if denom is None:
+        denom = lcm(1, *(v.denominator for v in slices.values()))
+    trees = []
+    for k, v in sorted(slices.items(), key=lambda kv: tuple(sorted(kv[0]))):
+        units = v * denom
+        assert units.denominator == 1
+        trees.append((k, int(units)))
+    return SteinerPacking(tuple(trees), denom)
 
 
 def assert_matches_unseeded_search(g, a):
@@ -517,9 +533,9 @@ def assert_matches_unseeded_search(g, a):
         else:
             assert got[1] == want[1]
         # c trees in factor times the capacities are c / factor on g itself
-        want = reference_expand_packing(g, [(t, Fraction(c, factor)) for t, c in got[1]], lp.members)
+        want = reference_expand_packing(g, [(t, Fraction(c, factor)) for t, c in got[1]], lp.members, factor)
         expanded = packing._expand_packing(lp, got[1], factor, "test", Fraction(got[0], factor))
-        assert expanded == replace(want, denominator=factor)
+        assert expanded == want
     solution = [(t, y) for t, y in zip(lp.trees, lp.y) if y > 0]
     assert fractional_capacity_lp(lp)[1] == reference_expand_packing(g, solution, lp.members)
 
@@ -617,8 +633,8 @@ def oracle_steiner_trees(g, a):
                     reached.add(v)
                     stack.extend(w for eid in sub for w in ends[eid] if v in ends[eid])
             if reached == vs:
-                out.append(SteinerTree(frozenset(sub), frozenset(vs)))
-    out.sort(key=lambda t: (len(t.edge_ids), sorted(t.edge_ids)))
+                out.append(frozenset(sub))
+    out.sort(key=lambda t: (len(t), sorted(t)))
     return out
 
 
@@ -758,8 +774,9 @@ def random_small_lps():
 
 def test_vertex_rounding_matches_fraction_formulas():
     # the integer rounding reads the nonzero entries alone; it must give
-    # the counts int(factor * y), the lcm of all denominators and the units
-    # int(y * scale) of the Fraction formulas
+    # the lcm of all denominators and the units int(y * scale) of the
+    # Fraction formulas, and the counts factor * u // scale read off those
+    # units must be int(factor * y)
     bench = [*sample_instances(20, 8, 6, 3, 0), *sample_instances(5, 10, 10, 4, 0)]
     vertices = []
     for g, a in bench + [k4_with_relay(k) for k in range(1, 17)]:
@@ -771,12 +788,12 @@ def test_vertex_rounding_matches_fraction_formulas():
     vertices.append((Fraction(1, 2), Fraction(0), Fraction(2, 3), Fraction(5, 4), Fraction(7)))
     seen = {"floored": 0, "scaled": 0}
     for y in vertices:
-        for factor in (1, 2):
-            counts = [(j, int(factor * v)) for j, v in enumerate(y) if int(factor * v)]
-            assert packing._rounded_vertex(y, factor) == counts
-            seen["floored"] += any(factor * v != int(factor * v) for v in y)
         scale = lcm(1, *(v.denominator for v in y))
         units = [(j, int(v * scale)) for j, v in enumerate(y) if v > 0]
         assert packing._vertex_units(y) == (scale, units)
         seen["scaled"] += scale > 1
+        for factor in (1, 2):
+            counts = [(j, int(factor * v)) for j, v in enumerate(y) if int(factor * v)]
+            assert [(j, c) for j, u in units if (c := factor * u // scale)] == counts
+            seen["floored"] += any(factor * v != int(factor * v) for v in y)
     assert len(vertices) > 2000 and min(seen.values()) >= 40
