@@ -46,8 +46,8 @@ class TooManyTrees(ResourceLimit):
 
 
 class SearchTooLarge(ResourceLimit):
-    """The packing branch and bound or the edge-strength search used its budget
-    without a proved optimum."""
+    """The packing branch and bound, the edge-strength search or the tree
+    enumeration used its budget without a proved optimum."""
 
 
 class BadSlot(McastcapError):

@@ -4,14 +4,28 @@ Enumerates edge-minimal A-Steiner trees and packs them three ways: the
 maximum number of edge-disjoint trees (branch and bound), the half-integer
 rate, and the fractional routing capacity as an exact LP over the
 enumerated trees (revised simplex with Bland's rule, pivoted in integer
-arithmetic over one shared denominator).  Only the slack block of the
-tableau is kept: a tree's column is the sum of the slack columns of its
-edges, so a pivot updates rows with one entry per class, none per tree.
+arithmetic, each row over its own denominator).  Only the slack block of
+the tableau is kept: a tree's column is the sum of the slack columns of its
+edges, so a pivot updates rows with one entry per class, none per tree, and
+leaves alone every row whose entry in the entering column is zero.
 
 A minimal tree is a spanning tree of A plus a relay subset in which every
-relay has degree at least 2; the spanning-tree search cuts a branch as soon
-as some relay can no longer reach that degree, so it only builds minimal
-trees.  It takes each relay's edges together, so that cut comes early.
+relay has degree at least 2.  The relay subsets come from a depth-first
+search that decides one relay at a time and cuts a branch as soon as an
+included relay has fewer than 2 distinct neighbours left among the
+terminals, the included relays and the undecided ones; a relay with no
+such pair of neighbours is internal in no tree.  For each subset that
+survives, the spanning-tree search cuts a branch as soon as some relay can
+no longer reach degree 2, so it only builds minimal trees.  It takes each
+relay's edges together, so that cut comes early.
+
+The enumeration counts its work in steps, each about one pass of a loop it
+runs in Python: a node of the subset search costs 1, a full subset the
+graph's edge count (the filter of its edges), a node of the spanning-tree
+search 1 and a connectivity probe the edges it may scan.  More than
+``MAX_ENUMERATION_STEPS`` steps raise SearchTooLarge naming the steps
+used, so an input with many hopeless relay subsets fails fast instead of
+hanging.
 
 Parallel edges are collapsed to one class per vertex pair for the solvers
 (a tree never uses two parallel copies and the copies are interchangeable);
@@ -59,13 +73,20 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .connectivity import PairCapacities, checked_flow, pair_capacities
 from .errors import CertificateError, SearchTooLarge, TooManyTrees
 from .multigraph import Edge, Multigraph, Rate, TerminalSet, edge_component
 
 DEFAULT_TREE_LIMIT = 5000
+# Steps one tree enumeration may take (module docstring).  It takes some
+# 1.7-3.5 million steps a second, so a search over budget stops within
+# about 1-2 s (2-core x86 VM, Python 3.11).  The largest tested core,
+# random_instance(16, 12, 4, 0) with a parallel edge, takes 76 thousand
+# steps; the unit all-terminal K46 and random_instance(24, 16, 4, 0) find
+# more than DEFAULT_TREE_LIMIT trees within 1.22 million.
+MAX_ENUMERATION_STEPS = 3_000_000
 # Nodes one branch and bound may visit.  Every node runs its flows, so the
 # budget takes about 0.8-1.1 s, some 40-56 us a node, on the x7 copy of the
 # second draw of sample_instances(5, 10, 10, 4, 0) (2-core x86 VM,
@@ -90,10 +111,12 @@ class SteinerPacking:
 
 
 def _spanning_trees(
-    nodes: list[str], edges: list[tuple[int, str, str]], relays: list[str], emit
-) -> None:
-    """Enumerate the spanning trees of (nodes, edges) in which every relay
-    has degree at least 2, each emitted once as a list of edge ids.
+    size: int, edges: list[tuple[int, int, int]], need: list[int], emit, steps: int
+) -> int:
+    """Enumerate the spanning trees of the ``size`` vertices that ``edges``
+    (id, u, v) join, in which every vertex x has degree at least need[x]
+    (2 for a relay, 0 for a terminal), each emitted once as a list of edge
+    ids; return ``steps`` plus the steps taken (module docstring).
 
     Include/exclude search over the edges in order, depth first on an
     explicit stack, so the number of edges is not limited by the
@@ -101,71 +124,67 @@ def _spanning_trees(
     some relay's chosen plus undecided edges fall below 2, or when the
     undecided edges can no longer connect the components.  Only leaving
     out an edge between two components can bring that about, so the
-    connectivity probe runs there alone.
+    connectivity probe runs there alone.  Vertices are the caller's
+    integers; those no edge meets stay single and are never looked at.
     """
-    n = len(nodes)
-    if n == 0:
-        return
-    idx = {v: i for i, v in enumerate(nodes)}
-    ends = [(idx[u], idx[v]) for _, u, v in edges]
-    # need[x]: chosen edges relay x still lacks (0 for terminals); slack[x]:
-    # chosen plus undecided edges at x, less 2 for a relay
-    need = [0] * n
-    for r in relays:
-        need[idx[r]] = 2
+    ends = [(u, v) for _, u, v in edges]
+    # need[x]: chosen edges relay x still lacks; slack[x]: chosen plus
+    # undecided edges at x, less 2 for a relay
     slack = [-k for k in need]
     for u, v in ends:
         slack[u] += 1
         slack[v] += 1
-    if min(slack) < 0:
-        return
-    short = len(relays)  # relays with need > 0
-
-    def find(parent: list[int], a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    short = len(need) - need.count(0)  # relays with need > 0
 
     def connectable(parent: list[int], ncomp: int, i: int) -> bool:
         """Whether the edges from i on can merge all components of parent."""
+        nonlocal steps
+        steps += len(ends) - i
         probe = parent.copy()
         for u, v in ends[i:]:
             if ncomp == 1:
                 break
-            ru, rv = find(probe, u), find(probe, v)
-            if ru != rv:
-                probe[ru] = rv
+            while probe[u] != u:
+                probe[u] = u = probe[probe[u]]
+            while probe[v] != v:
+                probe[v] = v = probe[probe[v]]
+            if u != v:
+                probe[u] = v
                 ncomp -= 1
         return ncomp == 1
 
     # depth first on an explicit stack: a node at depth i has decided edges
     # 0..i-1, took[d] says whether edge d is in, and parents[k] is the
-    # union-find after the first k taken edges, so a node has n - k
+    # union-find after the first k taken edges, so a node has size - k
     # components.  Every node has edges from i on that can merge them all,
     # so a node past the last edge has one component.
-    if not connectable(list(range(n)), n, 0):
-        return
-    parents, took = [list(range(n))], []
+    root = list(range(len(need)))
+    if not connectable(root, size, 0):
+        return steps
+    parents, took = [root], []
     chosen: list[int] = []
     while True:
+        steps += 1
         i = len(took)
-        if len(chosen) == n - 1:
+        if len(chosen) == size - 1:
             if short == 0:
                 emit(list(chosen))
         else:
             u, v = ends[i]
             parent = parents[-1]
-            ru, rv = find(parent, u), find(parent, v)
+            ru, rv = u, v
+            while parent[ru] != ru:
+                parent[ru] = ru = parent[parent[ru]]
+            while parent[rv] != rv:
+                parent[rv] = rv = parent[parent[rv]]
             if ru != rv:  # take edge i first
                 p2 = parent.copy()
                 p2[ru] = rv
                 parents.append(p2)
                 chosen.append(edges[i][0])
-                for x in (u, v):
-                    need[x] -= 1
-                    if need[x] == 0:
-                        short -= 1
+                need[u] -= 1
+                need[v] -= 1
+                short -= (need[u] == 0) + (need[v] == 0)
                 took.append(True)
                 continue
             # edge i closes a cycle: leave it out, if its ends keep their degree
@@ -176,31 +195,35 @@ def _spanning_trees(
                 continue
             slack[u] += 1
             slack[v] += 1
+        if steps > MAX_ENUMERATION_STEPS:
+            raise _enumeration_too_large(steps)
         # back up to the deepest taken edge that can be left out instead
         while took:
+            steps += 1
             i = len(took) - 1
             u, v = ends[i]
             if took.pop():
                 parents.pop()
                 chosen.pop()
-                for x in (u, v):
-                    if need[x] == 0:
-                        short += 1
-                    need[x] += 1
+                short += (need[u] == 0) + (need[v] == 0)
+                need[u] += 1
+                need[v] += 1
                 slack[u] -= 1
                 slack[v] -= 1
-                if slack[u] >= 0 and slack[v] >= 0 and connectable(parents[-1], n - len(chosen), i + 1):
+                if slack[u] >= 0 and slack[v] >= 0 and connectable(parents[-1], size - len(chosen), i + 1):
                     took.append(False)
                     break
             slack[u] += 1
             slack[v] += 1
         else:
-            return
+            return steps
 
 
-def _relay_subsets(relays: list[str]):
-    for mask in range(1 << len(relays)):
-        yield [relays[i] for i in range(len(relays)) if mask >> i & 1]
+def _enumeration_too_large(steps: int) -> SearchTooLarge:
+    return SearchTooLarge(
+        f"tree enumeration used {steps} steps, more than the budget "
+        f"MAX_ENUMERATION_STEPS = {MAX_ENUMERATION_STEPS}"
+    )
 
 
 def _minimal_trees(
@@ -210,16 +233,33 @@ def _minimal_trees(
     limit: int,
 ) -> list[frozenset[int]]:
     """All edge-minimal terminal-spanning trees: spanning trees of A union R
-    (R a relay subset) in which every relay is an internal vertex."""
-    relays = sorted(vertex_set - terminals)
-    # each relay's edges together, the relays by ascending (degree, name) and
+    (R a relay subset) in which every relay is an internal vertex.
+
+    Vertices are integers: the sorted terminals, then the relays by
+    ascending (degree, name).  The relay subsets come from a depth-first
+    search that decides one relay at a time in that order and cuts a branch
+    when an included relay has fewer than 2 distinct neighbours among the
+    terminals, the included relays and the undecided ones.
+    """
+    terms = sorted(terminals)
+    degree = Counter(x for _, u, v in edges for x in (u, v))
+    relays = sorted(vertex_set - terminals, key=lambda r: (degree[r], r))
+    nt, nr = len(terms), len(relays)
+    index = {v: i for i, v in enumerate(terms + relays)}
+    # each relay's edges together, the relays in rank order and
     # terminal-terminal edges last, so that the spanning-tree search settles
     # a relay's degree 2 early; the output is sorted, so the order only
     # changes the time taken
-    degree = Counter(x for _, u, v in edges for x in (u, v))
-    rank = {r: k for k, r in enumerate(sorted(relays, key=lambda r: (degree[r], r)))}
-    last = len(relays)
-    edges = sorted(edges, key=lambda e: (min(rank.get(e[1], last), rank.get(e[2], last)), e[0]))
+    rank = [nr] * nt + list(range(nr))
+    ends = sorted(
+        ((eid, index[u], index[v]) for eid, u, v in edges),
+        key=lambda e: (min(rank[e[1]], rank[e[2]]), e[0]),
+    )
+    masks = [1 << u | 1 << v for _, u, v in ends]
+    nbrs = [0] * (nt + nr)
+    for _, u, v in ends:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
     out: list[frozenset[int]] = []
 
     def keep(tree: list[int]) -> None:
@@ -230,13 +270,32 @@ def _minimal_trees(
                 f"tree enumeration found more than {name} = {limit} minimal Steiner trees"
             )
 
-    for sub in _relay_subsets(relays):
-        nodes = sorted(terminals) + sub
-        node_set = set(nodes)
-        sub_edges = [(i, u, v) for i, u, v in edges if u in node_set and v in node_set]
-        if len(sub_edges) < len(nodes) - 1:
+    # (next relay to decide, included relays, vertices not left out), as masks
+    stack = [(nt, 0, (1 << nt + nr) - 1)]
+    steps = 0
+    while stack:
+        x, inc, avail = stack.pop()
+        steps += 1
+        if steps > MAX_ENUMERATION_STEPS:
+            raise _enumeration_too_large(steps)
+        if x < nt + nr:
+            bit = 1 << x
+            # leave x out, unless an included neighbour then drops below 2
+            rest = avail ^ bit
+            m = nbrs[x] & inc
+            while m and (nbrs[(m & -m).bit_length() - 1] & rest).bit_count() >= 2:
+                m &= m - 1
+            if not m:
+                stack.append((x + 1, inc, rest))
+            if (nbrs[x] & avail).bit_count() >= 2:
+                stack.append((x + 1, inc | bit, avail))
             continue
-        _spanning_trees(nodes, sub_edges, sub, keep)
+        steps += len(ends)
+        sub = [e for e, em in zip(ends, masks) if em & avail == em]
+        size = nt + inc.bit_count()
+        if len(sub) >= size - 1:
+            need = [2 * (inc >> v & 1) for v in range(nt + nr)]
+            steps = _spanning_trees(size, sub, need, keep, steps)
     out.sort(key=lambda t: (len(t), tuple(sorted(t))))
     return out
 
@@ -257,24 +316,36 @@ def enumerate_steiner_trees(
 # -- exact simplex in integer arithmetic -----------------------------------
 
 
+def _reduced(row: list[int], d: int) -> tuple[list[int], int]:
+    """row / d in lowest terms, for d > 0: both divided by their gcd."""
+    g = gcd(d, *row)
+    if g == 1:
+        return row, d
+    return [x // g for x in row], d // g
+
+
 def _lp_max_total(
     cols: list[frozenset[int]], row_ids: list[int], caps: dict[int, int]
 ) -> tuple[Fraction, list[Fraction]]:
     """max sum(y) s.t. for each row e: sum_{col containing e} y_col <= caps[e], y >= 0.
 
-    Revised simplex with Bland's rule (no cycling), pivoted without
-    fractions (Edmonds 1967; Bareiss 1968): ``tab`` holds only the slack
-    block and the right-hand side, integer over one shared positive
-    denominator ``d``, and a pivot on ``p`` at (r, c) maps each row i != r
-    to (p * row_i - a_ic * row_r) / d, an exact division, then sets d = p.
+    Revised simplex with Bland's rule (no cycling), pivoted in integers:
+    ``tab`` holds only the slack block and the right-hand side, row i as
+    integers over its own positive denominator ``den[i]``, and ``z`` the
+    reduced costs of the slack columns and the objective over ``dz``.  A
+    pivot on numerator ``p`` at (r, c) maps each row i != r whose entering
+    numerator f is nonzero to (p * row_i - f * row_r) / (den[i] * p), the
+    pivot row to row_r / p and ``z`` to (p * z - cost * row_r) / (dz * p),
+    each reduced by its gcd; a row with f = 0 is left alone.
 
     Row operations act on every column alike, and a tree column starts as
     the sum of the slack columns of its rows, so it stays that sum: the
     column of tree j is the row-sum of ``tab`` over j's rows, and its
-    reduced cost (times d) is the sum of ``z`` over them less d.  Columns
+    reduced cost (times dz) is the sum of ``z`` over them less dz.  Columns
     are priced in the full tableau's order, trees and then slacks, taking
-    the first negative one, and signs and ratio comparisons are those of
-    the rational tableau, so the pivots are the full tableau's own.
+    the first negative one, and the ratio test compares b_i / a_i as
+    tab[i][-1] / column[i], where row i's denominator cancels, so the pivots
+    are the full tableau's own.
     """
     m, n = len(row_ids), len(cols)
     row_index = {rid: i for i, rid in enumerate(row_ids)}
@@ -285,13 +356,14 @@ def _lp_max_total(
         row[i] = 1
         row[-1] = caps[rid]
         tab.append(row)
-    # d times the reduced costs of the slack columns, then d times the objective
+    den = [1] * m
+    # dz times the reduced costs of the slack columns, then dz times the objective
     z = [0] * (m + 1)
-    d = 1
+    dz = 1
     basis = list(range(n, n + m))
     while True:
         for j, rows in enumerate(col_rows):
-            cost = sum([z[i] for i in rows]) - d
+            cost = sum([z[i] for i in rows]) - dz
             if cost < 0:
                 enter = j
                 column = [sum([row[i] for i in rows]) for row in tab]
@@ -317,18 +389,17 @@ def _lp_max_total(
             raise CertificateError("tree-packing LP cannot be unbounded")
         prow = tab[leave]
         p = column[leave]
-        for i in range(m):
-            if i != leave:
-                f = column[i]
-                tab[i] = [(p * x - f * y) // d for x, y in zip(tab[i], prow)]
-        z = [(p * x - cost * y) // d for x, y in zip(z, prow)]
-        d = p
+        for i, f in enumerate(column):
+            if f and i != leave:
+                tab[i], den[i] = _reduced([p * x - f * y for x, y in zip(tab[i], prow)], den[i] * p)
+        z, dz = _reduced([p * x - cost * y for x, y in zip(z, prow)], dz * p)
+        tab[leave], den[leave] = _reduced(prow, p)
         basis[leave] = enter
     y = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            y[b] = Fraction(tab[i][-1], d)
-    return Fraction(z[-1], d), y
+            y[b] = Fraction(tab[i][-1], den[i])
+    return Fraction(z[-1], dz), y
 
 
 # -- one solve per graph ---------------------------------------------------

@@ -25,7 +25,7 @@ from mcastcap import (
 )
 from mcastcap.cli import main
 from mcastcap.errors import DisconnectedTerminals, InvalidGraph
-from test_packing import counted_bound_evaluations, non_tight_instance
+from test_packing import counted_bound_evaluations, dangling_triangles, non_tight_instance
 from test_splitting import k4_with_relay
 
 
@@ -561,6 +561,10 @@ def _run_python(*argv):
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
 
 
+def _run_cli(*argv):
+    return _run_python("-c", "import sys; from mcastcap.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+
+
 def _run_faulty(function, fault, *argv):
     return _run_python("-O", "-c", _FAULTY_FUNCTION, function, fault, *argv)
 
@@ -686,10 +690,39 @@ def test_splitting_time_does_not_grow_with_capacity(tmp_path, argv, scale):
     path = tmp_path / "k4.json"
     path.write_text(dump_instance(*k4_with_relay(scale)))
     start = time.monotonic()
-    proc = _run_python("-c", "import sys; from mcastcap.cli import main; sys.exit(main(sys.argv[1:]))",
-                       argv[0], str(path), *argv[1:])
+    proc = _run_cli(argv[0], str(path), *argv[1:])
     assert proc.returncode == 0, proc.stderr
     assert time.monotonic() - start < 10
+
+
+def test_long_relay_chain_analyzes(tmp_path, capsys):
+    # 30 relays in one gap of the 3-terminal cycle: the subset search cuts
+    # every relay subset but the empty one and the whole chain
+    assert main(["gen", "example2", "--terminals", "3", "--relays", ",".join(["0"] * 30)]) == 0
+    path = tmp_path / "chain30.json"
+    path.write_text(capsys.readouterr().out)
+    start = time.monotonic()
+    proc = _run_cli("analyze", str(path), "--format", "structured")
+    assert proc.returncode == 0, proc.stderr
+    assert time.monotonic() - start < 10
+    out = json.loads(proc.stdout)
+    assert out["fractional_rate"] == out["edge_strength"] == "3/2"
+
+
+def test_tree_enumeration_step_limit(tmp_path):
+    # 16 relay triangles hanging at the terminals: 2^16 relay subsets pass
+    # the degree test, and no minimal tree uses any of their relays
+    path = tmp_path / "triangles16.json"
+    path.write_text(dump_instance(*dangling_triangles(16)))
+    start = time.monotonic()
+    proc = _run_cli("analyze", str(path))
+    assert proc.returncode == 3, proc.stderr
+    assert time.monotonic() - start < 10
+    budget = packing.MAX_ENUMERATION_STEPS
+    head, tail = proc.stderr.split(" steps, ")
+    assert head.startswith("resource limit: tree enumeration used ")
+    assert int(head.split()[-1]) > budget
+    assert tail == f"more than the budget MAX_ENUMERATION_STEPS = {budget}\n"
 
 
 def test_scripts_run_clean():

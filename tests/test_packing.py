@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -16,6 +18,7 @@ from mcastcap import (
     fractional_capacity_lp,
     half_integer_capacity,
     max_integer_packing,
+    random_instance,
     sample_instances,
     terminal_connectivity,
     verify_packing,
@@ -672,9 +675,108 @@ class TestEnumerationOracle:
                 assert enumerate_steiner_trees(graph, a) == oracle_steiner_trees(graph, a)
 
 
-def reference_lp(cols, row_ids, caps):
+def all_subsets_trees(g, a):
+    """Every relay subset through the spanning-tree kernel, with no subset
+    pruned: the loop the subset search replaced, sorted as the enumeration
+    sorts."""
+    terms, relays = sorted(a.members), sorted(g.vertices - a.members)
+    index = {v: i for i, v in enumerate(terms + relays)}
+    edges = [(e.id, index[e.u], index[e.v]) for e in g.edges]
+    out = []
+    for mask in range(1 << len(relays)):
+        inc = {len(terms) + i for i in range(len(relays)) if mask >> i & 1}
+        nodes = set(range(len(terms))) | inc
+        sub = [e for e in edges if e[1] in nodes and e[2] in nodes]
+        need = [2 if v in inc else 0 for v in range(len(index))]
+        packing._spanning_trees(len(nodes), sub, need, lambda t: out.append(frozenset(t)), 0)
+    out.sort(key=lambda t: (len(t), sorted(t)))
+    return out
+
+
+def dangling_triangles(k):
+    """The 3-terminal unit cycle with k relay triangles hanging at its
+    terminals.  Both relays of a triangle pass the degree test together,
+    so 2^k relay subsets do, and no minimal tree uses any of them."""
+    g, a = example2_instance(3)
+    names = sorted(a.members)
+    vertices, edges = set(g.vertices), [(e.u, e.v, e.cap) for e in g.edges]
+    for i in range(k):
+        t, x, y = names[i % 3], f"x{i:02d}", f"y{i:02d}"
+        vertices |= {x, y}
+        edges += [(t, x, 1), (x, y, 1), (y, t, 1)]
+    return Multigraph.build(vertices, edges), a
+
+
+def random_multigraphs(count, seed):
+    """Connected multigraphs of 3-8 vertices with parallel edges and 2-4
+    terminals."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = [f"v{i}" for i in range(rng.randint(3, 8))]
+        edges = [(v, names[rng.randrange(i)], 1) for i, v in enumerate(names) if i]
+        edges += [(*rng.sample(names, 2), 1) for _ in range(rng.randint(0, len(names)))]
+        edges += [rng.choice(edges) for _ in range(rng.randint(1, 3))]
+        ts = rng.sample(names, rng.randint(2, min(4, len(names))))
+        yield Multigraph.build(names, edges), TerminalSet(ts[0], tuple(ts[1:]))
+
+
+def relay_heavy_instances(family):
+    if family == "chains":
+        # 1-12 relays in one gap, and spread over several
+        return [example2_instance(3, (0,) * r) for r in range(1, 13)] + [
+            example2_instance(a, slots) for a, slots in [
+                (3, (0, 1)), (3, (0, 0, 1, 2, 2)), (4, (0, 0, 0, 1, 1, 3)),
+                (3, (0, 1, 2) * 4), (5, (0, 0, 0, 0, 2, 2, 2, 2, 4, 4, 4, 4)),
+            ]
+        ]
+    if family == "triangles":
+        return [dangling_triangles(k) for k in range(1, 7)]
+    if family == "bench":
+        samples = list(sample_instances(20, 8, 6, 3, 0)) + list(sample_instances(5, 10, 10, 4, 0))
+        cores = [(prune_to_core(g, a), a) for g, a in samples]
+        return cores + [(with_parallel_edge(g), a) for g, a in cores]
+    return list(random_multigraphs(150, 3))
+
+
+class TestRelaySubsetSearch:
+    @pytest.mark.parametrize("family", ["chains", "triangles", "bench", "random"])
+    def test_matches_all_subsets(self, family):
+        checked = 0
+        for g, a in relay_heavy_instances(family):
+            want = all_subsets_trees(g, a)
+            assert enumerate_steiner_trees(g, a) == want
+            if len(g.edges) <= 14:
+                assert oracle_steiner_trees(g, a) == want
+                checked += 1
+            if want:
+                with pytest.raises(TooManyTrees):
+                    enumerate_steiner_trees(g, a, limit=len(want) - 1)
+        assert checked >= {"chains": 10, "triangles": 2, "bench": 0, "random": 100}[family]
+
+    def test_budget_leaves_room_on_the_largest_cores(self, monkeypatch):
+        # the largest tier-1 and bench cores use less than a tenth of the budget
+        monkeypatch.setattr(packing, "MAX_ENUMERATION_STEPS", packing.MAX_ENUMERATION_STEPS // 10)
+        cores = [random_instance(16, 12, 4, 0), random_instance(14, 10, 4, 2), random_instance(16, 10, 3, 1)]
+        for g, a in cores + list(sample_instances(5, 10, 10, 4, 0)):
+            core = prune_to_core(g, a)
+            for h in (core, with_parallel_edge(core), eliminate_relays(core, a)[0]):
+                enumerate_steiner_trees(h, a)
+
+    def test_tree_limit_fires_before_the_budget(self):
+        # a 24-vertex core has more than DEFAULT_TREE_LIMIT minimal trees; the
+        # all-subsets loop took some 5 s to find them, the subset search under 1 s
+        g, a = random_instance(24, 16, 4, 0)
+        start = time.perf_counter()
+        with pytest.raises(TooManyTrees):
+            solve_tree_lp(prune_to_core(g, a), a)
+        assert time.perf_counter() - start < 10
+
+
+def reference_lp(cols, row_ids, caps, stats=None):
     """The tree-packing LP on a Fraction tableau: Bland's rule, the ratio
-    test's ties broken by the smaller basis index."""
+    test's ties broken by the smaller basis index.  ``stats``, if given,
+    counts the pivots and the rows they leave alone, whose entry in the
+    entering column is zero."""
     m, n = len(row_ids), len(cols)
     row_index = {rid: i for i, rid in enumerate(row_ids)}
     zero, one = Fraction(0), Fraction(1)
@@ -706,6 +808,10 @@ def reference_lp(cols, row_ids, caps):
             if i != leave and tab[i][enter] != 0:
                 f = tab[i][enter]
                 tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
+            elif i != leave and stats is not None:
+                stats["zero rows"] += 1
+        if stats is not None:
+            stats["pivots"] += 1
         f = z[enter]
         z = [x - f * y for x, y in zip(z, prow)]
         basis[leave] = enter
@@ -770,6 +876,50 @@ def random_small_lps():
         cols = [c for c in cols if c]
         caps = {r: rng.randint(1, 3) for r in rows}
         yield cols, rows, caps
+
+
+def random_wide_lps():
+    # a pivot on an entry above 1 needs a basis that is not unimodular; 193
+    # of these LPs have one
+    rng = random.Random(1)
+    for _ in range(1000):
+        rows = list(range(10, 10 + rng.randint(4, 8)))
+        cols = [frozenset(r for r in rows if rng.random() < 0.5) for _ in range(rng.randint(6, 12))]
+        cols = [c for c in cols if c]
+        caps = {r: rng.randint(1, 9) for r in rows}
+        yield cols, rows, caps
+
+
+def test_reduced_rows_are_in_lowest_terms():
+    assert packing._reduced([4, -6, 8], 2) == ([2, -3, 4], 1)
+    assert packing._reduced([3, 0, 6], 9) == ([1, 0, 2], 3)
+    assert packing._reduced([5, 7], 3) == ([5, 7], 3)
+
+
+def test_per_row_denominators_on_wide_lps(monkeypatch):
+    # every pivot reduces the rows it rewrites, the pivot row and the
+    # objective to lowest terms, and leaves the rows whose entry in the
+    # entering column is zero alone
+    shrunk = []
+    reduced = packing._reduced
+
+    def checked(row, d):
+        out, e = reduced(row, d)
+        assert e > 0 and math.gcd(e, *out) == 1
+        assert [x * d for x in out] == [x * e for x in row]
+        shrunk.append(e < d)
+        return out, e
+
+    monkeypatch.setattr(packing, "_reduced", checked)
+    hits = {"reduced": 0, "left alone": 0}
+    for cols, rows, caps in random_wide_lps():
+        shrunk.clear()
+        stats = {"pivots": 0, "zero rows": 0}
+        assert packing._lp_max_total(cols, rows, caps) == reference_lp(cols, rows, caps, stats)
+        assert len(shrunk) == stats["pivots"] * (len(rows) + 1) - stats["zero rows"]
+        hits["reduced"] += any(shrunk)
+        hits["left alone"] += stats["zero rows"] > 0
+    assert min(hits.values()) >= 100, hits
 
 
 def test_vertex_rounding_matches_fraction_formulas():
