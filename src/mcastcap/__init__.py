@@ -4,11 +4,13 @@ from .multigraph import (
     Edge,
     Multigraph,
     Rate,
+    Reduction,
     TerminalSet,
     degree,
     dump_instance,
     load_instance,
     prune_to_core,
+    reduce_core,
     scale_capacities,
     validate,
 )

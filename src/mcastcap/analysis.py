@@ -1,6 +1,25 @@
 """The capacity analysis of one instance: every exact quantity, each checked
 by its certificate in the solver that computes it, the gamma bracket they
-give, and the closed-form bound table."""
+give, and the closed-form bound table.
+
+``analyze_instance`` runs, in order:
+
+1. ``validate`` and λ(A) by ``terminal_connectivity`` on the input graph,
+   each flow checked against its residual cut; λ(A) = 1 ends there;
+2. ``prune_to_core``, whose vertex and edge counts the report gives;
+3. ``reduce_core``, which deletes one-neighbour relays and contracts
+   two-neighbour relays, exactly for every quantity below;
+4. one ``solve_tree_lp`` on the reduced graph, and from it the
+   half-integer, integer and fractional packings, each expanded onto the
+   pruned core and checked there by ``verify_packing`` inside ``packing``;
+5. ``edge_strength`` on the reduced graph, its witness lifted onto the
+   pruned core and checked there by ``verify_partition`` inside
+   ``strength``;
+6. here: η <= λ, weak duality LP <= η, and the paper's lower bounds;
+7. with ``via_splitting``, relay elimination on the pruned core (not the
+   reduced graph, so its history does not move), one more solve, and the
+   lifted packing checked here on the pruned core.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +29,7 @@ from fractions import Fraction
 from . import bounds as bnd
 from .connectivity import terminal_connectivity
 from .errors import CertificateError
-from .multigraph import Multigraph, Rate, TerminalSet, prune_to_core, validate
+from .multigraph import Multigraph, Rate, TerminalSet, prune_to_core, reduce_core, validate
 from .packing import (
     fractional_capacity_lp,
     half_integer_capacity,
@@ -128,11 +147,12 @@ def analyze_instance(
     report.num_vertices = len(core.vertices)
     report.num_edges = len(core.edges)
 
-    tree_lp = solve_tree_lp(core, a)
+    reduced = reduce_core(core, a)
+    tree_lp = solve_tree_lp(reduced, a)
     half, _ = half_integer_capacity(tree_lp)
     k, _ = max_integer_packing(tree_lp)
     lp, _ = fractional_capacity_lp(tree_lp)
-    eta, _ = edge_strength(core, a)
+    eta, _ = edge_strength(reduced, a)
     # 2-block partitions give lambda(A) exactly, so eta <= lambda and eta is
     # the bracket's upper end
     if not eta <= lam:

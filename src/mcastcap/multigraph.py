@@ -9,12 +9,29 @@ Two walks answer every graph question here: ``edge_component`` for
 reachability, and ``cut_edges``, one lowpoint walk in O(V + E) that finds
 every capacity-1 cut-edge of the components it starts from, for pruning
 and for the cut-edge check at each splitting pivot.
+
+``reduce_core`` then removes relays by two of the non-terminal degree
+tests of C. W. Duin and A. Volgenant (*Reduction tests for the Steiner
+problem in graphs*, Networks 1989).  Both are exact for λ(A), every tree
+packing and edge strength η:
+
+- A relay with at most one distinct neighbour is deleted.  No minimal
+  tree enters it, and in a partition it joins its neighbour's block,
+  crossing nothing.
+- A relay x with exactly two neighbours u and v, with class capacities c1
+  and c2, becomes a u-v part of capacity min(c1, c2).  A minimal tree
+  through x has x internal, so it uses one unit of each class, and it
+  cannot also use a u-v edge; the part is one more parallel copy of u-v.
+  In a partition x sits on its heavier neighbour's side, so it crosses
+  min(c1, c2) exactly when u and v are apart, and nothing otherwise, as
+  the part does.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from fractions import Fraction
 
 from .errors import (
@@ -240,6 +257,95 @@ def prune_to_core(g: Multigraph, a: TerminalSet) -> Multigraph:
                 )
             drop |= free[0]
     return g.restrict(keep - drop)
+
+
+@dataclass(frozen=True, eq=False)
+class Reduction:
+    """The graph the searches run on, ``graph``, and the pruned core it
+    stands for, ``core``, on which every certificate is checked.
+
+    ``chains`` maps each part that ``reduce_core`` made to the core edge ids
+    it stands for, a path through the contracted relays; an edge of
+    ``graph`` that it does not name is a core edge and stands for itself.
+    ``removed`` lists each removed relay, in removal order, with its
+    neighbours, sorted by name, and its class capacity to each.
+    """
+
+    core: Multigraph
+    graph: Multigraph
+    chains: dict[int, tuple[int, ...]]
+    removed: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
+
+    @staticmethod
+    def of(g: "Multigraph | Reduction") -> "Reduction":
+        """``g`` itself if it is a reduction; a plain graph is the reduction
+        that removed nothing."""
+        return g if isinstance(g, Reduction) else Reduction(g, g, {}, ())
+
+
+def reduce_core(core: Multigraph, a: TerminalSet) -> "Multigraph | Reduction":
+    """Delete relays with at most one distinct neighbour and contract those
+    with exactly two (module docstring), until neither rule applies.
+
+    A worklist takes the relays in sorted order, and a removal puts the
+    removed relay's relay neighbours back on it.  Where x-u or x-v has
+    parallel copies, their units are paired in id order, so a contracted
+    relay may give several parts, and the parts' capacities partition
+    each copy's capacity on the lighter side and stay within it on the
+    heavier.  Parts take fresh ids above the core's.  When no relay is
+    removed, the core itself is returned.
+    """
+    terms = a.members
+    cap = {}
+    # near[x][y]: ids of the edges between x and y
+    near: dict[str, dict[str, list[int]]] = {v: {} for v in core.vertices}
+    for e in core.edges:
+        cap[e.id] = e.cap
+        near[e.u].setdefault(e.v, []).append(e.id)
+        near[e.v].setdefault(e.u, []).append(e.id)
+    chains: dict[int, tuple[int, ...]] = {}
+    part_ends: dict[int, tuple[str, str]] = {}
+    next_id = core.next_id()
+    removed = []
+    todo = sorted(core.vertices - terms)  # a sorted list is a heap
+    while todo:
+        x = heappop(todo)
+        at = near.get(x)
+        if at is None or len(at) > 2:
+            continue
+        record = tuple((y, sum(cap[i] for i in at[y])) for y in sorted(at))
+        if len(at) == 2:
+            (u, _), (v, _) = record
+            us, vs = sorted(at[u]), sorted(at[v])
+            i = j = 0
+            ru, rv = cap[us[0]], cap[vs[0]]
+            while i < len(us) and j < len(vs):
+                amount = min(ru, rv)
+                cap[next_id], part_ends[next_id] = amount, (u, v)
+                chains[next_id] = chains.get(us[i], (us[i],)) + chains.get(vs[j], (vs[j],))
+                near[u].setdefault(v, []).append(next_id)
+                near[v].setdefault(u, []).append(next_id)
+                next_id += 1
+                ru, rv = ru - amount, rv - amount
+                if ru == 0 and (i := i + 1) < len(us):
+                    ru = cap[us[i]]
+                if rv == 0 and (j := j + 1) < len(vs):
+                    rv = cap[vs[j]]
+        for y, ids in at.items():
+            del near[y][x]
+            for i in ids:
+                del cap[i]
+                chains.pop(i, None)
+            if y not in terms:
+                heappush(todo, y)
+        del near[x]
+        removed.append((x, record))
+    if not removed:
+        return core
+    edges = [e for e in core.edges if e.id in cap]
+    edges += [Edge(i, *part_ends[i], cap[i]) for i in chains]
+    graph = Multigraph(frozenset(near), tuple(edges))
+    return Reduction(core, graph, chains, tuple(removed))
 
 
 # -- interchange format ----------------------------------------------------

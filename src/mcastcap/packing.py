@@ -30,7 +30,14 @@ hanging.
 Parallel edges are collapsed to one class per vertex pair for the solvers
 (a tree never uses two parallel copies and the copies are interchangeable);
 solutions are expanded back onto concrete edge ids before being returned, so
-every returned packing verifies against the original graph.
+every returned packing verifies against the original graph.  The solve may
+run on a ``Reduction`` (``multigraph.reduce_core``): then each picked copy
+that is a part is replaced by its chain of core edge ids, so the members of
+a returned tree are core edges, and the packing is checked on the pruned
+core.  A tree uses at most one copy of a class, and the relays inside one
+part's chain are in no other class, so the chains turn a tree of the
+reduced graph into a tree of the core; the parts through a core edge
+have capacities that sum to at most its own, so its loads stay within it.
 
 A packing holds only what it certifies: each tree's edge-id set with a
 positive whole number of units of 1/denominator.  Its rate, the units'
@@ -77,7 +84,7 @@ from math import gcd, lcm
 
 from .connectivity import PairCapacities, checked_flow, pair_capacities
 from .errors import CertificateError, SearchTooLarge, TooManyTrees
-from .multigraph import Edge, Multigraph, Rate, TerminalSet, edge_component
+from .multigraph import Edge, Multigraph, Rate, Reduction, TerminalSet, edge_component
 
 DEFAULT_TREE_LIMIT = 5000
 # Steps one tree enumeration may take (module docstring).  It takes some
@@ -409,16 +416,19 @@ def _lp_max_total(
 class TreeLP:
     """The tree-packing LP of one graph and terminal set, solved once.
 
-    ``classes`` has one edge per parallel class of ``graph``, keyed by the
-    smallest id in the class and carrying the class's summed capacity, and
-    ``members`` maps each class to its edge ids in ascending order.
-    ``trees`` are the minimal A-Steiner trees over the classes, and ``opt`` and ``y`` the LP optimum and a primal
+    ``reduction.graph`` is the graph solved, and ``reduction.core`` the one
+    the packings are expanded onto and checked on; for a plain graph both
+    are that graph.  ``classes`` has one edge per parallel class of the
+    graph solved, keyed by the smallest id in the class and carrying the
+    class's summed capacity, and ``members`` maps each class to its edge
+    ids in ascending order.  ``trees`` are the minimal A-Steiner trees over
+    the classes, and ``opt`` and ``y`` the LP optimum and a primal
     solution (one entry per tree).  Every packing of the graph is a packing
     of these trees, so the integer, half-integer and fractional solvers all
     take this one enumeration and one simplex.
     """
 
-    graph: Multigraph
+    reduction: Reduction
     terminals: TerminalSet
     classes: Multigraph
     members: dict[int, tuple[int, ...]]
@@ -427,11 +437,14 @@ class TreeLP:
     y: tuple[Fraction, ...]
 
 
-def solve_tree_lp(g: Multigraph, a: TerminalSet) -> TreeLP:
-    """Enumerate the minimal trees over g's parallel classes and solve their LP.
+def solve_tree_lp(g: Multigraph | Reduction, a: TerminalSet) -> TreeLP:
+    """Enumerate the minimal trees over g's parallel classes and solve their
+    LP; for a ``Reduction``, over its reduced graph.
 
     More than ``DEFAULT_TREE_LIMIT`` trees raise TooManyTrees.
     """
+    reduction = Reduction.of(g)
+    g = reduction.graph
     groups: dict[frozenset[str], list[Edge]] = {}
     for e in sorted(g.edges, key=lambda e: e.id):
         groups.setdefault(frozenset((e.u, e.v)), []).append(e)
@@ -444,7 +457,7 @@ def solve_tree_lp(g: Multigraph, a: TerminalSet) -> TreeLP:
     trees = _minimal_trees(g.vertices, class_edges, a.members, DEFAULT_TREE_LIMIT)
     caps = {e.id: e.cap for e in classes.edges}
     opt, y = _lp_max_total(trees, [e.id for e in classes.edges], caps)
-    return TreeLP(g, a, classes, members, tuple(trees), opt, tuple(y))
+    return TreeLP(reduction, a, classes, members, tuple(trees), opt, tuple(y))
 
 
 # -- expansion back onto concrete edges ------------------------------------
@@ -455,16 +468,17 @@ def _expand_packing(
 ) -> SteinerPacking:
     """Distribute class multiplicities, given in units of 1/scale, over
     concrete parallel copies so every edge id's load stays within its own
-    capacity in ``lp.graph``, and check the result with ``verify_packing``
-    and against the solver's reported ``value``.  The packing's denominator
-    is ``scale``.
+    capacity in the graph solved, replace each part by its chain, and check
+    the result on the pruned core with ``verify_packing`` and against the
+    solver's reported ``value``.  The packing's denominator is ``scale``.
 
     Each piece of a tree takes, in every class, the first copy with room
     left.  Room only shrinks, so a per-class cursor never moves backwards.
     A packing that fails either check raises CertificateError naming ``stage``.
     """
-    g, members = lp.graph, lp.members
-    room = {e.id: e.cap * scale for e in g.edges}
+    reduction, members = lp.reduction, lp.members
+    chains = reduction.chains
+    room = {e.id: e.cap * scale for e in reduction.graph.edges}
     cursor = dict.fromkeys(members, 0)
     slices: dict[frozenset[int], int] = {}
     for rep_set, m in units:
@@ -483,11 +497,11 @@ def _expand_packing(
                 amount = min(amount, room[ids[i]])
             for eid in picks:
                 room[eid] -= amount
-            key = frozenset(picks)
+            key = frozenset([i for eid in picks for i in chains.get(eid, (eid,))])
             slices[key] = slices.get(key, 0) + amount
             m -= amount
     packing = SteinerPacking(tuple(sorted(slices.items(), key=lambda kv: sorted(kv[0]))), scale)
-    if not verify_packing(g, lp.terminals, packing):
+    if not verify_packing(reduction.core, lp.terminals, packing):
         raise CertificateError(f"{stage} packing failed verification")
     if packing.rate != value:
         raise CertificateError(f"{stage} packing rate {packing.rate} differs from its value {value}")

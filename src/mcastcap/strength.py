@@ -61,6 +61,16 @@ first one there replaces the seed or a worse leaf.  The witness is
 therefore the least minimizer in the order of the sorted tuple of sorted
 blocks, whatever the search order and the seed.
 
+The search may run on a ``Reduction`` (``multigraph.reduce_core``).  Its
+witness is then lifted onto the pruned core, putting the removed relays
+back in reverse removal order: a deleted relay joins its neighbour's
+block; a contracted one joins its neighbours' block when they share one,
+and otherwise its heavier neighbour's, the smaller name on ties, so that it
+crosses min(c1, c2), as its part did.  The lifted partition has the same
+crossing and number of blocks, and ``verify_partition`` checks it on the
+core.  Restricted to the reduced graph it is the least minimizer there;
+on the core it is a minimizer, not necessarily the least.
+
 The search counts its work in steps, each about one pass of a loop it runs
 in Python: a terminal node costs 1 plus the terminals still to place (the
 bound's loop over j), placing a terminal 1 plus its relay edges, opening a
@@ -81,7 +91,7 @@ from itertools import accumulate
 
 from .connectivity import pair_capacities, terminal_connectivity
 from .errors import CertificateError, SearchTooLarge
-from .multigraph import Multigraph, Rate, TerminalSet
+from .multigraph import Multigraph, Rate, Reduction, TerminalSet
 
 # Steps one edge strength search may spend (module docstring).  A step takes
 # about 0.2-0.4 us (2-core x86 VM, Python 3.11), so a search over budget
@@ -101,14 +111,32 @@ def _crossing_capacity(g: Multigraph, blocks) -> int:
     return sum(e.cap for e in g.edges if block_of[e.u] != block_of[e.v])
 
 
-def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartition]:
+def _lift(reduction: Reduction, blocks) -> tuple[frozenset[str], ...]:
+    """The blocks of a partition of ``reduction.graph`` with every removed
+    relay put back (module docstring), in the same block order."""
+    block_of = {v: i for i, b in enumerate(blocks) for v in b}
+    for x, nbrs in reversed(reduction.removed):
+        sides = {block_of[y] for y, _ in nbrs}
+        if len(sides) > 1:  # apart: x crosses to its lighter neighbour alone
+            sides = {block_of[max(nbrs, key=lambda yc: yc[1])[0]]}
+        block_of[x] = min(sides, default=0)
+    out = [set() for _ in blocks]
+    for v, i in block_of.items():
+        out[i].add(v)
+    return tuple(frozenset(b) for b in out)
+
+
+def edge_strength(g: Multigraph | Reduction, a: TerminalSet) -> tuple[Rate, TerminalPartition]:
     """Exact minimum of crossing/(blocks-1) over terminal-covering partitions.
 
     The witness is the lexicographically least minimizer (blocks compared as
     sorted tuples of sorted vertex lists), checked by ``verify_partition``.
-    A search that spends more than ``MAX_STRENGTH_STEPS`` steps raises
-    SearchTooLarge.
+    For a ``Reduction`` the search runs on its reduced graph, and the
+    witness is lifted onto its core and checked there.  A search that
+    spends more than ``MAX_STRENGTH_STEPS`` steps raises SearchTooLarge.
     """
+    reduction = Reduction.of(g)
+    g = reduction.graph
     lam = terminal_connectivity(g, a)
     adj = pair_capacities(g)
     terms = sorted(a.members)
@@ -291,8 +319,8 @@ def edge_strength(g: Multigraph, a: TerminalSet) -> tuple[Rate, TerminalPartitio
     if best_key is None:
         raise CertificateError("edge strength search found no partition")
     eta = Fraction(best_num, best_den)
-    witness = TerminalPartition(tuple(frozenset(b) for b in best_key), best_num)
-    if not verify_partition(g, a, eta, witness):
+    witness = TerminalPartition(_lift(reduction, best_key), best_num)
+    if not verify_partition(reduction.core, a, eta, witness):
         raise CertificateError("edge strength witness failed verification")
     return eta, witness
 

@@ -541,9 +541,40 @@ def drop_edge(original):
         return replace(packing, trees=((tree - {min(tree)}, units), *rest))
     return faulty
 
+def heavy_part(original):
+    # every part of the reduction takes the heavier class capacity of the
+    # relay contracted first
+    def faulty(*args):
+        r = original(*args)
+        _, ((_, c1), (_, c2)) = next(rec for rec in r.removed if len(rec[1]) == 2)
+        edges = tuple(replace(e, cap=max(c1, c2)) if e.id in r.chains else e for e in r.graph.edges)
+        return replace(r, graph=replace(r.graph, edges=edges))
+    return faulty
+
+def drop_chain_edge(original):
+    # the first part's chain loses its first edge
+    def faulty(*args):
+        r = original(*args)
+        first = min(r.chains)
+        return replace(r, chains={**r.chains, first: r.chains[first][1:]})
+    return faulty
+
+def lighter_side(original):
+    # the first contracted relay whose neighbours are apart joins its lighter one
+    def faulty(reduction, blocks):
+        lifted = original(reduction, blocks)
+        for x, nbrs in reduction.removed:
+            light = min(nbrs, key=lambda yc: yc[1])[0]
+            b = next(i for i, block in enumerate(lifted) if light in block)
+            if len(nbrs) == 2 and x not in lifted[b]:
+                return tuple(block - {x} | ({x} if i == b else set()) for i, block in enumerate(lifted))
+        return lifted
+    return faulty
+
 FAULTS = {"fail": lambda original: lambda *args: False, "accept": lambda original: lambda *args: True,
           "over-report": over_report, "under-report": under_report, "fall-short": fall_short,
-          "drop-edge": drop_edge}
+          "drop-edge": drop_edge, "heavy-part": heavy_part, "drop-chain-edge": drop_chain_edge,
+          "lighter-side": lighter_side}
 module_name, name = sys.argv[1].rsplit(".", 1)
 module = importlib.import_module(f"mcastcap.{module_name}")
 setattr(module, name, FAULTS[sys.argv[2]](getattr(module, name)))
@@ -657,6 +688,24 @@ class TestCertificateChecks:
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure: no admissible partner" in proc.stderr
 
+    @pytest.mark.parametrize("function, fault, message", [
+        ("analysis.reduce_core", "heavy-part", "half-integer packing failed verification"),
+        ("analysis.reduce_core", "drop-chain-edge", "half-integer packing failed verification"),
+        ("strength._lift", "lighter-side", "edge strength witness failed verification"),
+    ], ids=["heavy-part", "drop-chain-edge", "lighter-side"])
+    def test_faulty_reduction_is_refused(self, tmp_path, function, fault, message):
+        # the 3-terminal cycle with relay x between v0 and v1, capacity 2 to v0
+        # and 1 to v1: x becomes a v0-v1 part of capacity 1, and the strength
+        # witness, the three singletons, puts x back with v0
+        g = Multigraph.build(["v0", "v1", "v2", "x"], [
+            ("v0", "x", 2), ("x", "v1", 1), ("v1", "v2", 1), ("v2", "v0", 1)])
+        path = tmp_path / "heavy-relay.json"
+        path.write_text(dump_instance(g, TerminalSet("v0", ("v1", "v2"))))
+        assert _run_cli("analyze", str(path)).returncode == 0
+        proc = _run_faulty(function, fault, "analyze", str(path))
+        assert proc.returncode == 4, proc.stderr
+        assert f"certificate failure: {message}" in proc.stderr
+
     @pytest.mark.parametrize("argv", [["split"], ["analyze", "--via-splitting"]])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_forced_split_is_a_certificate_failure(self, tmp_path, argv, k):
@@ -709,13 +758,33 @@ def test_long_relay_chain_analyzes(tmp_path, capsys):
     assert out["fractional_rate"] == out["edge_strength"] == "3/2"
 
 
+@pytest.mark.parametrize("instance", ["triangles16", "chain1200"])
+def test_reduction_walls_analyze(tmp_path, capsys, instance):
+    # 16 relay triangles hanging at the terminals, and 1200 relays in one gap
+    # of the 3-terminal cycle: both reduce to the cycle on the terminals
+    if instance == "triangles16":
+        text = dump_instance(*dangling_triangles(16))
+    else:
+        assert main(["gen", "example2", "--terminals", "3", "--relays", ",".join(["0"] * 1200)]) == 0
+        text = capsys.readouterr().out
+    path = tmp_path / f"{instance}.json"
+    path.write_text(text)
+    start = time.monotonic()
+    proc = _run_cli("analyze", str(path), "--format", "structured")
+    assert proc.returncode == 0, proc.stderr
+    assert time.monotonic() - start < 10
+    out = json.loads(proc.stdout)
+    assert out["fractional_rate"] == out["edge_strength"] == "3/2"
+
+
 def test_tree_enumeration_step_limit(tmp_path):
     # 16 relay triangles hanging at the terminals: 2^16 relay subsets pass
-    # the degree test, and no minimal tree uses any of their relays
+    # the degree test, and no minimal tree uses any of their relays; pack
+    # enumerates on the graph as given
     path = tmp_path / "triangles16.json"
     path.write_text(dump_instance(*dangling_triangles(16)))
     start = time.monotonic()
-    proc = _run_cli("analyze", str(path))
+    proc = _run_cli("pack", str(path))
     assert proc.returncode == 3, proc.stderr
     assert time.monotonic() - start < 10
     budget = packing.MAX_ENUMERATION_STEPS
