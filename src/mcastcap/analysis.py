@@ -4,21 +4,28 @@ give, and the closed-form bound table.
 
 ``analyze_instance`` runs, in order:
 
-1. ``validate`` and λ(A) by ``terminal_connectivity`` on the input graph,
-   each flow checked against its residual cut; λ(A) = 1 ends there;
-2. ``prune_to_core``, whose vertex and edge counts the report gives;
-3. ``reduce_core``, which deletes one-neighbour relays and contracts
+1. ``validate``, and λ(A) with the source side of its minimum cut by
+   ``terminal_cut`` on the input graph, each flow checked against its
+   residual cut; λ(A) = 1 ends there;
+2. ``prune_to_core``, whose vertex and edge counts the report gives, then
+   ``reduce_core``, which deletes one-neighbour relays and contracts
    two-neighbour relays, exactly for every quantity below;
-4. one ``solve_tree_lp`` on the reduced graph, and from it the
-   half-integer, integer and fractional packings, each expanded onto the
-   pruned core and checked there by ``verify_packing`` inside ``packing``;
-5. ``edge_strength`` on the reduced graph, its witness lifted onto the
-   pruned core and checked there by ``verify_partition`` inside
-   ``strength``;
-6. here: η <= λ, weak duality LP <= η, and the paper's lower bounds;
-7. with ``via_splitting``, relay elimination on the pruned core (not the
-   reduced graph, so its history does not move), one more solve, and the
-   lifted packing checked here on the pruned core.
+3. ``partition_bound``: an upper bound U on η, the smaller value of the
+   strength search's seed and the λ cut, its partition checked on the
+   pruned core by ``verify_partition`` inside ``strength``;
+4. one ``solve_tree_lp`` on the reduced graph, stopped as soon as its
+   objective reaches U;
+5. from it the half-integer, integer and fractional packings, each
+   expanded onto the pruned core and checked there by ``verify_packing``
+   inside ``packing``;
+6. η = U when the checked fractional rate is U: by weak duality the
+   packing and the partition then prove each other optimal.  Only when
+   they do not meet does ``edge_strength`` search the reduced graph, its
+   witness lifted onto the pruned core and checked there;
+7. here: η <= λ, weak duality LP <= η, and the paper's lower bounds;
+8. with ``via_splitting``, relay elimination on the pruned core (not the
+   reduced graph, so its history does not move), one more solve, with no
+   bound, and the lifted packing checked here on the pruned core.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bounds as bnd
-from .connectivity import terminal_connectivity
+from .connectivity import terminal_cut
 from .errors import CertificateError
 from .multigraph import Multigraph, Rate, TerminalSet, prune_to_core, reduce_core, validate
 from .packing import (
@@ -38,7 +45,7 @@ from .packing import (
     verify_packing,
 )
 from .splitting import eliminate_relays, lift_packing
-from .strength import edge_strength
+from .strength import edge_strength, partition_bound
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,7 @@ def analyze_instance(
     g: Multigraph, a: TerminalSet, via_splitting: bool = False
 ) -> CapacityReport:
     validate(g, a)
-    lam = terminal_connectivity(g, a)
+    lam, side = terminal_cut(g, a)
     report = CapacityReport(
         num_vertices=len(g.vertices),
         num_edges=len(g.edges),
@@ -148,11 +155,14 @@ def analyze_instance(
     report.num_edges = len(core.edges)
 
     reduced = reduce_core(core, a)
-    tree_lp = solve_tree_lp(reduced, a)
+    upper, _ = partition_bound(reduced, a, lam, side)
+    tree_lp = solve_tree_lp(reduced, a, upper)
     half, _ = half_integer_capacity(tree_lp)
     k, _ = max_integer_packing(tree_lp)
     lp, _ = fractional_capacity_lp(tree_lp)
-    eta, _ = edge_strength(reduced, a)
+    # a verified packing and a verified partition of equal value prove each
+    # other optimal, so the search runs only when they do not meet
+    eta = upper if lp == upper else edge_strength(reduced, a)[0]
     # 2-block partitions give lambda(A) exactly, so eta <= lambda and eta is
     # the bracket's upper end
     if not eta <= lam:

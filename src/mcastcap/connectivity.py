@@ -95,11 +95,20 @@ def checked_flow(
     return value, side
 
 
-def terminal_connectivity(g: Multigraph, a: TerminalSet) -> int:
+def terminal_cut(g: Multigraph, a: TerminalSet) -> tuple[int, frozenset[str]]:
     """Minimum pairwise min-cut over terminal pairs, from the source's flows
-    alone: every x-y cut separates s from x or y, so λ(x, y) ≥ min(λ(s, x), λ(s, y))."""
+    alone: every x-y cut separates s from x or y, so λ(x, y) ≥ min(λ(s, x), λ(s, y)).
+
+    Returns λ(A) and the source side of the cut of the first sink whose
+    flow attains it, which ``checked_flow`` has checked to carry λ(A).
+    """
     for x in (a.source, *a.sinks):
         if x not in g.vertices:
             raise UnknownVertex(f"no vertex {x!r}")
     adj = pair_capacities(g)
-    return min(checked_flow(adj, a.source, t)[0] for t in a.sinks)
+    return min((checked_flow(adj, a.source, t) for t in a.sinks), key=lambda flow: flow[0])
+
+
+def terminal_connectivity(g: Multigraph, a: TerminalSet) -> int:
+    """λ(A), the value of ``terminal_cut``."""
+    return terminal_cut(g, a)[0]

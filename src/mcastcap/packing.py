@@ -44,6 +44,18 @@ positive whole number of units of 1/denominator.  Its rate, the units'
 sum over the denominator, and each tree's vertices, the ends of its
 edges, are derived, so no stored copy of either can disagree with them.
 
+The enumeration yields its trees one size class at a time: a tree over k
+relays has |A| + k - 1 edges, so the trees over the subsets of k relays
+form a class, and the classes in order concatenate to the sorted list.  The
+simplex prices the trees drawn so far and draws the next class only when
+none of them prices negative, and it prices the slack columns only after
+the last class, so every pivot is the one it makes over the whole list.
+Given an upper bound on the optimum that the caller has certified (in
+``analyze``, a checked partition), it stops as soon as its objective
+reaches the bound, leaving the later classes undrawn, and refuses an
+objective above it.  The vertex it stops at is optimal, though it need not
+be the vertex the unstopped solve ends at.
+
 All three packings use the same trees on the same classes, so one
 ``solve_tree_lp`` per graph (one enumeration, one simplex) serves them all:
 each solver takes only that solve, which names its graph and terminals.
@@ -57,12 +69,14 @@ The integer and half-integer rates start from the LP vertex: floor(factor *
 y_j) copies of each tree j are a packing of s trees, and no packing has more
 than the goal floor(factor * LP optimum).  When s reaches the goal, the
 rounded packing is returned at once, proved optimal by the LP bound.  Only
-when s falls short does the branch and bound run.  It keeps its path on an
-explicit stack and starts with s - 1 as the count to beat (not with the
-rounded packing itself).  The witness is the depth-first first node that
-reaches the optimum k >= s; every node on its path has a bound of at least
-k, above s - 1 and above every count found before it, so the seeded and the
-unseeded search prune none of them and return the same packing.
+when s falls short does the branch and bound run.  It first draws the
+classes a stopped solve left, from the same enumeration, and searches every
+tree.  It keeps its path on an explicit stack and starts with s - 1 as the
+count to beat (not with the rounded packing itself).  The witness is the
+depth-first first node that reaches the optimum k >= s; every node on its
+path has a bound of at least k, above s - 1 and above every count found
+before it, so the seeded and the unseeded search prune none of them and
+return the same packing, from whichever LP vertex s comes.
 
 A node at depth d is kept iff it can still beat the best count: every
 source-sink cut of its residual must reach need = best + 1 - d, since any k
@@ -78,6 +92,7 @@ search that visits ``MAX_SEARCH_NODES`` nodes raises SearchTooLarge.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -238,15 +253,21 @@ def _minimal_trees(
     edges: list[tuple[int, str, str]],
     terminals: frozenset[str],
     limit: int,
-) -> list[frozenset[int]]:
+) -> Iterator[list[frozenset[int]]]:
     """All edge-minimal terminal-spanning trees: spanning trees of A union R
-    (R a relay subset) in which every relay is an internal vertex.
+    (R a relay subset) in which every relay is an internal vertex, one size
+    class at a time.
 
-    Vertices are integers: the sorted terminals, then the relays by
-    ascending (degree, name).  The relay subsets come from a depth-first
+    A tree over k relays has |A| + k - 1 edges, so the trees over the
+    subsets of k relays are one class; the classes come for k = 0, 1, ...,
+    each sorted by ids, the empty ones left out, and in that order they
+    concatenate to all the trees sorted by (size, sorted ids).  Vertices are
+    integers: the sorted terminals, then the relays by ascending (degree,
+    name).  The relay subsets come first, all of them, from a depth-first
     search that decides one relay at a time in that order and cuts a branch
     when an included relay has fewer than 2 distinct neighbours among the
-    terminals, the included relays and the undecided ones.
+    terminals, the included relays and the undecided ones; a class's
+    spanning trees are searched only when it is drawn.
     """
     terms = sorted(terminals)
     degree = Counter(x for _, u, v in edges for x in (u, v))
@@ -255,7 +276,7 @@ def _minimal_trees(
     index = {v: i for i, v in enumerate(terms + relays)}
     # each relay's edges together, the relays in rank order and
     # terminal-terminal edges last, so that the spanning-tree search settles
-    # a relay's degree 2 early; the output is sorted, so the order only
+    # a relay's degree 2 early; each class is sorted, so the order only
     # changes the time taken
     rank = [nr] * nt + list(range(nr))
     ends = sorted(
@@ -277,6 +298,8 @@ def _minimal_trees(
                 f"tree enumeration found more than {name} = {limit} minimal Steiner trees"
             )
 
+    # the vertices not left out of each surviving subset, by its relay count
+    subsets: list[list[int]] = [[] for _ in range(nr + 1)]
     # (next relay to decide, included relays, vertices not left out), as masks
     stack = [(nt, 0, (1 << nt + nr) - 1)]
     steps = 0
@@ -297,14 +320,18 @@ def _minimal_trees(
             if (nbrs[x] & avail).bit_count() >= 2:
                 stack.append((x + 1, inc | bit, avail))
             continue
-        steps += len(ends)
-        sub = [e for e, em in zip(ends, masks) if em & avail == em]
-        size = nt + inc.bit_count()
-        if len(sub) >= size - 1:
-            need = [2 * (inc >> v & 1) for v in range(nt + nr)]
-            steps = _spanning_trees(size, sub, need, keep, steps)
-    out.sort(key=lambda t: (len(t), tuple(sorted(t))))
-    return out
+        steps += len(ends)  # the filter of its edges below
+        subsets[inc.bit_count()].append(avail)
+    for k, avails in enumerate(subsets):
+        start = len(out)
+        for avail in avails:
+            sub = [e for e, em in zip(ends, masks) if em & avail == em]
+            if len(sub) >= nt + k - 1:
+                inc = avail >> nt << nt  # the relays not left out
+                need = [2 * (inc >> v & 1) for v in range(nt + nr)]
+                steps = _spanning_trees(nt + k, sub, need, keep, steps)
+        if len(out) > start:
+            yield sorted(out[start:], key=lambda t: tuple(sorted(t)))
 
 
 def enumerate_steiner_trees(
@@ -317,7 +344,7 @@ def enumerate_steiner_trees(
     truncated.  Parallel edges yield distinct trees (distinct edge ids).
     """
     edges = [(e.id, e.u, e.v) for e in g.edges]
-    return _minimal_trees(g.vertices, edges, a.members, limit)
+    return [t for size_class in _minimal_trees(g.vertices, edges, a.members, limit) for t in size_class]
 
 
 # -- exact simplex in integer arithmetic -----------------------------------
@@ -332,9 +359,14 @@ def _reduced(row: list[int], d: int) -> tuple[list[int], int]:
 
 
 def _lp_max_total(
-    cols: list[frozenset[int]], row_ids: list[int], caps: dict[int, int]
+    cols: list[frozenset[int]],
+    row_ids: list[int],
+    caps: dict[int, int],
+    more: Iterable[list[frozenset[int]]] = (),
+    upper: Rate | None = None,
 ) -> tuple[Fraction, list[Fraction]]:
-    """max sum(y) s.t. for each row e: sum_{col containing e} y_col <= caps[e], y >= 0.
+    """max sum(y) s.t. for each row e: sum_{col containing e} y_col <= caps[e], y >= 0,
+    over the columns ``cols`` followed by the classes of columns in ``more``.
 
     Revised simplex with Bland's rule (no cycling), pivoted in integers:
     ``tab`` holds only the slack block and the right-hand side, row i as
@@ -352,11 +384,20 @@ def _lp_max_total(
     are priced in the full tableau's order, trees and then slacks, taking
     the first negative one, and the ratio test compares b_i / a_i as
     tab[i][-1] / column[i], where row i's denominator cancels, so the pivots
-    are the full tableau's own.
+    are the full tableau's own.  The next class of ``more`` is drawn onto
+    ``cols``, in place, only when no column of ``cols`` prices negative, and
+    the slack columns are priced only after the last class, so drawing them
+    late changes no pivot.
+
+    With ``upper``, a bound on the optimum that the caller has certified,
+    the solve stops as soon as the objective equals it, and an objective
+    above it raises CertificateError.  The vertex returned then has one
+    entry per column drawn.
     """
-    m, n = len(row_ids), len(cols)
+    m = len(row_ids)
     row_index = {rid: i for i, rid in enumerate(row_ids)}
     col_rows = [[row_index[rid] for rid in col] for col in cols]
+    more = iter(more)
     tab = []
     for i, rid in enumerate(row_ids):
         row = [0] * (m + 1)
@@ -367,19 +408,39 @@ def _lp_max_total(
     # dz times the reduced costs of the slack columns, then dz times the objective
     z = [0] * (m + 1)
     dz = 1
-    basis = list(range(n, n + m))
+    # slack i is column slack + i, after every tree column however many are drawn
+    slack = 1 << 62
+    basis = [slack + i for i in range(m)]
     while True:
-        for j, rows in enumerate(col_rows):
-            cost = sum([z[i] for i in rows]) - dz
-            if cost < 0:
-                enter = j
-                column = [sum([row[i] for i in rows]) for row in tab]
+        if upper is not None:
+            over = z[-1] * upper.denominator - upper.numerator * dz
+            if over > 0:
+                raise CertificateError(
+                    f"LP objective {Fraction(z[-1], dz)} passed its certified upper bound {upper}"
+                )
+            if over == 0:
                 break
-        else:
+        enter, start = None, 0
+        while enter is None:
+            for j in range(start, len(col_rows)):
+                rows = col_rows[j]
+                cost = sum([z[i] for i in rows]) - dz
+                if cost < 0:
+                    enter = j
+                    column = [sum([row[i] for i in rows]) for row in tab]
+                    break
+            else:
+                size_class = next(more, None)
+                if size_class is None:
+                    break
+                start = len(cols)
+                cols.extend(size_class)
+                col_rows.extend([row_index[rid] for rid in col] for col in size_class)
+        if enter is None:
             k = next((k for k in range(m) if z[k] < 0), None)
             if k is None:
                 break
-            enter, cost = n + k, z[k]
+            enter, cost = slack + k, z[k]
             column = [row[k] for row in tab]
         leave = None
         for i in range(m):
@@ -402,9 +463,9 @@ def _lp_max_total(
         z, dz = _reduced([p * x - cost * y for x, y in zip(z, prow)], dz * p)
         tab[leave], den[leave] = _reduced(prow, p)
         basis[leave] = enter
-    y = [Fraction(0)] * n
+    y = [Fraction(0)] * len(cols)
     for i, b in enumerate(basis):
-        if b < n:
+        if b < slack:
             y[b] = Fraction(tab[i][-1], den[i])
     return Fraction(z[-1], dz), y
 
@@ -422,26 +483,39 @@ class TreeLP:
     graph solved, keyed by the smallest id in the class and carrying the
     class's summed capacity, and ``members`` maps each class to its edge
     ids in ascending order.  ``trees`` are the minimal A-Steiner trees over
-    the classes, and ``opt`` and ``y`` the LP optimum and a primal
-    solution (one entry per tree).  Every packing of the graph is a packing
-    of these trees, so the integer, half-integer and fractional solvers all
-    take this one enumeration and one simplex.
+    the classes that the solve drew, all of them unless it stopped at its
+    bound, and ``rest`` the size classes it did not draw.  ``opt`` and ``y``
+    are the LP optimum and a primal solution, one entry per tree drawn.
+    Every packing of the graph is a packing of ``all_trees()``, so the
+    integer, half-integer and fractional solvers all take this one
+    enumeration and one simplex.
     """
 
     reduction: Reduction
     terminals: TerminalSet
     classes: Multigraph
     members: dict[int, tuple[int, ...]]
-    trees: tuple[frozenset[int], ...]
+    trees: list[frozenset[int]]
     opt: Fraction
     y: tuple[Fraction, ...]
+    rest: Iterator[list[frozenset[int]]]
+
+    def all_trees(self) -> list[frozenset[int]]:
+        """``trees`` with the classes left in ``rest`` drawn onto it: every
+        minimal tree, from the one enumeration."""
+        for size_class in self.rest:
+            self.trees.extend(size_class)
+        return self.trees
 
 
-def solve_tree_lp(g: Multigraph | Reduction, a: TerminalSet) -> TreeLP:
+def solve_tree_lp(g: Multigraph | Reduction, a: TerminalSet, upper: Rate | None = None) -> TreeLP:
     """Enumerate the minimal trees over g's parallel classes and solve their
     LP; for a ``Reduction``, over its reduced graph.
 
-    More than ``DEFAULT_TREE_LIMIT`` trees raise TooManyTrees.
+    ``upper`` is a certified bound on the optimum: the solve stops when its
+    objective reaches it, drawing no more size classes, and raises
+    CertificateError if the objective passes it.  More than
+    ``DEFAULT_TREE_LIMIT`` trees drawn raise TooManyTrees.
     """
     reduction = Reduction.of(g)
     g = reduction.graph
@@ -454,10 +528,11 @@ def solve_tree_lp(g: Multigraph | Reduction, a: TerminalSet) -> TreeLP:
     ))
     members = {es[0].id: tuple(e.id for e in es) for es in groups.values()}
     class_edges = [(e.id, e.u, e.v) for e in classes.edges]
-    trees = _minimal_trees(g.vertices, class_edges, a.members, DEFAULT_TREE_LIMIT)
+    rest = _minimal_trees(g.vertices, class_edges, a.members, DEFAULT_TREE_LIMIT)
     caps = {e.id: e.cap for e in classes.edges}
-    opt, y = _lp_max_total(trees, [e.id for e in classes.edges], caps)
-    return TreeLP(reduction, a, classes, members, tuple(trees), opt, tuple(y))
+    trees: list[frozenset[int]] = []
+    opt, y = _lp_max_total(trees, [e.id for e in classes.edges], caps, rest, upper)
+    return TreeLP(reduction, a, classes, members, trees, opt, tuple(y), rest)
 
 
 # -- expansion back onto concrete edges ------------------------------------
@@ -529,19 +604,19 @@ def _can_beat(res: PairCapacities, source: str, sinks: tuple[str, ...], need: in
 def _branch_and_bound(
     lp: TreeLP, factor: int, stage: str
 ) -> tuple[int, list[tuple[frozenset[int], int]]]:
-    """Most trees of ``lp.trees`` that fit in ``factor`` times the class
-    capacities (a tree may repeat), as the count and (tree, copies) pairs.
+    """Most minimal trees that fit in ``factor`` times the class capacities
+    (a tree may repeat), as the count and (tree, copies) pairs.
 
     The LP-rounded packing has s = sum floor(factor * y_j) trees, and the
     LP optimum, which scales linearly with the capacities, bounds every
     packing by goal = floor(factor * LP optimum).  When s reaches the goal
     the rounded packing is returned.  Otherwise the search runs depth-first
-    over the trees, smallest first, on an explicit stack of the next tree to
-    try at each open node, with the incumbent bound starting at s - 1.  A
-    node at depth d is pruned unless every source-sink cut of its residual
-    reaches best + 1 - d, and the search stops once it reaches the goal.
-    After ``MAX_SEARCH_NODES`` nodes it raises SearchTooLarge naming
-    ``stage``.
+    over ``lp.all_trees()``, smallest first, on an explicit stack of the
+    next tree to try at each open node, with the incumbent bound starting
+    at s - 1.  A node at depth d is pruned unless every source-sink cut of
+    its residual reaches best + 1 - d, and the search stops once it reaches
+    the goal.  After ``MAX_SEARCH_NODES`` nodes it raises SearchTooLarge
+    naming ``stage``.
     """
     goal = int(factor * lp.opt)  # floor
     # floor(factor * y_j) = factor * u_j // scale, for u_j = scale * y_j
@@ -555,7 +630,8 @@ def _branch_and_bound(
     # residual class capacities, kept in place: one class per vertex pair
     res = {x: {y: factor * c for y, c in nbrs.items()} for x, nbrs in pair_capacities(lp.classes).items()}
     ends = {e.id: (e.u, e.v) for e in lp.classes.edges}
-    trees = [[ends[c] for c in sorted(t)] for t in lp.trees]
+    all_trees = lp.all_trees()
+    trees = [[ends[c] for c in sorted(t)] for t in all_trees]
 
     # a packing of s trees exists, so the search finds one of more than s - 1;
     # best < goal, so the root is kept
@@ -598,7 +674,7 @@ def _branch_and_bound(
     counts: dict[int, int] = {}
     for j in best_sol:
         counts[j] = counts.get(j, 0) + 1
-    return best, [(lp.trees[j], c) for j, c in sorted(counts.items())]
+    return best, [(all_trees[j], c) for j, c in sorted(counts.items())]
 
 
 def max_integer_packing(lp: TreeLP) -> tuple[int, SteinerPacking]:

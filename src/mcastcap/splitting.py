@@ -501,10 +501,11 @@ def lift_packing(history: SplitHistory, packing):
             if w not in edge_set:
                 continue
             edge_set.discard(w)
-            comp_r = edge_component(edge_set, endpoint, ev.r)
-            if ev.pivot in comp_r:
+            # one walk from the pivot, which is {pivot} when it is off the tree
+            comp = edge_component(edge_set, endpoint, ev.pivot)
+            if ev.r in comp:
                 edge_set.add(ev.f_id)  # pivot on r-side: bridge to t
-            elif ev.pivot in edge_component(edge_set, endpoint, ev.t):
+            elif ev.t in comp:
                 edge_set.add(ev.e_id)  # pivot on t-side: bridge to r
             else:
                 edge_set.add(ev.e_id)

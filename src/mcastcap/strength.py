@@ -52,7 +52,9 @@ capacity to (the lowest on ties).  On the relay-cycle family the seed is
 already optimal, a/(a-1); since k*λ/(2(k-1)) = k/(k-1) is above that for
 every k < a, only partial partitions that can still end in a blocks survive.
 The seed records no witness: while no leaf has, ``leaf()`` accepts one that
-ties the seed.
+ties the seed.  ``partition_bound`` takes the same seed (``_seed``), lifted
+onto the core, as one of its two partitions: ``analyze`` stops its tree LP
+at the bound and runs this search only when the LP falls short of it.
 
 Each bound is at most the value of every partition it prunes, the
 incumbent never drops below the optimum, and a prune needs the bound
@@ -89,7 +91,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .connectivity import pair_capacities, terminal_connectivity
+from .connectivity import PairCapacities, pair_capacities, terminal_connectivity
 from .errors import CertificateError, SearchTooLarge
 from .multigraph import Multigraph, Rate, Reduction, TerminalSet
 
@@ -124,6 +126,29 @@ def _lift(reduction: Reduction, blocks) -> tuple[frozenset[str], ...]:
     for v, i in block_of.items():
         out[i].add(v)
     return tuple(frozenset(b) for b in out)
+
+
+def _seed(adj: PairCapacities, terms: list[str], relays: list[str]) -> tuple[dict[str, int], int]:
+    """The seed partition (module docstring) as each vertex's block, terminal
+    i in block i, and its crossing."""
+    block_of = {t: i for i, t in enumerate(terms)}
+    for r in relays:
+        to = [0] * len(terms)
+        for y, c in adj[r].items():
+            if y in block_of:
+                to[block_of[y]] += c
+        block_of[r] = to.index(max(to))
+    crossing = sum(c for x, nbrs in adj.items() for y, c in nbrs.items() if block_of[x] != block_of[y])
+    return block_of, crossing // 2
+
+
+def _checked(core: Multigraph, a: TerminalSet, eta: Rate, blocks, crossing: int) -> TerminalPartition:
+    """The partition of the core with these blocks and crossing, checked by
+    ``verify_partition`` to attain eta."""
+    witness = TerminalPartition(tuple(frozenset(b) for b in blocks), crossing)
+    if not verify_partition(core, a, eta, witness):
+        raise CertificateError("edge strength witness failed verification")
+    return witness
 
 
 def edge_strength(g: Multigraph | Reduction, a: TerminalSet) -> tuple[Rate, TerminalPartition]:
@@ -163,18 +188,7 @@ def edge_strength(g: Multigraph | Reduction, a: TerminalSet) -> tuple[Rate, Term
     # opener[i][j]: least capacity to earlier terminals of any j of terminals i..
     opener = [list(accumulate(sorted(tt_total[i:]), initial=0)) for i in range(nt)]
 
-    # the seed: singleton terminal blocks, each relay joined in turn to the
-    # block it has most capacity to (lowest block on ties)
-    block_of = dict(t_index)
-    for r in relays:
-        to = [0] * nt
-        for y, c in adj[r].items():
-            if y in block_of:
-                to[block_of[y]] += c
-        block_of[r] = to.index(max(to))
-    best_num = sum(
-        c for x, nbrs in adj.items() for y, c in nbrs.items() if block_of[x] != block_of[y]
-    ) // 2
+    best_num = _seed(adj, terms, relays)[1]
     best_den = nt - 1  # incumbent value best_num / best_den
     best_key = None  # sorted tuple of sorted blocks of the incumbent, once a leaf sets it
     tblock = [0] * nt  # block of each placed terminal on the current search path
@@ -319,10 +333,34 @@ def edge_strength(g: Multigraph | Reduction, a: TerminalSet) -> tuple[Rate, Term
     if best_key is None:
         raise CertificateError("edge strength search found no partition")
     eta = Fraction(best_num, best_den)
-    witness = TerminalPartition(_lift(reduction, best_key), best_num)
-    if not verify_partition(reduction.core, a, eta, witness):
-        raise CertificateError("edge strength witness failed verification")
-    return eta, witness
+    return eta, _checked(reduction.core, a, eta, _lift(reduction, best_key), best_num)
+
+
+def partition_bound(
+    g: Multigraph | Reduction, a: TerminalSet, lam: int, side: frozenset[str]
+) -> tuple[Rate, TerminalPartition]:
+    """An upper bound on eta: the smaller value of two partitions, the one
+    returned checked on the core by ``verify_partition`` as the search's
+    witness is.
+
+    One is the search's seed (``_seed``), valued by its crossing on the
+    reduced graph and lifted onto the core.  The other has two blocks, the
+    vertices of the core in ``side`` and the rest, where ``side`` is the
+    source side of a minimum terminal cut of value ``lam`` (``terminal_cut``)
+    on a graph that the core was pruned from.  On a tie, the seed.
+    """
+    reduction = Reduction.of(g)
+    g, core = reduction.graph, reduction.core
+    terms = sorted(a.members)
+    block_of, crossing = _seed(pair_capacities(g), terms, sorted(g.vertices - a.members))
+    seed = Fraction(crossing, len(terms) - 1)
+    if seed <= lam:
+        blocks = [[] for _ in terms]
+        for v, i in block_of.items():
+            blocks[i].append(v)
+        return seed, _checked(core, a, seed, _lift(reduction, blocks), crossing)
+    near = side & core.vertices
+    return Fraction(lam), _checked(core, a, Fraction(lam), (near, core.vertices - near), lam)
 
 
 def verify_partition(

@@ -487,6 +487,38 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "resource limit: tree enumeration found more than DEFAULT_TREE_LIMIT = 5000 minimal Steiner trees" in err
 
+    def test_analyze_stops_its_lp_short_of_the_tree_limit(self, tmp_path, capsys):
+        # the reduced core has more than DEFAULT_TREE_LIMIT minimal trees, but
+        # its LP meets the partition bound 2 within the first size classes;
+        # pack enumerates every tree and still refuses
+        path = tmp_path / "r20.json"
+        path.write_text(dump_instance(*random_instance(20, 14, 4, 3)))
+        start = time.perf_counter()
+        assert main(["analyze", str(path), "--format", "structured"]) == 0
+        assert time.perf_counter() - start < 10
+        out = json.loads(capsys.readouterr().out)
+        assert out["integer_packing"] == 2
+        assert out["half_integer_rate"] == out["fractional_rate"] == out["edge_strength"] == "2"
+        assert main(["pack", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "resource limit: tree enumeration found more than DEFAULT_TREE_LIMIT = 5000 minimal Steiner trees" in err
+
+    def test_analyze_meets_the_bound_without_the_search(self, tmp_path, capsys):
+        # 12 terminals joined through one relay hub by edges of capacity 2:
+        # the star's one tree meets the seed partition's value 2, so analyze
+        # needs no search, while the search alone uses its step budget
+        names = [f"t{i:02d}" for i in range(12)]
+        g = Multigraph.build([*names, "hub"], [(t, "hub", 2) for t in names])
+        path = tmp_path / "hub12x2.json"
+        path.write_text(dump_instance(g, TerminalSet(names[0], tuple(names[1:]))))
+        start = time.perf_counter()
+        assert main(["analyze", str(path), "--format", "structured"]) == 0
+        assert time.perf_counter() - start < 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["fractional_rate"] == out["edge_strength"] == "2"
+        assert main(["strength", str(path)]) == 3
+        assert "MAX_STRENGTH_STEPS = 6000000" in capsys.readouterr().err
+
     def test_strength_step_limit(self, tmp_path, capsys):
         # 12 terminals joined only through one relay hub: no partial partition
         # is pruned, and the 11-terminal hub star already takes 3.5 million steps
@@ -681,6 +713,13 @@ class TestCertificateChecks:
         assert proc.returncode == 4, proc.stderr
         assert f"certificate failure: {message}" in proc.stderr
 
+    def test_under_reported_partition_bound_is_refused(self, cycle_file):
+        # the bound 5/4 of the a = 5 cycle reported as 1/4: the LP's first
+        # pivot already passes it
+        proc = _run_faulty("analysis.partition_bound", "under-report", "analyze", cycle_file)
+        assert proc.returncode == 4, proc.stderr
+        assert "certificate failure: LP objective 1 passed its certified upper bound 1/4" in proc.stderr
+
     @pytest.mark.parametrize("argv", [["split"], ["analyze", "--via-splitting"]])
     def test_missing_split_partner_is_a_certificate_failure(self, cycle_file, argv):
         # Mader's theorem promises an admissible partner, so a refused one is a bug
@@ -689,7 +728,7 @@ class TestCertificateChecks:
         assert "certificate failure: no admissible partner" in proc.stderr
 
     @pytest.mark.parametrize("function, fault, message", [
-        ("analysis.reduce_core", "heavy-part", "half-integer packing failed verification"),
+        ("analysis.reduce_core", "heavy-part", "edge strength witness failed verification"),
         ("analysis.reduce_core", "drop-chain-edge", "half-integer packing failed verification"),
         ("strength._lift", "lighter-side", "edge strength witness failed verification"),
     ], ids=["heavy-part", "drop-chain-edge", "lighter-side"])

@@ -10,7 +10,7 @@ from mcastcap import (
     terminal_connectivity,
 )
 from mcastcap import connectivity
-from mcastcap.connectivity import checked_flow, pair_capacities, pair_flow
+from mcastcap.connectivity import checked_flow, pair_capacities, pair_flow, terminal_cut
 from mcastcap.errors import CertificateError, UnknownVertex
 from mcastcap.multigraph import cut_edges, edge_component
 from test_splitting import unit_form
@@ -111,6 +111,23 @@ class TestTerminalConnectivity:
     def test_unknown_terminal(self):
         with pytest.raises(UnknownVertex):
             terminal_connectivity(cycle(3), TerminalSet("v0", ("v1", "zz")))
+
+    def test_cut_side_is_the_first_minimising_sinks(self):
+        # the side is the minimal source side of the first sink whose flow
+        # attains lambda(A)
+        heavy = Multigraph.build(["s", "t1", "t2", "x"], [("s", "t1", 9), ("s", "x", 2), ("x", "t2", 1), ("t1", "t2", 3)])
+        # both sinks attain 2, the first with the smaller side {s, a, t2}
+        fork = Multigraph.build(["s", "a", "y", "t1", "t2"], [("s", "a", 3), ("a", "y", 2), ("y", "t1", 2), ("a", "t2", 2)])
+        cases = [(cycle(5), TerminalSet("v0", ("v2", "v4"))), (complete(5), TerminalSet("v0", ("v1", "v3"))),
+                 (heavy, TerminalSet("s", ("t1", "t2"))), (fork, TerminalSet("s", ("t1", "t2"))),
+                 *(example2_instance(na, (0, 2)) for na in (3, 4, 5))]
+        for g, a in cases:
+            lam, side = terminal_cut(g, a)
+            assert lam == terminal_connectivity(g, a)
+            t = next(t for t in a.sinks if brute_min_cut(g, a.source, t) == lam)
+            assert side == brute_minimal_side(g, a.source, t)
+        assert terminal_cut(heavy, TerminalSet("s", ("t1", "t2"))) == (4, frozenset({"s", "t1", "x"}))
+        assert terminal_cut(fork, TerminalSet("s", ("t1", "t2"))) == (2, frozenset({"s", "a", "t2"}))
 
 
 def test_checked_flow_needs_a_cut_that_carries_its_value(monkeypatch):

@@ -23,7 +23,7 @@ from mcastcap import (
     terminal_connectivity,
     verify_packing,
 )
-from mcastcap import packing, strength
+from mcastcap import analysis, packing, strength
 from mcastcap.cli import analyze_instance
 from mcastcap.connectivity import pair_flow
 from mcastcap.errors import (
@@ -32,7 +32,7 @@ from mcastcap.errors import (
     SearchTooLarge,
     TooManyTrees,
 )
-from mcastcap.multigraph import Edge, prune_to_core, scale_capacities
+from mcastcap.multigraph import Edge, Reduction, prune_to_core, reduce_core, scale_capacities
 from mcastcap.packing import SteinerPacking, solve_tree_lp
 from mcastcap.splitting import eliminate_relays
 from test_strength import _small_connected_multigraphs
@@ -359,6 +359,44 @@ class TestSharedSolve:
         assert sum(lp.y) == lp.opt == fractional_capacity_lp(solve_tree_lp(g, a))[0]
 
 
+class TestSearchOnlyOnAGap:
+    @staticmethod
+    def counted_searches(monkeypatch):
+        calls = []
+        original = analysis.edge_strength
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "edge_strength", counted)
+        return calls
+
+    @pytest.mark.parametrize("via_splitting", [False, True])
+    def test_bench_families_need_no_search(self, monkeypatch, via_splitting):
+        # each report equals the one of the path that runs the LP to its
+        # end and then the search: a bound above lambda is never reached
+        calls = self.counted_searches(monkeypatch)
+        instances = [*sample_instances(20, 8, 6, 3, 0), *sample_instances(5, 10, 10, 4, 0)]
+        instances += [example2_instance(na, (0, 2)) for na in range(5, 9)]
+        instances += [k4_with_relay(k) for k in (4, 8, 16)]
+        for g, a in instances:
+            calls.clear()
+            report = analyze_instance(g, a, via_splitting=via_splitting)
+            assert calls == []
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "partition_bound", lambda g, a, lam, side: (Fraction(lam + 1), None))
+                want = analyze_instance(g, a, via_splitting=via_splitting)
+            assert len(calls) == 1
+            assert report.to_dict() == want.to_dict() and report.to_text() == want.to_text()
+
+    def test_non_tight_bracket_runs_the_search(self, monkeypatch):
+        calls = self.counted_searches(monkeypatch)
+        report = analyze_instance(*non_tight_instance())
+        assert len(calls) == 1
+        assert (report.lp_rate, report.eta) == (Fraction(9, 5), 2)
+
+
 def counted_bound_evaluations(monkeypatch):
     """Count the branch-and-bound nodes that check their bound from now on."""
     calls = []
@@ -675,6 +713,32 @@ class TestEnumerationOracle:
                 assert enumerate_steiner_trees(graph, a) == oracle_steiner_trees(graph, a)
 
 
+class TestSizeClasses:
+    def test_classes_concatenate_to_the_enumeration(self):
+        # TestEnumerationOracle's families: each class is nonempty and holds
+        # one tree size, the sizes increase, and together they are the list
+        families = []
+        for g, names in _small_connected_multigraphs():
+            n = len(names)
+            terminal_sets = {(0, n - 1), tuple(range(n))}
+            if n >= 4:
+                terminal_sets.add((1, 2, n - 1))
+            for ts in sorted(terminal_sets):
+                a = TerminalSet(names[ts[0]], tuple(names[i] for i in ts[1:]))
+                families += [(g, a), (with_parallel_edge(g), a)]
+        for g, a in sample_instances(20, 8, 6, 3, 0):
+            core = prune_to_core(g, a)
+            families += [(core, a), (with_parallel_edge(core), a)]
+        for g, a in families:
+            edges = [(e.id, e.u, e.v) for e in g.edges]
+            classes = list(packing._minimal_trees(g.vertices, edges, a.members, packing.DEFAULT_TREE_LIMIT))
+            sizes = [{len(t) for t in c} for c in classes]
+            assert all(len(s) == 1 for s in sizes)
+            assert [min(s) for s in sizes] == sorted({min(s) for s in sizes})
+            assert [t for c in classes for t in c] == enumerate_steiner_trees(g, a)
+        assert len(families) > 4000
+
+
 def all_subsets_trees(g, a):
     """Every relay subset through the spanning-tree kernel, with no subset
     pruned: the loop the subset search replaced, sorted as the enumeration
@@ -772,11 +836,12 @@ class TestRelaySubsetSearch:
         assert time.perf_counter() - start < 10
 
 
-def reference_lp(cols, row_ids, caps, stats=None):
+def reference_lp(cols, row_ids, caps, stats=None, upper=None):
     """The tree-packing LP on a Fraction tableau: Bland's rule, the ratio
     test's ties broken by the smaller basis index.  ``stats``, if given,
     counts the pivots and the rows they leave alone, whose entry in the
-    entering column is zero."""
+    entering column is zero.  With ``upper``, it stops at the first vertex
+    whose objective reaches it."""
     m, n = len(row_ids), len(cols)
     row_index = {rid: i for i, rid in enumerate(row_ids)}
     zero, one = Fraction(0), Fraction(1)
@@ -791,7 +856,7 @@ def reference_lp(cols, row_ids, caps, stats=None):
             tab[row_index[rid]][j] = one
     z = [-one] * n + [zero] * (m + 1)
     basis = list(range(n, n + m))
-    while True:
+    while upper is None or z[-1] < upper:
         enter = next((j for j in range(n + m) if z[j] < 0), None)
         if enter is None:
             break
@@ -866,6 +931,130 @@ class TestReferenceSimplex:
         # benchmark does
         for cols, rows, caps in random_small_lps():
             assert packing._lp_max_total(cols, rows, caps) == reference_lp(cols, rows, caps)
+
+
+def counted_reductions(monkeypatch):
+    """A list that gets one entry per ``_reduced`` call: a pivot makes one
+    for each row it rewrites and one for the objective."""
+    calls = []
+    reduced = packing._reduced
+
+    def counted(row, d):
+        calls.append(d)
+        return reduced(row, d)
+
+    monkeypatch.setattr(packing, "_reduced", counted)
+    return calls
+
+
+def bounded_lp_graphs():
+    """TestReferenceSimplex's graph families, and the bench cores reduced
+    as analyze reduces them, each with its split graph."""
+    graphs = varied_samples() + [example2_instance(na, (0, 2) if na > 3 else (0,)) for na in range(3, 8)]
+    bench = [*sample_instances(20, 8, 6, 3, 0), *sample_instances(5, 10, 10, 4, 0)]
+    graphs += [(reduce_core(prune_to_core(g, a), a), a) for g, a in bench + [k4_with_relay(k) for k in (4, 8, 16)]]
+    graphs += [(eliminate_relays(prune_to_core(g, a), a)[0], a) for g, a in graphs if not isinstance(g, Reduction)]
+    for g, names in _small_connected_multigraphs(max_n=4, max_cap=8):
+        n = len(names)
+        for ts in ((0, n - 1), tuple(range(n))):
+            graphs.append((g, TerminalSet(names[ts[0]], tuple(names[i] for i in ts[1:]))))
+    return graphs
+
+
+class TestBoundedLP:
+    def test_stops_at_the_optimum_on_the_reference_pivots(self, monkeypatch):
+        # a bound equal to the optimum stops the solve at the first vertex
+        # that reaches it, after the reference's own first pivots; any
+        # other bound, or none, changes nothing
+        calls = counted_reductions(monkeypatch)
+        stopped = 0
+        for g, a in bounded_lp_graphs():
+            full = solve_tree_lp(g, a)
+            rows = [e.id for e in full.classes.edges]
+            caps = {e.id: e.cap for e in full.classes.edges}
+            stats = {"pivots": 0, "zero rows": 0}
+            opt, y = reference_lp(full.trees, rows, caps, stats, upper=full.opt)
+            calls.clear()
+            lp = solve_tree_lp(g, a, full.opt)
+            assert len(calls) == stats["pivots"] * (len(rows) + 1) - stats["zero rows"]
+            drawn = len(lp.trees)
+            assert lp.opt == opt == full.opt
+            assert list(lp.y) + [0] * (len(full.trees) - drawn) == y
+            assert lp.trees == full.trees[:drawn] and lp.all_trees() == full.trees
+            above = solve_tree_lp(g, a, full.opt + Fraction(1, 3))
+            assert (above.opt, above.y, above.trees) == (full.opt, full.y, full.trees)
+            stopped += drawn < len(full.trees)
+        assert stopped >= 20
+
+    def test_random_small_lps_drawn_in_classes(self, monkeypatch):
+        # the columns drawn in pieces price as the whole list does, also
+        # where a slack column re-enters, and a bound at the optimum stops
+        # at the reference's vertex after the same pivots
+        calls = counted_reductions(monkeypatch)
+        rng = random.Random(2)
+        for cols, rows, caps in random_small_lps():
+            cut = sorted(rng.choices(range(len(cols) + 1), k=2))
+            pieces = [cols[:cut[0]], cols[cut[0]:cut[1]], cols[cut[1]:]]
+            want = packing._lp_max_total(cols, rows, caps)
+            drawn = list(pieces[0])
+            assert packing._lp_max_total(drawn, rows, caps, pieces[1:]) == want and drawn == cols
+            stats = {"pivots": 0, "zero rows": 0}
+            opt, y = reference_lp(cols, rows, caps, stats, upper=want[0])
+            calls.clear()
+            drawn = list(pieces[0])
+            got = packing._lp_max_total(drawn, rows, caps, pieces[1:], upper=want[0])
+            assert len(calls) == stats["pivots"] * (len(rows) + 1) - stats["zero rows"]
+            assert got == (opt, y[:len(drawn)]) and not any(y[len(drawn):])
+
+    def test_objective_past_the_bound_is_refused(self):
+        # every vertex of these LPs has a denominator below 997, so the
+        # objective steps over a bound just below the optimum
+        refused = 0
+        for cols, rows, caps in random_small_lps():
+            opt = packing._lp_max_total(list(cols), rows, caps)[0]
+            with pytest.raises(CertificateError, match="passed its certified upper bound"):
+                packing._lp_max_total(list(cols), rows, caps, upper=opt - Fraction(1, 997))
+            refused += 1
+        g, a = example2_instance(5, (0, 2))
+        with pytest.raises(CertificateError, match="^LP objective 1 passed its certified upper bound 1/4$"):
+            solve_tree_lp(g, a, Fraction(1, 4))
+        assert refused == 2000
+
+
+class TestBoundedFallback:
+    def test_short_rounding_searches_every_tree_of_the_one_enumeration(self, monkeypatch):
+        # the LP of each of these stops at eta after a few of its trees,
+        # and its vertex rounds short of the integer goal: the branch and
+        # bound draws the other classes from the same enumeration and
+        # returns the unseeded search's packing over all the trees
+        calls = {"_minimal_trees": 0}
+        original = packing._minimal_trees
+
+        def counted(*args):
+            calls["_minimal_trees"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(packing, "_minimal_trees", counted)
+        fallbacks = 0
+        for g, a in sample_instances(6, 10, 8, 3, 0):
+            for h in (g, scale_capacities(g, 3)):
+                full = solve_tree_lp(h, a)
+                eta = edge_strength(h, a)[0]
+                if full.opt != eta:
+                    continue
+                calls["_minimal_trees"] = 0
+                lp = solve_tree_lp(h, a, eta)
+                drawn = len(lp.trees)
+                short = sum(int(y) for y in lp.y) < int(lp.opt)
+                k, p = max_integer_packing(lp)
+                assert calls == {"_minimal_trees": 1}
+                if drawn < len(full.trees) and short:
+                    fallbacks += 1
+                    assert lp.trees == full.trees
+                    want, trees = reference_branch_and_bound(full, 1)
+                    trees = [(t, int(c)) for t, c in trees]
+                    assert k == want and p == packing._expand_packing(full, trees, 1, "test", k)
+        assert fallbacks >= 4
 
 
 def random_small_lps():

@@ -19,8 +19,10 @@ from mcastcap import (
     verify_partition,
 )
 from mcastcap import strength
-from mcastcap.errors import SearchTooLarge
-from mcastcap.strength import TerminalPartition
+from mcastcap.connectivity import terminal_cut
+from mcastcap.errors import CertificateError, SearchTooLarge
+from mcastcap.multigraph import prune_to_core, reduce_core
+from mcastcap.strength import TerminalPartition, partition_bound
 
 
 def hub_star(n):
@@ -363,6 +365,33 @@ class TestIncrementalSearch:
         a = TerminalSet("a", tuple("cdef"))
         self._assert_matches_reference(g, a)
         _assert_matches_oracle(g, a)
+
+
+class TestPartitionBound:
+    def test_bound_is_a_checked_partition_above_eta(self):
+        # on the bench cores the bound is eta itself
+        instances = [*sample_instances(20, 8, 6, 3, 0), *sample_instances(5, 10, 10, 4, 0)]
+        instances += [example2_instance(na, (0, 2)) for na in range(3, 9)]
+        for g, a in instances:
+            lam, side = terminal_cut(g, a)
+            core = prune_to_core(g, a)
+            reduced = reduce_core(core, a)
+            upper, witness = partition_bound(reduced, a, lam, side)
+            assert verify_partition(core, a, upper, witness)
+            assert upper == edge_strength(reduced, a)[0] <= lam
+
+    def test_seed_or_cut_whichever_is_smaller(self):
+        # the relay x joins s, its heavier neighbour, and the seed crosses
+        # 9 + 1 + 3 = 13 over 2; the cut around t2 crosses 1 + 3 = 4
+        g = Multigraph.build(["s", "t1", "t2", "x"], [("s", "t1", 9), ("s", "x", 2), ("x", "t2", 1), ("t1", "t2", 3)])
+        a = TerminalSet("s", ("t1", "t2"))
+        assert partition_bound(g, a, 4, frozenset({"s", "t1", "x"})) == (
+            4, TerminalPartition((frozenset({"s", "t1", "x"}), frozenset({"t2"})), 4))
+        assert partition_bound(g, a, 7, frozenset({"s", "t1", "x"})) == (
+            Fraction(13, 2), TerminalPartition((frozenset({"s", "x"}), frozenset({"t1"}), frozenset({"t2"})), 13))
+        # a side whose cut is not lambda fails its check
+        with pytest.raises(CertificateError, match="^edge strength witness failed verification$"):
+            partition_bound(g, a, 4, frozenset({"s", "t1"}))
 
 
 class TestVerifyPartition:
