@@ -15,13 +15,16 @@ give, and the closed-form bound table.
    pruned core by ``verify_partition`` inside ``strength``;
 4. one ``solve_tree_lp`` on the reduced graph, stopped as soon as its
    objective reaches U;
-5. from it the half-integer, integer and fractional packings, each
-   expanded onto the pruned core and checked there by ``verify_packing``
-   inside ``packing``;
-6. η = U when the checked fractional rate is U: by weak duality the
-   packing and the partition then prove each other optimal.  Only when
-   they do not meet does ``edge_strength`` search the reduced graph, its
-   witness lifted onto the pruned core and checked there;
+5. from it the integer packing, expanded onto the pruned core and checked
+   there by ``verify_packing`` inside ``packing``.  The rates are nested,
+   k <= half <= LP, and a checked packing proves each rate it reaches: the
+   half-integer search runs only when 2k is below its goal floor(2 LP),
+   and the fractional packing only when the half-integer rate is below the
+   LP optimum, each checked the same way;
+6. η = U when the checked rate that reaches the LP optimum is U: by weak
+   duality the packing and the partition then prove each other optimal.
+   Only when they do not meet does ``edge_strength`` search the reduced
+   graph, its witness lifted onto the pruned core and checked there;
 7. here: η <= λ, weak duality LP <= η, and the paper's lower bounds;
 8. with ``via_splitting``, relay elimination on the pruned core (not the
    reduced graph, so its history does not move), one more solve, with no
@@ -157,9 +160,12 @@ def analyze_instance(
     reduced = reduce_core(core, a)
     upper, _ = partition_bound(reduced, a, lam, side)
     tree_lp = solve_tree_lp(reduced, a, upper)
-    half, _ = half_integer_capacity(tree_lp)
     k, _ = max_integer_packing(tree_lp)
-    lp, _ = fractional_capacity_lp(tree_lp)
+    # the rates are nested, k <= half <= LP, so a checked packing proves
+    # every rate it reaches: 2k at the half-integer search's goal
+    # floor(2 LP) makes half = k, and half at the LP optimum makes LP = half
+    half = Fraction(k) if 2 * k == int(2 * tree_lp.opt) else half_integer_capacity(tree_lp)[0]
+    lp = half if half == tree_lp.opt else fractional_capacity_lp(tree_lp)[0]
     # a verified packing and a verified partition of equal value prove each
     # other optimal, so the search runs only when they do not meet
     eta = upper if lp == upper else edge_strength(reduced, a)[0]

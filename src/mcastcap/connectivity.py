@@ -101,12 +101,19 @@ def terminal_cut(g: Multigraph, a: TerminalSet) -> tuple[int, frozenset[str]]:
 
     Returns λ(A) and the source side of the cut of the first sink whose
     flow attains it, which ``checked_flow`` has checked to carry λ(A).
+    Each later flow stops at the least value so far: one that reaches it
+    does not attain a new minimum.
     """
     for x in (a.source, *a.sinks):
         if x not in g.vertices:
             raise UnknownVertex(f"no vertex {x!r}")
     adj = pair_capacities(g)
-    return min((checked_flow(adj, a.source, t) for t in a.sinks), key=lambda flow: flow[0])
+    best = checked_flow(adj, a.source, a.sinks[0])
+    for t in a.sinks[1:]:
+        flow = checked_flow(adj, a.source, t, best[0])
+        if flow[1] is not None:
+            best = flow
+    return best
 
 
 def terminal_connectivity(g: Multigraph, a: TerminalSet) -> int:

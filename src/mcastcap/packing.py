@@ -59,6 +59,9 @@ be the vertex the unstopped solve ends at.
 All three packings use the same trees on the same classes, so one
 ``solve_tree_lp`` per graph (one enumeration, one simplex) serves them all:
 each solver takes only that solve, which names its graph and terminals.
+Their rates are nested, k <= half <= LP, so ``analyze`` runs the integer
+packing first and each other solver only for a rate the packings it has
+checked do not reach (the ``analysis`` module docstring).
 The half-integer packing runs the integer branch and bound on doubled class
 capacities with the goal floor(2 * LP optimum), exact because the LP scales
 linearly, and expands the k/2 multiplicities onto the graph itself.  Every

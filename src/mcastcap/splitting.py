@@ -94,15 +94,26 @@ relay, in sorted order, that touches an input cut-edge, and its cut-edges
 are exactly the input cut-edges at it.  The error names the smallest of
 their ids.
 
-Each split takes the largest admissible amount, found by bisection that
-tries the full amount first.  Bisection is exact because splitting more
-never raises a cut: splitting b more units after a units leaves every cut
-at most where a units left it, so the admissible amounts are 0 to some m.
+Each split takes the largest admissible amount.  Splitting more never
+raises a cut: splitting b more units after a units leaves every cut at
+most where a units left it, so the admissible amounts are 0 to some m.
 For the same reason a pair (r, t) refused once stays refused for the whole
 pivot: splits commute, so splitting it after further splits leaves every
 cut at most where splitting it before them did, below some weight.  The
 loop thus ends, aggregated, where a backtracking search over pairings of
 unit edges in the same order ends.
+
+The first trial takes the full amount.  A trial of amount a that is
+refused holds a checked cut S below the weight w of a link: the link's
+side, recounted on the split map, or the residual cut of a flow that fell
+short, of the flow's value.  A split of xr and xt lowers d(S) only when S
+separates x from both r and t, and then by twice the amount.  S is a cut
+of the link's ends, so it cut at least w before the split: it does
+separate them, and it cut d(S) + 2a.  No amount above
+(d(S) + 2a - w) / 2, rounded down, keeps the link, and that bound is the
+next trial.  The first trial that keeps every link therefore takes m,
+after one trial per cut that bounds it (A. Frank, *On a theorem of
+Mader*, 1992, bounds a split by a cut the same way).
 
 The trials edit one map of pair capacities, built once per call: a trial
 shifts its amount off the pairs xr and xt onto rt in place, checks the
@@ -319,47 +330,50 @@ def _reroute(res: PairCapacities, x: str, r: str, t: str, amount: int) -> int | 
 
 def _keeps_targets(
     adj: PairCapacities, links: list[_Link], x: str, r: str, t: str, amount: int, fresh: dict[int, PairCapacities]
-) -> bool:
-    """True iff the map ``adj``, with ``amount`` already split off xr and xt,
-    keeps the weight of every link; the residual of every flow it runs is
-    put in ``fresh`` under its link's index.  Stops at the first link that
-    falls short."""
+) -> int:
+    """The largest amount, up to ``amount``, that the map ``adj``, with
+    ``amount`` already split off xr and xt, leaves open: ``amount`` itself
+    iff it keeps the weight of every link, else the bound the first cut
+    below its link's weight sets (module docstring).  The residual of every
+    flow it runs is put in ``fresh`` under its link's index."""
     for link in links:
         if (x in link.side) != (r in link.side) and (x in link.side) != (t in link.side):
-            if cut_capacity(adj, link.side) < link.target:
-                return False
+            cut = cut_capacity(adj, link.side)
+            if cut < link.target:
+                return (cut + 2 * amount - link.target) // 2
     for i, link in enumerate(links):
         if _reroute(link.res, x, r, t, amount) is None:
             res = {y: dict(nbrs) for y, nbrs in adj.items()}
-            if checked_flow(adj, link.u, link.v, link.target, res)[1] is not None:
-                return False
+            value, side = checked_flow(adj, link.u, link.v, link.target, res)
+            if side is not None:
+                return (value + 2 * amount - link.target) // 2
             fresh[i] = res
         if cut_capacity(adj, link.side) != link.target:
             raise CertificateError(
                 f"target side of {link.u!r}-{link.v!r} does not cut {link.target} after the split"
             )
-    return True
+    return amount
 
 
 def _largest_split(
     adj: PairCapacities, links: list[_Link], x: str, r: str, t: str, most: int
 ) -> tuple[int, dict[int, PairCapacities]]:
     """Largest amount up to ``most`` whose split of xr and xt keeps the
-    links, 0 if none, and the residuals of the flows its trial ran:
-    bisection, trying ``most`` first (module docstring).  Each trial shifts
-    ``adj`` and shifts it back."""
-    kept, refused, amount, carried = 0, most + 1, most, {}
-    while refused - kept > 1:
+    links, 0 if none, and the residuals of the flows its trial ran: trying
+    ``most`` first, and after each refusal the bound its cut sets (module
+    docstring).  Each trial shifts ``adj`` and shifts it back."""
+    amount = most
+    while amount:
         fresh: dict[int, PairCapacities] = {}
         _shift(adj, x, r, t, amount)
-        keeps = _keeps_targets(adj, links, x, r, t, amount, fresh)
+        left = _keeps_targets(adj, links, x, r, t, amount, fresh)
         _shift(adj, x, r, t, -amount)
-        if keeps:
-            kept, carried = amount, fresh
-        else:
-            refused = amount
-        amount = (kept + refused) // 2
-    return kept, carried
+        if left == amount:
+            return amount, fresh
+        if not 0 <= left < amount:
+            raise CertificateError(f"split trial of {amount} at {x!r} left the amount {left} open")
+        amount = left
+    return 0, {}
 
 
 def _split(

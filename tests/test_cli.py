@@ -684,11 +684,11 @@ class TestCertificateChecks:
     @pytest.mark.parametrize("argv, message", [
         (["pack"], "integer packing rate 1 differs from its value 2"),
         (["pack", "--mode", "half"], "half-integer packing rate 1 differs from its value 3/2"),
-        (["analyze"], "half-integer packing rate 1 differs from its value 3/2"),
+        (["analyze"], "integer packing rate 1 differs from its value 2"),
     ], ids=["int", "half", "analyze"])
     def test_over_reported_packing_value_is_refused(self, cycle_file, argv, message):
         # the a = 5 cycle packs one tree, at integer and half-integer rate alike;
-        # analyze runs the half-integer packing first
+        # analyze runs the integer packing first
         proc = _run_faulty("packing._branch_and_bound", "over-report", argv[0], cycle_file, *argv[1:])
         assert proc.returncode == 4, proc.stderr
         assert f"certificate failure: {message}" in proc.stderr
@@ -699,16 +699,18 @@ class TestCertificateChecks:
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure: LP rate 9/4 exceeds edge strength 5/4" in proc.stderr
 
-    @pytest.mark.parametrize("function, terminals, message", [
-        ("half_integer_capacity", 5, "half-integer rate 0 is below the paper's bound 1"),
-        ("fractional_capacity_lp", 5, "LP rate 1/4 is below the paper's bound 5/4"),
-        ("max_integer_packing", 3, "integer packing 0 is below the paper's bound 1"),
+    @pytest.mark.parametrize("function, terminals, relays, message", [
+        ("half_integer_capacity", 3, (0, 2), "half-integer rate 1/2 is below the paper's bound 1"),
+        ("fractional_capacity_lp", 5, (0, 2), "LP rate 1/4 is below the paper's bound 5/4"),
+        ("max_integer_packing", 3, (), "integer packing 0 is below the paper's bound 1"),
     ], ids=["half", "frac", "int"])
-    def test_rate_below_a_paper_bound_is_refused(self, tmp_path, function, terminals, message):
-        # lambda = 2 on the cycles: the a = 5 one meets Theorem 3 with equality
-        # (half 1, LP 5/4), and the triangle packs the one tree of Theorem 1
+    def test_rate_below_a_paper_bound_is_refused(self, tmp_path, function, terminals, relays, message):
+        # lambda = 2 on the cycles: the a = 5 one meets Theorem 3's LP bound
+        # with equality (LP 5/4), the triangle packs the one tree of Theorem 1,
+        # and the 3-terminal one with relays has k = 1 below half = 3/2, so
+        # analyze runs its half-integer search
         path = tmp_path / "cycle.json"
-        path.write_text(dump_instance(*example2_instance(terminals, (0, 2) if terminals == 5 else ())))
+        path.write_text(dump_instance(*example2_instance(terminals, relays)))
         proc = _run_faulty(f"analysis.{function}", "under-report", "analyze", str(path))
         assert proc.returncode == 4, proc.stderr
         assert f"certificate failure: {message}" in proc.stderr

@@ -129,6 +129,28 @@ class TestTerminalConnectivity:
         assert terminal_cut(heavy, TerminalSet("s", ("t1", "t2"))) == (4, frozenset({"s", "t1", "x"}))
         assert terminal_cut(fork, TerminalSet("s", ("t1", "t2"))) == (2, frozenset({"s", "a", "t2"}))
 
+    def test_later_sinks_stop_at_the_least_value_so_far(self, monkeypatch):
+        # a flow that reaches the least value so far cannot attain a new
+        # first minimum, so it stops there; one that falls short is maximum
+        heavy = Multigraph.build(["s", "t1", "t2", "x"], [("s", "t1", 9), ("s", "x", 2), ("x", "t2", 1), ("t1", "t2", 3)])
+        cases = [(heavy, TerminalSet("s", ("t1", "t2"))), (complete(5), TerminalSet("v0", ("v1", "v3", "v4"))),
+                 *(example2_instance(na, (0, 2)) for na in (3, 5))]
+        flow, limits = connectivity.checked_flow, []
+
+        def recorded(adj, s, t, limit=None, res=None):
+            limits.append(limit)
+            return flow(adj, s, t, limit, res)
+
+        for g, a in cases:
+            values = [flow(pair_capacities(g), a.source, t)[0] for t in a.sinks]
+            limits.clear()
+            with monkeypatch.context() as m:
+                m.setattr(connectivity, "checked_flow", recorded)
+                assert terminal_cut(g, a)[0] == min(values)
+            assert limits == [None] + [min(values[:i]) for i in range(1, len(values))]
+        # heavy's second sink falls short of the first's 10, at 4
+        assert terminal_cut(heavy, TerminalSet("s", ("t1", "t2"))) == (4, frozenset({"s", "t1", "x"}))
+
 
 def test_checked_flow_needs_a_cut_that_carries_its_value(monkeypatch):
     adj = pair_capacities(cycle(4))

@@ -397,6 +397,52 @@ class TestSearchOnlyOnAGap:
         assert (report.lp_rate, report.eta) == (Fraction(9, 5), 2)
 
 
+class TestPackingReuse:
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        original = getattr(analysis, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(analysis, name, counted)
+        return calls
+
+    def test_rates_equal_the_standalone_solvers(self, monkeypatch):
+        # analyze takes half = k or LP = half from a packing it has checked;
+        # each rate equals the solver's own on an unbounded solve of the input
+        half_calls = self.counted(monkeypatch, "half_integer_capacity")
+        lp_calls = self.counted(monkeypatch, "fractional_capacity_lp")
+        instances = [*sample_instances(20, 8, 6, 3, 0), *sample_instances(5, 10, 10, 4, 0), *varied_samples()]
+        instances += [example2_instance(na, (0, 2)) for na in range(3, 9)]
+        instances += [k4_with_relay(k) for k in (2, 4, 8, 16)] + [non_tight_instance()]
+        reports = 0
+        for g, a in instances:
+            report = analyze_instance(g, a)
+            if report.short_circuit:
+                continue
+            lp = solve_tree_lp(g, a)
+            want = (max_integer_packing(lp)[0], half_integer_capacity(lp)[0], fractional_capacity_lp(lp)[0])
+            assert (report.k_int, report.half_rate, report.lp_rate) == want
+            reports += 1
+        # each search is skipped on some instances and runs on others
+        assert reports > len(half_calls) > 0 and reports > len(lp_calls) > 0
+
+    def test_half_integer_search_runs_only_below_its_goal(self, monkeypatch):
+        # 2k = floor(2 LP) on K4 + relay and on the a >= 5 cycles, where
+        # k = 1 and LP = a/(a - 1) < 3/2; the 3-terminal cycle has k = 1
+        # below its goal 3
+        calls = self.counted(monkeypatch, "half_integer_capacity")
+        for g, a in [*(k4_with_relay(k) for k in (4, 8, 16)), *(example2_instance(na, (0, 2)) for na in range(5, 9))]:
+            report = analyze_instance(g, a)
+            assert report.half_rate == report.k_int
+        assert calls == []
+        report = analyze_instance(*example2_instance(3))
+        assert len(calls) == 1 and (report.k_int, report.half_rate) == (1, Fraction(3, 2))
+
+
 def counted_bound_evaluations(monkeypatch):
     """Count the branch-and-bound nodes that check their bound from now on."""
     calls = []

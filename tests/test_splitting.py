@@ -54,6 +54,21 @@ def admissible(g, e_id, f_id, x):
     return splitting._largest_split(adj, splitting._flow_tree(adj, x), x, r, t, 1)[0] == 1
 
 
+def bisection_split(keeps_targets, adj, links, x, r, t, most):
+    """The largest amount up to ``most`` whose split keeps the links, found
+    by bisection that tries ``most`` first, and its number of trials: the
+    search the cut bounds replace."""
+    kept, refused, amount, trials = 0, most + 1, most, 0
+    while refused - kept > 1:
+        splitting._shift(adj, x, r, t, amount)
+        keeps = keeps_targets(adj, links, x, r, t, amount, {}) == amount
+        splitting._shift(adj, x, r, t, -amount)
+        trials += 1
+        kept, refused = (amount, refused) if keeps else (kept, amount)
+        amount = (kept + refused) // 2
+    return kept, trials
+
+
 def split_completely(g, x):
     """Complete splitting at x alone: relay elimination with every other
     vertex a terminal.  x must have even degree, so nothing is scaled."""
@@ -298,12 +313,50 @@ class TestAdmissibility:
                         split_off(g, e.id, f.id, pivot=x, amount=m)[0], others) == before]
                     m, _ = splitting._largest_split(adj, links, x, r, t, most)
                     assert m == max(kept, default=0)
+                    assert m == bisection_split(splitting._keeps_targets, adj, links, x, r, t, most)[0]
                     assert nonzero(adj) == nonzero(pair_capacities(g))
                     seen["pairs"] += 1
                     seen["admissible"] += m > 0
                     seen["partial"] += 0 < m < most
                     seen["loop"] += r == t
         assert min(seen.values()) > 0 and seen["admissible"] < seen["pairs"]
+
+    def test_cut_bounds_take_fewer_trials_than_bisection(self, monkeypatch):
+        # at the K4 + relay x16 pivot every refused trial's cut names the
+        # largest amount left, so each split takes at most two trials where
+        # bisection takes up to five; the amounts are bisection's
+        keeps_targets, largest_split = splitting._keeps_targets, splitting._largest_split
+        trials = {"cut": 0, "bisection": 0}
+
+        def counted_keeps(*args):
+            trials["cut"] += 1
+            return keeps_targets(*args)
+
+        def both_searches(adj, links, x, r, t, most):
+            amount, bisections = bisection_split(keeps_targets, adj, links, x, r, t, most)
+            trials["bisection"] += bisections
+            out = largest_split(adj, links, x, r, t, most)
+            assert out[0] == amount
+            return out
+
+        monkeypatch.setattr(splitting, "_keeps_targets", counted_keeps)
+        monkeypatch.setattr(splitting, "_largest_split", both_searches)
+        _, hist, _ = eliminate_relays(*k4_with_relay(16))
+        assert [ev.amount for ev in hist.events] == [8, 8, 8]
+        assert trials == {"cut": 7, "bisection": 18}
+
+    def test_bound_outside_the_open_amounts_is_a_certificate_failure(self, monkeypatch):
+        # a trial refuses with an amount below it and at least 0; any other
+        # answer is a fault, refused whatever python -O strips
+        adj = pair_capacities(k4_with_relay(4)[0])
+        links = splitting._flow_tree(adj, "x")
+        before = nonzero(adj)
+        for answers in ([-1], [5], [2, 3]):
+            left = iter(answers)
+            monkeypatch.setattr(splitting, "_keeps_targets", lambda *args: next(left))
+            with pytest.raises(CertificateError, match="left the amount"):
+                splitting._largest_split(adj, links, "x", "s", "t1", 4)
+            assert nonzero(adj) == before
 
     def test_degree_five_pivot_has_admissible_pair(self):
         # Mader's theorem promises one admissible pair at an odd degree other than 3
@@ -494,9 +547,9 @@ class TestTreeTargets:
         def record_check(adj, links, x, r, t, amount, fresh):
             before = {u: dict(nbrs) for u, nbrs in adj.items()}
             splitting._shift(before, x, r, t, -amount)
-            kept = keeps_targets(adj, links, x, r, t, amount, fresh)
-            checked.append((pair_graph(before), x, pair_graph(adj), kept))
-            return kept
+            left = keeps_targets(adj, links, x, r, t, amount, fresh)
+            checked.append((pair_graph(before), x, pair_graph(adj), left == amount))
+            return left
 
         monkeypatch.setattr(splitting, "_keeps_targets", record_check)
         for g, a in [*bench_samples(), *scaled_samples()]:
