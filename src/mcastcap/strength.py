@@ -3,62 +3,63 @@
 eta(G, A) = min over partitions P of V with a terminal in every block of
 (crossing capacity of P) / (|P| - 1).
 
-The search is exact.  It places the terminals in sorted order, each into
-every existing block and then into a new one, so it visits the terminal
-partitions in canonical order; it then assigns each relay (in sorted order)
-to one of the existing blocks, since a fresh block would be terminal-free.
-Both levels are depth first on an explicit stack (``levels`` for the
-terminals, ``assign`` and ``before`` for the relays), so the depth, up to
-|A| + |R|, is not limited by the interpreter's recursion limit.  The
-crossing of a terminal partition splits into a fixed part
-(terminal-terminal edges), a per-relay cost ``row[b]`` (the relay's
-capacity to terminals outside block b) and the relay-relay edges cut by the
-assignment.  Nothing is set up per partition: placing a terminal adds its
-capacity to earlier terminals in other blocks to ``fixed`` and its capacity
-from each relay r to ``into[r][b]``, and backtracking takes both back, so a
-full terminal partition reads its rows off ``into``.
+The search is exact.  It places one vertex per depth, the terminals in
+sorted order and then the relays in sorted order, in one depth-first loop
+on one explicit stack: per depth, the vertex's block, the block count and
+crossing before it, and its capacity to each of those blocks.  The depth,
+up to |A| + |R|, is therefore not limited by the interpreter's recursion
+limit.  A terminal goes into every existing block and then into a new one,
+so the terminal partitions come in canonical order; a relay goes into an
+existing block only, since a fresh one would be terminal-free.  Placing a
+vertex in block b adds to the crossing its capacity to the earlier
+vertices outside b, by one formula for both kinds.  A relay's capacity to
+the terminals of block b is read off ``into[r][b]``: placing a terminal
+adds its relay edges there and backing up takes them back, so nothing is
+set up per terminal partition.
 
 Three strict prunes, all integer cross-multiplications against the
-incumbent best_num / best_den:
+incumbent best_num / best_den.  Each is checked where the path extends to
+the node it bounds, so a pruned node is never entered:
 
-- A partial terminal partition with ``blocks`` blocks and terminals i..
-  still to place.  A completion in which j of them open new blocks has
-  k = blocks + j >= 2 blocks and crosses at least max(fixed + S_j, k*lam/2),
+- A partial terminal partition with ``blocks`` blocks, crossing ``cur`` so
+  far and terminals i.. still to place.  A completion in which j of them
+  open new blocks has k = blocks + j >= 2 blocks and crosses at least
+  max(cur + S_j, k*lam/2),
   with lam = λ(A) from ``terminal_connectivity``, called in this search:
   * an opener's edges to every earlier terminal cross; each such edge is
     counted at its later end, so these sets are disjoint from each other
-    and from ``fixed``, and the openers add at least S_j
-    (``opener[i][j]``), the sum of the j least ``tt_total`` among the
+    and from ``cur``, and the openers add at least S_j (``opener[i][j]``),
+    the sum of the j least capacities to earlier terminals among the
     unplaced terminals;
   * the boundaries d(B) of the k blocks count every crossing edge twice,
     and each block holds a terminal and misses one, so d(B) >= λ(A).
-  The node is skipped when max(2(fixed + S_j), k*lam) * best_den >
-  2 * best_num * (k - 1) for every j.  As fixed + S_j >= fixed and k - 1 is
+  The node is skipped when max(2(cur + S_j), k*lam) * best_den >
+  2 * best_num * (k - 1) for every j.  As cur + S_j >= cur and k - 1 is
   at most blocks + unplaced - 1, this dominates the plain bound
-  ``fixed / (blocks + unplaced - 1)``.  λ is computed here, not taken from
+  ``cur / (blocks + unplaced - 1)``.  λ is computed here, not taken from
   the caller: a λ too large would prune the optimum, and
   ``verify_partition`` cannot notice.  ``terminal_connectivity`` checks
   each of its flows against the flow's own residual cut.
-- A full one: each relay costs at least its capacity to every block but the
-  one it has most capacity to, so it is skipped when ``fixed`` plus those
-  least costs is above the incumbent.
-- A relay assignment: relay-relay edges only add, so ``cur + suffix[r]``,
-  where ``suffix[r]`` sums the row minima of the relays not yet placed,
-  bounds every completion from below.
+- A full one, at depth |A|: each relay costs at least its capacity to every
+  block but the one it has most capacity to, so it is skipped when its
+  crossing plus those least costs is above the incumbent.
+- A relay's block: relay-relay edges only add, so the crossing with the
+  relay placed plus ``suffix[r]``, the least costs of the relays r.. not
+  yet placed, bounds every completion from below.
 
 The incumbent starts at the value of a seed partition: a block for each
 terminal, each relay in sorted order joined to the block it has most
 capacity to (the lowest on ties).  On the relay-cycle family the seed is
 already optimal, a/(a-1); since k*λ/(2(k-1)) = k/(k-1) is above that for
 every k < a, only partial partitions that can still end in a blocks survive.
-The seed records no witness: while no leaf has, ``leaf()`` accepts one that
-ties the seed.  ``partition_bound`` takes the same seed (``_seed``), lifted
+The seed records no witness: while no leaf has, a leaf that ties the seed
+replaces it.  ``partition_bound`` takes the same seed (``_seed``), lifted
 onto the core, as one of its two partitions: ``analyze`` stops its tree LP
 at the bound and runs this search only when the LP falls short of it.
 
 Each bound is at most the value of every partition it prunes, the
 incumbent never drops below the optimum, and a prune needs the bound
-strictly above the incumbent, so every minimizer reaches ``leaf()``; the
+strictly above the incumbent, so every minimizer reaches a leaf; the
 first one there replaces the seed or a worse leaf.  The witness is
 therefore the least minimizer in the order of the sorted tuple of sorted
 blocks, whatever the search order and the seed.
@@ -74,15 +75,16 @@ core.  Restricted to the reduced graph it is the least minimizer there;
 on the core it is a minimizer, not necessarily the least.
 
 The search counts its work in steps, each about one pass of a loop it runs
-in Python: a terminal node costs 1 plus the terminals still to place (the
-bound's loop over j), placing a terminal 1 plus its relay edges, opening a
-block |R| (a column of ``into``), a full terminal partition 1 + |R| for its
-least-cost bound and |R| times its blocks more for its rows, and a relay
-node 1 plus, for each block, 1 and the relay's edges to earlier relays.
-More than ``MAX_STRENGTH_STEPS`` steps raise SearchTooLarge, naming the
-steps used.  The limit counts work rather than |V| or Bell(|A|): a
-16-vertex core can take a few thousand steps, and 11 terminals around one
-relay, where neither bound cuts a node, about 3.5 million.
+in Python: placing a terminal costs 1 plus its relay edges; bounding the
+node it leads to, 1 plus the terminals still to place there (the bound's
+loop over j), or at depth |A| 1 + |R| for the least-cost bound and |R|
+more for ``suffix`` when the node is kept; and a relay node 1 plus its
+blocks and its edges to earlier relays.  More than ``MAX_STRENGTH_STEPS``
+steps raise SearchTooLarge, naming the steps used; the count is checked
+each time the path grows.  The limit counts work rather than |V| or
+Bell(|A|): a 16-vertex core can take a few thousand steps, and 11
+terminals around one relay, where no bound cuts a partial partition,
+about 3.3 million.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ from .multigraph import Multigraph, Rate, Reduction, TerminalSet
 
 # Steps one edge strength search may spend (module docstring).  A step takes
 # about 0.2-0.4 us (2-core x86 VM, Python 3.11), so a search over budget
-# stops after 1-2.5 s: 11 terminals around one relay hub use 3.5 million
-# steps (about 1.1-1.5 s), and 12 are refused.
+# stops after 1-2.5 s: 11 terminals around one relay hub use 3.3 million
+# steps (about 0.9-1.6 s), and 12 are refused.
 MAX_STRENGTH_STEPS = 6_000_000
 
 
@@ -166,169 +168,120 @@ def edge_strength(g: Multigraph | Reduction, a: TerminalSet) -> tuple[Rate, Term
     adj = pair_capacities(g)
     terms = sorted(a.members)
     relays = sorted(g.vertices - a.members)
-    t_index = {t: i for i, t in enumerate(terms)}
-    r_index = {r: i for i, r in enumerate(relays)}
-    nt, nr = len(terms), len(relays)
-    tt_edges: list[list[tuple[int, int]]] = [[] for _ in terms]  # to earlier terminals
-    tr_edges: list[list[tuple[int, int]]] = [[] for _ in terms]  # terminal -> relays
+    order = terms + relays  # the search places vertex v at depth v
+    index = {x: v for v, x in enumerate(order)}
+    nt, n = len(terms), len(order)
+    nr = n - nt
+    # back[v]: edges from v to earlier vertices, but a relay's to terminals,
+    # which ``into`` holds; out[t]: edges from terminal t to the relays
+    back: list[list[tuple[int, int]]] = [[] for _ in order]
+    out: list[list[tuple[int, int]]] = [[] for _ in terms]
+    total = [0] * n  # capacity from each vertex to the earlier ones
     rt_total = [0] * nr  # capacity from each relay to all terminals
-    for i, t in enumerate(terms):
-        for y, c in adj[t].items():
-            if y in r_index:
-                tr_edges[i].append((r_index[y], c))
-                rt_total[r_index[y]] += c
-            elif t_index[y] < i:  # a self-loop never crosses
-                tt_edges[i].append((t_index[y], c))
-    rr_edges = [  # relay -> earlier relays
-        [(r_index[y], c) for y, c in adj[r].items() if y in r_index and r_index[y] < q]
-        for q, r in enumerate(relays)
-    ]
-    tt_total = [sum(c for _, c in row) for row in tt_edges]
+    for v, x in enumerate(order):
+        for y, c in adj[x].items():
+            u = index[y]
+            if u < v:  # a self-loop never crosses
+                total[v] += c
+                if u < nt <= v:
+                    out[u].append((v - nt, c))
+                    rt_total[v - nt] += c
+                else:
+                    back[v].append((u, c))
     rt_sum = sum(rt_total)
     # opener[i][j]: least capacity to earlier terminals of any j of terminals i..
-    opener = [list(accumulate(sorted(tt_total[i:]), initial=0)) for i in range(nt)]
+    opener = [list(accumulate(sorted(total[i:nt]), initial=0)) for i in range(nt)]
 
     best_num = _seed(adj, terms, relays)[1]
     best_den = nt - 1  # incumbent value best_num / best_den
     best_key = None  # sorted tuple of sorted blocks of the incumbent, once a leaf sets it
-    tblock = [0] * nt  # block of each placed terminal on the current search path
-    into = [[] for _ in relays]  # into[r][b]: capacity from relay r to block b
-    assign = [0] * nr  # block of each placed relay on the current search path
-    before = [0] * nr  # crossing before each placed relay on the current search path
+    into = [[0] * nt for _ in relays]  # into[r][b]: capacity from relay r to the terminals in block b
+    suffix = [0] * (nr + 1)  # suffix[r]: least cost of relays r.. in the terminal partition on the path
+    # the search path: per depth v, the block of vertex v, the blocks and the
+    # crossing before it, and its capacity to each of those blocks
+    block = [0] * n
+    blocks_before = [0] * n
+    crossing_before = [0] * n
+    to_block = [[0]] * n  # the root's: terminal 0 has no block before it
     steps = 0  # work done so far, in the units of the module docstring
-
-    def over_budget() -> SearchTooLarge:
-        return SearchTooLarge(
-            f"edge strength search used {steps} steps, more than the budget "
-            f"MAX_STRENGTH_STEPS = {MAX_STRENGTH_STEPS}"
-        )
-
-    def leaf(cur: int, nb: int) -> None:
-        nonlocal best_num, best_den, best_key
-        den = nb - 1
-        lhs, rhs = cur * best_den, best_num * den
-        if lhs > rhs:
-            return
-        blocks = [[] for _ in range(nb)]
-        for t in range(nt):
-            blocks[tblock[t]].append(terms[t])
-        for r in range(nr):
-            blocks[assign[r]].append(relays[r])
-        key = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        if lhs == rhs and best_key is not None and key >= best_key:
-            return
-        best_num, best_den, best_key = cur, den, key
-
-    def place(cur: int, nb: int, rows: list[list[int]], suffix: list[int]) -> None:
-        """Assign each relay in turn to one of the nb blocks of a full
-        terminal partition with fixed crossing ``cur``, depth first."""
-        nonlocal steps
-        if nr == 0:
-            leaf(cur, nb)
-            return
-        den = nb - 1
-        r = first = 0  # the relay being placed, and the next block to try for it
-        steps += 1 + nb * (1 + len(rr_edges[0]))
-        while True:
-            if steps > MAX_STRENGTH_STEPS:
-                raise over_budget()
-            row, back, rest = rows[r], rr_edges[r], suffix[r + 1]
-            for b in range(first, nb):
-                step = row[b]
-                for s, c in back:
-                    if assign[s] != b:
-                        step += c
-                if (cur + step + rest) * best_den > best_num * den:
-                    continue
-                assign[r] = b
-                if r + 1 == nr:
-                    leaf(cur + step, nb)
-                    continue
-                before[r] = cur
-                r, cur, first = r + 1, cur + step, 0
-                steps += 1 + nb * (1 + len(rr_edges[r]))
-                break
-            else:
-                if r == 0:
-                    return
-                r -= 1
-                cur, first = before[r], assign[r] + 1
-
-    def partition(blocks: int, fixed: int) -> None:
-        """Search the relay assignments of the full terminal partition on
-        the path, unless its least-cost bound is above the incumbent."""
-        nonlocal steps
-        steps += 1 + nr
-        # a relay costs at least its capacity to every block but its best
-        lower = fixed + rt_sum - sum(map(max, into))
-        if lower * best_den > best_num * (blocks - 1):
-            return
-        steps += nr * blocks
-        rows = [[rt_total[r] - x for x in into[r]] for r in range(nr)]
-        suffix = [0] * (nr + 1)
-        for r in range(nr - 1, -1, -1):
-            suffix[r] = suffix[r + 1] + min(rows[r])
-        place(fixed, blocks, rows, suffix)
-
-    # the terminal search: levels[i] holds (blocks, fixed, capacity from
-    # terminal i to each block) of the open node that places terminal i, in
-    # block tblock[i]; a node is entered at the top of the loop
-    levels: list[tuple[int, int, list[int]]] = []
-    i = blocks = fixed = 0
+    v = b = nb = cur = 0  # the vertex to place, its next block to try, and the blocks and crossing before it
     while True:
-        steps += 1 + nt - i
-        if steps > MAX_STRENGTH_STEPS:
-            raise over_budget()
-        # a completion in which j of the unplaced terminals open blocks has
-        # k = blocks + j >= 2 blocks and crosses at least
-        # max(fixed + opener[i][j], k * lam / 2); keep the node iff for some
-        # j that bound, over k - 1, is at most the incumbent
-        least = opener[i]
-        b = -1  # the block to try for terminal i next, or -1 to back up
-        for k in range(max(blocks, 2), blocks + nt - i + 1):
-            lower2 = max(2 * (fixed + least[k - blocks]), k * lam)  # twice the bound
-            if lower2 * best_den <= 2 * best_num * (k - 1):
-                to = [0] * (blocks + 1)  # capacity from terminal i to each block
-                for s, c in tt_edges[i]:
-                    to[tblock[s]] += c
-                levels.append((blocks, fixed, to))
-                b = 0
-                break
-        while True:
-            if b < 0 or b > blocks:  # back up to the parent's next child
-                if b > blocks:
-                    for x in into:
-                        x.pop()
-                    levels.pop()
-                if not levels:
+        # find v's first block from b that extends the path to a node the
+        # bounds keep: the node for w = v + 1, with nb_w blocks and crossing cur_w
+        live, w, to = False, v + 1, to_block[v]
+        if v < nt:
+            edges = out[v]
+            while b <= nb:
+                block[v] = b
+                for r, c in edges:
+                    into[r][b] += c
+                nb_w, cur_w = nb + (b == nb), cur + total[v] - to[b]
+                steps += 1 + len(edges)
+                if w < nt:
+                    # a completion in which j of the unplaced terminals open
+                    # blocks has k = nb_w + j >= 2 blocks and crosses at least
+                    # max(cur_w + opener[w][j], k * lam / 2); keep the node iff
+                    # for some j that bound, over k - 1, is at most the incumbent
+                    steps += 1 + nt - w
+                    least = opener[w]
+                    for k in range(max(nb_w, 2), nb_w + nt - w + 1):
+                        if max(2 * (cur_w + least[k - nb_w]), k * lam) * best_den <= 2 * best_num * (k - 1):
+                            live = True
+                            break
+                elif nb_w > 1:
+                    # a relay costs at least its capacity to every block but its best
+                    steps += 1 + nr
+                    if (cur_w + rt_sum - sum(map(max, into))) * best_den <= best_num * (nb_w - 1):
+                        live = True
+                        steps += nr
+                        for r in range(nr - 1, -1, -1):
+                            suffix[r] = suffix[r + 1] + rt_total[r] - max(into[r])
+                if live:
                     break
-                i -= 1
-                blocks, fixed, to = levels[-1]
-                b, out = tblock[i], tr_edges[i]
-                for r, c in out:
+                for r, c in edges:
                     into[r][b] -= c
                 b += 1
+        else:
+            # relay-relay edges only add, so cur_w + suffix[w - nt] bounds
+            # every completion from below
+            rest = suffix[w - nt]
+            top, lim = cur + total[v] + rest, best_num * (nb - 1)
+            while b < nb:
+                if (top - to[b]) * best_den <= lim:
+                    block[v], live, nb_w, cur_w = b, True, nb, top - to[b] - rest
+                    break
+                b += 1
+        if live:
+            v, b, nb, cur = w, 0, nb_w, cur_w
+            if v < n:
+                to = [0] * (nb + 1) if v < nt else into[v - nt][:nb]
+                for u, c in back[v]:
+                    to[block[u]] += c
+                if v >= nt:
+                    steps += 1 + nb + len(back[v])
+                to_block[v], blocks_before[v], crossing_before[v] = to, nb, cur
+                if steps > MAX_STRENGTH_STEPS:
+                    raise SearchTooLarge(
+                        f"edge strength search used {steps} steps, more than the budget "
+                        f"MAX_STRENGTH_STEPS = {MAX_STRENGTH_STEPS}"
+                    )
                 continue
-            if b == blocks:
-                steps += nr
-                for x in into:
-                    x.append(0)
-            tblock[i] = b
-            out = tr_edges[i]
-            steps += 1 + len(out)
-            for r, c in out:
-                into[r][b] += c
-            child_blocks, child_fixed = blocks + (b == blocks), fixed + tt_total[i] - to[b]
-            if i + 1 < nt:
-                i, blocks, fixed = i + 1, child_blocks, child_fixed
-                break
-            if child_blocks >= 2:
-                partition(child_blocks, child_fixed)
-            for r, c in out:
-                into[r][b] -= c
-            b += 1
-        if not levels:
+            # a leaf, no worse than the incumbent
+            parts = [[] for _ in range(nb)]
+            for x, i in zip(order, block):
+                parts[i].append(x)
+            key = tuple(sorted(tuple(sorted(p)) for p in parts))
+            if cur * best_den < best_num * (nb - 1) or best_key is None or key < best_key:
+                best_num, best_den, best_key = cur, nb - 1, key
+        # back up to the parent's next block
+        if v == 0:
             break
+        v -= 1
+        b, nb, cur = block[v], blocks_before[v], crossing_before[v]
+        if v < nt:
+            for r, c in out[v]:
+                into[r][b] -= c
+        b += 1
 
     if best_key is None:
         raise CertificateError("edge strength search found no partition")

@@ -88,6 +88,14 @@ class TestEdgeStrength:
         )
         assert match and int(match[1]) > 1000
 
+    def test_eleven_terminal_hub_fits_the_budget(self):
+        # the largest hub star that the default budget admits (README "Scale");
+        # 12 terminals are refused (test_cli.test_strength_step_limit)
+        g, a = hub_star(11)
+        eta, witness = edge_strength(g, a)
+        assert eta == 1
+        assert verify_partition(g, a, eta, witness)
+
     def test_deep_relay_chain_runs_in_a_flat_stack(self, monkeypatch):
         # 1200 relays in one gap: the budget lets the relay search's path reach
         # all 1200 relays, past the interpreter's default recursion limit of 1000
@@ -356,6 +364,15 @@ class TestIncrementalSearch:
         cases += [example2_instance(a, tuple(i % a for i in range(10))) for a in (5, 6)]
         for g, a in cases:
             self._assert_matches_reference(g, a)
+
+    def test_hub_stars(self):
+        # no partial partition is pruned on a hub star, so every terminal
+        # partition reaches the least-cost bound at depth |A|, where the search
+        # passes from the terminals to the relay
+        for n in (4, 6, 8):
+            g, a = hub_star(n)
+            for k in (1, 2):
+                self._assert_matches_reference(scale_capacities(g, k), a)
 
     def test_zero_strength_ties(self):
         # three components: every partition that keeps each one whole crosses
