@@ -104,13 +104,7 @@ class CapacityReport:
             d["via_splitting"] = self.via_splitting
         return d
 
-    def to_text(self, decimal: bool = False) -> str:
-        def fmt(x) -> str:
-            s = str(x)
-            if decimal and isinstance(x, Fraction):
-                s += f" ({float(x):.6f})"
-            return s
-
+    def to_text(self) -> str:
         lines = [
             f"instance: |V|={self.num_vertices} |E|={self.num_edges} "
             f"|A|={self.num_terminals} lambda(A)={self.lam}"
@@ -120,10 +114,10 @@ class CapacityReport:
             return "\n".join(lines)
         lines += [
             f"integer packing k        = {self.k_int}",
-            f"half-integer rate        = {fmt(self.half_rate)}",
-            f"fractional rate (LP)     = {fmt(self.lp_rate)}",
-            f"edge strength eta        = {fmt(self.eta)}",
-            f"gamma bracket            = [{fmt(self.bracket.lower)}, {fmt(self.bracket.upper)}]"
+            f"half-integer rate        = {self.half_rate}",
+            f"fractional rate (LP)     = {self.lp_rate}",
+            f"edge strength eta        = {self.eta}",
+            f"gamma bracket            = [{self.bracket.lower}, {self.bracket.upper}]"
             + ("  (tight)" if self.bracket.tight else ""),
         ]
         if self.bound_rows:

@@ -362,9 +362,13 @@ def load_instance(text: str) -> tuple[Multigraph, TerminalSet]:
     """Parse the JSON interchange format.
 
     ``{"vertices": [...], "edges": [[u, v, cap], ...], "source": s, "sinks": [...]}``
-    Duplicate triples denote parallel edges.  Rejects self-loops,
-    nonpositive capacities and duplicate vertex names.  Names are strings or
-    integers, coerced with ``str``, so ``1`` and ``"1"`` are the same name.
+    Duplicate triples denote parallel edges, given ids in order.  The parser
+    checks the JSON shape, the names, duplicate vertex names and that each
+    edge is a ``[u, v, cap]`` triple; names are strings or integers, coerced
+    with ``str``, so ``1`` and ``"1"`` are the same name.  The graph it
+    builds is then checked by ``validate``, which rejects self-loops,
+    capacities that are not positive integers, dangling endpoints and
+    disconnected terminals.
     """
     # a JSONDecodeError and an integer past the digit limit are ValueErrors;
     # deep nesting exhausts the parser's recursion
@@ -391,12 +395,7 @@ def load_instance(text: str) -> tuple[Multigraph, TerminalSet]:
     for t in arrays["edges"]:
         if not (isinstance(t, list) and len(t) == 3):
             raise InvalidGraph(f"edge entry must be a [u, v, cap] triple: {t!r}")
-        u, v, cap = _name(t[0]), _name(t[1]), t[2]
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
-            raise InvalidGraph(f"capacity must be a positive integer: {t!r}")
-        if u == v:
-            raise InvalidGraph(f"self-loop rejected: {t!r}")
-        triples.append((u, v, cap))
+        triples.append((_name(t[0]), _name(t[1]), t[2]))
     g = Multigraph.build(vertices, triples)
     a = TerminalSet(source, tuple(sinks))
     validate(g, a)

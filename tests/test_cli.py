@@ -23,6 +23,7 @@ from mcastcap import (
     sample_instances,
     scale_capacities,
 )
+from mcastcap import cli
 from mcastcap.cli import main
 from mcastcap.errors import DisconnectedTerminals, InvalidGraph
 from test_packing import counted_bound_evaluations, dangling_triangles, non_tight_instance
@@ -316,6 +317,12 @@ class TestGen:
         assert main(["analyze", str(path)]) == 0
         assert "fractional rate (LP)     = 4/3" in capsys.readouterr().out
 
+    def test_random_sizes(self, capsys):
+        argv = ["gen", "random", "--seed", "3", "--vertices", "9", "--extra-edges", "7", "--terminals", "4"]
+        assert main(argv) == 0
+        _, a = load_instance(capsys.readouterr().out)
+        assert len(a.members) == 4
+
     def test_random_deterministic(self, capsys):
         assert main(["gen", "random", "--seed", "7"]) == 0
         first = capsys.readouterr().out
@@ -419,6 +426,29 @@ class TestErrors:
                 assert main(["analyze", str(path)]) == 2
             assert err.getvalue().startswith("input error: ")
 
+    @pytest.mark.parametrize("change, message", [
+        *(({"edges": [["a", "b", cap], ["b", "c", 1], ["c", "a", 1]]},
+           f"edge 0 capacity must be a positive integer: {cap!r}") for cap in (0, -1, 1.5, True, "1")),
+        ({"edges": [["a", "b", 1], ["b", "b", 1], ["b", "c", 1], ["c", "a", 1]]}, "edge 1 is a self-loop at 'b'"),
+        ({"edges": [["a", "b", 1], ["b", "zz", 1], ["c", "a", 1]]}, "edge 1 has a dangling endpoint"),
+        ({"sinks": ["a", "b", "c"]}, "source may not also be a sink"),
+    ])
+    def test_graph_rules(self, tmp_path, capsys, change, message):
+        # the loader parses, and validate alone checks the graph it builds
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**_TRIANGLE, **change}))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_duplicate_edge_id(self, cycle_file, capsys, monkeypatch):
+        # a file cannot repeat an edge id, a library graph can: analyze
+        # validates what it is given
+        g = Multigraph.build("ab", [("a", "b", 1)])
+        g = Multigraph(g.vertices, g.edges * 2)
+        monkeypatch.setattr(cli, "load_instance", lambda text: (g, TerminalSet("a", ("b",))))
+        assert main(["analyze", cycle_file]) == 2
+        assert capsys.readouterr().err == "input error: duplicate edge id 0\n"
+
     def test_bad_terminals(self, tmp_path, capsys):
         path = tmp_path / "bad2.json"
         path.write_text(json.dumps({
@@ -521,7 +551,7 @@ class TestErrors:
 
     def test_strength_step_limit(self, tmp_path, capsys):
         # 12 terminals joined only through one relay hub: no partial partition
-        # is pruned, and the 11-terminal hub star already takes 3.5 million steps
+        # is pruned, and the 11-terminal hub star already takes 3.3 million steps
         names = [f"t{i:02d}" for i in range(12)]
         g = Multigraph.build([*names, "hub"], [(t, "hub", 1) for t in names])
         path = tmp_path / "hub12.json"

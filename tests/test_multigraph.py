@@ -263,14 +263,15 @@ class TestInterchange:
         assert len(g.edges) == 2
 
     def test_rejects_self_loop(self):
-        with pytest.raises(InvalidGraph):
+        # the loader builds the graph and validate rejects the loop
+        with pytest.raises(InvalidGraph, match="^edge 0 is a self-loop at 'a'$"):
             load_instance(
                 '{"vertices": ["a", "b"], "edges": [["a", "a", 1], ["a", "b", 1]],'
                 ' "source": "a", "sinks": ["b"]}'
             )
 
     def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(InvalidGraph):
+        with pytest.raises(InvalidGraph, match="^edge 0 capacity must be a positive integer: -2$"):
             load_instance(
                 '{"vertices": ["a", "b"], "edges": [["a", "b", -2]],'
                 ' "source": "a", "sinks": ["b"]}'

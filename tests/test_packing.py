@@ -206,6 +206,20 @@ class TestVerify:
         g, a = triangle()
         assert not verify_packing(g, a, SteinerPacking(((frozenset({0, 3}), 1),), 1))
 
+    def test_cycle_rejected(self):
+        # the whole triangle spans and connects the terminals within its
+        # capacities, but three edges on three vertices are no tree
+        g, a = triangle()
+        assert not verify_packing(g, a, SteinerPacking(((frozenset({0, 1, 2}), 1),), 1))
+
+    def test_disconnected_edge_set_rejected(self):
+        # the triangle plus a disjoint edge: four edges on five vertices, the
+        # count of a tree, in two components
+        g = Multigraph.build(["s", "r1", "r2", "x", "y"],
+                             [("s", "r1", 1), ("r1", "r2", 1), ("r2", "s", 1), ("x", "y", 1)])
+        a = triangle()[1]
+        assert not verify_packing(g, a, SteinerPacking(((frozenset({0, 1, 2, 3}), 1),), 1))
+
 
 class TestProperties:
     def test_monotone_in_capacity(self):
@@ -237,7 +251,7 @@ class TestProperties:
 
     def test_three_terminal_tree_guarantee(self):
         # lambda(A) >= floor((8k+3)/6) forces at least k disjoint trees
-        for g, a in sample_instances(10, 6, 5, 3, seed=301):
+        for g, a in sample_instances(10, 6, 5, 3, seed=320):
             lam = terminal_connectivity(g, a)
             k, _ = max_integer_packing(solve_tree_lp(g, a))
             want = 1
@@ -871,6 +885,17 @@ class TestRelaySubsetSearch:
             core = prune_to_core(g, a)
             for h in (core, with_parallel_edge(core), eliminate_relays(core, a)[0]):
                 enumerate_steiner_trees(h, a)
+
+    def test_budget_ends_the_spanning_tree_search(self, monkeypatch):
+        # all-terminal K5: its one relay subset is found within any budget,
+        # and the 125 spanning trees are not
+        names = [f"v{i}" for i in range(5)]
+        g = Multigraph.build(names, [(u, v, 1) for u, v in combinations(names, 2)])
+        monkeypatch.setattr(packing, "MAX_ENUMERATION_STEPS", 100)
+        with pytest.raises(SearchTooLarge, match=r"^tree enumeration used \d+ steps, more than the "
+                           r"budget MAX_ENUMERATION_STEPS = 100$") as info:
+            enumerate_steiner_trees(g, TerminalSet(names[0], tuple(names[1:])))
+        assert info.traceback[-1].name == "_spanning_trees"
 
     def test_tree_limit_fires_before_the_budget(self):
         # a 24-vertex core has more than DEFAULT_TREE_LIMIT minimal trees; the

@@ -422,6 +422,10 @@ class TestVerifyPartition:
         assert not verify_partition(g, a, eta, TerminalPartition((s, r1), 3))  # misses r2
         assert not verify_partition(g, a, eta, TerminalPartition((s, r1, r2, r2), 3))  # overlap
         assert not verify_partition(g, a, 0, TerminalPartition((s | r1 | r2,), 0))  # one block
+        # the sizes sum to |V|, but s is repeated and the edgeless x missed;
+        # every later check would pass
+        iso = Multigraph.build(["s", "r1", "r2", "x"], [(e.u, e.v, e.cap) for e in g.edges])
+        assert not verify_partition(iso, a, 1, TerminalPartition((s, r1, r2 | s), 2))
         relay = Multigraph.build(
             ["s", "r1", "r2", "x"],
             [("s", "r1", 1), ("r1", "r2", 1), ("r2", "s", 1), ("s", "x", 1), ("x", "r1", 1)],

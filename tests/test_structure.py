@@ -1,6 +1,7 @@
 """Rules on the package source itself, read from its syntax trees."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mcastcap"
@@ -101,3 +102,15 @@ def test_no_function_calls_itself():
             ):
                 recursive.append(f"{path.name}:{fn.name}")
     assert not recursive, f"functions that call themselves: {recursive}"
+
+
+def test_every_cli_option_is_tested():
+    # an option no test passes is a path no test runs
+    tests = [p.read_text(encoding="utf-8") for p in Path(__file__).resolve().parent.glob("test_*.py")]
+    build = next(n for n in ast.walk(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")))
+                 if isinstance(n, ast.FunctionDef) and n.name == "build_parser")
+    options = {arg.value for n in ast.walk(build)
+               if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "add_argument"
+               for arg in n.args if isinstance(arg, ast.Constant) and str(arg.value).startswith("-")}
+    untested = sorted(o for o in options if not any(re.search(rf"(?<![\w-]){o}(?![\w-])", t) for t in tests))
+    assert not untested, f"CLI options no test passes: {untested}"
