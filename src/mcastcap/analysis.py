@@ -5,14 +5,15 @@ give, and the closed-form bound table.
 ``analyze_instance`` runs, in order:
 
 1. ``validate``, and λ(A) with the source side of its minimum cut by
-   ``terminal_cut`` on the input graph, each flow checked against its
-   residual cut; λ(A) = 1 ends there;
+   ``terminal_cut`` on the input graph: the least of the source's maximum
+   flows, every one checked against its residual cut; λ(A) = 1 ends there;
 2. ``prune_to_core``, whose vertex and edge counts the report gives, then
    ``reduce_core``, which deletes one-neighbour relays and contracts
    two-neighbour relays, exactly for every quantity below;
-3. ``partition_bound``: an upper bound U on η, the smaller value of the
-   strength search's seed and the λ cut, its partition checked on the
-   pruned core by ``verify_partition`` inside ``strength``;
+3. ``partition_bound`` on that ``Reduction``: an upper bound U on η, the
+   smaller value of the strength search's seed and the λ cut, its
+   partition lifted by ``Reduction.lift`` and checked on the pruned core
+   by ``verify_partition`` inside ``strength``;
 4. one ``solve_tree_lp`` on the reduced graph, stopped as soon as its
    objective reaches U;
 5. from it the integer packing, expanded onto the pruned core and checked

@@ -12,7 +12,8 @@ no more.  A flow not stopped is maximum, and its residual-reachable set is
 the unique minimal source side of a minimum cut, whichever augmenting paths
 were found; ``checked_flow`` refuses it unless that cut separates its ends
 and carries its value.  A caller that keeps the flow itself passes the
-residual map to augment in.
+residual map to augment in.  λ(A) (``terminal_cut``) stops no flow, so
+every flow it reads has been checked.
 All values are integers.
 """
 
@@ -99,21 +100,16 @@ def terminal_cut(g: Multigraph, a: TerminalSet) -> tuple[int, frozenset[str]]:
     """Minimum pairwise min-cut over terminal pairs, from the source's flows
     alone: every x-y cut separates s from x or y, so λ(x, y) ≥ min(λ(s, x), λ(s, y)).
 
-    Returns λ(A) and the source side of the cut of the first sink whose
-    flow attains it, which ``checked_flow`` has checked to carry λ(A).
-    Each later flow stops at the least value so far: one that reaches it
-    does not attain a new minimum.
+    Every source-sink flow runs to its maximum, and ``checked_flow`` checks
+    each against its own residual cut.  Returns the least of them, λ(A),
+    and the source side of the cut of the first sink whose flow it is.
     """
     for x in (a.source, *a.sinks):
         if x not in g.vertices:
             raise UnknownVertex(f"no vertex {x!r}")
     adj = pair_capacities(g)
-    best = checked_flow(adj, a.source, a.sinks[0])
-    for t in a.sinks[1:]:
-        flow = checked_flow(adj, a.source, t, best[0])
-        if flow[1] is not None:
-            best = flow
-    return best
+    # min keeps the first of equal flows
+    return min((checked_flow(adj, a.source, t) for t in a.sinks), key=lambda flow: flow[0])
 
 
 def terminal_connectivity(g: Multigraph, a: TerminalSet) -> int:

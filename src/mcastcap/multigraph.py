@@ -25,6 +25,18 @@ packing and edge strength η:
   In a partition x sits on its heavier neighbour's side, so it crosses
   min(c1, c2) exactly when u and v are apart, and nothing otherwise, as
   the part does.
+
+``Reduction`` owns the way back.  ``core_ids`` turns an edge of the
+reduced graph into the core edges it stands for, so a tree of the reduced
+graph becomes a tree of the core.  ``lift`` puts the removed relays back
+into a partition of the reduced graph, in reverse removal order, each into
+the block of the neighbour ``reduce_core`` recorded for it: the only
+neighbour of a deleted relay, and the heavier of a contracted relay's two,
+the smaller name on ties.  When a contracted relay's neighbours share a
+block it joins that block and crosses nothing; when they are apart it
+crosses min(c1, c2), as its part did.  The lifted partition therefore has
+the same crossing and number of blocks: the least minimizer of the reduced
+graph lifts to a minimizer of the core, not necessarily the least.
 """
 
 from __future__ import annotations
@@ -160,7 +172,7 @@ def validate(g: Multigraph, a: TerminalSet) -> None:
         if e.id in seen_ids:
             raise InvalidGraph(f"duplicate edge id {e.id}")
         seen_ids.add(e.id)
-    for t in a.members:
+    for t in (a.source, *a.sinks):
         if t not in g.vertices:
             raise InvalidGraph(f"terminal {t!r} is not a vertex")
     ends = {e.id: (e.u, e.v) for e in g.edges}
@@ -267,14 +279,15 @@ class Reduction:
     ``chains`` maps each part that ``reduce_core`` made to the core edge ids
     it stands for, a path through the contracted relays; an edge of
     ``graph`` that it does not name is a core edge and stands for itself.
-    ``removed`` lists each removed relay, in removal order, with its
-    neighbours, sorted by name, and its class capacity to each.
+    ``removed`` lists each removed relay, in removal order, with the
+    neighbour whose block it joins in ``lift`` (module docstring), or None
+    when it had no neighbour left.
     """
 
     core: Multigraph
     graph: Multigraph
     chains: dict[int, tuple[int, ...]]
-    removed: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
+    removed: tuple[tuple[str, str | None], ...]
 
     @staticmethod
     def of(g: "Multigraph | Reduction") -> "Reduction":
@@ -282,8 +295,23 @@ class Reduction:
         that removed nothing."""
         return g if isinstance(g, Reduction) else Reduction(g, g, {}, ())
 
+    def core_ids(self, eid: int) -> tuple[int, ...]:
+        """The core edge ids that edge ``eid`` of ``graph`` stands for."""
+        return self.chains.get(eid, (eid,))
 
-def reduce_core(core: Multigraph, a: TerminalSet) -> "Multigraph | Reduction":
+    def lift(self, blocks) -> tuple[frozenset[str], ...]:
+        """The blocks of a partition of ``graph`` with every removed relay
+        put back (module docstring), in the same block order."""
+        block_of = {v: i for i, b in enumerate(blocks) for v in b}
+        for x, y in reversed(self.removed):
+            block_of[x] = 0 if y is None else block_of[y]
+        out = [set() for _ in blocks]
+        for v, i in block_of.items():
+            out[i].add(v)
+        return tuple(frozenset(b) for b in out)
+
+
+def reduce_core(core: Multigraph, a: TerminalSet) -> Reduction:
     """Delete relays with at most one distinct neighbour and contract those
     with exactly two (module docstring), until neither rule applies.
 
@@ -292,8 +320,9 @@ def reduce_core(core: Multigraph, a: TerminalSet) -> "Multigraph | Reduction":
     parallel copies, their units are paired in id order, so a contracted
     relay may give several parts, and the parts' capacities partition
     each copy's capacity on the lighter side and stay within it on the
-    heavier.  Parts take fresh ids above the core's.  When no relay is
-    removed, the core itself is returned.
+    heavier.  Parts take fresh ids above the core's.  Each removed relay
+    records the neighbour whose block it joins when lifted: the one with
+    the larger class capacity, the smaller name on ties.
     """
     terms = a.members
     cap = {}
@@ -313,9 +342,10 @@ def reduce_core(core: Multigraph, a: TerminalSet) -> "Multigraph | Reduction":
         at = near.get(x)
         if at is None or len(at) > 2:
             continue
-        record = tuple((y, sum(cap[i] for i in at[y])) for y in sorted(at))
+        # max keeps the first of equal classes, the smaller name
+        removed.append((x, max(sorted(at), key=lambda y: sum(cap[i] for i in at[y]), default=None)))
         if len(at) == 2:
-            (u, _), (v, _) = record
+            u, v = sorted(at)
             us, vs = sorted(at[u]), sorted(at[v])
             i = j = 0
             ru, rv = cap[us[0]], cap[vs[0]]
@@ -339,9 +369,6 @@ def reduce_core(core: Multigraph, a: TerminalSet) -> "Multigraph | Reduction":
             if y not in terms:
                 heappush(todo, y)
         del near[x]
-        removed.append((x, record))
-    if not removed:
-        return core
     edges = [e for e in core.edges if e.id in cap]
     edges += [Edge(i, *part_ends[i], cap[i]) for i in chains]
     graph = Multigraph(frozenset(near), tuple(edges))

@@ -32,7 +32,8 @@ Parallel edges are collapsed to one class per vertex pair for the solvers
 solutions are expanded back onto concrete edge ids before being returned, so
 every returned packing verifies against the original graph.  The solve may
 run on a ``Reduction`` (``multigraph.reduce_core``): then each picked copy
-that is a part is replaced by its chain of core edge ids, so the members of
+that is a part is replaced by its chain of core edge ids
+(``Reduction.core_ids``), so the members of
 a returned tree are core edges, and the packing is checked on the pruned
 core.  A tree uses at most one copy of a class, and the relays inside one
 part's chain are in no other class, so the chains turn a tree of the
@@ -555,7 +556,6 @@ def _expand_packing(
     A packing that fails either check raises CertificateError naming ``stage``.
     """
     reduction, members = lp.reduction, lp.members
-    chains = reduction.chains
     room = {e.id: e.cap * scale for e in reduction.graph.edges}
     cursor = dict.fromkeys(members, 0)
     slices: dict[frozenset[int], int] = {}
@@ -575,7 +575,7 @@ def _expand_packing(
                 amount = min(amount, room[ids[i]])
             for eid in picks:
                 room[eid] -= amount
-            key = frozenset([i for eid in picks for i in chains.get(eid, (eid,))])
+            key = frozenset([i for eid in picks for i in reduction.core_ids(eid)])
             slices[key] = slices.get(key, 0) + amount
             m -= amount
     packing = SteinerPacking(tuple(sorted(slices.items(), key=lambda kv: sorted(kv[0]))), scale)

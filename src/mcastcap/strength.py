@@ -65,14 +65,9 @@ therefore the least minimizer in the order of the sorted tuple of sorted
 blocks, whatever the search order and the seed.
 
 The search may run on a ``Reduction`` (``multigraph.reduce_core``).  Its
-witness is then lifted onto the pruned core, putting the removed relays
-back in reverse removal order: a deleted relay joins its neighbour's
-block; a contracted one joins its neighbours' block when they share one,
-and otherwise its heavier neighbour's, the smaller name on ties, so that it
-crosses min(c1, c2), as its part did.  The lifted partition has the same
-crossing and number of blocks, and ``verify_partition`` checks it on the
-core.  Restricted to the reduced graph it is the least minimizer there;
-on the core it is a minimizer, not necessarily the least.
+witness is then lifted onto the pruned core by ``Reduction.lift``, which
+keeps its crossing and number of blocks (the ``multigraph`` docstring
+says why), and ``verify_partition`` checks it there.
 
 The search counts its work in steps, each about one pass of a loop it runs
 in Python: placing a terminal costs 1 plus its relay edges; bounding the
@@ -113,21 +108,6 @@ class TerminalPartition:
 def _crossing_capacity(g: Multigraph, blocks) -> int:
     block_of = {v: i for i, b in enumerate(blocks) for v in b}
     return sum(e.cap for e in g.edges if block_of[e.u] != block_of[e.v])
-
-
-def _lift(reduction: Reduction, blocks) -> tuple[frozenset[str], ...]:
-    """The blocks of a partition of ``reduction.graph`` with every removed
-    relay put back (module docstring), in the same block order."""
-    block_of = {v: i for i, b in enumerate(blocks) for v in b}
-    for x, nbrs in reversed(reduction.removed):
-        sides = {block_of[y] for y, _ in nbrs}
-        if len(sides) > 1:  # apart: x crosses to its lighter neighbour alone
-            sides = {block_of[max(nbrs, key=lambda yc: yc[1])[0]]}
-        block_of[x] = min(sides, default=0)
-    out = [set() for _ in blocks]
-    for v, i in block_of.items():
-        out[i].add(v)
-    return tuple(frozenset(b) for b in out)
 
 
 def _seed(adj: PairCapacities, terms: list[str], relays: list[str]) -> tuple[dict[str, int], int]:
@@ -286,11 +266,11 @@ def edge_strength(g: Multigraph | Reduction, a: TerminalSet) -> tuple[Rate, Term
     if best_key is None:
         raise CertificateError("edge strength search found no partition")
     eta = Fraction(best_num, best_den)
-    return eta, _checked(reduction.core, a, eta, _lift(reduction, best_key), best_num)
+    return eta, _checked(reduction.core, a, eta, reduction.lift(best_key), best_num)
 
 
 def partition_bound(
-    g: Multigraph | Reduction, a: TerminalSet, lam: int, side: frozenset[str]
+    reduction: Reduction, a: TerminalSet, lam: int, side: frozenset[str]
 ) -> tuple[Rate, TerminalPartition]:
     """An upper bound on eta: the smaller value of two partitions, the one
     returned checked on the core by ``verify_partition`` as the search's
@@ -302,7 +282,6 @@ def partition_bound(
     source side of a minimum terminal cut of value ``lam`` (``terminal_cut``)
     on a graph that the core was pruned from.  On a tie, the seed.
     """
-    reduction = Reduction.of(g)
     g, core = reduction.graph, reduction.core
     terms = sorted(a.members)
     block_of, crossing = _seed(pair_capacities(g), terms, sorted(g.vertices - a.members))
@@ -311,7 +290,7 @@ def partition_bound(
         blocks = [[] for _ in terms]
         for v, i in block_of.items():
             blocks[i].append(v)
-        return seed, _checked(core, a, seed, _lift(reduction, blocks), crossing)
+        return seed, _checked(core, a, seed, reduction.lift(blocks), crossing)
     near = side & core.vertices
     return Fraction(lam), _checked(core, a, Fraction(lam), (near, core.vertices - near), lam)
 

@@ -449,6 +449,17 @@ class TestErrors:
         assert main(["analyze", cycle_file]) == 2
         assert capsys.readouterr().err == "input error: duplicate edge id 0\n"
 
+    @pytest.mark.parametrize("seed", ["2", "3"])
+    def test_first_missing_terminal_is_named(self, tmp_path, monkeypatch, seed):
+        # the terminals are checked in their listed order, not in a set's,
+        # whose order follows the string hash seed
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps({**_TRIANGLE, "sinks": ["x", "y"]}))
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = _run_cli("analyze", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: terminal 'x' is not a vertex\n"
+
     def test_bad_terminals(self, tmp_path, capsys):
         path = tmp_path / "bad2.json"
         path.write_text(json.dumps({
@@ -566,8 +577,9 @@ class TestErrors:
 
 # Runs under ``python -O``, which strips asserts: the certificate checks must
 # still refuse a result when a function they rely on is replaced, as one
-# module sees it, by a faulty one.  argv: ``module.function``, the fault,
-# then the mcastcap arguments.
+# module sees it, or a method they rely on is replaced on its class, by a
+# faulty one.  argv: ``module.function`` or ``module.Class.method``, the
+# fault, then the mcastcap arguments.
 _FAULTY_FUNCTION = """
 import importlib
 import sys
@@ -604,12 +616,13 @@ def drop_edge(original):
     return faulty
 
 def heavy_part(original):
-    # every part of the reduction takes the heavier class capacity of the
-    # relay contracted first
+    # every part of the reduction takes the class capacity from the relay
+    # removed first to the neighbour it records, its heavier one
     def faulty(*args):
         r = original(*args)
-        _, ((_, c1), (_, c2)) = next(rec for rec in r.removed if len(rec[1]) == 2)
-        edges = tuple(replace(e, cap=max(c1, c2)) if e.id in r.chains else e for e in r.graph.edges)
+        x, y = r.removed[0]
+        heavy = sum(e.cap for e in r.core.incident(x) if e.touches(y))
+        edges = tuple(replace(e, cap=heavy) if e.id in r.chains else e for e in r.graph.edges)
         return replace(r, graph=replace(r.graph, edges=edges))
     return faulty
 
@@ -622,14 +635,15 @@ def drop_chain_edge(original):
     return faulty
 
 def lighter_side(original):
-    # the first contracted relay whose neighbours are apart joins its lighter one
+    # the first removed relay with a core neighbour in another block than
+    # its own joins that neighbour, the lighter one of a contracted relay
     def faulty(reduction, blocks):
         lifted = original(reduction, blocks)
-        for x, nbrs in reduction.removed:
-            light = min(nbrs, key=lambda yc: yc[1])[0]
-            b = next(i for i, block in enumerate(lifted) if light in block)
-            if len(nbrs) == 2 and x not in lifted[b]:
-                return tuple(block - {x} | ({x} if i == b else set()) for i, block in enumerate(lifted))
+        for x, _ in reduction.removed:
+            for e in reduction.core.incident(x):
+                b = next(i for i, block in enumerate(lifted) if e.other(x) in block)
+                if x not in lifted[b]:
+                    return tuple(block - {x} | ({x} if i == b else set()) for i, block in enumerate(lifted))
         return lifted
     return faulty
 
@@ -637,9 +651,11 @@ FAULTS = {"fail": lambda original: lambda *args: False, "accept": lambda origina
           "over-report": over_report, "under-report": under_report, "fall-short": fall_short,
           "drop-edge": drop_edge, "heavy-part": heavy_part, "drop-chain-edge": drop_chain_edge,
           "lighter-side": lighter_side}
-module_name, name = sys.argv[1].rsplit(".", 1)
-module = importlib.import_module(f"mcastcap.{module_name}")
-setattr(module, name, FAULTS[sys.argv[2]](getattr(module, name)))
+module_name, *owners, name = sys.argv[1].split(".")
+owner = importlib.import_module(f"mcastcap.{module_name}")
+for attr in owners:
+    owner = getattr(owner, attr)
+setattr(owner, name, FAULTS[sys.argv[2]](getattr(owner, name)))
 sys.exit(cli.main(sys.argv[3:]))
 """
 
@@ -762,7 +778,7 @@ class TestCertificateChecks:
     @pytest.mark.parametrize("function, fault, message", [
         ("analysis.reduce_core", "heavy-part", "edge strength witness failed verification"),
         ("analysis.reduce_core", "drop-chain-edge", "half-integer packing failed verification"),
-        ("strength._lift", "lighter-side", "edge strength witness failed verification"),
+        ("multigraph.Reduction.lift", "lighter-side", "edge strength witness failed verification"),
     ], ids=["heavy-part", "drop-chain-edge", "lighter-side"])
     def test_faulty_reduction_is_refused(self, tmp_path, function, fault, message):
         # the 3-terminal cycle with relay x between v0 and v1, capacity 2 to v0
@@ -788,6 +804,36 @@ class TestCertificateChecks:
         proc = _run_faulty("splitting._keeps_targets", "accept", argv[0], str(path), *argv[1:])
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure" in proc.stderr
+
+
+# Every command that prints a result, on each instance file in argv, in one
+# process.
+_EVERY_COMMAND = """
+import sys
+from mcastcap.cli import main
+for path in sys.argv[1:]:
+    for command, *options in (["analyze"], ["analyze", "--format", "structured"], ["analyze", "--via-splitting"],
+                              ["pack", "--mode", "int"], ["pack", "--mode", "half"], ["pack", "--mode", "frac"],
+                              ["strength"], ["split", "--emit-history"]):
+        if main([command, path, *options]) != 0:
+            sys.exit(f"{command} {options} failed on {path}")
+"""
+
+
+def test_no_output_depends_on_the_hash_seed(tmp_path, monkeypatch):
+    # string hashes set the order of every set and frozenset of vertex names
+    instances = [example2_instance(6, (0, 2)), list(sample_instances(2, 10, 10, 4, 0))[1]]
+    paths = []
+    for i, (g, a) in enumerate(instances):
+        paths.append(tmp_path / f"instance{i}.json")
+        paths[-1].write_text(dump_instance(g, a))
+    outs = []
+    for seed in ("1", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = _run_python("-c", _EVERY_COMMAND, *map(str, paths))
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_long_splitting_runs_in_a_shallow_stack():

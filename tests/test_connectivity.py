@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from mcastcap import (
     Multigraph,
     TerminalSet,
+    dump_instance,
     example2_instance,
     terminal_connectivity,
 )
 from mcastcap import connectivity
+from mcastcap.cli import main
 from mcastcap.connectivity import checked_flow, pair_capacities, pair_flow, terminal_cut
 from mcastcap.errors import CertificateError, UnknownVertex
 from mcastcap.multigraph import cut_edges, edge_component
@@ -129,9 +131,9 @@ class TestTerminalConnectivity:
         assert terminal_cut(heavy, TerminalSet("s", ("t1", "t2"))) == (4, frozenset({"s", "t1", "x"}))
         assert terminal_cut(fork, TerminalSet("s", ("t1", "t2"))) == (2, frozenset({"s", "a", "t2"}))
 
-    def test_later_sinks_stop_at_the_least_value_so_far(self, monkeypatch):
-        # a flow that reaches the least value so far cannot attain a new
-        # first minimum, so it stops there; one that falls short is maximum
+    def test_every_sink_flow_runs_to_its_maximum(self, monkeypatch):
+        # lambda(A) is the least of the source's flows, none stopped, so each
+        # is checked against its cut; ties go to the first sink
         heavy = Multigraph.build(["s", "t1", "t2", "x"], [("s", "t1", 9), ("s", "x", 2), ("x", "t2", 1), ("t1", "t2", 3)])
         cases = [(heavy, TerminalSet("s", ("t1", "t2"))), (complete(5), TerminalSet("v0", ("v1", "v3", "v4"))),
                  *(example2_instance(na, (0, 2)) for na in (3, 5))]
@@ -147,9 +149,25 @@ class TestTerminalConnectivity:
             with monkeypatch.context() as m:
                 m.setattr(connectivity, "checked_flow", recorded)
                 assert terminal_cut(g, a)[0] == min(values)
-            assert limits == [None] + [min(values[:i]) for i in range(1, len(values))]
+            assert limits == [None] * len(a.sinks)
         # heavy's second sink falls short of the first's 10, at 4
         assert terminal_cut(heavy, TerminalSet("s", ("t1", "t2"))) == (4, frozenset({"s", "t1", "x"}))
+
+    def test_last_sinks_flow_is_checked(self, tmp_path, monkeypatch, capsys):
+        # the kernel under-reports the last sink's flow alone, by one: its
+        # value no longer matches its cut
+        g, a = example2_instance(5, (0, 2))
+        path = tmp_path / "cycle.json"
+        path.write_text(dump_instance(g, a))
+        flow = connectivity.pair_flow
+
+        def short(adj, s, t, limit=None, res=None):
+            value, side = flow(adj, s, t, limit, res)
+            return value - (t == a.sinks[-1]), side
+
+        monkeypatch.setattr(connectivity, "pair_flow", short)
+        assert main(["analyze", str(path)]) == 4
+        assert f"to {a.sinks[-1]!r} does not match a cut between them" in capsys.readouterr().err
 
 
 def test_checked_flow_needs_a_cut_that_carries_its_value(monkeypatch):

@@ -51,7 +51,7 @@ def assert_exact(core, a):
         assert verify_packing(core, a, p)
         assert {i for tree, _ in p.trees for i in tree} <= {e.id for e in core.edges}
     assert verify_partition(core, a, got[-1], witness)
-    return reduced is not core
+    return bool(reduced.removed)
 
 
 def weighted(instances, seed):
@@ -110,15 +110,22 @@ def test_parallel_copies_pair_units_in_id_order():
         ("u", "v", 1), ("u", "w", 1), ("w", "v", 1),
     ])
     r = reduce_core(g, TerminalSet("u", ("v", "w")))
-    assert r.removed == (("x", (("u", 3), ("v", 4))),)
+    # x records v, its heavier neighbour: 4 against 3
+    assert r.removed == (("x", "v"),)
     parts = [e for e in r.graph.edges if e.id in r.chains]
     assert [(e.id, e.u, e.v, e.cap) for e in parts] == [(8, "u", "v", 1), (9, "u", "v", 1), (10, "u", "v", 1)]
     assert [r.chains[e.id] for e in parts] == [(0, 2), (0, 3), (1, 4)]
     # the lighter side's copies are used exactly, the heavier's within capacity
     assert sorted(e.id for e in r.graph.edges) == [5, 6, 7, 8, 9, 10]
+    # apart from u, x crosses to u alone, 3 = the parts' capacity
+    assert r.lift([{"u"}, {"v"}, {"w"}]) == (frozenset("u"), frozenset("vx"), frozenset("w"))
+    assert r.lift([{"w"}, {"u", "v"}]) == (frozenset("w"), frozenset("uvx"))
+    assert [r.core_ids(i) for i in (5, 8)] == [(5,), (0, 2)]
 
 
-def test_nothing_removed_is_the_core_itself():
+def test_nothing_removed_is_the_core_unchanged():
     g, a = example2_instance(5)
-    assert reduce_core(g, a) is g
+    r = reduce_core(g, a)
+    assert r.core is g
+    assert (r.graph, r.chains, r.removed) == (g, {}, ())
     assert Reduction.of(g).graph is Reduction.of(g).core is g

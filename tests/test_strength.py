@@ -398,17 +398,19 @@ class TestPartitionBound:
             assert upper == edge_strength(reduced, a)[0] <= lam
 
     def test_seed_or_cut_whichever_is_smaller(self):
-        # the relay x joins s, its heavier neighbour, and the seed crosses
-        # 9 + 1 + 3 = 13 over 2; the cut around t2 crosses 1 + 3 = 4
+        # the relay x becomes an s-t2 part of capacity 1 and is lifted onto
+        # s, its heavier neighbour; the seed crosses 9 + 1 + 3 = 13 over 2,
+        # the cut around t2 crosses 1 + 3 = 4
         g = Multigraph.build(["s", "t1", "t2", "x"], [("s", "t1", 9), ("s", "x", 2), ("x", "t2", 1), ("t1", "t2", 3)])
         a = TerminalSet("s", ("t1", "t2"))
-        assert partition_bound(g, a, 4, frozenset({"s", "t1", "x"})) == (
+        r = reduce_core(g, a)
+        assert partition_bound(r, a, 4, frozenset({"s", "t1", "x"})) == (
             4, TerminalPartition((frozenset({"s", "t1", "x"}), frozenset({"t2"})), 4))
-        assert partition_bound(g, a, 7, frozenset({"s", "t1", "x"})) == (
+        assert partition_bound(r, a, 7, frozenset({"s", "t1", "x"})) == (
             Fraction(13, 2), TerminalPartition((frozenset({"s", "x"}), frozenset({"t1"}), frozenset({"t2"})), 13))
         # a side whose cut is not lambda fails its check
         with pytest.raises(CertificateError, match="^edge strength witness failed verification$"):
-            partition_bound(g, a, 4, frozenset({"s", "t1"}))
+            partition_bound(r, a, 4, frozenset({"s", "t1"}))
 
 
 class TestVerifyPartition:

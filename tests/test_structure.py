@@ -60,6 +60,13 @@ def test_every_flow_is_checked():
     assert users == ["connectivity"], f"modules referring to pair_flow: {users}"
 
 
+def test_reduction_records_have_one_reader():
+    # Reduction lifts its own certificates, so only multigraph reads what
+    # reduce_core removed and the chains its parts stand for
+    readers = [p.stem for p in sorted(PACKAGE.glob("*.py")) if {"removed", "chains"} & _names(p.stem)]
+    assert readers == ["multigraph"], f"modules referring to removed or chains: {readers}"
+
+
 def test_every_exported_function_has_a_caller():
     # an exported function or public method the package never calls is a
     # second path beside the one the program runs; perfbench counts trees
