@@ -14,7 +14,7 @@ from .multigraph import (
     scale_capacities,
     validate,
 )
-from .connectivity import terminal_connectivity
+from .connectivity import terminal_cut
 from .splitting import (
     SplitEvent,
     SplitHistory,
@@ -45,6 +45,7 @@ from .bounds import (
     decompose_general,
     theorem1_lower_bounds,
     theorem3_lower_bound,
+    theorem3_tree_floor,
 )
 from .instances import (
     RoutingScheme,

@@ -219,7 +219,7 @@ def analyze_instance(
             raise CertificateError("lifted packing failed verification")
         if not split_rate <= lp:
             raise CertificateError("lifted rate exceeds the LP rate")
-        floor_bound = (scale * na * lam - na + 2) // (2 * (na - 1))
+        floor_bound = bnd.theorem3_tree_floor(scale * lam, na)
         if not Fraction(floor_bound, scale) <= split_rate:
             raise CertificateError("splitting route fell below the guaranteed tree count")
     return report

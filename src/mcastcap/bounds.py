@@ -91,6 +91,16 @@ def appendix_a_delta(lam: int) -> int:
     return big
 
 
+def theorem3_tree_floor(lam: int, a: int) -> int:
+    """floor((a*lam - a + 2) / (2(a-1))): the edge-disjoint Steiner trees
+    Theorem 3 guarantees for ``a`` terminals of connectivity ``lam`` once
+    every relay is split off.  The half-integer bound takes it at 2*lam,
+    and ``analyze --via-splitting`` at the scaled connectivity."""
+    if a < 2:
+        raise ValueError("need >= 2 terminals")
+    return (a * lam - a + 2) // (2 * (a - 1))
+
+
 def _f_general(a: int, k: int) -> int:
     return (2 * k * (a - 1) + a - 2) // a
 
@@ -105,7 +115,7 @@ def decompose_general(lam: int, a: int) -> DecompositionGeneral:
     if not (
         _f_general(a, k + 1) > lam
         and delta in (0, 1)
-        and k >= (a * lam - a + 2) // (2 * (a - 1))
+        and k >= theorem3_tree_floor(lam, a)
     ):
         raise CertificateError(f"general decomposition broken at lambda={lam}, a={a}")
     return DecompositionGeneral(a, lam, k, delta)
@@ -135,7 +145,7 @@ def theorem3_lower_bound(lam: int, a: int) -> tuple[Rate, BoundValue]:
     """General lower bound: exact half-integer rate and the fractional limit."""
     if lam < 2 or a < 2:
         raise ValueError("need connectivity >= 2 and >= 2 terminals")
-    half_exact = Fraction((2 * a * lam - a + 2) // (2 * (a - 1)), 2)
+    half_exact = Fraction(theorem3_tree_floor(2 * lam, a), 2)
     frac_limit = BoundValue(Fraction(lam * a, 2 * (a - 1)), limit=True)
     return half_exact, frac_limit
 

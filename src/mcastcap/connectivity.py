@@ -110,8 +110,3 @@ def terminal_cut(g: Multigraph, a: TerminalSet) -> tuple[int, frozenset[str]]:
     adj = pair_capacities(g)
     # min keeps the first of equal flows
     return min((checked_flow(adj, a.source, t) for t in a.sinks), key=lambda flow: flow[0])
-
-
-def terminal_connectivity(g: Multigraph, a: TerminalSet) -> int:
-    """λ(A), the value of ``terminal_cut``."""
-    return terminal_cut(g, a)[0]

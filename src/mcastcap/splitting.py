@@ -116,12 +116,16 @@ after one trial per cut that bounds it (A. Frank, *On a theorem of
 Mader*, 1992, bounds a split by a cut the same way).
 
 The trials edit one map of pair capacities, built once per call: a trial
-shifts its amount off the pairs xr and xt onto rt in place, checks the
-links on the map and shifts it back.  Flow values and cut capacities depend
-on the pair capacities alone, so every decision and certificate check is
-the one a freshly built split graph gives.  A split taken edits the map,
-the carried flows and the edges in place and records its ``SplitEvent``;
-the result is built once, with the ids and edge order ``split_off`` gives.
+shifts its amount off the pairs xr and xt onto rt in place and checks the
+links on the map.  Flow values and cut capacities depend on the pair
+capacities alone, so every decision and certificate check is the one a
+freshly built split graph gives.  A refused trial shifts the map back.
+The accepted one is the split taken: it keeps its shift, and each link's
+flow moves onto the split from what the trial recorded for it, the
+residual of the flow it ran or the units its reroute moves, so no check
+runs twice.  The split then edits the edges in place and records its
+``SplitEvent``; the result is built once, with the ids and edge order
+``split_off`` gives.
 Before it is returned, a checked flow for every terminal pair must find
 the pair's cut value in the scaled input, read off the first tree (the
 closing certificate).
@@ -329,25 +333,27 @@ def _reroute(res: PairCapacities, x: str, r: str, t: str, amount: int) -> int | 
 
 
 def _keeps_targets(
-    adj: PairCapacities, links: list[_Link], x: str, r: str, t: str, amount: int, fresh: dict[int, PairCapacities]
+    adj: PairCapacities, links: list[_Link], x: str, r: str, t: str, amount: int,
+    kept: dict[int, int | PairCapacities],
 ) -> int:
     """The largest amount, up to ``amount``, that the map ``adj``, with
     ``amount`` already split off xr and xt, leaves open: ``amount`` itself
     iff it keeps the weight of every link, else the bound the first cut
-    below its link's weight sets (module docstring).  The residual of every
-    flow it runs is put in ``fresh`` under its link's index."""
+    below its link's weight sets (module docstring).  For each link it
+    keeps it puts in ``kept``, under the link's index, the units its
+    carried flow reroutes, or the residual of the flow it ran instead."""
     for link in links:
         if (x in link.side) != (r in link.side) and (x in link.side) != (t in link.side):
             cut = cut_capacity(adj, link.side)
             if cut < link.target:
                 return (cut + 2 * amount - link.target) // 2
     for i, link in enumerate(links):
-        if _reroute(link.res, x, r, t, amount) is None:
-            res = {y: dict(nbrs) for y, nbrs in adj.items()}
-            value, side = checked_flow(adj, link.u, link.v, link.target, res)
+        kept[i] = _reroute(link.res, x, r, t, amount)
+        if kept[i] is None:
+            kept[i] = {y: dict(nbrs) for y, nbrs in adj.items()}
+            value, side = checked_flow(adj, link.u, link.v, link.target, kept[i])
             if side is not None:
                 return (value + 2 * amount - link.target) // 2
-            fresh[i] = res
         if cut_capacity(adj, link.side) != link.target:
             raise CertificateError(
                 f"target side of {link.u!r}-{link.v!r} does not cut {link.target} after the split"
@@ -355,47 +361,41 @@ def _keeps_targets(
     return amount
 
 
-def _largest_split(
-    adj: PairCapacities, links: list[_Link], x: str, r: str, t: str, most: int
-) -> tuple[int, dict[int, PairCapacities]]:
-    """Largest amount up to ``most`` whose split of xr and xt keeps the
-    links, 0 if none, and the residuals of the flows its trial ran: trying
+def _largest_split(adj: PairCapacities, links: list[_Link], x: str, r: str, t: str, most: int) -> int:
+    """Take the split of xr and xt of the largest amount up to ``most``
+    that keeps the links, and return that amount, 0 if none: trying
     ``most`` first, and after each refusal the bound its cut sets (module
-    docstring).  Each trial shifts ``adj`` and shifts it back."""
+    docstring).  A refused trial shifts ``adj`` back.  The accepted one
+    keeps its shift and moves every link's flow onto the split from what
+    the trial kept for it: the residual of the flow it ran, else the
+    carried flow rerouted by the units it found."""
     amount = most
     while amount:
-        fresh: dict[int, PairCapacities] = {}
+        kept: dict[int, int | PairCapacities] = {}
         _shift(adj, x, r, t, amount)
-        left = _keeps_targets(adj, links, x, r, t, amount, fresh)
-        _shift(adj, x, r, t, -amount)
+        left = _keeps_targets(adj, links, x, r, t, amount, kept)
         if left == amount:
-            return amount, fresh
+            for i, link in enumerate(links):
+                record = kept.get(i)
+                if record is None:
+                    raise CertificateError(
+                        f"split trial of {amount} at {x!r} kept {link.u!r}-{link.v!r} without a flow"
+                    )
+                if isinstance(record, dict):
+                    link.res = record
+                    continue
+                if record:
+                    # push the units around the residual cycle r -> t -> x -> r
+                    for u, v in ((r, t), (t, x), (x, r)):
+                        link.res[u][v] = link.res[u].get(v, 0) - record
+                        link.res[v][u] = link.res[v].get(u, 0) + record
+                _shift(link.res, x, r, t, amount)
+            return amount
+        _shift(adj, x, r, t, -amount)
         if not 0 <= left < amount:
             raise CertificateError(f"split trial of {amount} at {x!r} left the amount {left} open")
         amount = left
-    return 0, {}
-
-
-def _split(
-    adj: PairCapacities, links: list[_Link], x: str, r: str, t: str, amount: int, fresh: dict[int, PairCapacities]
-) -> None:
-    """Take the split of ``amount`` off xr and xt on ``adj`` and on every
-    link's flow: the residual its trial's flow left, else the carried flow
-    rerouted."""
-    _shift(adj, x, r, t, amount)
-    for i, link in enumerate(links):
-        if i in fresh:
-            link.res = fresh[i]
-            continue
-        d = _reroute(link.res, x, r, t, amount)
-        if d is None:
-            raise CertificateError(f"the flow carried for {link.u!r}-{link.v!r} does not fit the split")
-        if d:
-            # push d around the residual cycle r -> t -> x -> r
-            for u, v in ((r, t), (t, x), (x, r)):
-                link.res[u][v] = link.res[u].get(v, 0) - d
-                link.res[v][u] = link.res[v].get(u, 0) + d
-        _shift(link.res, x, r, t, amount)
+    return 0
 
 
 def eliminate_relays(
@@ -450,7 +450,7 @@ def eliminate_relays(
                 most = e.cap // 2 if f is e else min(e.cap, f.cap)
                 if not most or pair in refused:
                     continue
-                amount, fresh = _largest_split(adj, links, x, r, t, most)
+                amount = _largest_split(adj, links, x, r, t, most)
                 if amount:
                     break
                 refused.add(pair)
@@ -459,7 +459,6 @@ def eliminate_relays(
                     f"no admissible partner for edge {e.id} at pivot {x!r}, "
                     "though Mader's theorem promises one"
                 )
-            _split(adj, links, x, r, t, amount, fresh)
             new_id = next(ids) if r != t else None
             events.append(SplitEvent(x, e.id, r, f.id, t, new_id, amount))
             for d in {e, f}:

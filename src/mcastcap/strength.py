@@ -25,7 +25,7 @@ the node it bounds, so a pruned node is never entered:
   far and terminals i.. still to place.  A completion in which j of them
   open new blocks has k = blocks + j >= 2 blocks and crosses at least
   max(cur + S_j, k*lam/2),
-  with lam = λ(A) from ``terminal_connectivity``, called in this search:
+  with lam = λ(A) from ``terminal_cut``, called in this search:
   * an opener's edges to every earlier terminal cross; each such edge is
     counted at its later end, so these sets are disjoint from each other
     and from ``cur``, and the openers add at least S_j (``opener[i][j]``),
@@ -38,8 +38,8 @@ the node it bounds, so a pruned node is never entered:
   at most blocks + unplaced - 1, this dominates the plain bound
   ``cur / (blocks + unplaced - 1)``.  λ is computed here, not taken from
   the caller: a λ too large would prune the optimum, and
-  ``verify_partition`` cannot notice.  ``terminal_connectivity`` checks
-  each of its flows against the flow's own residual cut.
+  ``verify_partition`` cannot notice.  ``terminal_cut`` checks each of
+  its flows against the flow's own residual cut.
 - A full one, at depth |A|: each relay costs at least its capacity to every
   block but the one it has most capacity to, so it is skipped when its
   crossing plus those least costs is above the incumbent.
@@ -88,7 +88,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .connectivity import PairCapacities, pair_capacities, terminal_connectivity
+from .connectivity import PairCapacities, pair_capacities, terminal_cut
 from .errors import CertificateError, SearchTooLarge
 from .multigraph import Multigraph, Rate, Reduction, TerminalSet
 
@@ -144,7 +144,7 @@ def edge_strength(g: Multigraph | Reduction, a: TerminalSet) -> tuple[Rate, Term
     """
     reduction = Reduction.of(g)
     g = reduction.graph
-    lam = terminal_connectivity(g, a)
+    lam = terminal_cut(g, a)[0]
     adj = pair_capacities(g)
     terms = sorted(a.members)
     relays = sorted(g.vertices - a.members)

@@ -22,7 +22,7 @@ from mcastcap import (
     sample_instances,
     solve_tree_lp,
     split_off,
-    terminal_connectivity,
+    terminal_cut,
     verify_packing,
 )
 from mcastcap import bounds as bnd
@@ -109,7 +109,7 @@ def test_criterion_05_three_terminal_lower_bounds():
     count = 0
     for g, a in sample_instances(200, 8, 6, 3, seed=5000):
         count += 1
-        lam = terminal_connectivity(g, a)
+        lam = terminal_cut(g, a)[0]
         k, _ = max_integer_packing(solve_tree_lp(g, a))
         half, _ = half_integer_capacity(solve_tree_lp(g, a))
         lp, _ = fractional_capacity_lp(solve_tree_lp(g, a))
@@ -129,7 +129,7 @@ def test_criterion_06_general_lower_bound():
     for na_terminals, seed in ((3, 6000), (4, 6100), (5, 6200)):
         for g, a in sample_instances(34, 8, 6, na_terminals, seed=seed):
             count += 1
-            lam = terminal_connectivity(g, a)
+            lam = terminal_cut(g, a)[0]
             na = len(a.members)
             lp, _ = fractional_capacity_lp(solve_tree_lp(g, a))
             lb = Fraction((2 * na * lam - na + 2) // (2 * (na - 1)), 2)

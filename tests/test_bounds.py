@@ -16,6 +16,7 @@ from mcastcap import (
     example2_instance,
     theorem1_lower_bounds,
     theorem3_lower_bound,
+    theorem3_tree_floor,
 )
 from mcastcap.bounds import _f_general
 
@@ -180,6 +181,27 @@ class TestCorollary2:
     @given(st.integers(2, 1000))
     def test_strictly_below_two(self, a):
         assert corollary2_gain_bound(a).value < 2
+
+
+BELOW_DOMAIN = [
+    (theorem1_lower_bounds, (0,), "connectivity must be >= 1"),
+    (corollary1_gain_bounds, (1,), "connectivity must be >= 2"),
+    (decompose3, (0,), "connectivity must be >= 1"),
+    (appendix_a_delta, (0,), "connectivity must be >= 1"),
+    (decompose_general, (1, 3), "need connectivity >= 2 and >= 2 terminals"),
+    (decompose_general, (2, 1), "need connectivity >= 2 and >= 2 terminals"),
+    (theorem3_tree_floor, (2, 1), "need >= 2 terminals"),
+    (theorem3_lower_bound, (1, 3), "need connectivity >= 2 and >= 2 terminals"),
+    (theorem3_lower_bound, (2, 1), "need connectivity >= 2 and >= 2 terminals"),
+    (corollary2_gain_bound, (1,), "need >= 2 terminals"),
+]
+
+
+@pytest.mark.parametrize("bound, args, message", BELOW_DOMAIN,
+                         ids=[f"{bound.__name__}{args}" for bound, args, _ in BELOW_DOMAIN])
+def test_below_domain_is_refused(bound, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bound(*args)
 
 
 class TestGammaBracket:

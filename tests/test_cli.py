@@ -136,6 +136,10 @@ class TestBounds:
     def test_invalid(self, capsys):
         assert main(["bounds", "--lambda", "0"]) == 2
 
+    def test_connectivity_one_short_circuits(self, capsys):
+        assert main(["bounds", "--lambda", "1"]) == 0
+        assert capsys.readouterr().out == "terminal connectivity 1: gamma = pi = 1\n"
+
 
 class TestPack:
     def test_modes(self, cycle_file, capsys):
@@ -797,13 +801,14 @@ class TestCertificateChecks:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_forced_split_is_a_certificate_failure(self, tmp_path, argv, k):
         # every trial accepts, so each edge at the relay would split with
-        # itself and the terminal cuts of K4 + relay would fall; the flows
-        # the links carry no longer fit the split
+        # itself and the terminal cuts of K4 + relay would fall; the trial
+        # kept no flow for any link, so the first split is refused
         path = tmp_path / "k4.json"
         path.write_text(dump_instance(*k4_with_relay(k)))
         proc = _run_faulty("splitting._keeps_targets", "accept", argv[0], str(path), *argv[1:])
         assert proc.returncode == 4, proc.stderr
-        assert "certificate failure" in proc.stderr
+        assert "certificate failure: split trial of" in proc.stderr
+        assert "at 'x' kept 't1'-'s' without a flow" in proc.stderr
 
 
 # Every command that prints a result, on each instance file in argv, in one

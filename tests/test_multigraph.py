@@ -21,6 +21,7 @@ from mcastcap.errors import (
     BridgeBetweenTerminals,
     DisconnectedTerminals,
     InvalidGraph,
+    UnknownEdge,
     UnknownVertex,
 )
 
@@ -62,6 +63,22 @@ class TestValidate:
         with pytest.raises(DisconnectedTerminals):
             validate(g, TerminalSet("a", ("d",)))
 
+    def test_duplicate_sink(self):
+        with pytest.raises(InvalidGraph, match="duplicate sink"):
+            TerminalSet("s", ("r1", "r2", "r1"))
+
+
+class TestLookups:
+    def test_missing_edge_id(self):
+        g, _ = triangle()
+        with pytest.raises(UnknownEdge, match="no edge with id 3"):
+            g.edge(3)
+
+    def test_other_end_of_a_vertex_off_the_edge(self):
+        g, _ = triangle()
+        with pytest.raises(ValueError, match="'r2' is not an endpoint of edge 0"):
+            g.edge(0).other("r2")
+
 
 class TestScale:
     def test_triangle_doubled(self):
@@ -74,6 +91,11 @@ class TestScale:
     def test_identity(self):
         g, _ = triangle()
         assert scale_capacities(g, 1) == g
+
+    def test_factor_below_one(self):
+        g, _ = triangle()
+        with pytest.raises(ValueError, match="scale factor must be >= 1"):
+            scale_capacities(g, 0)
 
     def test_path(self):
         g = Multigraph.build(["a", "b", "c"], [("a", "b", 2), ("b", "c", 3)])

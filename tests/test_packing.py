@@ -20,7 +20,7 @@ from mcastcap import (
     max_integer_packing,
     random_instance,
     sample_instances,
-    terminal_connectivity,
+    terminal_cut,
     verify_packing,
 )
 from mcastcap import analysis, packing, strength
@@ -241,7 +241,7 @@ class TestProperties:
 
     def test_sandwich_on_samples(self):
         for g, a in sample_instances(10, 6, 5, 3, seed=300):
-            lam = terminal_connectivity(g, a)
+            lam = terminal_cut(g, a)[0]
             k, _ = max_integer_packing(solve_tree_lp(g, a))
             half, _ = half_integer_capacity(solve_tree_lp(g, a))
             lp, _ = fractional_capacity_lp(solve_tree_lp(g, a))
@@ -252,7 +252,7 @@ class TestProperties:
     def test_three_terminal_tree_guarantee(self):
         # lambda(A) >= floor((8k+3)/6) forces at least k disjoint trees
         for g, a in sample_instances(10, 6, 5, 3, seed=320):
-            lam = terminal_connectivity(g, a)
+            lam = terminal_cut(g, a)[0]
             k, _ = max_integer_packing(solve_tree_lp(g, a))
             want = 1
             while (8 * (want + 1) + 3) // 6 <= lam:
@@ -266,7 +266,7 @@ class TestProperties:
         for g, a in sample_instances(8, 4, 5, 4, seed=302):
             if g.vertices != a.members:
                 continue
-            lam_g = terminal_connectivity(g, a)
+            lam_g = terminal_cut(g, a)[0]
             l = len(g.vertices)
             k_guaranteed = 0
             while (2 * (k_guaranteed + 1) * (l - 1) + l - 2) // l <= lam_g:

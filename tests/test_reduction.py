@@ -21,7 +21,7 @@ from mcastcap import (
     sample_instances,
     scale_capacities,
     solve_tree_lp,
-    terminal_connectivity,
+    terminal_cut,
     verify_packing,
     verify_partition,
 )
@@ -37,7 +37,7 @@ def quantities(g, a):
     half, ph = half_integer_capacity(lp)
     frac, pf = fractional_capacity_lp(lp)
     eta, witness = edge_strength(g, a)
-    lam = terminal_connectivity(Reduction.of(g).graph, a)
+    lam = terminal_cut(Reduction.of(g).graph, a)[0]
     return (lam, k, half, frac, eta), (pk, ph, pf), witness
 
 
