@@ -48,11 +48,9 @@ from .bounds import (
     theorem3_tree_floor,
 )
 from .instances import (
-    RoutingScheme,
     example2_instance,
     example2_routing_scheme,
     random_instance,
-    routing_scheme_problems,
     sample_instances,
 )
 from .analysis import CapacityReport, GammaBracket, analyze_instance

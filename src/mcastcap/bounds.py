@@ -65,12 +65,10 @@ def corollary1_gain_bounds(lam: int) -> tuple[Rate, Rate, BoundValue]:
 
 def decompose3(lam: int) -> Decomposition3:
     """lam = floor((8k+3)/6) + delta with k maximal such that floor((8k+3)/6) <= lam."""
-    if lam < 1:
-        raise ValueError("connectivity must be >= 1")
+    big = appendix_a_delta(lam)  # refuses lam < 1
     # largest k with floor((8k+3)/6) <= lam, i.e. 8k + 3 <= 6*lam + 5
     k = max(1, (6 * lam + 2) // 8)
     delta = lam - (8 * k + 3) // 6
-    big = appendix_a_delta(lam)
     if not (
         (8 * (k + 1) + 3) // 6 > lam
         and delta in (0, 1)

@@ -17,13 +17,7 @@ from fractions import Fraction
 from . import bounds as bnd
 from .analysis import analyze_instance
 from .errors import CertificateError, McastcapError, ResourceLimit
-from .instances import (
-    example2_instance,
-    example2_routing_scheme,
-    random_instance,
-    routing_scheme_problems,
-    sample_instances,
-)
+from .instances import example2_instance, example2_routing_scheme, random_instance, sample_instances
 from .multigraph import (
     Multigraph,
     TerminalSet,
@@ -179,9 +173,8 @@ def _selftest_examples() -> list[str]:
             if not (br.tight and br.lower == want):
                 failures.append(f"cycle family bracket wrong at a={na}, slots={slots}")
     for na in range(3, 9):
-        g, a = example2_instance(na)
-        s = example2_routing_scheme(na)
-        if routing_scheme_problems(g, a, s) or s.rate != Fraction(na, na - 1):
+        # the builder checks its packing; this checks the rate it reaches
+        if example2_routing_scheme(na).rate != Fraction(na, na - 1):
             failures.append(f"routing scheme invalid at a={na}")
     return failures
 

@@ -1,33 +1,15 @@
 """Instance generators: the unit-capacity cycle family with relays, its
-explicit fractional routing scheme, scheme verification, and seeded random
-sampling for property tests.
+explicit fractional routing scheme as a checked Steiner tree packing, and
+seeded random sampling for property tests.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import BadSlot, BridgeBetweenTerminals, Underconnected
+from .errors import BadSlot, BridgeBetweenTerminals, CertificateError, Underconnected
 from .multigraph import Multigraph, TerminalSet, prune_to_core, validate
-
-
-@dataclass(frozen=True)
-class RoutingScheme:
-    """Static symbol-to-edge assignment over n time units.
-
-    ``assignment`` maps each symbol index to the oriented edges carrying it:
-    tuples (edge id, tail, head).
-    """
-
-    h: int
-    n: int
-    assignment: dict[int, tuple[tuple[int, str, str], ...]]
-
-    @property
-    def rate(self):
-        return Fraction(self.h, self.n)
+from .packing import SteinerPacking, verify_packing
 
 
 def example2_instance(
@@ -61,72 +43,33 @@ def example2_instance(
 
 def example2_routing_scheme(
     a: int, relay_slots: tuple[int, ...] = ()
-) -> RoutingScheme:
-    """The cycle family's optimal scheme: h = a symbols over n = a-1 time units.
+) -> SteinerPacking:
+    """The cycle family's optimal scheme: a trees, one unit each of 1/(a-1),
+    so a symbols over a-1 time units at rate a/(a-1).
 
-    Terminal v_i forwards symbols a_0..a_{a-2-i} to v_{i+1}; v_0 sends
-    a_1..a_{a-1} the other way to v_{a-1}; v_{i+1} sends a_{a-i}..a_{a-1}
-    back to v_i for i in 1..a-2.  Relays forward transparently, so every edge
-    of a terminal-to-terminal segment carries that segment's symbols.
-    Edge ids match ``example2_instance(a, relay_slots)``.
+    Tree j carries symbol a_j: it is the cycle less the segment between the
+    terminals v_{a-1-j} and v_{a-j} (v_a being v_0).  Each tree contains v_0
+    and, oriented away from it, says who forwards its symbol: terminal v_i
+    forwards a_0..a_{a-2-i} to v_{i+1}; v_0 sends a_1..a_{a-1} the other way
+    to v_{a-1}; v_{i+1} sends a_{a-i}..a_{a-1} back to v_i for i in 1..a-2.
+    Relays forward transparently.  Every edge lies in all trees but one, so
+    it carries a-1 units, its capacity over the a-1 time units.  Edge ids
+    match ``example2_instance(a, relay_slots)``; raises CertificateError if
+    ``verify_packing`` refuses the packing.
     """
-    g, _ = example2_instance(a, relay_slots)
-    # group the cycle edges into segments between consecutive terminals:
-    # example2_instance builds them in traversal order, oriented along it
-    segments: list[list[tuple[int, str, str]]] = []
-    current: list[tuple[int, str, str]] = []
+    g, terminals = example2_instance(a, relay_slots)
+    # example2_instance builds the edges in traversal order, so segment i,
+    # from v_i to v_{i+1}, ends at the i-th edge whose head is a terminal
+    segments: list[set[int]] = [set()]
     for e in g.edges:
-        current.append((e.id, e.u, e.v))
-        if e.v.startswith("v"):
-            segments.append(current)
-            current = []
-    # segments[i] runs v_i -> v_{i+1}; the last runs v_{a-1} -> v_0
-    assignment: dict[int, list[tuple[int, str, str]]] = {j: [] for j in range(a)}
-    for i in range(a - 1):  # forward around the cycle
-        for j in range(a - 1 - i):
-            assignment[j].extend(segments[i])
-    back_segment = [(eid, v, u) for eid, u, v in reversed(segments[a - 1])]
-    for j in range(1, a):  # v0 -> v_{a-1} through the closing gap
-        assignment[j].extend(back_segment)
-    for i in range(1, a - 1):  # v_{i+1} -> v_i against the cycle direction
-        rev = [(eid, v, u) for eid, u, v in reversed(segments[i])]
-        for j in range(a - i, a):
-            assignment[j].extend(rev)
-    return RoutingScheme(a, a - 1, {j: tuple(es) for j, es in assignment.items()})
-
-
-def routing_scheme_problems(g: Multigraph, a: TerminalSet, s: RoutingScheme) -> list[str]:
-    """Check edge budgets and per-symbol sink reachability.
-
-    Returns one line per problem found; the scheme is valid iff the list is empty.
-    """
-    problems: list[str] = []
-    by_id = {e.id: e for e in g.edges}
-    load: dict[int, int] = {eid: 0 for eid in by_id}
-    for sym, carriers in s.assignment.items():
-        for eid, tail, head in carriers:
-            e = by_id.get(eid)
-            if e is None or {tail, head} != {e.u, e.v}:
-                problems.append(f"symbol {sym}: bad carrier ({eid}, {tail}, {head})")
-                continue
-            load[eid] += 1
-    for eid, l in load.items():
-        if l > s.n * by_id[eid].cap:
-            problems.append(f"edge {eid} carries {l} symbols, budget {s.n * by_id[eid].cap}")
-    for sym in range(s.h):
-        carriers = s.assignment.get(sym, ())
-        reach = {a.source}
-        changed = True
-        while changed:
-            changed = False
-            for _, tail, head in carriers:
-                if tail in reach and head not in reach:
-                    reach.add(head)
-                    changed = True
-        missing = [t for t in a.sinks if t not in reach]
-        if missing:
-            problems.append(f"symbol {sym} does not reach sinks {missing}")
-    return problems
+        segments[-1].add(e.id)
+        if e.v in terminals.members:
+            segments.append(set())
+    cycle = {e.id for e in g.edges}
+    p = SteinerPacking(tuple((frozenset(cycle - segments[a - 1 - j]), 1) for j in range(a)), a - 1)
+    if not verify_packing(g, terminals, p):
+        raise CertificateError(f"routing scheme of the a = {a} cycle failed verification")
+    return p
 
 
 def random_instance(

@@ -18,7 +18,6 @@ from mcastcap import (
     example2_routing_scheme,
     lift_packing,
     max_integer_packing,
-    routing_scheme_problems,
     sample_instances,
     solve_tree_lp,
     split_off,
@@ -64,16 +63,16 @@ def test_criterion_02_routing_scheme():
     for na in range(3, 9):
         g, a = example2_instance(na)
         s = example2_routing_scheme(na)
-        if s.rate != Fraction(na, na - 1) or routing_scheme_problems(g, a, s):
+        if s.rate != Fraction(na, na - 1) or not verify_packing(g, a, s):
             ok = False
         load = {e.id: 0 for e in g.edges}
-        for carriers in s.assignment.values():
-            for eid, _, _ in carriers:
-                load[eid] += 1
+        for tree, units in s.trees:
+            for eid in tree:
+                load[eid] += units
         if set(load.values()) != {na - 1}:
             ok = False
     _within(start, 1, 2)
-    _report(2, ok, "routing scheme rate a/(a-1), each edge carries a-1 symbols, a in 3..8")
+    _report(2, ok, "routing scheme rate a/(a-1), each edge carries a-1 units, a in 3..8")
 
 
 def test_criterion_03_residue_classes_exhaustive():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,21 @@ class TestSelftest:
 
     def test_examples_scope(self, capsys):
         assert main(["selftest", "examples"]) == 0
+
+    def test_wrong_scheme_rate_fails_the_examples_scope(self, capsys, monkeypatch):
+        # the builder checks its packing, so selftest checks the rate alone:
+        # a scheme that drops its last tree is valid at rate 1
+        build = cli.example2_routing_scheme
+
+        def short(na):
+            p = build(na)
+            return replace(p, trees=p.trees[:-1])
+
+        monkeypatch.setattr(cli, "example2_routing_scheme", short)
+        assert main(["selftest", "examples"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("selftest examples: FAIL\n")
+        assert "  routing scheme invalid at a=3\n" in out and "  routing scheme invalid at a=8\n" in out
 
     @pytest.mark.parametrize("scope", ["splitting", "packing"])
     def test_pipeline_scopes(self, capsys, scope):
@@ -796,6 +812,12 @@ class TestCertificateChecks:
         proc = _run_faulty(function, fault, "analyze", str(path))
         assert proc.returncode == 4, proc.stderr
         assert f"certificate failure: {message}" in proc.stderr
+
+    def test_refused_routing_scheme_is_a_certificate_failure(self):
+        # the cycle family's scheme is a packing its builder verifies
+        proc = _run_faulty("instances.verify_packing", "fail", "selftest", "examples")
+        assert proc.returncode == 4, proc.stderr
+        assert "certificate failure: routing scheme of the a = 3 cycle failed verification" in proc.stderr
 
     @pytest.mark.parametrize("argv", [["split"], ["analyze", "--via-splitting"]])
     @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,18 +1,17 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from mcastcap import (
-    RoutingScheme,
-    TerminalSet,
     example2_instance,
     example2_routing_scheme,
     fractional_capacity_lp,
     random_instance,
-    routing_scheme_problems,
     sample_instances,
     solve_tree_lp,
     terminal_cut,
+    verify_packing,
 )
 from mcastcap.errors import BadSlot, Underconnected
 
@@ -68,69 +67,91 @@ class TestExample2Instance:
             assert terminal_cut(g, a)[0] == 2
 
 
+def tree_loads(p):
+    """Units of 1/p.denominator that the packing puts on each edge id."""
+    load = {}
+    for tree, units in p.trees:
+        for eid in tree:
+            load[eid] = load.get(eid, 0) + units
+    return load
+
+
+# the cycle family: a = 3..9 terminals, each with four relay layouts
+CYCLE_CASES = [(na, slots) for na in range(3, 10) for slots in [(), (0,), (0, 2), (1, 1, 2)]]
+
+
 class TestRoutingScheme:
     def test_rate(self):
         s = example2_routing_scheme(5, (0, 2))
         assert s.rate == Fraction(5, 4)
-        assert s.h == 5 and s.n == 4
+        assert s.denominator == 4 and [units for _, units in s.trees] == [1] * 5
 
     def test_valid_for_range(self):
         for na in range(3, 9):
             g, a = example2_instance(na)
             s = example2_routing_scheme(na)
-            assert routing_scheme_problems(g, a, s) == []
-            # every edge carries exactly n = na - 1 symbols
-            load = {e.id: 0 for e in g.edges}
-            for carriers in s.assignment.values():
-                for eid, _, _ in carriers:
-                    load[eid] += 1
-            assert set(load.values()) == {na - 1}
+            assert verify_packing(g, a, s)
+            # every edge carries exactly na - 1 units: its capacity over na - 1 time units
+            assert set(tree_loads(s).values()) == {na - 1}
+            assert set(tree_loads(s)) == {e.id for e in g.edges}
 
     def test_valid_with_relays(self):
         g, a = example2_instance(5, (0, 2))
-        s = example2_routing_scheme(5, (0, 2))
-        assert routing_scheme_problems(g, a, s) == []
+        assert verify_packing(g, a, example2_routing_scheme(5, (0, 2)))
 
     def test_specific_edge_contents(self):
         g, a = example2_instance(5, (0, 2))
         s = example2_routing_scheme(5, (0, 2))
         seg = {e.id for e in g.edges if {e.u, e.v} == {"v1", "v2"}}
         (eid,) = seg
-        carried = {sym for sym, carriers in s.assignment.items()
-                   if any(c[0] == eid for c in carriers)}
+        carried = {j for j, (tree, _) in enumerate(s.trees) if eid in tree}
         # forward a0..a2 plus a4 coming back: 4 symbols total
         assert carried == {0, 1, 2, 4}
         first = {e.id for e in g.edges if {e.u, e.v} == {"v0", "x1"}}
         (fid,) = first
-        carried_first = {sym for sym, carriers in s.assignment.items()
-                         if any(c[0] == fid for c in carriers)}
+        carried_first = {j for j, (tree, _) in enumerate(s.trees) if fid in tree}
         assert carried_first == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("na, slots", CYCLE_CASES)
+    def test_tree_j_is_the_cycle_less_one_segment(self, na, slots):
+        # segment i joins v_i to v_{i+1 mod na} through the relays in gap i,
+        # named x1, x2, ... gap by gap; tree j leaves out segment na - 1 - j
+        g, _ = example2_instance(na, slots)
+        names = iter(f"x{k}" for k in range(1, len(slots) + 1))
+        segments = []
+        for i in range(na):
+            ends = {f"v{i}", f"v{(i + 1) % na}"} | {next(names) for _ in range(slots.count(i))}
+            segments.append(frozenset(e.id for e in g.edges if {e.u, e.v} <= ends))
+        cycle = frozenset(e.id for e in g.edges)
+        assert sum(map(len, segments)) == len(cycle)
+        s = example2_routing_scheme(na, slots)
+        assert s.denominator == na - 1
+        assert s.trees == tuple((cycle - segments[na - 1 - j], 1) for j in range(na))
 
     def test_tampered_scheme_rejected(self):
         g, a = example2_instance(4)
         s = example2_routing_scheme(4)
-        broken = dict(s.assignment)
-        broken[0] = broken[0][:-1]  # drop one carrier of symbol 0
-        bad = RoutingScheme(s.h, s.n, broken)
-        assert routing_scheme_problems(g, a, bad)
+        (tree, units), *rest = s.trees
+        dropped = replace(s, trees=((tree - {min(tree)}, units), *rest))
+        assert not verify_packing(g, a, dropped)
 
     def test_budget_violation_rejected(self):
         g, a = example2_instance(4)
         s = example2_routing_scheme(4)
-        # route every symbol over edge 0 as well: exceeds the n*cap budget
-        e = g.edge(0)
-        stuffed = {sym: carriers + ((0, e.u, e.v),) * s.n
-                   for sym, carriers in s.assignment.items()}
-        bad = RoutingScheme(s.h, s.n, stuffed)
-        problems = routing_scheme_problems(g, a, bad)
-        assert any("budget" in p for p in problems)
+        # a valid tree through edge 0 at n more units: edge 0 then carries
+        # 2n units, past its budget of n
+        tree = next(tree for tree, _ in s.trees if 0 in tree)
+        assert verify_packing(g, a, replace(s, trees=((tree, s.denominator),)))
+        stuffed = replace(s, trees=(*s.trees, (tree, s.denominator)))
+        assert tree_loads(stuffed)[0] == 2 * s.denominator
+        assert not verify_packing(g, a, stuffed)
 
     def test_scheme_rate_matches_lp(self):
         for na in (3, 4, 5):
             g, a = example2_instance(na)
             s = example2_routing_scheme(na)
             lp, _ = fractional_capacity_lp(solve_tree_lp(g, a))
-            # the scheme beats tree packing; both sit at the known optima
+            # the scheme is an optimal tree packing; both sit at the known optima
             assert s.rate == Fraction(na, na - 1)
             assert lp == Fraction(na, na - 1)
 

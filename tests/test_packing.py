@@ -897,6 +897,17 @@ class TestRelaySubsetSearch:
             enumerate_steiner_trees(g, TerminalSet(names[0], tuple(names[1:])))
         assert info.traceback[-1].name == "_spanning_trees"
 
+    def test_budget_ends_the_relay_subset_search(self, monkeypatch):
+        # 8 relay triangles hanging at the cycle's terminals: their 256 relay
+        # subsets all pass the degree test, so the subset search alone
+        # passes the budget, before any spanning tree is searched
+        g, a = dangling_triangles(8)
+        monkeypatch.setattr(packing, "MAX_ENUMERATION_STEPS", 100)
+        with pytest.raises(SearchTooLarge, match=r"^tree enumeration used \d+ steps, more than the "
+                           r"budget MAX_ENUMERATION_STEPS = 100$") as info:
+            enumerate_steiner_trees(g, a)
+        assert info.traceback[-1].name == "_minimal_trees"
+
     def test_tree_limit_fires_before_the_budget(self):
         # a 24-vertex core has more than DEFAULT_TREE_LIMIT minimal trees; the
         # all-subsets loop took some 5 s to find them, the subset search under 1 s
