@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Confirm the closed-form lower bounds on a stream of random instances.
 
-Draws seeded random multigraphs, analyses each with ``analyze_instance``
-(exact integer, half-integer and fractional packing rates), and checks them
-against the guaranteed half-integer floor for its terminal connectivity.
+Draws seeded random multigraphs and analyses each with ``analyze_instance``,
+which checks the exact integer, half-integer and fractional packing rates
+in order and against every floor of the bound table for its terminal
+connectivity, raising ``CertificateError`` at the first that fails.
 Prints a summary histogram of the observed LP-to-floor slack.
 """
 
@@ -23,19 +24,15 @@ def main() -> None:
     args = ap.parse_args()
 
     slack = Counter()
-    violations = 0
     for g, a in sample_instances(
         args.count, args.vertices, args.extra_edges, args.terminals, seed=args.seed
     ):
         r = analyze_instance(g, a)
         floor_half, _ = theorem3_lower_bound(r.lam, r.num_terminals)
-        if not (r.k_int <= r.half_rate <= r.lp_rate and r.half_rate >= floor_half):
-            violations += 1
-            print(f"VIOLATION: lambda={r.lam} k={r.k_int} half={r.half_rate} lp={r.lp_rate}")
         slack[r.lp_rate - floor_half] += 1
 
     print(f"checked {args.count} instances "
-          f"(|V|<={args.vertices}, |A|={args.terminals}): {violations} violations")
+          f"(|V|<={args.vertices}, |A|={args.terminals}): every rate in order and above its floors")
     print("LP slack over the half-integer floor:")
     for s in sorted(slack):
         print(f"  {str(s):>6}: {'#' * slack[s]}")

@@ -26,15 +26,20 @@ give, and the closed-form bound table.
    duality the packing and the partition then prove each other optimal.
    Only when they do not meet does ``edge_strength`` search the reduced
    graph, its witness lifted onto the pruned core and checked there;
-7. here: η <= λ, weak duality LP <= η, and the paper's lower bounds;
+7. here: each floor of ``bounds.bound_table`` against the rate its row
+   names, then the printed rates as one order, k <= half <= LP <= η <= λ,
+   every link a check: LP <= η by weak duality, η <= λ because 2-block
+   partitions give λ;
 8. with ``via_splitting``, relay elimination on the pruned core (not the
    reduced graph, so its history does not move), one more solve, with no
-   bound, and the lifted packing checked here on the pruned core.
+   bound, the lifted packing checked here on the pruned core, then the
+   split rate against Theorem 3's floor and in order, rate <= its own LP
+   rate <= LP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds as bnd
@@ -58,23 +63,35 @@ class GammaBracket:
 
     lower: Rate
     upper: Rate
-    tight: bool
+
+    @property
+    def tight(self) -> bool:
+        return self.lower == self.upper
 
 
-@dataclass
+@dataclass(frozen=True)
 class CapacityReport:
+    """What ``analyze_instance`` found, every rate checked.  When λ(A) = 1
+    the capacity is 1 outright and the rates are None."""
+
     num_vertices: int
     num_edges: int
     num_terminals: int
     lam: int
-    short_circuit: bool = False  # lambda(A) == 1: capacity is 1 outright
     k_int: int | None = None
     half_rate: Rate | None = None
     lp_rate: Rate | None = None
     eta: Rate | None = None
-    bracket: GammaBracket | None = None
-    bound_rows: list[tuple[str, str]] = field(default_factory=list)
+    bound_rows: tuple[tuple[str, str], ...] = ()
     via_splitting: dict | None = None
+
+    @property
+    def short_circuit(self) -> bool:
+        return self.lam == 1
+
+    @property
+    def bracket(self) -> GammaBracket | None:
+        return None if self.short_circuit else GammaBracket(self.lp_rate, self.eta)
 
     def to_dict(self) -> dict:
         d = {
@@ -87,20 +104,14 @@ class CapacityReport:
             d["capacity"] = "1"
             d["note"] = "terminal connectivity 1: routing and coding capacity are both 1"
             return d
-        d.update(
-            {
-                "integer_packing": self.k_int,
-                "half_integer_rate": str(self.half_rate),
-                "fractional_rate": str(self.lp_rate),
-                "edge_strength": str(self.eta),
-                "bracket": {
-                    "lower": str(self.bracket.lower),
-                    "upper": str(self.bracket.upper),
-                    "tight": self.bracket.tight,
-                },
-                "bounds": [{"name": n, "value": v} for n, v in self.bound_rows],
-            }
-        )
+        d |= {
+            "integer_packing": self.k_int,
+            "half_integer_rate": str(self.half_rate),
+            "fractional_rate": str(self.lp_rate),
+            "edge_strength": str(self.eta),
+            "bracket": {"lower": str(self.lp_rate), "upper": str(self.eta), "tight": self.bracket.tight},
+            "bounds": [{"name": n, "value": v} for n, v in self.bound_rows],
+        }
         if self.via_splitting is not None:
             d["via_splitting"] = self.via_splitting
         return d
@@ -118,13 +129,11 @@ class CapacityReport:
             f"half-integer rate        = {self.half_rate}",
             f"fractional rate (LP)     = {self.lp_rate}",
             f"edge strength eta        = {self.eta}",
-            f"gamma bracket            = [{self.bracket.lower}, {self.bracket.upper}]"
+            f"gamma bracket            = [{self.lp_rate}, {self.eta}]"
             + ("  (tight)" if self.bracket.tight else ""),
+            "bound table:",
         ]
-        if self.bound_rows:
-            lines.append("bound table:")
-            for name, value in self.bound_rows:
-                lines.append(f"  {name:<42} {value}")
+        lines += [f"  {name:<42} {value}" for name, value in self.bound_rows]
         if self.via_splitting is not None:
             v = self.via_splitting
             lines.append(
@@ -134,24 +143,23 @@ class CapacityReport:
         return "\n".join(lines)
 
 
+def _check_order(*chain: tuple[str, Rate]) -> None:
+    """Raise CertificateError at the first (name, rate) of ``chain`` that
+    exceeds the next one."""
+    for (name, value), (above, bound) in zip(chain, chain[1:]):
+        if not value <= bound:
+            raise CertificateError(f"{name} {value} exceeds {above} {bound}")
+
+
 def analyze_instance(
     g: Multigraph, a: TerminalSet, via_splitting: bool = False
 ) -> CapacityReport:
     validate(g, a)
     lam, side = terminal_cut(g, a)
-    report = CapacityReport(
-        num_vertices=len(g.vertices),
-        num_edges=len(g.edges),
-        num_terminals=len(a.members),
-        lam=lam,
-    )
+    na = len(a.members)
     if lam == 1:
-        report.short_circuit = True
-        return report
+        return CapacityReport(len(g.vertices), len(g.edges), na, lam)
     core = prune_to_core(g, a)
-    report.num_vertices = len(core.vertices)
-    report.num_edges = len(core.edges)
-
     reduced = reduce_core(core, a)
     upper, _ = partition_bound(reduced, a, lam, side)
     tree_lp = solve_tree_lp(reduced, a, upper)
@@ -164,62 +172,44 @@ def analyze_instance(
     # a verified packing and a verified partition of equal value prove each
     # other optimal, so the search runs only when they do not meet
     eta = upper if lp == upper else edge_strength(reduced, a)[0]
-    # 2-block partitions give lambda(A) exactly, so eta <= lambda and eta is
-    # the bracket's upper end
-    if not eta <= lam:
-        raise CertificateError(f"edge strength {eta} exceeds connectivity {lam}")
-    # weak duality: every A-Steiner tree meets each block of a partition with
-    # a terminal in every block, so it crosses a k-block partition at least
-    # k - 1 times, and every packing's rate is at most the partition's eta.
-    # When the bracket is tight the verified packing proves eta minimal and
-    # the verified partition proves the LP rate optimal.
-    if not lp <= eta:
-        raise CertificateError(f"LP rate {lp} exceeds edge strength {eta}")
-    # the paper's lower bounds hold on every instance: Theorem 3's half-integer
-    # floor and its fractional limit, exact at every lambda because the
-    # fractional rate scales with capacity, and Theorem 1 for three terminals
-    na = len(a.members)
-    half_bound, frac_bound = bnd.theorem3_lower_bound(lam, na)
-    paper = [("half-integer rate", half, half_bound), ("LP rate", lp, frac_bound.value)]
-    if na == 3:
-        int_bound, half_bound3, _ = bnd.theorem1_lower_bounds(lam)
-        paper += [("integer packing", k, int_bound), ("half-integer rate", half, half_bound3)]
-    for name, value, bound in paper:
-        if not value >= bound:
-            raise CertificateError(f"{name} {value} is below the paper's bound {bound}")
+    # weak duality: an A-Steiner tree crosses a k-block partition with a
+    # terminal in every block at least k - 1 times, so no packing's rate
+    # exceeds eta; 2-block partitions give lambda(A) exactly, so eta <= lambda
+    chain = (("integer packing", k), ("half-integer rate", half), ("LP rate", lp),
+             ("edge strength", eta), ("connectivity", lam))
+    table = bnd.bound_table(lam, na)
+    rates = dict(chain)
+    for _, _, rate, bound in table:
+        if rate and not rates[rate] >= bound.value:
+            raise CertificateError(f"{rate} {rates[rate]} is below the paper's bound {bound.value}")
+    _check_order(*chain)
+    return CapacityReport(
+        len(core.vertices), len(core.edges), na, lam, k, half, lp, eta,
+        tuple((label, str(bound)) for label, _, _, bound in table),
+        _via_splitting(core, a, lam, lp) if via_splitting else None,
+    )
 
-    report.k_int = k
-    report.half_rate = half
-    report.lp_rate = lp
-    report.eta = eta
-    report.bracket = GammaBracket(lp, eta, lp == eta)
 
-    report.bound_rows = [(name, str(value)) for name, _, value in bnd.bound_table(lam, na)]
-
-    if via_splitting:
-        # Splitting preserves every terminal min-cut but can strictly lose
-        # packing value, so only the lower-bound chain is checked: the
-        # lifted packing must verify on the base graph, stay within the
-        # direct LP rate, and dominate the general floor bound.
-        split_g, history, scale = eliminate_relays(core, a)
-        split_lp = solve_tree_lp(split_g, a)
-        k_split, packed = max_integer_packing(split_lp)
-        lifted = lift_packing(history, packed)
-        lifted_ok = verify_packing(history.base, a, lifted)
-        split_rate = Fraction(k_split, scale)
-        report.via_splitting = {
-            "scale": scale,
-            "packed_trees": k_split,
-            "lifted_trees": int(lifted.rate),
-            "rate": str(split_rate),
-            "lifted_verifies": lifted_ok,
-            "lp_rate": str(split_lp.opt / scale),
-        }
-        if not lifted_ok:
-            raise CertificateError("lifted packing failed verification")
-        if not split_rate <= lp:
-            raise CertificateError("lifted rate exceeds the LP rate")
-        floor_bound = bnd.theorem3_tree_floor(scale * lam, na)
-        if not Fraction(floor_bound, scale) <= split_rate:
-            raise CertificateError("splitting route fell below the guaranteed tree count")
-    return report
+def _via_splitting(core: Multigraph, a: TerminalSet, lam: int, lp: Rate) -> dict:
+    """Pack the relay-eliminated graph, lift the packing onto ``core`` and
+    check it there.  Splitting keeps every terminal cut but can lose packing
+    value, so the route is checked from below by Theorem 3's floor and from
+    above by its own LP optimum and the direct LP rate."""
+    split_g, history, scale = eliminate_relays(core, a)
+    split_lp = solve_tree_lp(split_g, a)
+    k_split, packed = max_integer_packing(split_lp)
+    lifted = lift_packing(history, packed)
+    if not verify_packing(history.base, a, lifted):
+        raise CertificateError("lifted packing failed verification")
+    rate, split_opt = Fraction(k_split, scale), split_lp.opt / scale
+    if not rate >= bnd.split_rate_floor(lam, len(a.members), scale):
+        raise CertificateError("splitting route fell below the guaranteed tree count")
+    _check_order(("split rate", rate), ("split LP rate", split_opt), ("LP rate", lp))
+    return {
+        "scale": scale,
+        "packed_trees": k_split,
+        "lifted_trees": int(lifted.rate),
+        "rate": str(rate),
+        "lifted_verifies": True,
+        "lp_rate": str(split_opt),
+    }

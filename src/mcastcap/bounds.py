@@ -92,11 +92,19 @@ def appendix_a_delta(lam: int) -> int:
 def theorem3_tree_floor(lam: int, a: int) -> int:
     """floor((a*lam - a + 2) / (2(a-1))): the edge-disjoint Steiner trees
     Theorem 3 guarantees for ``a`` terminals of connectivity ``lam`` once
-    every relay is split off.  The half-integer bound takes it at 2*lam,
-    and ``analyze --via-splitting`` at the scaled connectivity."""
+    every relay is split off; ``split_rate_floor`` scales it to a rate."""
     if a < 2:
         raise ValueError("need >= 2 terminals")
     return (a * lam - a + 2) // (2 * (a - 1))
+
+
+def split_rate_floor(lam: int, a: int, scale: int) -> Rate:
+    """Theorem 3's floor on the rate of a packing in units of 1/``scale``:
+    the tree floor at connectivity ``scale * lam`` over ``scale``.  It is
+    the half-integer bound at scale 2, and bounds the rate ``analyze
+    --via-splitting`` packs after splitting off every relay of the graph
+    its capacities scaled by ``scale``."""
+    return Fraction(theorem3_tree_floor(scale * lam, a), scale)
 
 
 def _f_general(a: int, k: int) -> int:
@@ -143,7 +151,7 @@ def theorem3_lower_bound(lam: int, a: int) -> tuple[Rate, BoundValue]:
     """General lower bound: exact half-integer rate and the fractional limit."""
     if lam < 2 or a < 2:
         raise ValueError("need connectivity >= 2 and >= 2 terminals")
-    half_exact = Fraction(theorem3_tree_floor(2 * lam, a), 2)
+    half_exact = split_rate_floor(lam, a, 2)
     frac_limit = BoundValue(Fraction(lam * a, 2 * (a - 1)), limit=True)
     return half_exact, frac_limit
 
@@ -155,25 +163,30 @@ def corollary2_gain_bound(a: int) -> BoundValue:
     return BoundValue(Fraction(2 * (a - 1), a), limit=True)
 
 
-# (``analyze`` label, ``bounds`` label) of each row; the three-terminal rows first
+# (``analyze`` label, ``bounds`` label, the rate the row is a floor of, or
+# None for a gain ceiling) of each row; the three-terminal rows first
 _BOUND_LABELS = (
-    ("3-terminal integer lower bound", "pi_i lower bound (3 terminals)"),
-    ("3-terminal half-integer lower bound", "pi_1/2 lower bound (3 terminals)"),
-    ("3-terminal fractional lower bound", "pi_f lower bound (3 terminals)"),
-    ("3-terminal gain bound (integer)", "G_i upper bound"),
-    ("3-terminal gain bound (half-integer)", "G_1/2 upper bound"),
-    ("3-terminal gain bound (fractional)", "G_f upper bound"),
-    ("general half-integer lower bound", "pi_1/2 lower bound (general)"),
-    ("general fractional lower bound", "pi_f lower bound (general)"),
-    ("general fractional gain bound", "G_f upper bound (general)"),
+    ("3-terminal integer lower bound", "pi_i lower bound (3 terminals)", "integer packing"),
+    ("3-terminal half-integer lower bound", "pi_1/2 lower bound (3 terminals)", "half-integer rate"),
+    ("3-terminal fractional lower bound", "pi_f lower bound (3 terminals)", "LP rate"),
+    ("3-terminal gain bound (integer)", "G_i upper bound", None),
+    ("3-terminal gain bound (half-integer)", "G_1/2 upper bound", None),
+    ("3-terminal gain bound (fractional)", "G_f upper bound", None),
+    ("general half-integer lower bound", "pi_1/2 lower bound (general)", "half-integer rate"),
+    ("general fractional lower bound", "pi_f lower bound (general)", "LP rate"),
+    ("general fractional gain bound", "G_f upper bound (general)", None),
 )
 
 
-def bound_table(lam: int, a: int) -> list[tuple[str, str, int | Rate | BoundValue]]:
+def bound_table(lam: int, a: int) -> list[tuple[str, str, str | None, BoundValue]]:
     """The closed-form bounds that apply at connectivity ``lam >= 2`` and ``a``
-    terminals, as (``analyze`` label, ``bounds`` label, value) rows: Theorem 1
-    and Corollary 1 when a = 3, then Theorem 3 and Corollary 2."""
+    terminals, as (``analyze`` label, ``bounds`` label, rate, value) rows:
+    Theorem 1 and Corollary 1 when a = 3, then Theorem 3 and Corollary 2.
+    ``rate`` names the rate ``analyze`` reports that the value is a floor
+    of, and is None for a gain ceiling; an exact value is a BoundValue
+    without the limit flag.  Every floor holds at every ``lam``, the
+    fractional limits too, since the LP rate scales with capacity."""
     values = [*theorem1_lower_bounds(lam), *corollary1_gain_bounds(lam)] if a == 3 else []
     values += [*theorem3_lower_bound(lam, a), corollary2_gain_bound(a)]
-    return [(*labels, v) for labels, v in zip(_BOUND_LABELS[-len(values):], values)]
-
+    rows = zip(_BOUND_LABELS[-len(values):], values)
+    return [(*labels, v if isinstance(v, BoundValue) else BoundValue(v)) for labels, v in rows]

@@ -73,7 +73,7 @@ def _cmd_bounds(args) -> int:
     if lam == 1:
         print("terminal connectivity 1: gamma = pi = 1")
         return 0
-    rows = [(name, str(value)) for _, name, value in bnd.bound_table(lam, na)]
+    rows = [(name, str(value)) for _, name, _, value in bnd.bound_table(lam, na)]
     dec3 = bnd.decompose3(lam)
     decg = bnd.decompose_general(lam, na)
     rows += [
@@ -193,12 +193,11 @@ def _selftest_splitting() -> list[str]:
 
 
 def _selftest_packing() -> list[str]:
-    failures = []
-    for i, (g, a) in enumerate(sample_instances(15, 6, 5, 3, seed=2000)):
-        r = analyze_instance(g, a)
-        if not (r.k_int <= r.half_rate <= r.lp_rate <= min(r.lam, r.eta)):
-            failures.append(f"packing instance {i}: sandwich violated")
-    return failures
+    # analyze_instance checks every rate it reports, in order and against
+    # the paper's floors, and raises CertificateError at a broken link
+    for g, a in sample_instances(15, 6, 5, 3, seed=2000):
+        analyze_instance(g, a)
+    return []
 
 
 _SCOPES = {

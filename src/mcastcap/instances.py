@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import BadSlot, BridgeBetweenTerminals, CertificateError, Underconnected
+from .errors import BadSlot, BridgeBetweenTerminals, CertificateError, ResourceLimit, Underconnected
 from .multigraph import Multigraph, TerminalSet, prune_to_core, validate
 from .packing import SteinerPacking, verify_packing
 
@@ -72,6 +72,12 @@ def example2_routing_scheme(
     return p
 
 
+# underconnected seeds that ``sample_instances`` skips in a row before it
+# gives up: no parameter set the tests, the bench or the scripts use skips
+# more than 8
+MAX_REJECTED_SEEDS = 1000
+
+
 def random_instance(
     vertex_count: int, extra_edges: int, terminal_count: int, seed: int
 ) -> tuple[Multigraph, TerminalSet]:
@@ -120,13 +126,21 @@ def sample_instances(
     therefore overlap in all but at most one instance: 19 of 20 for
     ``(20, 8, 6, 3)`` at seeds 0 and 1, and 6 of 6 for ``(6, 10, 8, 4)``.
     A sweep over several draws should step ``seed`` by at least ``count``.
+    Raises ResourceLimit after ``MAX_REJECTED_SEEDS`` underconnected seeds
+    in a row, as when no extra edge closes a cycle.
     """
-    produced = 0
+    produced = rejected = 0
     s = seed
     while produced < count:
         try:
             yield random_instance(vertex_count, extra_edges, terminal_count, s)
             produced += 1
+            rejected = 0
         except Underconnected:
-            pass
+            rejected += 1
+            if rejected == MAX_REJECTED_SEEDS:
+                raise ResourceLimit(
+                    f"sampling (vertices, extra edges, terminals) = ({vertex_count}, {extra_edges}, "
+                    f"{terminal_count}) found {rejected} seeds underconnected in a row, the last {s}: "
+                    f"the budget MAX_REJECTED_SEEDS = {MAX_REJECTED_SEEDS}") from None
         s += 1

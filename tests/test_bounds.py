@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcastcap import (
     Multigraph,
+    BoundValue,
     TerminalSet,
     analyze_instance,
     appendix_a_delta,
@@ -18,7 +19,7 @@ from mcastcap import (
     theorem3_lower_bound,
     theorem3_tree_floor,
 )
-from mcastcap.bounds import _f_general
+from mcastcap.bounds import _f_general, bound_table, split_rate_floor
 
 
 class TestTheorem1:
@@ -170,6 +171,39 @@ class TestTheorem3:
     def test_agrees_with_theorem1_at_three_terminals(self, lam):
         _, f = theorem3_lower_bound(lam, 3)
         assert f.value == theorem1_lower_bounds(lam)[2].value
+
+
+    @pytest.mark.parametrize("lam, a", [(2, 3), (4, 3), (3, 5), (7, 10)])
+    def test_half_integer_bound_is_the_split_floor_at_scale_two(self, lam, a):
+        half, _ = theorem3_lower_bound(lam, a)
+        assert half == split_rate_floor(lam, a, 2) == Fraction(theorem3_tree_floor(2 * lam, a), 2)
+
+    def test_split_floor_at_scale_one_is_the_tree_floor(self):
+        # a split graph packed at scale 1 is owed only whole trees
+        assert split_rate_floor(4, 3, 1) == theorem3_tree_floor(4, 3) == 2
+        assert split_rate_floor(4, 3, 2) == Fraction(5, 2)
+
+
+class TestBoundTable:
+    def test_three_terminal_rows(self):
+        rows = bound_table(2, 3)
+        assert [rate for _, _, rate, _ in rows] == [
+            "integer packing", "half-integer rate", "LP rate", None, None, None,
+            "half-integer rate", "LP rate", None]
+        assert [str(value) for *_, value in rows] == [
+            "1", "1", "3/2 (limit)", "2", "2", "4/3 (limit)", "1", "3/2 (limit)", "4/3 (limit)"]
+        assert all(isinstance(value, BoundValue) for *_, value in rows)
+
+    def test_general_rows(self):
+        # only Theorem 3 and Corollary 2 apply beyond three terminals
+        assert bound_table(4, 4) == [
+            ("general half-integer lower bound", "pi_1/2 lower bound (general)", "half-integer rate",
+             BoundValue(Fraction(5, 2))),
+            ("general fractional lower bound", "pi_f lower bound (general)", "LP rate",
+             BoundValue(Fraction(8, 3), limit=True)),
+            ("general fractional gain bound", "G_f upper bound (general)", None,
+             BoundValue(Fraction(3, 2), limit=True)),
+        ]
 
 
 class TestCorollary2:

@@ -620,6 +620,22 @@ def under_report(original):
         return value - 1, side
     return faulty
 
+def over_report_later(original):
+    # the first call reports what it found, every later one one more
+    calls = []
+    def faulty(*args):
+        value, side = original(*args)
+        calls.append(value)
+        return (value + 1 if len(calls) > 1 else value), side
+    return faulty
+
+def halve_scale(original):
+    # relay elimination reports half the scale it packed at
+    def faulty(*args):
+        split_g, history, scale = original(*args)
+        return split_g, history, scale // 2
+    return faulty
+
 def fall_short(original):
     # a flow stopped at its limit reports one unit less, cut around the source alone
     def faulty(adj, s, t, limit=None, res=None):
@@ -670,7 +686,7 @@ def lighter_side(original):
 FAULTS = {"fail": lambda original: lambda *args: False, "accept": lambda original: lambda *args: True,
           "over-report": over_report, "under-report": under_report, "fall-short": fall_short,
           "drop-edge": drop_edge, "heavy-part": heavy_part, "drop-chain-edge": drop_chain_edge,
-          "lighter-side": lighter_side}
+          "lighter-side": lighter_side, "over-report-later": over_report_later, "halve-scale": halve_scale}
 module_name, *owners, name = sys.argv[1].split(".")
 owner = importlib.import_module(f"mcastcap.{module_name}")
 for attr in owners:
@@ -765,6 +781,26 @@ class TestCertificateChecks:
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure: LP rate 9/4 exceeds edge strength 5/4" in proc.stderr
 
+    @pytest.mark.parametrize("function, fault, instance, argv, message", [
+        ("max_integer_packing", "over-report", "cycle5", [], "integer packing 2 exceeds half-integer rate 1"),
+        ("half_integer_capacity", "over-report", "cycle3", [], "half-integer rate 5/2 exceeds LP rate 3/2"),
+        ("max_integer_packing", "over-report-later", "cycle5", ["--via-splitting"],
+         "split rate 2 exceeds split LP rate 5/4"),
+        ("eliminate_relays", "halve-scale", "k4", ["--via-splitting"], "split LP rate 9/2 exceeds LP rate 5/2"),
+    ], ids=["int-half", "half-lp", "split-rate", "split-lp"])
+    def test_rates_out_of_order_are_refused(self, tmp_path, function, fault, instance, argv, message):
+        # the a = 5 cycle has k = half = 1 below LP = 5/4, the 3-terminal one
+        # k = 1 below half = LP = 3/2; the split graph of the a = 5 cycle is
+        # the cycle on its terminals, packing 1 of its LP 5/4, and K4 + relay
+        # packs at scale 2, its split LP 9/2 over 2 below its LP 5/2
+        g, a = {"cycle5": example2_instance(5, (0, 2)), "cycle3": example2_instance(3, (0, 2)),
+                "k4": k4_with_relay(1)}[instance]
+        path = tmp_path / f"{instance}.json"
+        path.write_text(dump_instance(g, a))
+        proc = _run_faulty(f"analysis.{function}", fault, "analyze", str(path), *argv)
+        assert proc.returncode == 4, proc.stderr
+        assert f"certificate failure: {message}" in proc.stderr
+
     @pytest.mark.parametrize("function, terminals, relays, message", [
         ("half_integer_capacity", 3, (0, 2), "half-integer rate 1/2 is below the paper's bound 1"),
         ("fractional_capacity_lp", 5, (0, 2), "LP rate 1/4 is below the paper's bound 5/4"),
@@ -812,6 +848,14 @@ class TestCertificateChecks:
         proc = _run_faulty(function, fault, "analyze", str(path))
         assert proc.returncode == 4, proc.stderr
         assert f"certificate failure: {message}" in proc.stderr
+
+    def test_selftest_packing_names_the_broken_link(self):
+        # the packing scope's analyses check their own order
+        proc = _run_faulty("analysis.max_integer_packing", "over-report", "selftest", "packing")
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("certificate failure: integer packing ")
+        assert " exceeds half-integer rate " in proc.stderr
 
     def test_refused_routing_scheme_is_a_certificate_failure(self):
         # the cycle family's scheme is a packing its builder verifies
@@ -947,5 +991,14 @@ def test_scripts_run_clean():
         proc = _run_python(*flags, str(ROOT / "scripts" / script), *args)
         assert proc.returncode == 0, proc.stderr
         out += proc.stdout
-    assert "0 violations" in out
+    assert "checked 5 instances (|V|<=8, |A|=3): every rate in order and above its floors" in out
     assert "BAD" not in out
+
+
+def test_random_confirmation_without_cycles_gives_up():
+    # with no extra edge every draw is a tree, and no seed qualifies
+    start = time.monotonic()
+    proc = _run_python(str(ROOT / "scripts" / "random_confirmation.py"), "--count", "1", "--extra-edges", "0")
+    assert proc.returncode != 0
+    assert time.monotonic() - start < 10
+    assert "mcastcap.errors.ResourceLimit: sampling (vertices, extra edges, terminals) = (8, 0, 3)" in proc.stderr

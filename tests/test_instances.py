@@ -1,6 +1,8 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import time
+
 import pytest
 
 from mcastcap import (
@@ -13,7 +15,8 @@ from mcastcap import (
     terminal_cut,
     verify_packing,
 )
-from mcastcap.errors import BadSlot, Underconnected
+from mcastcap.errors import BadSlot, ResourceLimit, Underconnected
+from mcastcap.instances import MAX_REJECTED_SEEDS
 
 
 def has_link(g, u, v):
@@ -180,6 +183,30 @@ class TestRandomInstance:
     def test_broadcast_case(self):
         for g, a in sample_instances(3, 5, 5, 5, seed=50):
             assert a.members == g.vertices
+
+
+    @pytest.mark.parametrize("params", [(5, 0, 2), (12, 1, 12)])
+    def test_sampling_gives_up_where_no_seed_qualifies(self, params):
+        # with no extra edge every draw is a tree; one extra edge cannot close
+        # a cycle through all 12 terminals
+        start = time.monotonic()
+        with pytest.raises(ResourceLimit) as info:
+            list(sample_instances(1, *params, seed=0))
+        assert time.monotonic() - start < 1
+        last = MAX_REJECTED_SEEDS - 1
+        assert str(info.value) == (
+            f"sampling (vertices, extra edges, terminals) = {params} found {MAX_REJECTED_SEEDS} seeds "
+            f"underconnected in a row, the last {last}: the budget MAX_REJECTED_SEEDS = {MAX_REJECTED_SEEDS}")
+
+    def test_sampling_budget_counts_rejections_in_a_row(self, monkeypatch):
+        # at (5, 1, 3) seeds 0, 1 and 3 qualify and 2, 4 and 5 do not: the
+        # one rejection before seed 3 does not count toward the two after it
+        assert [_ok(5, 1, 3, s) for s in range(6)] == [True, True, False, True, False, False]
+        monkeypatch.setattr("mcastcap.instances.MAX_REJECTED_SEEDS", 2)
+        drawn = []
+        with pytest.raises(ResourceLimit, match="found 2 seeds underconnected in a row, the last 5:"):
+            drawn.extend(sample_instances(4, 5, 1, 3, seed=0))
+        assert drawn == [random_instance(5, 1, 3, s) for s in (0, 1, 3)]
 
 
 def _ok(n, m, t, s):

@@ -54,6 +54,12 @@ def test_solvers_alone_check_their_results():
     assert "verify_partition" not in _names("analysis")
 
 
+def test_bound_table_alone_names_the_floors():
+    # analysis reads each floor, and the rate it bounds, off bounds.bound_table
+    named = sorted(n for n in _names("analysis") if n.startswith(("theorem", "corollary")))
+    assert not named, f"analysis names {named}"
+
+
 def test_every_flow_is_checked():
     # checked_flow is the one caller of the flow kernel, so no flow goes unchecked
     users = [p.stem for p in sorted(PACKAGE.glob("*.py")) if "pair_flow" in _names(p.stem)]
