@@ -30,7 +30,7 @@ def main() -> None:
         gaps = tuple(s for s in slots if s < a)
         rep = analyze_instance(*example2_instance(a, gaps))
         scheme = example2_routing_scheme(a, gaps)
-        bracket = f"[{rep.bracket.lower}, {rep.bracket.upper}]"
+        bracket = f"[{rep.lp_rate}, {rep.eta}]"
         print(f"{a:>3} {rep.lam:>6} {rep.k_int:>3} {str(rep.half_rate):>6} "
               f"{str(rep.lp_rate):>6} {str(rep.eta):>6} {bracket:>12} "
               f"{str(scheme.rate):>7}")

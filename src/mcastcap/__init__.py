@@ -32,11 +32,9 @@ from .packing import (
     solve_tree_lp,
     verify_packing,
 )
-from .strength import TerminalPartition, edge_strength, verify_partition
+from .strength import edge_strength, verify_partition
 from .bounds import (
     BoundValue,
-    Decomposition3,
-    DecompositionGeneral,
     appendix_a_delta,
     appendix_b_identity,
     corollary1_gain_bounds,
@@ -53,6 +51,6 @@ from .instances import (
     random_instance,
     sample_instances,
 )
-from .analysis import CapacityReport, GammaBracket, analyze_instance
+from .analysis import CapacityReport, analyze_instance
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """The capacity analysis of one instance: every exact quantity, each checked
-by its certificate in the solver that computes it, the gamma bracket they
-give, and the closed-form bound table.
+by its certificate in the solver that computes it, and the closed-form
+bound table.
 
 ``analyze_instance`` runs, in order:
 
@@ -58,21 +58,11 @@ from .strength import edge_strength, partition_bound
 
 
 @dataclass(frozen=True)
-class GammaBracket:
-    """Certified interval around the coding capacity: LP rate <= gamma <= eta."""
-
-    lower: Rate
-    upper: Rate
-
-    @property
-    def tight(self) -> bool:
-        return self.lower == self.upper
-
-
-@dataclass(frozen=True)
 class CapacityReport:
     """What ``analyze_instance`` found, every rate checked.  When λ(A) = 1
-    the capacity is 1 outright and the rates are None."""
+    the capacity is 1 outright and the rates are None.  The γ bracket,
+    LP rate <= γ <= η, is printed from ``lp_rate`` and ``eta``: tight when
+    they are equal."""
 
     num_vertices: int
     num_edges: int
@@ -88,10 +78,6 @@ class CapacityReport:
     @property
     def short_circuit(self) -> bool:
         return self.lam == 1
-
-    @property
-    def bracket(self) -> GammaBracket | None:
-        return None if self.short_circuit else GammaBracket(self.lp_rate, self.eta)
 
     def to_dict(self) -> dict:
         d = {
@@ -109,7 +95,8 @@ class CapacityReport:
             "half_integer_rate": str(self.half_rate),
             "fractional_rate": str(self.lp_rate),
             "edge_strength": str(self.eta),
-            "bracket": {"lower": str(self.lp_rate), "upper": str(self.eta), "tight": self.bracket.tight},
+            "bracket": {"lower": str(self.lp_rate), "upper": str(self.eta),
+                        "tight": self.lp_rate == self.eta},
             "bounds": [{"name": n, "value": v} for n, v in self.bound_rows],
         }
         if self.via_splitting is not None:
@@ -130,7 +117,7 @@ class CapacityReport:
             f"fractional rate (LP)     = {self.lp_rate}",
             f"edge strength eta        = {self.eta}",
             f"gamma bracket            = [{self.lp_rate}, {self.eta}]"
-            + ("  (tight)" if self.bracket.tight else ""),
+            + ("  (tight)" if self.lp_rate == self.eta else ""),
             "bound table:",
         ]
         lines += [f"  {name:<42} {value}" for name, value in self.bound_rows]

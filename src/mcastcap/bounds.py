@@ -3,8 +3,10 @@ ceilings and decompositions, and the bound table built from them.
 
 Bounds that hold only in the large-n limit are reported as exact rational
 limit values carrying a ``limit`` flag; the finite-n guarantees are the floor
-formulas.  Callers short-circuit terminal connectivity 1 to capacity 1
-before any formula runs.
+formulas.  A decomposition holds what the ``bounds`` command prints of it,
+(k, δ, Δ) for three terminals and (k, δ) in general, not the λ and |A| it
+was called with.  Callers short-circuit terminal connectivity 1 to
+capacity 1 before any formula runs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class BoundValue:
 
 @dataclass(frozen=True)
 class Decomposition3:
-    lam: int
     k: int
     delta: int
     big_delta: int  # (6*lam - 3) mod 8, always in {1, 3, 5, 7}
@@ -36,8 +37,6 @@ class Decomposition3:
 
 @dataclass(frozen=True)
 class DecompositionGeneral:
-    a: int
-    lam: int
     k: int
     delta: int
 
@@ -76,7 +75,7 @@ def decompose3(lam: int) -> Decomposition3:
         and (delta == 0 or big == 1)
     ):
         raise CertificateError(f"3-terminal decomposition broken at lambda={lam}")
-    return Decomposition3(lam, k, delta, big)
+    return Decomposition3(k, delta, big)
 
 
 def appendix_a_delta(lam: int) -> int:
@@ -124,7 +123,7 @@ def decompose_general(lam: int, a: int) -> DecompositionGeneral:
         and k >= theorem3_tree_floor(lam, a)
     ):
         raise CertificateError(f"general decomposition broken at lambda={lam}, a={a}")
-    return DecompositionGeneral(a, lam, k, delta)
+    return DecompositionGeneral(k, delta)
 
 
 def appendix_b_identity(lam: int, a: int) -> tuple[int, int, int, bool]:

@@ -92,6 +92,8 @@ def random_instance(
         raise ValueError("more terminals than vertices")
     if terminal_count < 2:
         raise ValueError("need at least two terminals")
+    if extra_edges < 0:
+        raise ValueError("extra edges must not be negative")
     rng = random.Random(seed)
     names = [f"v{i}" for i in range(vertex_count)]
     triples: list[tuple[str, str, int]] = []

@@ -64,10 +64,13 @@ first one there replaces the seed or a worse leaf.  The witness is
 therefore the least minimizer in the order of the sorted tuple of sorted
 blocks, whatever the search order and the seed.
 
-The search may run on a ``Reduction`` (``multigraph.reduce_core``).  Its
-witness is then lifted onto the pruned core by ``Reduction.lift``, which
-keeps its crossing and number of blocks (the ``multigraph`` docstring
-says why), and ``verify_partition`` checks it there.
+A partition, witness or bound, is its blocks, a tuple of frozensets of
+vertex names; its crossing is not stored but recomputed from the edges by
+``verify_partition``, which checks that it attains the rate.  The search
+may run on a ``Reduction`` (``multigraph.reduce_core``).  Its witness is
+then lifted onto the pruned core by ``Reduction.lift``, which keeps its
+crossing and number of blocks (the ``multigraph`` docstring says why), and
+``verify_partition`` checks it there.
 
 The search counts its work in steps, each about one pass of a loop it runs
 in Python: placing a terminal costs 1 plus its relay edges; bounding the
@@ -84,7 +87,6 @@ about 3.3 million.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -98,16 +100,8 @@ from .multigraph import Multigraph, Rate, Reduction, TerminalSet
 # steps (about 0.9-1.6 s), and 12 are refused.
 MAX_STRENGTH_STEPS = 6_000_000
 
-
-@dataclass(frozen=True)
-class TerminalPartition:
-    blocks: tuple[frozenset[str], ...]
-    crossing: int
-
-
-def _crossing_capacity(g: Multigraph, blocks) -> int:
-    block_of = {v: i for i, b in enumerate(blocks) for v in b}
-    return sum(e.cap for e in g.edges if block_of[e.u] != block_of[e.v])
+# a partition of the vertices is its blocks (module docstring)
+Partition = tuple[frozenset[str], ...]
 
 
 def _seed(adj: PairCapacities, terms: list[str], relays: list[str]) -> tuple[dict[str, int], int]:
@@ -124,16 +118,15 @@ def _seed(adj: PairCapacities, terms: list[str], relays: list[str]) -> tuple[dic
     return block_of, crossing // 2
 
 
-def _checked(core: Multigraph, a: TerminalSet, eta: Rate, blocks, crossing: int) -> TerminalPartition:
-    """The partition of the core with these blocks and crossing, checked by
-    ``verify_partition`` to attain eta."""
-    witness = TerminalPartition(tuple(frozenset(b) for b in blocks), crossing)
-    if not verify_partition(core, a, eta, witness):
+def _checked(core: Multigraph, a: TerminalSet, eta: Rate, blocks: Partition) -> Partition:
+    """``blocks``, a partition of the core, checked by ``verify_partition``
+    to attain eta."""
+    if not verify_partition(core, a, eta, blocks):
         raise CertificateError("edge strength witness failed verification")
-    return witness
+    return blocks
 
 
-def edge_strength(g: Multigraph | Reduction, a: TerminalSet) -> tuple[Rate, TerminalPartition]:
+def edge_strength(g: Multigraph | Reduction, a: TerminalSet) -> tuple[Rate, Partition]:
     """Exact minimum of crossing/(blocks-1) over terminal-covering partitions.
 
     The witness is the lexicographically least minimizer (blocks compared as
@@ -266,12 +259,12 @@ def edge_strength(g: Multigraph | Reduction, a: TerminalSet) -> tuple[Rate, Term
     if best_key is None:
         raise CertificateError("edge strength search found no partition")
     eta = Fraction(best_num, best_den)
-    return eta, _checked(reduction.core, a, eta, reduction.lift(best_key), best_num)
+    return eta, _checked(reduction.core, a, eta, reduction.lift(best_key))
 
 
 def partition_bound(
     reduction: Reduction, a: TerminalSet, lam: int, side: frozenset[str]
-) -> tuple[Rate, TerminalPartition]:
+) -> tuple[Rate, Partition]:
     """An upper bound on eta: the smaller value of two partitions, the one
     returned checked on the core by ``verify_partition`` as the search's
     witness is.
@@ -290,27 +283,25 @@ def partition_bound(
         blocks = [[] for _ in terms]
         for v, i in block_of.items():
             blocks[i].append(v)
-        return seed, _checked(core, a, seed, reduction.lift(blocks), crossing)
+        return seed, _checked(core, a, seed, reduction.lift(blocks))
     near = side & core.vertices
-    return Fraction(lam), _checked(core, a, Fraction(lam), (near, core.vertices - near), lam)
+    return Fraction(lam), _checked(core, a, Fraction(lam), (near, core.vertices - near))
 
 
-def verify_partition(
-    g: Multigraph, a: TerminalSet, eta: Rate, partition: TerminalPartition
-) -> bool:
-    """Certificate check: ``partition`` is terminal-covering and attains ``eta``.
+def verify_partition(g: Multigraph, a: TerminalSet, eta: Rate, blocks: Partition) -> bool:
+    """Certificate check: ``blocks`` partition the vertices with a terminal
+    in each and attain ``eta``.
 
     The blocks must be disjoint, cover the vertex set, number at least two
-    and each hold a terminal; the crossing recomputed from the edges must
-    equal the recorded one, and eta = crossing / (blocks - 1).
+    and each hold a terminal, and eta must be their crossing, recomputed
+    from the edges, over the number of blocks less one.
     """
-    blocks = partition.blocks
     if sum(len(b) for b in blocks) != len(g.vertices):
         return False
     if frozenset().union(*blocks) != g.vertices:
         return False
     if len(blocks) < 2 or not all(b & a.members for b in blocks):
         return False
-    if _crossing_capacity(g, blocks) != partition.crossing:
-        return False
-    return eta == Fraction(partition.crossing, len(blocks) - 1)
+    block_of = {v: i for i, b in enumerate(blocks) for v in b}
+    crossing = sum(e.cap for e in g.edges if block_of[e.u] != block_of[e.v])
+    return eta == Fraction(crossing, len(blocks) - 1)

@@ -243,20 +243,20 @@ class TestGammaBracket:
 
     def test_cycle_family_tight(self):
         g, a = example2_instance(5, (0, 2))
-        br = analyze_instance(g, a).bracket
-        assert br.tight and br.lower == br.upper == Fraction(5, 4)
+        report = analyze_instance(g, a)
+        assert report.lp_rate == report.eta == Fraction(5, 4)
 
     def test_triangle_tight(self):
         g = Multigraph.build(
             ["s", "r1", "r2"], [("s", "r1", 1), ("r1", "r2", 1), ("r2", "s", 1)]
         )
-        br = analyze_instance(g, TerminalSet("s", ("r1", "r2"))).bracket
-        assert br.tight and br.lower == Fraction(3, 2)
+        report = analyze_instance(g, TerminalSet("s", ("r1", "r2")))
+        assert report.lp_rate == report.eta == Fraction(3, 2)
 
     def test_parallel_pair_tight(self):
         g = Multigraph.build(["s", "t"], [("s", "t", 1), ("s", "t", 1)])
-        br = analyze_instance(g, TerminalSet("s", ("t",))).bracket
-        assert br.tight and br.lower == 2
+        report = analyze_instance(g, TerminalSet("s", ("t",)))
+        assert report.lp_rate == report.eta == 2
 
     def test_connectivity_one_short_circuits(self):
         g = Multigraph.build(["s", "t"], [("s", "t", 1)])

@@ -328,6 +328,12 @@ class TestGen:
         _, a = load_instance(capsys.readouterr().out)
         assert len(a.members) == 4
 
+    def test_random_refuses_negative_extra_edges(self, capsys):
+        assert main(["gen", "random", "--seed", "0", "--extra-edges", "-4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: extra edges must not be negative\n"
+
     def test_random_deterministic(self, capsys):
         assert main(["gen", "random", "--seed", "7"]) == 0
         first = capsys.readouterr().out
@@ -856,6 +862,14 @@ class TestCertificateChecks:
         assert proc.stdout == ""
         assert proc.stderr.startswith("certificate failure: integer packing ")
         assert " exceeds half-integer rate " in proc.stderr
+
+    def test_selftest_splitting_exits_on_a_certificate_failure(self):
+        # relay elimination checks every flow it reads; a refused one ends
+        # the scope as in every other command, not as a FAIL line
+        proc = _run_faulty("connectivity.pair_flow", "over-report", "selftest", "splitting")
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("certificate failure: flow value")
 
     def test_refused_routing_scheme_is_a_certificate_failure(self):
         # the cycle family's scheme is a packing its builder verifies

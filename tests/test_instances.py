@@ -175,6 +175,14 @@ class TestRandomInstance:
         with pytest.raises(ValueError):
             random_instance(4, 2, 1, 0)
 
+    def test_negative_extra_edges_are_refused(self):
+        # a negative count would draw no extra edge, so every draw would be a
+        # tree and sampling would spend its whole seed budget before giving up
+        with pytest.raises(ValueError, match="^extra edges must not be negative$"):
+            random_instance(6, -1, 3, 0)
+        with pytest.raises(ValueError, match="^extra edges must not be negative$"):
+            next(sample_instances(2, 6, -3, 3, 0))
+
     def test_samples_are_wellformed(self):
         for g, a in sample_instances(10, 7, 5, 3, seed=9):
             assert a.members <= g.vertices

@@ -22,7 +22,7 @@ from mcastcap import strength
 from mcastcap.connectivity import terminal_cut
 from mcastcap.errors import CertificateError, SearchTooLarge
 from mcastcap.multigraph import prune_to_core, reduce_core
-from mcastcap.strength import TerminalPartition, partition_bound
+from mcastcap.strength import partition_bound
 
 
 def hub_star(n):
@@ -42,8 +42,8 @@ class TestEdgeStrength:
         g, a = triangle()
         eta, witness = edge_strength(g, a)
         assert eta == Fraction(3, 2)
-        assert len(witness.blocks) == 3
-        assert witness.crossing == 3
+        assert len(witness) == 3
+        assert verify_partition(g, a, Fraction(3, 2), witness)  # crossing 3
 
     def test_cycle_family(self):
         for na in (3, 4, 5, 6):
@@ -51,22 +51,23 @@ class TestEdgeStrength:
             eta, witness = edge_strength(g, a)
             assert eta == Fraction(na, na - 1)
             # the singleton-per-terminal partition attains it
-            assert len(witness.blocks) == na
-            assert witness.crossing == na
+            assert len(witness) == na
+            assert verify_partition(g, a, Fraction(na, na - 1), witness)  # crossing na
 
     def test_two_terminals_fat_edge(self):
         g = Multigraph.build(["a", "b"], [("a", "b", 4)])
         eta, witness = edge_strength(g, TerminalSet("a", ("b",)))
         assert eta == 4
-        assert len(witness.blocks) == 2
+        assert len(witness) == 2
 
     def test_thirteen_vertex_cycle(self):
         # three adjacent terminals on a 13-cycle
         names = [f"v{i}" for i in range(13)]
         g = Multigraph.build(names, [(names[i], names[(i + 1) % 13], 1) for i in range(13)])
-        eta, witness = edge_strength(g, TerminalSet("v0", ("v1", "v2")))
+        a = TerminalSet("v0", ("v1", "v2"))
+        eta, witness = edge_strength(g, a)
         assert eta == Fraction(3, 2)
-        assert witness.crossing == 3
+        assert verify_partition(g, a, Fraction(3, len(witness) - 1), witness)  # crossing 3
 
     def test_twelve_terminal_cycle(self):
         # Bell(12) = 4213597 terminal partitions, and the bounds cut all but a few
@@ -74,7 +75,7 @@ class TestEdgeStrength:
         g = Multigraph.build(names, [(names[i], names[(i + 1) % 12], 1) for i in range(12)])
         eta, witness = edge_strength(g, TerminalSet(names[0], tuple(names[1:])))
         assert eta == Fraction(12, 11)
-        assert len(witness.blocks) == 12
+        assert len(witness) == 12
 
     def test_step_budget(self, monkeypatch):
         # 11 terminals around one relay hub: no partial partition is pruned
@@ -168,9 +169,8 @@ def _assert_matches_oracle(g, a):
     value, key, crossing = _oracle_strength(g, a)
     eta, witness = edge_strength(g, a)
     assert eta == value
-    assert witness.blocks == tuple(frozenset(b) for b in key)
-    assert witness.crossing == crossing
-    assert verify_partition(g, a, eta, witness)
+    assert witness == tuple(frozenset(b) for b in key)
+    assert verify_partition(g, a, Fraction(crossing, len(witness) - 1), witness)
 
 
 def _small_connected_multigraphs(max_n=5, max_cap=6):
@@ -230,7 +230,7 @@ class TestOracle:
         a = TerminalSet("v0", ("v2",))
         eta, witness = edge_strength(g, a)
         assert eta == 1
-        assert witness == TerminalPartition((frozenset({"v0"}), frozenset({"v1", "v2"})), 1)
+        assert witness == (frozenset({"v0"}), frozenset({"v1", "v2"}))
         _assert_matches_oracle(g, a)
 
 
@@ -337,8 +337,8 @@ class TestIncrementalSearch:
         value, key, crossing = _reference_edge_strength(g, a)
         eta, witness = edge_strength(g, a)
         assert eta == value
-        assert witness.blocks == tuple(frozenset(b) for b in key)
-        assert witness.crossing == crossing
+        assert witness == tuple(frozenset(b) for b in key)
+        assert verify_partition(g, a, Fraction(crossing, len(witness) - 1), witness)
 
     def test_cycle_family(self):
         for na in range(3, 10):
@@ -405,9 +405,9 @@ class TestPartitionBound:
         a = TerminalSet("s", ("t1", "t2"))
         r = reduce_core(g, a)
         assert partition_bound(r, a, 4, frozenset({"s", "t1", "x"})) == (
-            4, TerminalPartition((frozenset({"s", "t1", "x"}), frozenset({"t2"})), 4))
+            4, (frozenset({"s", "t1", "x"}), frozenset({"t2"})))
         assert partition_bound(r, a, 7, frozenset({"s", "t1", "x"})) == (
-            Fraction(13, 2), TerminalPartition((frozenset({"s", "x"}), frozenset({"t1"}), frozenset({"t2"})), 13))
+            Fraction(13, 2), (frozenset({"s", "x"}), frozenset({"t1"}), frozenset({"t2"})))
         # a side whose cut is not lambda fails its check
         with pytest.raises(CertificateError, match="^edge strength witness failed verification$"):
             partition_bound(r, a, 4, frozenset({"s", "t1"}))
@@ -419,18 +419,19 @@ class TestVerifyPartition:
         g, a = triangle()
         eta, witness = edge_strength(g, a)
         s, r1, r2 = (frozenset({v}) for v in ("s", "r1", "r2"))
+        assert verify_partition(g, a, eta, witness)
         assert not verify_partition(g, a, eta + 1, witness)
-        assert not verify_partition(g, a, eta, TerminalPartition(witness.blocks, 4))
-        assert not verify_partition(g, a, eta, TerminalPartition((s, r1), 3))  # misses r2
-        assert not verify_partition(g, a, eta, TerminalPartition((s, r1, r2, r2), 3))  # overlap
-        assert not verify_partition(g, a, 0, TerminalPartition((s | r1 | r2,), 0))  # one block
+        assert not verify_partition(g, a, 2, witness)  # right blocks, wrong eta: they cross 3, not 4
+        assert not verify_partition(g, a, eta, (s, r1))  # misses r2
+        assert not verify_partition(g, a, 1, (s, r1, r2, r2))  # overlap; it would cross 3 over 3
+        assert not verify_partition(g, a, 0, (s | r1 | r2,))  # one block
         # the sizes sum to |V|, but s is repeated and the edgeless x missed;
         # every later check would pass
         iso = Multigraph.build(["s", "r1", "r2", "x"], [(e.u, e.v, e.cap) for e in g.edges])
-        assert not verify_partition(iso, a, 1, TerminalPartition((s, r1, r2 | s), 2))
+        assert not verify_partition(iso, a, 1, (s, r1, r2 | s))
         relay = Multigraph.build(
             ["s", "r1", "r2", "x"],
             [("s", "r1", 1), ("r1", "r2", 1), ("r2", "s", 1), ("s", "x", 1), ("x", "r1", 1)],
         )
-        bad = TerminalPartition((s, r1, r2, frozenset({"x"})), 5)  # terminal-free block
+        bad = (s, r1, r2, frozenset({"x"}))  # terminal-free block
         assert not verify_partition(relay, a, Fraction(5, 3), bad)
