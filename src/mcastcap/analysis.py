@@ -15,7 +15,9 @@ bound table.
    partition lifted by ``Reduction.lift`` and checked on the pruned core
    by ``verify_partition`` inside ``strength``;
 4. one ``solve_tree_lp`` on the reduced graph, stopped as soon as its
-   objective reaches U;
+   objective reaches U.  Steps 2-4 are ``bounded_tree_lp``, which
+   ``mcastcap pack`` calls too, so its packings are this LP's, expanded and
+   checked as in step 5; at λ(A) = 1 it reduces the input as given;
 5. from it the integer packing, expanded onto the pruned core and checked
    there by ``verify_packing`` inside ``packing``.  The rates are nested,
    k <= half <= LP, and a checked packing proves each rate it reaches: the
@@ -47,6 +49,7 @@ from .connectivity import terminal_cut
 from .errors import CertificateError
 from .multigraph import Multigraph, Rate, TerminalSet, prune_to_core, reduce_core, validate
 from .packing import (
+    TreeLP,
     fractional_capacity_lp,
     half_integer_capacity,
     max_integer_packing,
@@ -138,6 +141,22 @@ def _check_order(*chain: tuple[str, Rate]) -> None:
             raise CertificateError(f"{name} {value} exceeds {above} {bound}")
 
 
+def bounded_tree_lp(
+    g: Multigraph, a: TerminalSet, lam: int, side: frozenset[str]
+) -> tuple[Rate, TreeLP]:
+    """Steps 2-4 of the module docstring on a valid ``g`` whose minimum
+    terminal cut ``terminal_cut`` found as ``lam`` and ``side``: the upper
+    bound U on η and the tree LP of the reduced core, stopped at U.
+
+    At λ(A) = 1 a cut-edge joins two terminals and ``prune_to_core``
+    refuses, so ``g`` is reduced as given and is the core the packings are
+    checked on.
+    """
+    reduced = reduce_core(prune_to_core(g, a) if lam > 1 else g, a)
+    upper, _ = partition_bound(reduced, a, lam, side)
+    return upper, solve_tree_lp(reduced, a, upper)
+
+
 def analyze_instance(
     g: Multigraph, a: TerminalSet, via_splitting: bool = False
 ) -> CapacityReport:
@@ -146,10 +165,7 @@ def analyze_instance(
     na = len(a.members)
     if lam == 1:
         return CapacityReport(len(g.vertices), len(g.edges), na, lam)
-    core = prune_to_core(g, a)
-    reduced = reduce_core(core, a)
-    upper, _ = partition_bound(reduced, a, lam, side)
-    tree_lp = solve_tree_lp(reduced, a, upper)
+    upper, tree_lp = bounded_tree_lp(g, a, lam, side)
     k, _ = max_integer_packing(tree_lp)
     # the rates are nested, k <= half <= LP, so a checked packing proves
     # every rate it reaches: 2k at the half-integer search's goal
@@ -158,7 +174,7 @@ def analyze_instance(
     lp = half if half == tree_lp.opt else fractional_capacity_lp(tree_lp)[0]
     # a verified packing and a verified partition of equal value prove each
     # other optimal, so the search runs only when they do not meet
-    eta = upper if lp == upper else edge_strength(reduced, a)[0]
+    eta = upper if lp == upper else edge_strength(tree_lp.reduction, a)[0]
     # weak duality: an A-Steiner tree crosses a k-block partition with a
     # terminal in every block at least k - 1 times, so no packing's rate
     # exceeds eta; 2-block partitions give lambda(A) exactly, so eta <= lambda
@@ -170,6 +186,7 @@ def analyze_instance(
         if rate and not rates[rate] >= bound.value:
             raise CertificateError(f"{rate} {rates[rate]} is below the paper's bound {bound.value}")
     _check_order(*chain)
+    core = tree_lp.reduction.core
     return CapacityReport(
         len(core.vertices), len(core.edges), na, lam, k, half, lp, eta,
         tuple((label, str(bound)) for label, _, _, bound in table),

@@ -1,5 +1,6 @@
 """Command-line front end: argument parsing and output.  The analysis
-itself is ``analysis.analyze_instance``.
+itself is ``analysis.analyze_instance``; ``pack`` prints a packing of the
+tree LP that analysis solves, ``analysis.bounded_tree_lp``.
 
 Subcommands: analyze, bounds, pack, split, strength, gen, selftest.
 Exit codes: 0 ok, 1 selftest failure, 2 input error, 3 resource limit,
@@ -15,7 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import bounds as bnd
-from .analysis import analyze_instance
+from .analysis import analyze_instance, bounded_tree_lp
+from .connectivity import terminal_cut
 from .errors import CertificateError, McastcapError, ResourceLimit
 from .instances import example2_instance, example2_routing_scheme, random_instance, sample_instances
 from .multigraph import (
@@ -30,7 +32,6 @@ from .packing import (
     fractional_capacity_lp,
     half_integer_capacity,
     max_integer_packing,
-    solve_tree_lp,
 )
 from .splitting import eliminate_relays
 from .strength import edge_strength
@@ -90,7 +91,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_pack(args) -> int:
     g, a = _read_instance(args.file)
     solve = {"int": max_integer_packing, "half": half_integer_capacity, "frac": fractional_capacity_lp}
-    value, p = solve[args.mode](solve_tree_lp(g, a))
+    value, p = solve[args.mode](bounded_tree_lp(g, a, *terminal_cut(g, a))[1])
     print(json.dumps({"mode": args.mode, "value": str(value), "packing": _packing_to_dict(p)}, indent=2))
     return 0
 

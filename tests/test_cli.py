@@ -150,6 +150,24 @@ class TestPack:
             assert d["value"] == value
             assert d["packing"]["trees"]
 
+    @pytest.mark.parametrize("instance", ["path", "triangles16+pendant"])
+    def test_terminal_connectivity_one(self, tmp_path, capsys, instance):
+        # a cut-edge joins two terminals, so the input is reduced as given;
+        # the 16 relay triangles contract away, and their 2^16 relay subsets
+        # are never enumerated
+        if instance == "path":
+            g = Multigraph.build(["s", "t", "u"], [("s", "t", 1), ("t", "u", 1)])
+            a = TerminalSet("s", ("t", "u"))
+        else:
+            g, a = dangling_triangles(16)
+            g = Multigraph.build(g.vertices | {"p"}, [(e.u, e.v, e.cap) for e in g.edges] + [(a.source, "p", 1)])
+            a = TerminalSet(a.source, (*a.sinks, "p"))
+        path = tmp_path / "lambda1.json"
+        path.write_text(dump_instance(g, a))
+        for mode in ("int", "half", "frac"):
+            assert main(["pack", str(path), "--mode", mode]) == 0
+            assert json.loads(capsys.readouterr().out)["value"] == "1"
+
 
 class TestSplit:
     def test_split(self, cycle_file, capsys):
@@ -195,9 +213,9 @@ WITNESS_DIGESTS = {
         "e71f25abc4412c6676b4a266595d698a65fcfd334f551045ccc27c03c41533c5",
     ),
     "draw0": (
-        "851a4f1f256caf1b025e6bc04fb564292ccca02c1b6df89f067b3fe9d724ac3f",
-        "0d6f7ec9d54b845d1faed9ce39de8a73cfe474ace4b9afbd5542730e5cf0509a",
-        "1252c21e16ff3ffa6880fcc84dbe88a29e5a52af18e3436d2cbb80e3c08e137e",
+        "f29e8ae1a37cd80184d6a2fa5a707da323651a073b5c89115452c13236368cb6",
+        "dac91b9b4e9a82d8c41b868740acbebb58d0bdee73554806d40df2a02320db75",
+        "1974601070861136fa26254964e7e785976ad1e8f0b94b7f58e1c6c51962112b",
         "bf947b157c5982a58d28c91862511967f2595ba79c07c81ce91088d9b49b7010",
     ),
     "draw1": (
@@ -207,21 +225,21 @@ WITNESS_DIGESTS = {
         "33c6a6db05048a51754ab63a343f937dd52553361c16fd9789ea91f52c86d937",
     ),
     "draw2": (
-        "1513941a6248a688b56d45ebf6a105d3eb33dc91dfea7ad9ed3fd53a40d612ed",
-        "1bd08e981720b161180b4bc168bca755da869fca2b42d6e777cc03e664d2e4b7",
-        "19217c54cd984c8a364339abda74803d0f9bdc08b288a33d9d8535ca0307861c",
+        "01550a3190af707cd507189d8b5348860ce4bfd28f29e8d45d5b44c0765f0fe3",
+        "b456fd0edaac5131cb066b9db436e44a31658b99a1c837b9d9e607182ad55ad5",
+        "2e1746612ee0c11f22fbfc203b050417c0961464859b83a6160cf1806cabdb05",
         "007af5af56f1938923d98a4d2d3912f278bd07fb2b71ec4faa256bcd5f313059",
     ),
     "draw3": (
-        "391e91d8bc018fbdaa8f626835a5cdc7539729fff8e06124d1f3877b4dc678fe",
-        "afcacd4b68e43319512f67a7df91a325ddf37420cc7d9fa85d85104eb7a14398",
-        "cb1089111d2239957df92dadf680b78fe08df8de9514ad7367ca578e09eb52e6",
+        "abcdb7cf0cc0712cf3e22c945a5e42fa386d0b3bab0ee8784da325937d49b01b",
+        "0b8dd9e4a1197b3f3eba474cd6784a6404a24d544b7ed49d1998d26ede6fae21",
+        "7e7758fc8c9a1cd3c34a48760b41a39579c896e1a6b8f53bed523dafd880a69b",
         "19565d4c0c9201e0afe86a0ca3a98cffe606454042d4c95ba71a2e393e5354d8",
     ),
     "draw4": (
-        "d75f95cb8dc311f2f8974d61bccc81dc21b3eeaa5d6ae048cee7b5f23dbb28a2",
-        "6ed89305cbb3291c0c70dc2337d38e39ac7d9840abc347ff5b617003ebd5556f",
-        "96bcd913456187f2bc4f8e81f85b71fe6e71537fa51dc8ee2bda633482018ba1",
+        "0c13a43129fb6dff07f70ad13291912116673d30566e0d4d997fc788d68d9bed",
+        "b3fb663917efe9c9add65c6f5678935d22bcee5cb79325f74940c8a246a699a0",
+        "ea59ce4828985a46adafcadc53f07160ac721a40de53c63274863f83f187af05",
         "df6314cd838409eea55522d0b2bf57982d58a85792ca5e6d1459418a3aa36e2a",
     ),
 }
@@ -557,7 +575,7 @@ class TestErrors:
     def test_analyze_stops_its_lp_short_of_the_tree_limit(self, tmp_path, capsys):
         # the reduced core has more than DEFAULT_TREE_LIMIT minimal trees, but
         # its LP meets the partition bound 2 within the first size classes;
-        # pack enumerates every tree and still refuses
+        # pack solves the same bounded LP
         path = tmp_path / "r20.json"
         path.write_text(dump_instance(*random_instance(20, 14, 4, 3)))
         start = time.perf_counter()
@@ -566,9 +584,20 @@ class TestErrors:
         out = json.loads(capsys.readouterr().out)
         assert out["integer_packing"] == 2
         assert out["half_integer_rate"] == out["fractional_rate"] == out["edge_strength"] == "2"
-        assert main(["pack", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert "resource limit: tree enumeration found more than DEFAULT_TREE_LIMIT = 5000 minimal Steiner trees" in err
+        for mode in ("int", "half", "frac"):
+            assert main(["pack", str(path), "--mode", mode]) == 0
+            assert json.loads(capsys.readouterr().out)["value"] == "2"
+        assert time.perf_counter() - start < 10
+
+    def test_pack_stops_its_lp_short_of_the_tree_limit(self, tmp_path, capsys):
+        # the fractional packing meets the partition bound 3 before the tree
+        # limit, while the integer and half-integer searches still pass it
+        path = tmp_path / "r30.json"
+        path.write_text(dump_instance(*random_instance(30, 30, 6, 0)))
+        start = time.perf_counter()
+        assert main(["pack", str(path), "--mode", "frac"]) == 0
+        assert time.perf_counter() - start < 10
+        assert json.loads(capsys.readouterr().out)["value"] == "3"
 
     def test_analyze_meets_the_bound_without_the_search(self, tmp_path, capsys):
         # 12 terminals joined through one relay hub by edges of capacity 2:
@@ -980,20 +1009,27 @@ def test_reduction_walls_analyze(tmp_path, capsys, instance):
 
 
 def test_tree_enumeration_step_limit(tmp_path):
-    # 16 relay triangles hanging at the terminals: 2^16 relay subsets pass
-    # the degree test, and no minimal tree uses any of their relays; pack
-    # enumerates on the graph as given
-    path = tmp_path / "triangles16.json"
-    path.write_text(dump_instance(*dangling_triangles(16)))
-    start = time.monotonic()
-    proc = _run_cli("pack", str(path))
-    assert proc.returncode == 3, proc.stderr
-    assert time.monotonic() - start < 10
+    # 8 relay triangles on the 3-terminal cycle, each relay of a triangle
+    # joined to the same terminal: every relay keeps 3 neighbours, so
+    # reduce_core leaves them, and 5^8 relay subsets pass the degree test
+    g, a = example2_instance(3)
+    names = sorted(a.members)
+    edges = [(e.u, e.v, e.cap) for e in g.edges]
+    for i in range(8):
+        x, y, z = (f"{r}{i}" for r in "xyz")
+        edges += [(names[i % 3], r, 1) for r in (x, y, z)] + [(x, y, 1), (y, z, 1), (z, x, 1)]
+    path = tmp_path / "k4s8.json"
+    path.write_text(dump_instance(Multigraph.build({v for e in edges for v in e[:2]}, edges), a))
     budget = packing.MAX_ENUMERATION_STEPS
-    head, tail = proc.stderr.split(" steps, ")
-    assert head.startswith("resource limit: tree enumeration used ")
-    assert int(head.split()[-1]) > budget
-    assert tail == f"more than the budget MAX_ENUMERATION_STEPS = {budget}\n"
+    for command in ("analyze", "pack"):
+        start = time.monotonic()
+        proc = _run_cli(command, str(path))
+        assert proc.returncode == 3, proc.stderr
+        assert time.monotonic() - start < 10
+        head, tail = proc.stderr.split(" steps, ")
+        assert head.startswith("resource limit: tree enumeration used ")
+        assert int(head.split()[-1]) > budget
+        assert tail == f"more than the budget MAX_ENUMERATION_STEPS = {budget}\n"
 
 
 def test_scripts_run_clean():

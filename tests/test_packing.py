@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mcastcap import (
     Multigraph,
     TerminalSet,
+    dump_instance,
     edge_strength,
     enumerate_steiner_trees,
     example2_instance,
@@ -24,7 +25,7 @@ from mcastcap import (
     verify_packing,
 )
 from mcastcap import analysis, packing, strength
-from mcastcap.cli import analyze_instance
+from mcastcap.cli import analyze_instance, main
 from mcastcap.connectivity import pair_flow
 from mcastcap.errors import (
     CertificateError,
@@ -325,7 +326,7 @@ def k4_with_relay(k):
 
 class TestSharedSolve:
     @pytest.mark.parametrize("via_splitting, solves", [(False, 1), (True, 2)])
-    def test_one_solve_per_distinct_graph(self, monkeypatch, via_splitting, solves):
+    def test_one_solve_per_distinct_graph(self, monkeypatch, tmp_path, via_splitting, solves):
         calls = {"_minimal_trees": 0, "_lp_max_total": 0}
         for name in calls:
             original = getattr(packing, name)
@@ -341,6 +342,14 @@ class TestSharedSolve:
                 calls[name] = 0
             analyze_instance(g, a, via_splitting=via_splitting)
             assert calls == {"_minimal_trees": solves, "_lp_max_total": solves}
+            # pack solves the one LP that analyze does
+            path = tmp_path / "instance.json"
+            path.write_text(dump_instance(g, a))
+            for mode in ("int", "half", "frac"):
+                for name in calls:
+                    calls[name] = 0
+                assert main(["pack", str(path), "--mode", mode]) == 0
+                assert calls == {"_minimal_trees": 1, "_lp_max_total": 1}
 
     def test_half_integer_matches_doubled_graph_reference(self):
         for g, a in varied_samples():

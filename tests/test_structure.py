@@ -66,6 +66,15 @@ def test_every_flow_is_checked():
     assert users == ["connectivity"], f"modules referring to pair_flow: {users}"
 
 
+def test_one_solve_path():
+    # analysis alone solves the tree LP, on the reduced core and stopped at
+    # the partition bound, for analyze and pack alike; __init__ exports it
+    # to library callers
+    users = [p.stem for p in sorted(PACKAGE.glob("*.py"))
+             if p.stem != "__init__" and "solve_tree_lp" in _names(p.stem)]
+    assert users == ["analysis"], f"modules referring to solve_tree_lp: {users}"
+
+
 def test_reduction_records_have_one_reader():
     # Reduction lifts its own certificates, so only multigraph reads what
     # reduce_core removed and the chains its parts stand for
