@@ -2,9 +2,10 @@
 itself is ``analysis.analyze_instance``; ``pack`` prints a packing of the
 tree LP that analysis solves, ``analysis.bounded_tree_lp``.
 
-Subcommands: analyze, bounds, pack, split, strength, gen, selftest.
-Exit codes: 0 ok, 1 selftest failure, 2 input error, 3 resource limit,
-4 certificate failure.
+Subcommands: analyze, bounds, pack, split, strength, gen, selftest.  Each
+prints its result or raises; ``main`` alone turns an error into an exit
+code: 0 ok, 2 input error, 3 resource limit, 4 certificate failure (a
+selftest check that fails is one, named by its message).
 """
 
 from __future__ import annotations
@@ -56,24 +57,22 @@ def _packing_to_dict(p: SteinerPacking) -> dict:
     }
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> None:
     g, a = _read_instance(args.file)
     report = analyze_instance(g, a, via_splitting=args.via_splitting)
     if args.format == "structured":
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.to_text())
-    return 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> None:
     lam, na = args.lam, args.terminals
     if lam < 1 or na < 2:
-        print("need connectivity >= 1 and >= 2 terminals", file=sys.stderr)
-        return 2
+        raise ValueError("need connectivity >= 1 and >= 2 terminals")
     if lam == 1:
         print("terminal connectivity 1: gamma = pi = 1")
-        return 0
+        return
     rows = [(name, str(value)) for _, name, _, value in bnd.bound_table(lam, na)]
     dec3 = bnd.decompose3(lam)
     decg = bnd.decompose_general(lam, na)
@@ -85,18 +84,16 @@ def _cmd_bounds(args) -> int:
     print(f"lambda(A) = {lam}, |A| = {na}")
     for n, v in rows:
         print(f"  {n:<{width}}  {v}")
-    return 0
 
 
-def _cmd_pack(args) -> int:
+def _cmd_pack(args) -> None:
     g, a = _read_instance(args.file)
     solve = {"int": max_integer_packing, "half": half_integer_capacity, "frac": fractional_capacity_lp}
     value, p = solve[args.mode](bounded_tree_lp(g, a, *terminal_cut(g, a))[1])
     print(json.dumps({"mode": args.mode, "value": str(value), "packing": _packing_to_dict(p)}, indent=2))
-    return 0
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> None:
     g, a = _read_instance(args.file)
     core = prune_to_core(g, a)
     split_g, history, scale = eliminate_relays(core, a)
@@ -118,10 +115,9 @@ def _cmd_split(args) -> int:
             "deleted_pivots": list(history.deleted_pivots),
         }
     print(json.dumps(out, indent=2))
-    return 0
 
 
-def _cmd_strength(args) -> int:
+def _cmd_strength(args) -> None:
     g, a = _read_instance(args.file)
     eta, witness = edge_strength(g, a)
     print(
@@ -136,64 +132,57 @@ def _cmd_strength(args) -> int:
             indent=2,
         )
     )
-    return 0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     if args.kind == "example2":
         slots = tuple(int(s) for s in args.relays.split(",")) if args.relays else ()
         g, a = example2_instance(args.terminals, slots)
     else:
         g, a = random_instance(args.vertices, args.extra_edges, args.terminals, args.seed)
     print(dump_instance(g, a))
-    return 0
 
 
 # -- selftest --------------------------------------------------------------
+# Each scope returns once all its checks hold and raises CertificateError,
+# naming the check, at the first that fails.
 
 
-def _selftest_appendix() -> list[str]:
-    failures = []
+def _selftest_appendix() -> None:
     for lam in range(1, 10_001):
         bnd.decompose3(lam)
     for lam in range(2, 201):
         for na in range(2, 21):
             _, _, _, holds = bnd.appendix_b_identity(lam, na)
             if not holds:
-                failures.append(f"modular identity fails at lambda={lam}, a={na}")
-    return failures
+                raise CertificateError(f"modular identity fails at lambda={lam}, a={na}")
 
 
-def _selftest_examples() -> list[str]:
-    failures = []
+def _selftest_examples() -> None:
     for na in range(3, 7):
         for slots in [(), (0,), (0, 2)]:
             g, a = example2_instance(na, slots)
             report = analyze_instance(g, a)
             if not report.lp_rate == report.eta == Fraction(na, na - 1):
-                failures.append(f"cycle family bracket wrong at a={na}, slots={slots}")
+                raise CertificateError(f"cycle family bracket wrong at a={na}, slots={slots}")
     for na in range(3, 9):
         # the builder checks its packing; this checks the rate it reaches
         if example2_routing_scheme(na).rate != Fraction(na, na - 1):
-            failures.append(f"routing scheme invalid at a={na}")
-    return failures
+            raise CertificateError(f"routing scheme invalid at a={na}")
 
 
-def _selftest_splitting() -> list[str]:
-    failures = []
+def _selftest_splitting() -> None:
     for i, (g, a) in enumerate(sample_instances(15, 6, 5, 3, seed=1000)):
         split_g, history, _ = eliminate_relays(g, a)
         if history.events and history.replay().edges != split_g.edges:
-            failures.append(f"splitting instance {i}: history replay mismatch")
-    return failures
+            raise CertificateError(f"splitting instance {i}: history replay mismatch")
 
 
-def _selftest_packing() -> list[str]:
+def _selftest_packing() -> None:
     # analyze_instance checks every rate it reports, in order and against
-    # the paper's floors, and raises CertificateError at a broken link
+    # the paper's floors
     for g, a in sample_instances(15, 6, 5, 3, seed=2000):
         analyze_instance(g, a)
-    return []
 
 
 _SCOPES = {
@@ -204,17 +193,10 @@ _SCOPES = {
 }
 
 
-def _cmd_selftest(args) -> int:
-    scopes = list(_SCOPES) if args.scope == "all" else [args.scope]
-    failed = False
-    for scope in scopes:
-        failures = _SCOPES[scope]()
-        status = "ok" if not failures else "FAIL"
-        print(f"selftest {scope}: {status}")
-        for f in failures:
-            print(f"  {f}")
-            failed = True
-    return 1 if failed else 0
+def _cmd_selftest(args) -> None:
+    for scope in list(_SCOPES) if args.scope == "all" else [args.scope]:
+        _SCOPES[scope]()
+        print(f"selftest {scope}: ok")
 
 
 # -- entry point -----------------------------------------------------------
@@ -276,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
@@ -286,6 +268,7 @@ def main(argv=None) -> int:
     except (OSError, McastcapError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -106,15 +106,15 @@ from .errors import CertificateError, SearchTooLarge, TooManyTrees
 from .multigraph import Edge, Multigraph, Rate, Reduction, TerminalSet, edge_component
 
 DEFAULT_TREE_LIMIT = 5000
-# Steps one tree enumeration may take (module docstring).  It takes some
-# 1.7-3.5 million steps a second, so a search over budget stops within
-# about 1-2 s (2-core x86 VM, Python 3.11).  The largest tested core,
-# random_instance(16, 12, 4, 0) with a parallel edge, takes 76 thousand
-# steps; the unit all-terminal K46 and random_instance(24, 16, 4, 0) find
-# more than DEFAULT_TREE_LIMIT trees within 1.22 million.
+# Steps one tree enumeration may take (module docstring).  Over budget it
+# stops after 0.07-0.10 s in test_tree_enumeration_step_limit and 0.4 s on
+# dangling_triangles(16) as given (2-core x86 VM, Python 3.11).  The largest
+# tested core, random_instance(16, 12, 4, 0) with a parallel edge, takes 76
+# thousand steps; the unit all-terminal K46 and random_instance(24, 16, 4, 0)
+# find more than DEFAULT_TREE_LIMIT trees within 1.22 million.
 MAX_ENUMERATION_STEPS = 3_000_000
 # Nodes one branch and bound may visit.  Every node runs its flows, so the
-# budget takes about 0.8-1.1 s, some 40-56 us a node, on the x7 copy of the
+# budget takes about 0.3-0.5 s, some 16-25 us a node, on the x7 copy of the
 # second draw of sample_instances(5, 10, 10, 4, 0) (2-core x86 VM,
 # Python 3.11).
 MAX_SEARCH_NODES = 20_000

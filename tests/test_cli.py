@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from mcastcap import (
     Multigraph,
+    SplitHistory,
     TerminalSet,
+    bounds,
     dump_instance,
     example2_instance,
     load_instance,
@@ -135,7 +137,11 @@ class TestBounds:
         assert "8/3 (limit)" in out
 
     def test_invalid(self, capsys):
-        assert main(["bounds", "--lambda", "0"]) == 2
+        for argv in (["--lambda", "0"], ["--lambda", "2", "--terminals", "1"]):
+            assert main(["bounds", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "input error: need connectivity >= 1 and >= 2 terminals\n"
 
     def test_connectivity_one_short_circuits(self, capsys):
         assert main(["bounds", "--lambda", "1"]) == 0
@@ -377,10 +383,43 @@ class TestSelftest:
             return replace(p, trees=p.trees[:-1])
 
         monkeypatch.setattr(cli, "example2_routing_scheme", short)
-        assert main(["selftest", "examples"]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith("selftest examples: FAIL\n")
-        assert "  routing scheme invalid at a=3\n" in out and "  routing scheme invalid at a=8\n" in out
+        assert main(["selftest", "examples"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "certificate failure: routing scheme invalid at a=3\n"
+
+    def test_wrong_cycle_bracket_fails_the_examples_scope(self, capsys, monkeypatch):
+        analyze = cli.analyze_instance
+        monkeypatch.setattr(cli, "analyze_instance", lambda g, a: replace(analyze(g, a), eta=None))
+        assert main(["selftest", "examples"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "certificate failure: cycle family bracket wrong at a=3, slots=()\n"
+
+    def test_broken_modular_identity_fails_the_appendix_scope(self, capsys, monkeypatch):
+        identity = bounds.appendix_b_identity
+        monkeypatch.setattr(bounds, "appendix_b_identity", lambda lam, na: (*identity(lam, na)[:3], False))
+        assert main(["selftest", "appendix"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "certificate failure: modular identity fails at lambda=2, a=2\n"
+
+    def test_history_replay_mismatch_fails_the_splitting_scope(self, capsys, monkeypatch):
+        # the replay stops at the base graph, before its first split
+        monkeypatch.setattr(SplitHistory, "replay", lambda history: history.base)
+        assert main(["selftest", "splitting"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("certificate failure: splitting instance ")
+        assert err.endswith(": history replay mismatch\n")
+
+    def test_all_scopes_stop_at_the_first_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(SplitHistory, "replay", lambda history: history.base)
+        monkeypatch.setitem(cli._SCOPES, "packing", lambda: pytest.fail("the packing scope ran"))
+        assert main(["selftest"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "selftest appendix: ok\nselftest examples: ok\n"
+        assert err.endswith(": history replay mismatch\n")
 
     @pytest.mark.parametrize("scope", ["splitting", "packing"])
     def test_pipeline_scopes(self, capsys, scope):
@@ -741,8 +780,11 @@ def _run_python(*argv):
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
 
 
+_MAIN = "import sys; from mcastcap.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
 def _run_cli(*argv):
-    return _run_python("-c", "import sys; from mcastcap.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+    return _run_python("-c", _MAIN, *argv)
 
 
 def _run_faulty(function, fault, *argv):
@@ -932,6 +974,14 @@ for path in sys.argv[1:]:
         if main([command, path, *options]) != 0:
             sys.exit(f"{command} {options} failed on {path}")
 """
+
+
+def test_selftest_runs_its_checks_under_optimize():
+    # every check raises, so none is stripped with the asserts
+    proc = _run_python("-O", "-c", _MAIN, "selftest")
+    assert proc.returncode == 0, proc.stderr
+    scopes = ("appendix", "examples", "splitting", "packing")
+    assert proc.stdout == "".join(f"selftest {scope}: ok\n" for scope in scopes)
 
 
 def test_no_output_depends_on_the_hash_seed(tmp_path, monkeypatch):

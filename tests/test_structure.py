@@ -136,3 +136,18 @@ def test_every_cli_option_is_tested():
                for arg in n.args if isinstance(arg, ast.Constant) and str(arg.value).startswith("-")}
     untested = sorted(o for o in options if not any(re.search(rf"(?<![\w-]){o}(?![\w-])", t) for t in tests))
     assert not untested, f"CLI options no test passes: {untested}"
+
+
+def test_main_alone_sets_the_exit_code():
+    # each command prints its result or raises; main turns an error into
+    # its exit code and its stderr line
+    returning, writing = [], []
+    for stmt in ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")).body:
+        name = getattr(stmt, "name", f"line {stmt.lineno}")
+        nodes = list(ast.walk(stmt))
+        if name.startswith("_cmd_") and any(isinstance(n, ast.Return) and n.value is not None for n in nodes):
+            returning.append(name)
+        if any(isinstance(n, ast.Attribute) and n.attr == "stderr" for n in nodes):
+            writing.append(name)
+    assert not returning, f"commands that return a value: {returning}"
+    assert writing == ["main"], f"cli code that writes to stderr: {writing}"
