@@ -8,8 +8,9 @@ bound table.
    ``terminal_cut`` on the input graph: the least of the source's maximum
    flows, every one checked against its residual cut; λ(A) = 1 ends there;
 2. ``prune_to_core``, whose vertex and edge counts the report gives, then
-   ``reduce_core``, which deletes one-neighbour relays and contracts
-   two-neighbour relays, exactly for every quantity below;
+   ``reduce_core``, which groups parallel edges, deletes one-neighbour
+   relays and contracts two-neighbour relays, exactly for every quantity
+   below;
 3. ``partition_bound`` on that ``Reduction``: an upper bound U on η, the
    smaller value of the strength search's seed and the λ cut, its
    partition lifted by ``Reduction.lift`` and checked on the pruned core

@@ -10,25 +10,34 @@ reachability, and ``cut_edges``, one lowpoint walk in O(V + E) that finds
 every capacity-1 cut-edge of the components it starts from, for pruning
 and for the cut-edge check at each splitting pivot.
 
-``reduce_core`` then removes relays by two of the non-terminal degree
-tests of C. W. Duin and A. Volgenant (*Reduction tests for the Steiner
-problem in graphs*, Networks 1989).  Both are exact for λ(A), every tree
-packing and edge strength η:
+``reduce_core`` first groups parallel edges into one edge per vertex
+pair, of their summed capacity: a tree never uses two parallel copies,
+and the copies are interchangeable, so the solvers run on the grouped
+graph and every packing is expanded back onto concrete edge ids.  It then
+removes relays by two of the non-terminal degree tests of C. W. Duin and
+A. Volgenant (*Reduction tests for the Steiner problem in graphs*,
+Networks 1989).  Both are exact for λ(A), every tree packing and edge
+strength η:
 
 - A relay with at most one distinct neighbour is deleted.  No minimal
   tree enters it, and in a partition it joins its neighbour's block,
   crossing nothing.
-- A relay x with exactly two neighbours u and v, with class capacities c1
-  and c2, becomes a u-v part of capacity min(c1, c2).  A minimal tree
-  through x has x internal, so it uses one unit of each class, and it
+- A relay x with exactly two neighbours u and v, with bundle capacities
+  c1 and c2, becomes a u-v part of capacity min(c1, c2).  A minimal tree
+  through x has x internal, so it uses one unit of each bundle, and it
   cannot also use a u-v edge; the part is one more parallel copy of u-v.
   In a partition x sits on its heavier neighbour's side, so it crosses
   min(c1, c2) exactly when u and v are apart, and nothing otherwise, as
   the part does.
 
-``Reduction`` owns the way back.  ``core_ids`` turns an edge of the
-reduced graph into the core edges it stands for, so a tree of the reduced
-graph becomes a tree of the core.  ``lift`` puts the removed relays back
+``Reduction`` owns the way back.  ``expand`` turns a packing of the
+reduced graph into one of the core: each piece of a tree takes one entry
+of each of its edges' bundles, a core edge or a part's chain of core
+edges.  A tree uses at most one entry of a bundle, and the relays inside
+one part's chain are in no other bundle, so the chains turn a tree of the
+reduced graph into a tree of the core; the parts through a core edge have
+capacities that sum to at most its own, so its loads stay within it, and
+every packing checks on the pruned core.  ``lift`` puts the removed relays back
 into a partition of the reduced graph, in reverse removal order, each into
 the block of the neighbour ``reduce_core`` recorded for it: the only
 neighbour of a deleted relay, and the heavier of a contracted relay's two,
@@ -48,6 +57,7 @@ from fractions import Fraction
 
 from .errors import (
     BridgeBetweenTerminals,
+    CertificateError,
     DisconnectedTerminals,
     InvalidGraph,
     UnknownEdge,
@@ -276,28 +286,62 @@ class Reduction:
     """The graph the searches run on, ``graph``, and the pruned core it
     stands for, ``core``, on which every certificate is checked.
 
-    ``chains`` maps each part that ``reduce_core`` made to the core edge ids
-    it stands for, a path through the contracted relays; an edge of
-    ``graph`` that it does not name is a core edge and stands for itself.
-    ``removed`` lists each removed relay, in removal order, with the
-    neighbour whose block it joins in ``lift`` (module docstring), or None
-    when it had no neighbour left.
+    ``graph`` has one edge per vertex pair, keyed by the smallest id it
+    absorbed, or by a fresh id above the core's when a contraction made
+    the pair, in key order.  ``bundles`` maps each key to the (core edge
+    ids, capacity) entries it stands for, in fill order: the pair's core
+    edges in id order, then the parts that contractions appended, in the
+    order they were made; the capacities sum to the edge's.  ``removed``
+    lists each removed relay, in removal order, with the neighbour whose
+    block it joins in ``lift`` (module docstring), or None when it had no
+    neighbour left.
     """
 
     core: Multigraph
     graph: Multigraph
-    chains: dict[int, tuple[int, ...]]
+    bundles: dict[int, tuple[tuple[tuple[int, ...], int], ...]]
     removed: tuple[tuple[str, str | None], ...]
 
     @staticmethod
     def of(g: "Multigraph | Reduction") -> "Reduction":
         """``g`` itself if it is a reduction; a plain graph is the reduction
-        that removed nothing."""
-        return g if isinstance(g, Reduction) else Reduction(g, g, {}, ())
+        that groups its parallel edges and removes nothing."""
+        return g if isinstance(g, Reduction) else _reduce(g, g.vertices)
 
-    def core_ids(self, eid: int) -> tuple[int, ...]:
-        """The core edge ids that edge ``eid`` of ``graph`` stands for."""
-        return self.chains.get(eid, (eid,))
+    def expand(self, units, scale: int) -> list[tuple[frozenset[int], int]]:
+        """A packing of ``graph``, as (edge keys, units of 1/``scale``)
+        pairs, as the (core edge ids, units) pairs of a packing of the core
+        (module docstring), sorted by their sorted ids.
+
+        Each piece of a tree takes, in every one of its bundles, the first
+        entry with room left, its capacity times ``scale`` less what earlier
+        pieces took, and as many units as every picked entry still has.
+        Room only shrinks, so a per-bundle cursor never moves backwards.  A
+        tree that finds no room raises CertificateError.
+        """
+        room = {key: [cap * scale for _, cap in entries] for key, entries in self.bundles.items()}
+        cursor = dict.fromkeys(self.bundles, 0)
+        slices: dict[frozenset[int], int] = {}
+        for keys, m in units:
+            keys = sorted(keys)
+            while m > 0:
+                picks = []
+                amount = m
+                for key in keys:
+                    left, i = room[key], cursor[key]
+                    while i < len(left) and left[i] == 0:
+                        i += 1
+                    if i == len(left):
+                        raise CertificateError("parallel-class capacity accounting broken")
+                    cursor[key] = i
+                    picks.append((key, i))
+                    amount = min(amount, left[i])
+                for key, i in picks:
+                    room[key][i] -= amount
+                ids = frozenset([c for key, i in picks for c in self.bundles[key][i][0]])
+                slices[ids] = slices.get(ids, 0) + amount
+                m -= amount
+        return sorted(slices.items(), key=lambda kv: sorted(kv[0]))
 
     def lift(self, blocks) -> tuple[frozenset[str], ...]:
         """The blocks of a partition of ``graph`` with every removed relay
@@ -312,67 +356,75 @@ class Reduction:
 
 
 def reduce_core(core: Multigraph, a: TerminalSet) -> Reduction:
-    """Delete relays with at most one distinct neighbour and contract those
-    with exactly two (module docstring), until neither rule applies.
+    """Group the parallel edges, then delete relays with at most one
+    distinct neighbour and contract those with exactly two (module
+    docstring), until neither rule applies."""
+    return _reduce(core, a.members)
+
+
+def _reduce(core: Multigraph, keep: frozenset[str]) -> Reduction:
+    """``reduce_core`` with every vertex outside ``keep`` a relay it may
+    remove.
 
     A worklist takes the relays in sorted order, and a removal puts the
-    removed relay's relay neighbours back on it.  Where x-u or x-v has
-    parallel copies, their units are paired in id order, so a contracted
-    relay may give several parts, and the parts' capacities partition
-    each copy's capacity on the lighter side and stay within it on the
-    heavier.  Parts take fresh ids above the core's.  Each removed relay
-    records the neighbour whose block it joins when lifted: the one with
-    the larger class capacity, the smaller name on ties.
+    removed relay's relay neighbours back on it.  A contracted relay's two
+    bundles are paired unit by unit in fill order, so it may give several
+    parts, and the parts' capacities partition each entry's capacity on the
+    lighter side and stay within it on the heavier.  The parts are appended
+    to the u-v bundle, which takes a fresh id above the core's only if u
+    and v had no edge.  Each removed relay records the neighbour whose
+    block it joins when lifted: the one with the larger bundle capacity,
+    the smaller name on ties.
     """
-    terms = a.members
-    cap = {}
-    # near[x][y]: ids of the edges between x and y
-    near: dict[str, dict[str, list[int]]] = {v: {} for v in core.vertices}
-    for e in core.edges:
-        cap[e.id] = e.cap
-        near[e.u].setdefault(e.v, []).append(e.id)
-        near[e.v].setdefault(e.u, []).append(e.id)
-    chains: dict[int, tuple[int, ...]] = {}
-    part_ends: dict[int, tuple[str, str]] = {}
+    # near[x][y]: the key of the x-y bundle
+    near: dict[str, dict[str, int]] = {v: {} for v in core.vertices}
+    bundles: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    ends: dict[int, tuple[str, str]] = {}
+
+    def bundle(u: str, v: str, key: int) -> list[tuple[tuple[int, ...], int]]:
+        """The u-v bundle, opened under ``key`` if u and v have none."""
+        if v not in near[u]:
+            near[u][v] = near[v][u] = key
+            bundles[key], ends[key] = [], (u, v)
+        return bundles[near[u][v]]
+
+    for e in sorted(core.edges, key=lambda e: e.id):
+        bundle(e.u, e.v, e.id).append(((e.id,), e.cap))
     next_id = core.next_id()
     removed = []
-    todo = sorted(core.vertices - terms)  # a sorted list is a heap
+    todo = sorted(core.vertices - keep)  # a sorted list is a heap
     while todo:
         x = heappop(todo)
         at = near.get(x)
         if at is None or len(at) > 2:
             continue
-        # max keeps the first of equal classes, the smaller name
-        removed.append((x, max(sorted(at), key=lambda y: sum(cap[i] for i in at[y]), default=None)))
+        # max keeps the first of equal bundles, the smaller name
+        removed.append((x, max(sorted(at), key=lambda y: sum(c for _, c in bundles[at[y]]), default=None)))
         if len(at) == 2:
             u, v = sorted(at)
-            us, vs = sorted(at[u]), sorted(at[v])
+            us, vs = bundles[at[u]], bundles[at[v]]
+            parts = bundle(u, v, next_id)
+            if near[u][v] == next_id:
+                next_id += 1
             i = j = 0
-            ru, rv = cap[us[0]], cap[vs[0]]
+            ru, rv = us[0][1], vs[0][1]
             while i < len(us) and j < len(vs):
                 amount = min(ru, rv)
-                cap[next_id], part_ends[next_id] = amount, (u, v)
-                chains[next_id] = chains.get(us[i], (us[i],)) + chains.get(vs[j], (vs[j],))
-                near[u].setdefault(v, []).append(next_id)
-                near[v].setdefault(u, []).append(next_id)
-                next_id += 1
+                parts.append((us[i][0] + vs[j][0], amount))
                 ru, rv = ru - amount, rv - amount
                 if ru == 0 and (i := i + 1) < len(us):
-                    ru = cap[us[i]]
+                    ru = us[i][1]
                 if rv == 0 and (j := j + 1) < len(vs):
-                    rv = cap[vs[j]]
-        for y, ids in at.items():
+                    rv = vs[j][1]
+        for y, key in at.items():
             del near[y][x]
-            for i in ids:
-                del cap[i]
-                chains.pop(i, None)
-            if y not in terms:
+            del bundles[key]
+            if y not in keep:
                 heappush(todo, y)
         del near[x]
-    edges = [e for e in core.edges if e.id in cap]
-    edges += [Edge(i, *part_ends[i], cap[i]) for i in chains]
-    graph = Multigraph(frozenset(near), tuple(edges))
-    return Reduction(core, graph, chains, tuple(removed))
+    bundles = {key: tuple(bundles[key]) for key in sorted(bundles)}
+    edges = tuple(Edge(key, *ends[key], sum(c for _, c in entries)) for key, entries in bundles.items())
+    return Reduction(core, Multigraph(frozenset(near), edges), bundles, tuple(removed))
 
 
 # -- interchange format ----------------------------------------------------

@@ -6,7 +6,7 @@ rate, and the fractional routing capacity as an exact LP over the
 enumerated trees (revised simplex with Bland's rule, pivoted in integer
 arithmetic, each row over its own denominator).  Only the slack block of
 the tableau is kept: a tree's column is the sum of the slack columns of its
-edges, so a pivot updates rows with one entry per class, none per tree, and
+edges, so a pivot updates rows with one entry per edge, none per tree, and
 leaves alone every row whose entry in the entering column is zero.
 
 A minimal tree is a spanning tree of A plus a relay subset in which every
@@ -27,18 +27,9 @@ search 1 and a connectivity probe the edges it may scan.  More than
 used, so an input with many hopeless relay subsets fails fast instead of
 hanging.
 
-Parallel edges are collapsed to one class per vertex pair for the solvers
-(a tree never uses two parallel copies and the copies are interchangeable);
-solutions are expanded back onto concrete edge ids before being returned, so
-every returned packing verifies against the original graph.  The solve may
-run on a ``Reduction`` (``multigraph.reduce_core``): then each picked copy
-that is a part is replaced by its chain of core edge ids
-(``Reduction.core_ids``), so the members of
-a returned tree are core edges, and the packing is checked on the pruned
-core.  A tree uses at most one copy of a class, and the relays inside one
-part's chain are in no other class, so the chains turn a tree of the
-reduced graph into a tree of the core; the parts through a core edge
-have capacities that sum to at most its own, so its loads stay within it.
+The solvers run on a ``Reduction``'s graph, which has one edge per vertex
+pair (``multigraph.reduce_core``), and ``Reduction.expand`` maps each
+packing back onto the core's edge ids, where it is checked.
 
 A packing holds only what it certifies: each tree's edge-id set with a
 positive whole number of units of 1/denominator.  Its rate, the units'
@@ -57,13 +48,13 @@ reaches the bound, leaving the later classes undrawn, and refuses an
 objective above it.  The vertex it stops at is optimal, though it need not
 be the vertex the unstopped solve ends at.
 
-All three packings use the same trees on the same classes, so one
+All three packings use the same trees on the same edges, so one
 ``solve_tree_lp`` per graph (one enumeration, one simplex) serves them all:
 each solver takes only that solve, which names its graph and terminals.
 Their rates are nested, k <= half <= LP, so ``analyze`` runs the integer
 packing first and each other solver only for a rate the packings it has
 checked do not reach (the ``analysis`` module docstring).
-The half-integer packing runs the integer branch and bound on doubled class
+The half-integer packing runs the integer branch and bound on doubled
 capacities with the goal floor(2 * LP optimum), exact because the LP scales
 linearly, and expands the k/2 multiplicities onto the graph itself.  Every
 solver checks its packing with ``verify_packing``, and that the packing's
@@ -85,7 +76,7 @@ return the same packing, from whichever LP vertex s comes.
 A node at depth d is kept iff it can still beat the best count: every
 source-sink cut of its residual must reach need = best + 1 - d, since any k
 edge-disjoint A-Steiner trees give k edge-disjoint source-sink paths.  The
-residual is one pair-capacity map, exact because there is one class per
+residual is one pair-capacity map, exact because there is one edge per
 vertex pair, updated in place as a tree is taken or put back, and each
 source-sink flow stops at need.  A flow that falls short of need prunes the
 node only with a residual cut that separates source from sink and carries
@@ -103,7 +94,7 @@ from math import gcd, lcm
 
 from .connectivity import PairCapacities, checked_flow, pair_capacities
 from .errors import CertificateError, SearchTooLarge, TooManyTrees
-from .multigraph import Edge, Multigraph, Rate, Reduction, TerminalSet, edge_component
+from .multigraph import Multigraph, Rate, Reduction, TerminalSet, edge_component
 
 DEFAULT_TREE_LIMIT = 5000
 # Steps one tree enumeration may take (module docstring).  Over budget it
@@ -481,14 +472,12 @@ def _lp_max_total(
 class TreeLP:
     """The tree-packing LP of one graph and terminal set, solved once.
 
-    ``reduction.graph`` is the graph solved, and ``reduction.core`` the one
-    the packings are expanded onto and checked on; for a plain graph both
-    are that graph.  ``classes`` has one edge per parallel class of the
-    graph solved, keyed by the smallest id in the class and carrying the
-    class's summed capacity, and ``members`` maps each class to its edge
-    ids in ascending order.  ``trees`` are the minimal A-Steiner trees over
-    the classes that the solve drew, all of them unless it stopped at its
-    bound, and ``rest`` the size classes it did not draw.  ``opt`` and ``y``
+    ``reduction.graph`` is the graph solved, one edge per vertex pair, and
+    ``reduction.core`` the one the packings are expanded onto and checked
+    on; for a plain graph the core is that graph.  ``trees`` are the
+    minimal A-Steiner trees of the graph solved that the solve drew, all of
+    them unless it stopped at its bound, and ``rest`` the size classes it
+    did not draw.  ``opt`` and ``y``
     are the LP optimum and a primal solution, one entry per tree drawn.
     Every packing of the graph is a packing of ``all_trees()``, so the
     integer, half-integer and fractional solvers all take this one
@@ -497,8 +486,6 @@ class TreeLP:
 
     reduction: Reduction
     terminals: TerminalSet
-    classes: Multigraph
-    members: dict[int, tuple[int, ...]]
     trees: list[frozenset[int]]
     opt: Fraction
     y: tuple[Fraction, ...]
@@ -513,8 +500,9 @@ class TreeLP:
 
 
 def solve_tree_lp(g: Multigraph | Reduction, a: TerminalSet, upper: Rate | None = None) -> TreeLP:
-    """Enumerate the minimal trees over g's parallel classes and solve their
-    LP; for a ``Reduction``, over its reduced graph.
+    """Enumerate the minimal trees of g with its parallel edges grouped
+    (``Reduction.of``) and solve their LP; for a ``Reduction``, of its
+    reduced graph.
 
     ``upper`` is a certified bound on the optimum: the solve stops when its
     objective reaches it, drawing no more size classes, and raises
@@ -523,63 +511,27 @@ def solve_tree_lp(g: Multigraph | Reduction, a: TerminalSet, upper: Rate | None 
     """
     reduction = Reduction.of(g)
     g = reduction.graph
-    groups: dict[frozenset[str], list[Edge]] = {}
-    for e in sorted(g.edges, key=lambda e: e.id):
-        groups.setdefault(frozenset((e.u, e.v)), []).append(e)
-    # each class opens at its smallest id, so the classes come in id order
-    classes = Multigraph(g.vertices, tuple(
-        Edge(es[0].id, es[0].u, es[0].v, sum(e.cap for e in es)) for es in groups.values()
-    ))
-    members = {es[0].id: tuple(e.id for e in es) for es in groups.values()}
-    class_edges = [(e.id, e.u, e.v) for e in classes.edges]
-    rest = _minimal_trees(g.vertices, class_edges, a.members, DEFAULT_TREE_LIMIT)
-    caps = {e.id: e.cap for e in classes.edges}
+    rest = _minimal_trees(g.vertices, [(e.id, e.u, e.v) for e in g.edges], a.members, DEFAULT_TREE_LIMIT)
+    caps = {e.id: e.cap for e in g.edges}
     trees: list[frozenset[int]] = []
-    opt, y = _lp_max_total(trees, [e.id for e in classes.edges], caps, rest, upper)
-    return TreeLP(reduction, a, classes, members, trees, opt, tuple(y), rest)
+    opt, y = _lp_max_total(trees, list(caps), caps, rest, upper)
+    return TreeLP(reduction, a, trees, opt, tuple(y), rest)
 
 
-# -- expansion back onto concrete edges ------------------------------------
+# -- the checked packing on the core --------------------------------------
 
 
 def _expand_packing(
     lp: TreeLP, units: list[tuple[frozenset[int], int]], scale: int, stage: str, value: Rate
 ) -> SteinerPacking:
-    """Distribute class multiplicities, given in units of 1/scale, over
-    concrete parallel copies so every edge id's load stays within its own
-    capacity in the graph solved, replace each part by its chain, and check
-    the result on the pruned core with ``verify_packing`` and against the
-    solver's reported ``value``.  The packing's denominator is ``scale``.
-
-    Each piece of a tree takes, in every class, the first copy with room
-    left.  Room only shrinks, so a per-class cursor never moves backwards.
-    A packing that fails either check raises CertificateError naming ``stage``.
+    """The packing of the graph solved given as ``units`` of 1/scale per
+    tree, mapped onto the core by ``Reduction.expand`` and checked there
+    with ``verify_packing`` and against the solver's reported ``value``.
+    The packing's denominator is ``scale``.  A packing that fails either
+    check raises CertificateError naming ``stage``.
     """
-    reduction, members = lp.reduction, lp.members
-    room = {e.id: e.cap * scale for e in reduction.graph.edges}
-    cursor = dict.fromkeys(members, 0)
-    slices: dict[frozenset[int], int] = {}
-    for rep_set, m in units:
-        rids = sorted(rep_set)
-        while m > 0:
-            picks = []
-            amount = m
-            for rid in rids:
-                ids, i = members[rid], cursor[rid]
-                while i < len(ids) and room[ids[i]] == 0:
-                    i += 1
-                if i == len(ids):
-                    raise CertificateError("parallel-class capacity accounting broken")
-                cursor[rid] = i
-                picks.append(ids[i])
-                amount = min(amount, room[ids[i]])
-            for eid in picks:
-                room[eid] -= amount
-            key = frozenset([i for eid in picks for i in reduction.core_ids(eid)])
-            slices[key] = slices.get(key, 0) + amount
-            m -= amount
-    packing = SteinerPacking(tuple(sorted(slices.items(), key=lambda kv: sorted(kv[0]))), scale)
-    if not verify_packing(reduction.core, lp.terminals, packing):
+    packing = SteinerPacking(tuple(lp.reduction.expand(units, scale)), scale)
+    if not verify_packing(lp.reduction.core, lp.terminals, packing):
         raise CertificateError(f"{stage} packing failed verification")
     if packing.rate != value:
         raise CertificateError(f"{stage} packing rate {packing.rate} differs from its value {value}")
@@ -607,7 +559,7 @@ def _can_beat(res: PairCapacities, source: str, sinks: tuple[str, ...], need: in
 def _branch_and_bound(
     lp: TreeLP, factor: int, stage: str
 ) -> tuple[int, list[tuple[frozenset[int], int]]]:
-    """Most minimal trees that fit in ``factor`` times the class capacities
+    """Most minimal trees that fit in ``factor`` times the capacities
     (a tree may repeat), as the count and (tree, copies) pairs.
 
     The LP-rounded packing has s = sum floor(factor * y_j) trees, and the
@@ -630,9 +582,10 @@ def _branch_and_bound(
     if s >= goal:
         return s, rounded
     source, sinks = lp.terminals.source, lp.terminals.sinks
-    # residual class capacities, kept in place: one class per vertex pair
-    res = {x: {y: factor * c for y, c in nbrs.items()} for x, nbrs in pair_capacities(lp.classes).items()}
-    ends = {e.id: (e.u, e.v) for e in lp.classes.edges}
+    # residual capacities, kept in place: one edge per vertex pair
+    g = lp.reduction.graph
+    res = {x: {y: factor * c for y, c in nbrs.items()} for x, nbrs in pair_capacities(g).items()}
+    ends = {e.id: (e.u, e.v) for e in g.edges}
     all_trees = lp.all_trees()
     trees = [[ends[c] for c in sorted(t)] for t in all_trees]
 

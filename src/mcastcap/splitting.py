@@ -187,7 +187,7 @@ class SplitHistory:
         return g.restrict(g.vertices.difference(self.deleted_pivots))
 
 
-def _resolve_pivot(g: Multigraph, e: Edge, f: Edge, pivot: str | None) -> str:
+def _resolve_pivot(e: Edge, f: Edge, pivot: str | None) -> str:
     shared = {e.u, e.v} & {f.u, f.v}
     if not shared:
         raise NotIncident(f"edges {e.id} and {f.id} share no endpoint")
@@ -215,7 +215,7 @@ def split_off(
     endpoint.
     """
     e, f = g.edge(e_id), g.edge(f_id)
-    x = _resolve_pivot(g, e, f, pivot)
+    x = _resolve_pivot(e, f, pivot)
     r, t = e.other(x), f.other(x)
     take = Counter((e_id, f_id))
     for eid, n in take.items():

@@ -726,22 +726,29 @@ def drop_edge(original):
     return faulty
 
 def heavy_part(original):
-    # every part of the reduction takes the class capacity from the relay
-    # removed first to the neighbour it records, its heavier one
+    # every part of the reduction takes the capacity from the relay removed
+    # first to the neighbour it records, its heavier one, and the graph's
+    # edges the sums of their bundles
     def faulty(*args):
         r = original(*args)
         x, y = r.removed[0]
         heavy = sum(e.cap for e in r.core.incident(x) if e.touches(y))
-        edges = tuple(replace(e, cap=heavy) if e.id in r.chains else e for e in r.graph.edges)
-        return replace(r, graph=replace(r.graph, edges=edges))
+        bundles = {key: tuple((ids, heavy if len(ids) > 1 else cap) for ids, cap in entries)
+                   for key, entries in r.bundles.items()}
+        edges = tuple(replace(e, cap=sum(cap for _, cap in bundles[e.id])) for e in r.graph.edges)
+        return replace(r, graph=replace(r.graph, edges=edges), bundles=bundles)
     return faulty
 
 def drop_chain_edge(original):
-    # the first part's chain loses its first edge
+    # the first part loses the first core edge of its chain
     def faulty(*args):
         r = original(*args)
-        first = min(r.chains)
-        return replace(r, chains={**r.chains, first: r.chains[first][1:]})
+        key, k = next((key, k) for key, entries in r.bundles.items()
+                      for k, (ids, _) in enumerate(entries) if len(ids) > 1)
+        entries = list(r.bundles[key])
+        ids, cap = entries[k]
+        entries[k] = ids[1:], cap
+        return replace(r, bundles={**r.bundles, key: tuple(entries)})
     return faulty
 
 def lighter_side(original):
@@ -1093,6 +1100,16 @@ def test_scripts_run_clean():
         out += proc.stdout
     assert "checked 5 instances (|V|<=8, |A|=3): every rate in order and above its floors" in out
     assert "BAD" not in out
+    # the line counts and the timing comparison that the ROADMAP's rules read
+    proc = _run_python(str(ROOT / "scripts" / "src_lines.py"))
+    assert proc.returncode == 0, proc.stderr
+    *modules, total = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [m[0] for m in modules] == sorted(p.stem for p in (ROOT / "src" / "mcastcap").glob("*.py"))
+    assert total == ["total", *(str(sum(int(m[i]) for m in modules)) for i in (1, 2))]
+    proc = _run_python(str(ROOT / "scripts" / "ab_time.py"), str(ROOT), str(ROOT),
+                       "--workload", "cycle", "--rounds", "2", "--passes", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "ratio of medians (change / parent)" in proc.stdout
 
 
 def test_random_confirmation_without_cycles_gives_up():

@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 from mcastcap import (
     Edge,
     Multigraph,
+    Reduction,
     TerminalSet,
     degree,
     dump_instance,
     load_instance,
     prune_to_core,
     scale_capacities,
-    solve_tree_lp,
     validate,
 )
 from mcastcap.multigraph import cut_edges, edge_component
@@ -340,5 +340,7 @@ class TestAggregated:
         g = Multigraph.build(
             ["a", "b", "c"], [("a", "b", 1), ("b", "c", 1), ("a", "b", 1), ("b", "c", 2)]
         )
-        classes = solve_tree_lp(g, TerminalSet("a", ("c",))).classes
-        assert classes.edges == (Edge(0, "a", "b", 2), Edge(1, "b", "c", 3))
+        r = Reduction.of(g)
+        assert r.graph.edges == (Edge(0, "a", "b", 2), Edge(1, "b", "c", 3))
+        assert r.bundles == {0: (((0,), 1), ((2,), 1)), 1: (((1,), 1), ((3,), 2))}
+        assert (r.core, r.removed) == (g, ())

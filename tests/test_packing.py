@@ -369,16 +369,20 @@ class TestSharedSolve:
         g, a = example2_instance(4, (0,))
         g = with_parallel_edge(g)
         lp = solve_tree_lp(g, a)
-        # the parallel copy of edge 0 joins its class
-        assert lp.classes == Multigraph(g.vertices, (
+        # the parallel copy of edge 0 joins its bundle
+        assert lp.reduction.graph == Multigraph(g.vertices, (
             Edge(0, "v0", "x1", 2), Edge(1, "x1", "v1", 1), Edge(2, "v1", "v2", 1),
             Edge(3, "v2", "v3", 1), Edge(4, "v3", "v0", 1),
         ))
         by_id = {e.id: e for e in g.edges}
-        assert sorted(i for ids in lp.members.values() for i in ids) == sorted(by_id)
-        for c, ids in lp.members.items():
-            assert list(ids) == sorted(ids) and ids[0] == c
-            assert all({by_id[i].u, by_id[i].v} == {by_id[c].u, by_id[c].v} for i in ids)
+        bundles = lp.reduction.bundles
+        assert sorted(i for entries in bundles.values() for ids, _ in entries for i in ids) == sorted(by_id)
+        for c, entries in bundles.items():
+            # on a plain graph each entry is one edge, with its capacity
+            ids = [i for (i,), _ in entries]
+            assert ids == sorted(ids) and ids[0] == c
+            assert all({by_id[i].u, by_id[i].v} == {by_id[c].u, by_id[c].v} and cap == by_id[i].cap
+                       for (i,), cap in entries)
         assert sum(lp.y) == lp.opt == fractional_capacity_lp(solve_tree_lp(g, a))[0]
 
 
@@ -563,7 +567,7 @@ def reference_branch_and_bound(lp, factor):
     answer: the search starts from an incumbent of 0 trees and bounds every
     node by its count plus the residual min cut."""
     goal = int(factor * lp.opt)
-    classes = lp.classes.edges
+    classes = lp.reduction.graph.edges
     source, sinks = lp.terminals.source, lp.terminals.sinks
     tree_lists = [sorted(t) for t in lp.trees]
     res = {e.id: factor * e.cap for e in classes}
@@ -597,27 +601,26 @@ def reference_branch_and_bound(lp, factor):
     return best, [(lp.trees[j], Fraction(c)) for j, c in sorted(counts.items())]
 
 
-def reference_expand_packing(g, solution, members, denom=None):
-    """Expansion in Fractions, rescanning each class's copies for every
+def reference_expand_packing(bundles, solution, denom=None):
+    """Expansion in Fractions, rescanning each bundle's entries for every
     piece.  Each tree's units are its multiplicity times ``denom``, by
     default the least common denominator of the multiplicities."""
-    by_id = {e.id: e for e in g.edges}
-    used = {eid: Fraction(0) for eid in by_id}
+    used = {(rid, k): Fraction(0) for rid, entries in bundles.items() for k in range(len(entries))}
     slices = {}
     for rep_set, mult in solution:
         m = mult
         while m > 0:
-            pick, amount = {}, m
+            pick, amount = [], m
             for rid in sorted(rep_set):
-                for eid in members[rid]:
-                    room = by_id[eid].cap - used[eid]
+                for k, (_, cap) in enumerate(bundles[rid]):
+                    room = cap - used[rid, k]
                     if room > 0:
-                        pick[rid] = by_id[eid]
+                        pick.append((rid, k))
                         amount = min(amount, room)
                         break
-            for e in pick.values():
-                used[e.id] += amount
-            key = frozenset(e.id for e in pick.values())
+            for entry in pick:
+                used[entry] += amount
+            key = frozenset(i for rid, k in pick for i in bundles[rid][k][0])
             slices[key] = slices.get(key, Fraction(0)) + amount
             m -= amount
     if denom is None:
@@ -643,11 +646,11 @@ def assert_matches_unseeded_search(g, a):
         else:
             assert got[1] == want[1]
         # c trees in factor times the capacities are c / factor on g itself
-        want = reference_expand_packing(g, [(t, Fraction(c, factor)) for t, c in got[1]], lp.members, factor)
+        want = reference_expand_packing(lp.reduction.bundles, [(t, Fraction(c, factor)) for t, c in got[1]], factor)
         expanded = packing._expand_packing(lp, got[1], factor, "test", Fraction(got[0], factor))
         assert expanded == want
     solution = [(t, y) for t, y in zip(lp.trees, lp.y) if y > 0]
-    assert fractional_capacity_lp(lp)[1] == reference_expand_packing(g, solution, lp.members)
+    assert fractional_capacity_lp(lp)[1] == reference_expand_packing(lp.reduction.bundles, solution)
 
 
 def test_expand_packing_over_class_capacity_is_a_fault():
@@ -980,8 +983,8 @@ def reference_lp(cols, row_ids, caps, stats=None, upper=None):
 
 def assert_matches_reference_lp(g, a):
     lp = solve_tree_lp(g, a)
-    caps = {e.id: e.cap for e in lp.classes.edges}
-    opt, y = reference_lp(list(lp.trees), [e.id for e in lp.classes.edges], caps)
+    caps = {e.id: e.cap for e in lp.reduction.graph.edges}
+    opt, y = reference_lp(list(lp.trees), [e.id for e in lp.reduction.graph.edges], caps)
     assert (lp.opt, list(lp.y)) == (opt, y)
     assert all(v >= 0 for v in lp.y) and sum(lp.y) == lp.opt
     load = {c: sum((v for t, v in zip(lp.trees, lp.y) if c in t), Fraction(0)) for c in caps}
@@ -1061,8 +1064,8 @@ class TestBoundedLP:
         stopped = 0
         for g, a in bounded_lp_graphs():
             full = solve_tree_lp(g, a)
-            rows = [e.id for e in full.classes.edges]
-            caps = {e.id: e.cap for e in full.classes.edges}
+            rows = [e.id for e in full.reduction.graph.edges]
+            caps = {e.id: e.cap for e in full.reduction.graph.edges}
             stats = {"pivots": 0, "zero rows": 0}
             opt, y = reference_lp(full.trees, rows, caps, stats, upper=full.opt)
             calls.clear()

@@ -103,7 +103,7 @@ def test_chain_and_triangles_reduce_to_the_cycle():
 
 
 def test_parallel_copies_pair_units_in_id_order():
-    # x-u: ids 0 (cap 2) and 1 (cap 1); x-v: ids 2, 3, 4 (cap 1 each), then
+    # x-u: ids 0 (cap 2) and 1 (cap 1); x-v: ids 2, 3, 4 (cap 1, 1, 2), then
     # a u-v edge and a second path through the terminal w
     g = Multigraph.build(["u", "v", "w", "x"], [
         ("x", "u", 2), ("u", "x", 1), ("x", "v", 1), ("v", "x", 1), ("x", "v", 2),
@@ -112,20 +112,23 @@ def test_parallel_copies_pair_units_in_id_order():
     r = reduce_core(g, TerminalSet("u", ("v", "w")))
     # x records v, its heavier neighbour: 4 against 3
     assert r.removed == (("x", "v"),)
-    parts = [e for e in r.graph.edges if e.id in r.chains]
-    assert [(e.id, e.u, e.v, e.cap) for e in parts] == [(8, "u", "v", 1), (9, "u", "v", 1), (10, "u", "v", 1)]
-    assert [r.chains[e.id] for e in parts] == [(0, 2), (0, 3), (1, 4)]
-    # the lighter side's copies are used exactly, the heavier's within capacity
-    assert sorted(e.id for e in r.graph.edges) == [5, 6, 7, 8, 9, 10]
+    # the parts join the u-v edge's bundle after it; the lighter side's
+    # copies are used exactly, the heavier's within capacity
+    assert r.bundles[5] == (((5,), 1), ((0, 2), 1), ((0, 3), 1), ((1, 4), 1))
+    assert [(e.id, e.u, e.v, e.cap) for e in r.graph.edges] == [
+        (5, "u", "v", 4), (6, "u", "w", 1), (7, "w", "v", 1)]
+    assert [r.bundles[i] for i in (6, 7)] == [(((6,), 1),), (((7,), 1),)]
     # apart from u, x crosses to u alone, 3 = the parts' capacity
     assert r.lift([{"u"}, {"v"}, {"w"}]) == (frozenset("u"), frozenset("vx"), frozenset("w"))
     assert r.lift([{"w"}, {"u", "v"}]) == (frozenset("w"), frozenset("uvx"))
-    assert [r.core_ids(i) for i in (5, 8)] == [(5,), (0, 2)]
+    # each piece takes the first entry of each bundle with room left
+    assert r.expand([({5}, 2), ({6, 7}, 1)], 1) == [({0, 2}, 1), ({5}, 1), ({6, 7}, 1)]
 
 
 def test_nothing_removed_is_the_core_unchanged():
     g, a = example2_instance(5)
     r = reduce_core(g, a)
     assert r.core is g
-    assert (r.graph, r.chains, r.removed) == (g, {}, ())
-    assert Reduction.of(g).graph is Reduction.of(g).core is g
+    assert (r.graph, r.removed) == (g, ())
+    assert r.bundles == {e.id: (((e.id,), e.cap),) for e in g.edges}
+    assert Reduction.of(g).core is g and Reduction.of(g).graph == g

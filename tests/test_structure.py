@@ -76,10 +76,17 @@ def test_one_solve_path():
 
 
 def test_reduction_records_have_one_reader():
-    # Reduction lifts its own certificates, so only multigraph reads what
-    # reduce_core removed and the chains its parts stand for
-    readers = [p.stem for p in sorted(PACKAGE.glob("*.py")) if {"removed", "chains"} & _names(p.stem)]
-    assert readers == ["multigraph"], f"modules referring to removed or chains: {readers}"
+    # Reduction lifts its own certificates and expands its own packings, so
+    # only multigraph reads what reduce_core removed and the core edges its
+    # graph's edges stand for
+    readers = [p.stem for p in sorted(PACKAGE.glob("*.py")) if {"removed", "bundles"} & _names(p.stem)]
+    assert readers == ["multigraph"], f"modules referring to removed or bundles: {readers}"
+
+
+def test_packing_builds_no_graph():
+    # parallel edges are grouped once, by reduce_core: the solvers read the
+    # reduced graph and Reduction.expand maps their packings to the core
+    assert "Edge" not in _names("packing")
 
 
 def test_every_exported_function_has_a_caller():
