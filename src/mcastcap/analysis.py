@@ -16,19 +16,23 @@ bound table.
    partition lifted by ``Reduction.lift`` and checked on the pruned core
    by ``verify_partition`` inside ``strength``;
 4. one ``solve_tree_lp`` on the reduced graph, stopped as soon as its
-   objective reaches U.  Steps 2-4 are ``bounded_tree_lp``, which
-   ``mcastcap pack`` calls too, so its packings are this LP's, expanded and
-   checked as in step 5; at λ(A) = 1 it reduces the input as given;
+   objective reaches U.  Only when it passes the tree limit first
+   (TooManyTrees) does ``edge_strength`` search the reduced graph, its
+   witness lifted onto the pruned core and checked there; if η < U the LP
+   is solved again, stopped at η, and otherwise the error stands.  Steps
+   2-4 are ``bounded_tree_lp``, which ``mcastcap pack`` calls too, so its
+   packings are this LP's, expanded and checked as in step 5; at λ(A) = 1
+   it reduces the input as given;
 5. from it the integer packing, expanded onto the pruned core and checked
    there by ``verify_packing`` inside ``packing``.  The rates are nested,
    k <= half <= LP, and a checked packing proves each rate it reaches: the
    half-integer search runs only when 2k is below its goal floor(2 LP),
    and the fractional packing only when the half-integer rate is below the
    LP optimum, each checked the same way;
-6. η = U when the checked rate that reaches the LP optimum is U: by weak
-   duality the packing and the partition then prove each other optimal.
-   Only when they do not meet does ``edge_strength`` search the reduced
-   graph, its witness lifted onto the pruned core and checked there;
+6. η itself when step 4 searched for it, and η = U when the checked rate
+   that reaches the LP optimum is U: by weak duality the packing and the
+   partition then prove each other optimal.  Only when they do not meet
+   does ``edge_strength`` search the reduced graph, as in step 4;
 7. here: each floor of ``bounds.bound_table`` against the rate its row
    names, then the printed rates as one order, k <= half <= LP <= η <= λ,
    every link a check: LP <= η by weak duality, η <= λ because 2-block
@@ -47,7 +51,7 @@ from fractions import Fraction
 
 from . import bounds as bnd
 from .connectivity import terminal_cut
-from .errors import CertificateError
+from .errors import CertificateError, TooManyTrees
 from .multigraph import Multigraph, Rate, TerminalSet, prune_to_core, reduce_core, validate
 from .packing import (
     TreeLP,
@@ -144,10 +148,11 @@ def _check_order(*chain: tuple[str, Rate]) -> None:
 
 def bounded_tree_lp(
     g: Multigraph, a: TerminalSet, lam: int, side: frozenset[str]
-) -> tuple[Rate, TreeLP]:
+) -> tuple[Rate, bool, TreeLP]:
     """Steps 2-4 of the module docstring on a valid ``g`` whose minimum
     terminal cut ``terminal_cut`` found as ``lam`` and ``side``: the upper
-    bound U on η and the tree LP of the reduced core, stopped at U.
+    bound on η that the LP stopped at, whether that bound is η itself, and
+    the tree LP of the reduced core.
 
     At λ(A) = 1 a cut-edge joins two terminals and ``prune_to_core``
     refuses, so ``g`` is reduced as given and is the core the packings are
@@ -155,7 +160,13 @@ def bounded_tree_lp(
     """
     reduced = reduce_core(prune_to_core(g, a) if lam > 1 else g, a)
     upper, _ = partition_bound(reduced, a, lam, side)
-    return upper, solve_tree_lp(reduced, a, upper)
+    try:
+        return upper, False, solve_tree_lp(reduced, a, upper)
+    except TooManyTrees:
+        eta = edge_strength(reduced, a)[0]
+        if not eta < upper:
+            raise
+        return eta, True, solve_tree_lp(reduced, a, eta)
 
 
 def analyze_instance(
@@ -166,7 +177,7 @@ def analyze_instance(
     na = len(a.members)
     if lam == 1:
         return CapacityReport(len(g.vertices), len(g.edges), na, lam)
-    upper, tree_lp = bounded_tree_lp(g, a, lam, side)
+    upper, exact, tree_lp = bounded_tree_lp(g, a, lam, side)
     k, _ = max_integer_packing(tree_lp)
     # the rates are nested, k <= half <= LP, so a checked packing proves
     # every rate it reaches: 2k at the half-integer search's goal
@@ -174,8 +185,9 @@ def analyze_instance(
     half = Fraction(k) if 2 * k == int(2 * tree_lp.opt) else half_integer_capacity(tree_lp)[0]
     lp = half if half == tree_lp.opt else fractional_capacity_lp(tree_lp)[0]
     # a verified packing and a verified partition of equal value prove each
-    # other optimal, so the search runs only when they do not meet
-    eta = upper if lp == upper else edge_strength(tree_lp.reduction, a)[0]
+    # other optimal, so the search runs only when they do not meet and
+    # bounded_tree_lp has not run it
+    eta = upper if exact or lp == upper else edge_strength(tree_lp.reduction, a)[0]
     # weak duality: an A-Steiner tree crosses a k-block partition with a
     # terminal in every block at least k - 1 times, so no packing's rate
     # exceeds eta; 2-block partitions give lambda(A) exactly, so eta <= lambda

@@ -89,7 +89,7 @@ def _cmd_bounds(args) -> None:
 def _cmd_pack(args) -> None:
     g, a = _read_instance(args.file)
     solve = {"int": max_integer_packing, "half": half_integer_capacity, "frac": fractional_capacity_lp}
-    value, p = solve[args.mode](bounded_tree_lp(g, a, *terminal_cut(g, a))[1])
+    value, p = solve[args.mode](bounded_tree_lp(g, a, *terminal_cut(g, a))[-1])
     print(json.dumps({"mode": args.mode, "value": str(value), "packing": _packing_to_dict(p)}, indent=2))
 
 

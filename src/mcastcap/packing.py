@@ -62,16 +62,24 @@ rate is the value it reports, before returning it.
 
 The integer and half-integer rates start from the LP vertex: floor(factor *
 y_j) copies of each tree j are a packing of s trees, and no packing has more
-than the goal floor(factor * LP optimum).  When s reaches the goal, the
-rounded packing is returned at once, proved optimal by the LP bound.  Only
-when s falls short does the branch and bound run.  It first draws the
-classes a stopped solve left, from the same enumeration, and searches every
-tree.  It keeps its path on an explicit stack and starts with s - 1 as the
-count to beat (not with the rounded packing itself).  The witness is the
-depth-first first node that reaches the optimum k >= s; every node on its
-path has a bound of at least k, above s - 1 and above every count found
-before it, so the seeded and the unseeded search prune none of them and
-return the same packing, from whichever LP vertex s comes.
+than the goal floor(factor * LP optimum).  When s falls short, the rounded
+packing is completed greedily in the residual capacities: the basis trees
+(y_j > 0) in drawn order, then the other drawn trees in drawn order, each
+given as many more copies as fit, up to the goal.  The walk reads lists
+only, so its packing does not depend on hash order.  A packing that
+reaches the goal is returned at once, proved optimal by the LP bound, also
+when the LP stopped at a bound and left classes undrawn; no flow runs.
+Only when the completed packing of s trees falls short does the branch and
+bound run, first over the drawn trees alone.  It keeps its path on an
+explicit stack and starts with s - 1 as the count to beat (not with the
+completed packing itself).  Only a search that ends short of the goal, at
+k' trees, draws the classes the LP left, from the same enumeration, and
+searches every tree, starting with k' - 1.  The witness of a search is the
+depth-first first node that reaches the optimum k over the trees it
+searches; every node on its path has a bound of at least k, above the
+count to beat and above every count found before it, so the seeded and the
+unseeded search over the same trees prune none of them and return the same
+packing, from whichever LP vertex s comes.
 
 A node at depth d is kept iff it can still beat the best count: every
 source-sink cut of its residual must reach need = best + 1 - d, since any k
@@ -80,8 +88,9 @@ residual is one pair-capacity map, exact because there is one edge per
 vertex pair, updated in place as a tree is taken or put back, and each
 source-sink flow stops at need.  A flow that falls short of need prunes the
 node only with a residual cut that separates source from sink and carries
-the flow's value (``checked_flow``), which proves that cut below need.  A
-search that visits ``MAX_SEARCH_NODES`` nodes raises SearchTooLarge.
+the flow's value (``checked_flow``), which proves that cut below need.  The
+searches of one call visit at most ``MAX_SEARCH_NODES`` nodes together, and
+raise SearchTooLarge past them.
 """
 
 from __future__ import annotations
@@ -104,10 +113,11 @@ DEFAULT_TREE_LIMIT = 5000
 # thousand steps; the unit all-terminal K46 and random_instance(24, 16, 4, 0)
 # find more than DEFAULT_TREE_LIMIT trees within 1.22 million.
 MAX_ENUMERATION_STEPS = 3_000_000
-# Nodes one branch and bound may visit.  Every node runs its flows, so the
-# budget takes about 0.3-0.5 s, some 16-25 us a node, on the x7 copy of the
-# second draw of sample_instances(5, 10, 10, 4, 0) (2-core x86 VM,
-# Python 3.11).
+# Nodes the searches of one branch and bound may visit together.  Every node
+# runs its flows and scans the trees for the next one that fits, so the
+# budget takes about 1.9-2.1 s, some 100 us a node, in the half-integer
+# search over the 1812 drawn trees of the 16th draw of
+# sample_instances(25, 24, 24, 6, 3000) (2-core x86 VM, Python 3.11).
 MAX_SEARCH_NODES = 20_000
 
 
@@ -560,77 +570,112 @@ def _branch_and_bound(
     lp: TreeLP, factor: int, stage: str
 ) -> tuple[int, list[tuple[frozenset[int], int]]]:
     """Most minimal trees that fit in ``factor`` times the capacities
-    (a tree may repeat), as the count and (tree, copies) pairs.
+    (a tree may repeat), as the count and (tree, copies) pairs in tree
+    order.
 
-    The LP-rounded packing has s = sum floor(factor * y_j) trees, and the
-    LP optimum, which scales linearly with the capacities, bounds every
-    packing by goal = floor(factor * LP optimum).  When s reaches the goal
-    the rounded packing is returned.  Otherwise the search runs depth-first
-    over ``lp.all_trees()``, smallest first, on an explicit stack of the
-    next tree to try at each open node, with the incumbent bound starting
-    at s - 1.  A node at depth d is pruned unless every source-sink cut of
-    its residual reaches best + 1 - d, and the search stops once it reaches
-    the goal.  After ``MAX_SEARCH_NODES`` nodes it raises SearchTooLarge
+    The LP optimum, which scales linearly with the capacities, bounds every
+    packing by goal = floor(factor * LP optimum), so a packing that reaches
+    the goal is returned at once.  The first such candidate is the LP
+    vertex rounded down, floor(factor * y_j) copies of tree j; the next is
+    that packing completed greedily, each drawn tree in turn, the basis
+    trees (y_j > 0) first, given as many more copies as the residual
+    capacities hold, up to the goal.  Only when the completed packing of s
+    trees falls short does the search run, depth-first over the drawn trees
+    ``lp.trees``, smallest first, on an explicit stack of the next tree to
+    try at each open node, with the incumbent bound starting at s - 1.  A
+    node at depth d is pruned unless every source-sink cut of its residual
+    reaches best + 1 - d, and the search stops once it reaches the goal.  A
+    search that ends short draws the classes the LP left (``all_trees``)
+    and, if there are any, searches every tree from its own count less
+    one.  After ``MAX_SEARCH_NODES`` nodes in all it raises SearchTooLarge
     naming ``stage``.
     """
     goal = int(factor * lp.opt)  # floor
     # floor(factor * y_j) = factor * u_j // scale, for u_j = scale * y_j
     scale, units = _vertex_units(lp.y)
-    rounded = [(lp.trees[j], factor * u // scale) for j, u in units]
-    rounded = [(t, c) for t, c in rounded if c]
-    s = sum(c for _, c in rounded)
-    if s >= goal:
-        return s, rounded
+    counts = {j: c for j, u in units if (c := factor * u // scale)}
+    s = sum(counts.values())
+    if s < goal:
+        # what the rounded packing leaves of each edge of the graph solved
+        room = {e.id: factor * e.cap for e in lp.reduction.graph.edges}
+        for j, c in counts.items():
+            for eid in lp.trees[j]:
+                room[eid] -= c
+        for j in [j for j, _ in units] + [j for j, y in enumerate(lp.y) if not y]:
+            c = min(goal - s, *(room[eid] for eid in lp.trees[j]))
+            if c > 0:
+                for eid in lp.trees[j]:
+                    room[eid] -= c
+                counts[j] = counts.get(j, 0) + c
+                s += c
+                if s == goal:
+                    break
+        if s < goal:
+            s, counts = _search(lp, factor, s, goal, stage)
+    return s, [(lp.trees[j], c) for j, c in sorted(counts.items())]
+
+
+def _search(lp: TreeLP, factor: int, s: int, goal: int, stage: str) -> tuple[int, dict[int, int]]:
+    """The search of ``_branch_and_bound``, from a packing of s of the drawn
+    trees: the best count and its copies of each tree by index."""
     source, sinks = lp.terminals.source, lp.terminals.sinks
-    # residual capacities, kept in place: one edge per vertex pair
     g = lp.reduction.graph
+    # residual capacities, kept in place: one edge per vertex pair
     res = {x: {y: factor * c for y, c in nbrs.items()} for x, nbrs in pair_capacities(g).items()}
     ends = {e.id: (e.u, e.v) for e in g.edges}
-    all_trees = lp.all_trees()
-    trees = [[ends[c] for c in sorted(t)] for t in all_trees]
-
-    # a packing of s trees exists, so the search finds one of more than s - 1;
-    # best < goal, so the root is kept
-    best, best_sol = max(s - 1, 0), []
-    chosen: list[int] = []
-    end = len(trees)
-    # next tree to try at each open node on the path; a pruned node gets end
-    todo = [0]
-    nodes = 1
-    while todo:
-        j = todo[-1]
-        while j < end and not all(res[u][v] >= 1 for u, v in trees[j]):
-            j += 1
-        if j == end:
-            todo.pop()
-            if chosen:
-                for u, v in trees[chosen.pop()]:
-                    res[u][v] += 1
-                    res[v][u] += 1
-            continue
-        todo[-1] = j + 1
-        for u, v in trees[j]:
-            res[u][v] -= 1
-            res[v][u] -= 1
-        chosen.append(j)
-        if len(chosen) > best:
-            best, best_sol = len(chosen), list(chosen)
-            if best >= goal:
-                break
+    trees = [[ends[c] for c in sorted(t)] for t in lp.trees]
+    nodes = 0
+    while True:
+        # a packing of s trees exists, so the search finds one of more than
+        # s - 1; best < goal, so the root is kept without a check
+        best, best_sol = s - 1, []
+        chosen: list[int] = []
+        end = len(trees)
+        # next tree to try at each open node on the path; a pruned node gets end
+        todo = [0]
         if nodes == MAX_SEARCH_NODES:
-            raise SearchTooLarge(
-                f"{stage} branch and bound used {nodes} nodes, the budget "
-                f"MAX_SEARCH_NODES = {MAX_SEARCH_NODES}, and its LP-rounded "
-                f"packing of {s} trees is short of the goal of {goal}"
-            )
+            raise _search_too_large(stage, nodes, s, goal)
         nodes += 1
-        keep = _can_beat(res, source, sinks, best + 1 - len(chosen))
-        todo.append(j if keep else end)
+        while todo:
+            j = todo[-1]
+            while j < end and not all(res[u][v] >= 1 for u, v in trees[j]):
+                j += 1
+            if j == end:
+                todo.pop()
+                if chosen:
+                    for u, v in trees[chosen.pop()]:
+                        res[u][v] += 1
+                        res[v][u] += 1
+                continue
+            todo[-1] = j + 1
+            for u, v in trees[j]:
+                res[u][v] -= 1
+                res[v][u] -= 1
+            chosen.append(j)
+            if len(chosen) > best:
+                best, best_sol = len(chosen), list(chosen)
+                if best >= goal:
+                    break
+            if nodes == MAX_SEARCH_NODES:
+                raise _search_too_large(stage, nodes, s, goal)
+            nodes += 1
+            keep = _can_beat(res, source, sinks, best + 1 - len(chosen))
+            todo.append(j if keep else end)
+        # a search that ends short has put every tree back; it draws the
+        # classes the LP left and searches every tree from its own count
+        s = best
+        more = lp.all_trees()[end:] if best < goal else []
+        if not more:
+            return best, Counter(best_sol)
+        trees += [[ends[c] for c in sorted(t)] for t in more]
 
-    counts: dict[int, int] = {}
-    for j in best_sol:
-        counts[j] = counts.get(j, 0) + 1
-    return best, [(all_trees[j], c) for j, c in sorted(counts.items())]
+
+def _search_too_large(stage: str, nodes: int, s: int, goal: int) -> SearchTooLarge:
+    return SearchTooLarge(
+        f"{stage} branch and bound used {nodes} nodes, the budget "
+        f"MAX_SEARCH_NODES = {MAX_SEARCH_NODES}, and the packing of {s} "
+        f"trees it started from is short of the goal of {goal}"
+    )
 
 
 def max_integer_packing(lp: TreeLP) -> tuple[int, SteinerPacking]:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -225,8 +226,8 @@ WITNESS_DIGESTS = {
         "bf947b157c5982a58d28c91862511967f2595ba79c07c81ce91088d9b49b7010",
     ),
     "draw1": (
-        "567d638f272fce46733cfd55cd772c4164d12ca2e4f50efaf423577af3dffcdb",
-        "74a844110fac3242c699ae0e941825e8d4d532377a6b0998c55f895c43cfc4ae",
+        "7bb942bc1b638ed37e46a3851160d04baaad3af30bd12613ec74a1f16ad25fd1",
+        "cb7ec8968de8e0423cad9d551d52466b6d01eb8e1d142e589662d54ce83501e3",
         "6849a8833c818f1d2b2ad4ac0a9354b77952e1b5f14dce084c70856acbf204c3",
         "33c6a6db05048a51754ab63a343f937dd52553361c16fd9789ea91f52c86d937",
     ),
@@ -555,16 +556,17 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv", [["analyze"], ["pack", "--mode", "half"]])
     def test_packing_depth_limit(self, tmp_path, capsys, monkeypatch, argv):
-        # the second n=10 sample draw: the half-integer search visits 8
-        # nodes, and rounding the LP vertex gives 3 of the 5 trees
-        g, a = list(sample_instances(5, 10, 10, 4, 0))[1]
-        path = tmp_path / "draw2.json"
+        # the 12th draw of sample_instances(20, 8, 8, 4, 20): the LP vertex
+        # rounds to 1 of the 5 half-integer trees and its completion to 4,
+        # and the search from there checks 39 nodes
+        g, a = list(sample_instances(20, 8, 8, 4, 20))[11]
+        path = tmp_path / "s20d11.json"
         path.write_text(dump_instance(g, a))
         monkeypatch.setattr(packing, "MAX_SEARCH_NODES", 4)
         assert main([argv[0], str(path), *argv[1:]]) == 3
         err = capsys.readouterr().err
         assert "resource limit: half-integer branch and bound used 4 nodes" in err
-        assert "MAX_SEARCH_NODES = 4" in err and "3 trees is short of the goal of 5" in err
+        assert "MAX_SEARCH_NODES = 4" in err and "packing of 4 trees it started from is short of the goal of 5" in err
 
     @pytest.mark.parametrize("argv, key", HALF_RATE_COMMANDS)
     def test_huge_capacities_pack(self, tmp_path, capsys, argv, key):
@@ -630,13 +632,16 @@ class TestErrors:
 
     def test_pack_stops_its_lp_short_of_the_tree_limit(self, tmp_path, capsys):
         # the fractional packing meets the partition bound 3 before the tree
-        # limit, while the integer and half-integer searches still pass it
+        # limit, and the integer packing completes its vertex to the goal 3
+        # over the trees it drew (the half-integer one reaches 5 of its
+        # goal 6, and its search over those trees uses its node budget)
         path = tmp_path / "r30.json"
         path.write_text(dump_instance(*random_instance(30, 30, 6, 0)))
         start = time.perf_counter()
-        assert main(["pack", str(path), "--mode", "frac"]) == 0
+        for mode in ("frac", "int"):
+            assert main(["pack", str(path), "--mode", mode]) == 0
+            assert json.loads(capsys.readouterr().out)["value"] == "3"
         assert time.perf_counter() - start < 10
-        assert json.loads(capsys.readouterr().out)["value"] == "3"
 
     def test_analyze_meets_the_bound_without_the_search(self, tmp_path, capsys):
         # 12 terminals joined through one relay hub by edges of capacity 2:
@@ -780,6 +785,51 @@ sys.exit(cli.main(sys.argv[3:]))
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _scaled_draw(args, draw, factor):
+    g, a = list(sample_instances(*args))[draw]
+    return scale_capacities(g, factor), a
+
+
+# Inputs on which analyze once exited 3.  A rounded LP vertex short of its
+# goal sent the branch and bound past its node budget (the x7 and x2
+# copies) or, drawing every tree, past the tree limit (random-30-30-6); on
+# the sparse draws the LP could not stop at the partition bound and passed
+# the tree limit, where it now stops at eta.  The rates are (k, half, LP,
+# eta, lambda).
+WALLS = {
+    "x7-copy": (lambda: _scaled_draw((5, 10, 10, 4, 0), 1, 7), (18, "37/2", "56/3", "56/3", 21)),
+    "random-30-30-6": (lambda: random_instance(30, 30, 6, 0), (3, "3", "3", "3", 3)),
+    "n8-s200-d15-x2": (lambda: _scaled_draw((20, 8, 8, 4, 200), 15, 2), (4, "9/2", "14/3", "14/3", 6)),
+    "n8-s400-d8-x2": (lambda: _scaled_draw((20, 8, 8, 4, 400), 8, 2), (4, "9/2", "14/3", "14/3", 6)),
+    "n16-s3000-d5": (lambda: _scaled_draw((25, 16, 16, 5, 3000), 5, 1), (2, "5/2", "5/2", "5/2", 3)),
+    "n16-s3000-d7": (lambda: _scaled_draw((25, 16, 16, 5, 3000), 7, 1), (2, "5/2", "5/2", "5/2", 3)),
+    "n18-s2000-d4": (lambda: _scaled_draw((25, 18, 18, 5, 2000), 4, 1), (1, "3/2", "3/2", "3/2", 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALLS))
+def test_walls_finish(tmp_path, capsys, name):
+    instance, want = WALLS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(dump_instance(*instance()))
+    start = time.perf_counter()
+    assert main(["analyze", str(path), "--format", "structured"]) == 0
+    assert time.perf_counter() - start < 5
+    out = json.loads(capsys.readouterr().out)
+    got = (out["integer_packing"], out["half_integer_rate"], out["fractional_rate"], out["edge_strength"],
+           out["terminal_connectivity"])
+    assert got == want
+    rates = [Fraction(x) for x in got]
+    assert rates == sorted(rates)
+    # pack solves the same LP, stopped at the same bound
+    assert main(["pack", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == str(want[0])
+    if name == "x7-copy":
+        assert main(["pack", str(path), "--mode", "half"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "37/2"
+    assert time.perf_counter() - start < 5
+
+
 def _run_python(*argv):
     """Run a Python process that imports the package from this checkout's ``src``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -838,12 +888,14 @@ class TestCertificateChecks:
         assert "certificate failure: flow value" in proc.stderr
 
     def test_prune_flow_falling_short_is_refused(self, tmp_path):
-        # the x3 copy of bench request random-n8-02 packs 7 trees; prune flows
-        # that fall short would end the search at the seed count 4, with no trees
-        g, a = list(sample_instances(20, 8, 6, 3, 0))[2]
-        path = tmp_path / "n8x3.json"
-        path.write_text(dump_instance(scale_capacities(g, 3), a))
-        proc = _run_faulty("connectivity.pair_flow", "fall-short", "pack", str(path))
+        # the 12th draw of sample_instances(20, 8, 8, 4, 20) packs 5
+        # half-integer trees where the completed LP vertex packs 4; prune
+        # flows that fall short would end the search at its incumbent 3,
+        # with no trees
+        g, a = list(sample_instances(20, 8, 8, 4, 20))[11]
+        path = tmp_path / "s20d11.json"
+        path.write_text(dump_instance(g, a))
+        proc = _run_faulty("connectivity.pair_flow", "fall-short", "pack", str(path), "--mode", "half")
         assert proc.returncode == 4, proc.stderr
         assert "certificate failure: flow value" in proc.stderr
 
@@ -1100,6 +1152,14 @@ def test_scripts_run_clean():
         out += proc.stdout
     assert "checked 5 instances (|V|<=8, |A|=3): every rate in order and above its floors" in out
     assert "BAD" not in out
+    # the wall counts that the ROADMAP reads: two draws per sparse family,
+    # then the named walls, all of which finish
+    proc = _run_python(str(ROOT / "scripts" / "wall_sweep.py"), "--count", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 25 and lines[-1] == "sparse families: 40 of 40 exit 0; exit 3: none"
+    assert lines[20].startswith("x7 copy of sample_instances(5, 10, 10, 4, 0)[1]")
+    assert all(line.endswith("exit 3:   0") for line in lines[:-1])
     # the line counts and the timing comparison that the ROADMAP's rules read
     proc = _run_python(str(ROOT / "scripts" / "src_lines.py"))
     assert proc.returncode == 0, proc.stderr

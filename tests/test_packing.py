@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -423,6 +424,38 @@ class TestSearchOnlyOnAGap:
         assert len(calls) == 1
         assert (report.lp_rate, report.eta) == (Fraction(9, 5), 2)
 
+    def test_tree_limit_before_the_bound_runs_the_search_once(self, monkeypatch):
+        # the 5th draw of sample_instances(25, 18, 18, 5, 2000): its LP
+        # passes the tree limit before U = 2, and stops at eta = 3/2
+        calls = self.counted_searches(monkeypatch)
+        report = analyze_instance(*list(sample_instances(25, 18, 18, 5, 2000))[4])
+        assert len(calls) == 1 and report.lp_rate == report.eta == Fraction(3, 2)
+        # the all-terminal unit K8 has eta = U = 4, so its tree limit stands
+        calls.clear()
+        names = [f"v{i}" for i in range(8)]
+        g = Multigraph.build(names, [(u, v, 1) for u, v in combinations(names, 2)])
+        with pytest.raises(TooManyTrees):
+            analyze_instance(g, TerminalSet(names[0], tuple(names[1:])))
+        assert len(calls) == 1
+
+    def test_eta_from_the_tree_limit_is_not_searched_again(self, monkeypatch):
+        # with a bound of 3 the non-tight instance's LP is made to pass the
+        # tree limit; eta = 2 stops the second solve short of it at LP
+        # 9/5, and analyze takes that eta
+        calls = self.counted_searches(monkeypatch)
+        solve = analysis.solve_tree_lp
+
+        def limited(g, a, upper=None):
+            if upper == 3:
+                raise TooManyTrees("tree limit")
+            return solve(g, a, upper)
+
+        monkeypatch.setattr(analysis, "partition_bound", lambda g, a, lam, side: (Fraction(3), None))
+        monkeypatch.setattr(analysis, "solve_tree_lp", limited)
+        report = analyze_instance(*non_tight_instance())
+        assert len(calls) == 1
+        assert (report.lp_rate, report.eta) == (Fraction(9, 5), 2)
+
 
 class TestPackingReuse:
     @staticmethod
@@ -489,22 +522,38 @@ class TestDepthGuard:
             assert issubclass(error, ResourceLimit)
 
     def test_budget_exhausted_short_of_goal_refused(self, monkeypatch):
-        # the second n=10 sample draw: the LP-rounded packing has 3 of the 5
-        # half-integer trees
-        g, a = list(sample_instances(5, 10, 10, 4, 0))[1]
+        # the 12th draw of sample_instances(20, 8, 8, 4, 20): the LP vertex
+        # rounds to 1 of the 5 half-integer trees, and its completion to 4
+        g, a = list(sample_instances(20, 8, 8, 4, 20))[11]
         lp = solve_tree_lp(g, a)
-        assert sum(int(2 * y) for y in lp.y) == 3 < int(2 * lp.opt) == 5
-        assert half_integer_capacity(lp)[0] == Fraction(5, 2)  # 8 nodes
-        monkeypatch.setattr(packing, "MAX_SEARCH_NODES", 4)
+        assert sum(int(2 * y) for y in lp.y) == 1 < int(2 * lp.opt) == 5
         calls = counted_bound_evaluations(monkeypatch)
+        assert half_integer_capacity(lp)[0] == Fraction(5, 2)
+        assert len(calls) == 39
+        monkeypatch.setattr(packing, "MAX_SEARCH_NODES", 4)
+        calls.clear()
         with pytest.raises(
             SearchTooLarge,
             match=r"half-integer branch and bound used 4 nodes, the budget MAX_SEARCH_NODES = 4, "
-            r"and its LP-rounded packing of 3 trees is short of the goal of 5",
+            r"and the packing of 4 trees it started from is short of the goal of 5",
         ):
             half_integer_capacity(lp)
         # the root is kept without a check
         assert len(calls) == 3
+
+    def test_both_searches_share_one_budget(self, monkeypatch):
+        # the search over the four stars of K4 visits 5 nodes and ends
+        # short, and the search over every tree then needs 6 more: a
+        # budget of 10 would hold either alone, but not both
+        monkeypatch.setattr(packing, "MAX_SEARCH_NODES", 10)
+        with pytest.raises(
+            SearchTooLarge,
+            match=r"^integer branch and bound used 10 nodes, the budget MAX_SEARCH_NODES = 10, "
+            r"and the packing of 1 trees it started from is short of the goal of 2$",
+        ):
+            max_integer_packing(stars_first_lp())
+        monkeypatch.setattr(packing, "MAX_SEARCH_NODES", 11)
+        assert max_integer_packing(stars_first_lp())[0] == 2
 
     def test_budget_exhausted_at_goal_returns_rounded_packing(self, monkeypatch):
         # a budget of one node is enough: where rounding meets the goal no
@@ -633,24 +682,57 @@ def reference_expand_packing(bundles, solution, denom=None):
     return SteinerPacking(tuple(trees), denom)
 
 
+def reference_completion(lp, factor):
+    """The LP vertex rounded down and completed greedily, on loads per edge
+    id: each tree, those with y > 0 first, takes as many more copies as its
+    edges hold, up to the goal.  The count and the (tree, copies) pairs in
+    tree order."""
+    goal = int(factor * lp.opt)
+    room = {e.id: factor * e.cap for e in lp.reduction.graph.edges}
+    copies = [int(factor * y) for y in lp.y]
+    for t, c in zip(lp.trees, copies):
+        for eid in t:
+            room[eid] -= c
+    for j in sorted(range(len(lp.trees)), key=lambda j: (lp.y[j] == 0, j)):
+        c = min([goal - sum(copies)] + [room[eid] for eid in lp.trees[j]])
+        if c > 0:
+            copies[j] += c
+            for eid in lp.trees[j]:
+                room[eid] -= c
+    return sum(copies), [(t, c) for t, c in zip(lp.trees, copies) if c]
+
+
 def assert_matches_unseeded_search(g, a):
+    """Check the branch and bound at factors 1 and 2 against the unseeded
+    search, and return which answered at each: "rounded", "completed" or
+    "search"."""
     lp = solve_tree_lp(g, a)
+    answered = []
     for factor in (1, 2):
+        goal = int(factor * lp.opt)
         got = packing._branch_and_bound(lp, factor, "test")
         want = reference_branch_and_bound(lp, factor)
         assert got[0] == want[0]
-        # the rounded LP vertex answers where it meets the goal, the search elsewhere
+        # the rounded LP vertex answers where it meets the goal, its
+        # completion where that does, and the search elsewhere
         rounded = [(t, int(factor * y)) for t, y in zip(lp.trees, lp.y) if int(factor * y)]
-        if sum(c for _, c in rounded) >= int(factor * lp.opt):
+        completed = reference_completion(lp, factor)
+        if sum(c for _, c in rounded) >= goal:
             assert got[1] == rounded
+            answered.append("rounded")
+        elif completed[0] >= goal:
+            assert got == completed
+            answered.append("completed")
         else:
             assert got[1] == want[1]
+            answered.append("search")
         # c trees in factor times the capacities are c / factor on g itself
         want = reference_expand_packing(lp.reduction.bundles, [(t, Fraction(c, factor)) for t, c in got[1]], factor)
         expanded = packing._expand_packing(lp, got[1], factor, "test", Fraction(got[0], factor))
         assert expanded == want
     solution = [(t, y) for t, y in zip(lp.trees, lp.y) if y > 0]
     assert fractional_capacity_lp(lp)[1] == reference_expand_packing(lp.reduction.bundles, solution)
+    return answered
 
 
 def test_expand_packing_over_class_capacity_is_a_fault():
@@ -707,18 +789,50 @@ def non_tight_instance():
 
 class TestSeededSearchOracle:
     def test_small_multigraphs(self):
+        answered = Counter()
         for g, names in _small_connected_multigraphs():
             n = len(names)
             for ts in ((0, n - 1), tuple(range(n))):
-                assert_matches_unseeded_search(g, TerminalSet(names[ts[0]], tuple(names[i] for i in ts[1:])))
+                a = TerminalSet(names[ts[0]], tuple(names[i] for i in ts[1:]))
+                answered.update(assert_matches_unseeded_search(g, a))
+        assert answered["rounded"] > 0 and answered["completed"] > 0
 
     def test_benchmark_samples_and_their_split_graphs(self):
         samples = list(sample_instances(20, 8, 6, 3, 0)) + list(sample_instances(5, 10, 10, 4, 0))
+        answered = Counter()
         for g, a in samples + [non_tight_instance()]:
             core = prune_to_core(g, a)
-            assert_matches_unseeded_search(core, a)
-            assert_matches_unseeded_search(with_parallel_edge(core), a)
-            assert_matches_unseeded_search(eliminate_relays(core, a)[0], a)
+            answered.update(assert_matches_unseeded_search(core, a))
+            answered.update(assert_matches_unseeded_search(with_parallel_edge(core), a))
+            answered.update(assert_matches_unseeded_search(eliminate_relays(core, a)[0], a))
+        assert answered["rounded"] > 0 and answered["completed"] > 0
+
+    @pytest.mark.parametrize("seed, draw", [(160, 9), (20, 11)])
+    def test_draws_whose_completion_falls_short(self, seed, draw):
+        # at factor 2 the LP vertex rounds to 2 and to 1 of the 5 trees, its
+        # completion to 4, and the search finds the fifth
+        g, a = list(sample_instances(20, 8, 8, 4, seed))[draw]
+        assert assert_matches_unseeded_search(g, a) == ["completed", "search"]
+
+    def test_no_flow_checked_means_the_goal_was_met(self, monkeypatch):
+        # a packing found without a flow check is the rounded or completed
+        # LP vertex, and is returned only at floor(factor * LP optimum)
+        flows = []
+        checked = packing.checked_flow
+        monkeypatch.setattr(packing, "checked_flow", lambda *args: flows.append(args) or checked(*args))
+        instances = [*sample_instances(20, 8, 6, 3, 0), *sample_instances(5, 10, 10, 4, 0),
+                     *sample_instances(20, 8, 8, 4, 20), *sample_instances(20, 8, 8, 4, 160)]
+        seen = Counter()
+        for g, a in instances + [non_tight_instance()]:
+            for h in (g, scale_capacities(g, 3)):
+                lp = solve_tree_lp(h, a)
+                for factor in (1, 2):
+                    flows.clear()
+                    k, _ = packing._branch_and_bound(lp, factor, "test")
+                    if not flows:
+                        assert k == int(factor * lp.opt)
+                    seen[bool(flows)] += 1
+        assert seen[False] > 100 and seen[True] >= 3
 
 
 def oracle_steiner_trees(g, a):
@@ -1115,12 +1229,43 @@ class TestBoundedLP:
         assert refused == 2000
 
 
+def test_bench_pass_runs_no_search(monkeypatch):
+    # one pass of the cycle, random and fat benchmark workloads: every
+    # integer and half-integer packing is the rounded or completed LP
+    # vertex, so no node checks a flow and no LP draws its other classes
+    flows, draws = [], []
+    checked, all_trees = packing.checked_flow, packing.TreeLP.all_trees
+    monkeypatch.setattr(packing, "checked_flow", lambda *args: flows.append(args) or checked(*args))
+    monkeypatch.setattr(packing.TreeLP, "all_trees", lambda lp: draws.append(lp) or all_trees(lp))
+    cycle = [example2_instance(na, (0, 2)) for na in (5, 6, 7, 8)]
+    for g, a in cycle:
+        analyze_instance(g, a)
+    fat = [k4_with_relay(k) for k in (4, 8, 16)]
+    fat += [(scale_capacities(g, k), a) for g, a in sample_instances(3, 6, 3, 3, 0) for k in (4, 8)]
+    for g, a in [*sample_instances(20, 8, 6, 3, 0), *sample_instances(5, 10, 10, 4, 0), *fat]:
+        analyze_instance(g, a, via_splitting=True)
+    assert flows == [] and draws == []
+
+
+def stars_first_lp():
+    """The tree LP of the all-terminal unit K4 stopped after its four stars,
+    y = 1/2 each, at the optimum 2: no two stars are edge-disjoint, so the
+    search over them ends at 1 tree.  ``rest`` holds the other spanning
+    trees, from the same enumeration."""
+    g, a = complete4()
+    reduction = Reduction.of(g)
+    stars = [frozenset(e.id for e in g.edges if e.touches(v)) for v in sorted(g.vertices)]
+    enumeration = packing._minimal_trees(g.vertices, [(e.id, e.u, e.v) for e in g.edges], a.members, 100)
+    rest = ([t for t in size_class if t not in stars] for size_class in enumeration)
+    return packing.TreeLP(reduction, a, stars, Fraction(2), (Fraction(1, 2),) * 4, rest)
+
+
 class TestBoundedFallback:
     def test_short_rounding_searches_every_tree_of_the_one_enumeration(self, monkeypatch):
-        # the LP of each of these stops at eta after a few of its trees,
-        # and its vertex rounds short of the integer goal: the branch and
-        # bound draws the other classes from the same enumeration and
-        # returns the unseeded search's packing over all the trees
+        # the LP stopped at its optimum over trees among which no packing
+        # reaches the goal: the search over them ends short, draws the
+        # other trees from the LP's own enumeration, and returns the
+        # unseeded search's packing over all of them
         calls = {"_minimal_trees": 0}
         original = packing._minimal_trees
 
@@ -1129,26 +1274,17 @@ class TestBoundedFallback:
             return original(*args)
 
         monkeypatch.setattr(packing, "_minimal_trees", counted)
-        fallbacks = 0
-        for g, a in sample_instances(6, 10, 8, 3, 0):
-            for h in (g, scale_capacities(g, 3)):
-                full = solve_tree_lp(h, a)
-                eta = edge_strength(h, a)[0]
-                if full.opt != eta:
-                    continue
-                calls["_minimal_trees"] = 0
-                lp = solve_tree_lp(h, a, eta)
-                drawn = len(lp.trees)
-                short = sum(int(y) for y in lp.y) < int(lp.opt)
-                k, p = max_integer_packing(lp)
-                assert calls == {"_minimal_trees": 1}
-                if drawn < len(full.trees) and short:
-                    fallbacks += 1
-                    assert lp.trees == full.trees
-                    want, trees = reference_branch_and_bound(full, 1)
-                    trees = [(t, int(c)) for t, c in trees]
-                    assert k == want and p == packing._expand_packing(full, trees, 1, "test", k)
-        assert fallbacks >= 4
+        lp = stars_first_lp()
+        stars = list(lp.trees)
+        assert packing._branch_and_bound(replace(lp, trees=list(stars), rest=iter(())), 1, "test") == (
+            1, [(stars[0], 1)])
+        k, p = max_integer_packing(lp)
+        assert calls == {"_minimal_trees": 1}
+        assert lp.trees[:4] == stars and len(lp.trees) == 16
+        want, trees = reference_branch_and_bound(lp, 1)
+        trees = [(t, int(c)) for t, c in trees]
+        assert k == want == 2 and p == packing._expand_packing(lp, trees, 1, "test", k)
+        assert verify_packing(*complete4(), p)
 
 
 def random_small_lps():
